@@ -4,12 +4,12 @@
 // exact situation the anytime serving layer exists for.
 //
 // Three measurements run back to back:
-//   * publication reduction — the identical engine schedule twice, once with
-//     O(changed) delta publication + sharded read planes and once forced to
-//     whole-snapshot publication. Every boundary's snapshot is compared
-//     bit-for-bit across the two services (scores, reachable, changed list,
-//     frac_unknown, top-k), and the delta path must cut published bytes by
-//     at least 50% on this churny schedule. Both checks gate the run: any
+//   * publication reduction — the engine schedule served with O(changed)
+//     delta publication into sharded read planes, every publication
+//     compared bit-for-bit (scores, reachable, changed list, frac_unknown,
+//     top-k) against a whole-snapshot rebuild of the same boundary; the
+//     delta path must cut published bytes by at least 50% against that
+//     rebuild chain on this churny schedule. Both checks gate the run: any
 //     divergence or a reduction below the bar fails the bench BEFORE the
 //     JSON report is written.
 //   * closed loop — every reader fires its next query the moment the previous
@@ -27,7 +27,8 @@
 // The report (--out, default BENCH_serve.json, schema v2) carries per-shape
 // latency percentiles, global and per-tenant staleness distributions, shed /
 // SLO-miss counts per tenant, publication-path statistics (delta vs full,
-// rows scanned, published bytes), incremental top-k patch/rebuild counters,
+// rows scanned, published bytes), the per-shard top-k counters (planes
+// carried over as `topk_patched`, planes re-selected as `topk_rebuilt`),
 // the host's hardware concurrency, the service's own serve.* metrics
 // registry, and the publication-overhead check (bare vs idle-service
 // simulated clocks must agree — snapshot building is observer-only).
@@ -460,12 +461,14 @@ bool snapshots_identical(const ResultSnapshot& a, const ResultSnapshot& b) {
     return true;
 }
 
-/// Delta-vs-full publication comparison: the identical engine schedule on
-/// two engines, one service publishing O(changed) deltas into sharded read
-/// planes, the other forced to whole-snapshot publication with global reads.
-/// Every boundary is compared bit-for-bit (plus the served top-k at each
-/// addition boundary); the accumulated PublicationStats of the two services
-/// quantify the work reduction.
+/// Delta publication against a whole-snapshot reference chain: one engine
+/// and one service publishing O(changed) deltas into its sharded read
+/// planes. At every publication, with the engine idle inside the observer,
+/// the same boundary is rebuilt in full by build_snapshot against the
+/// previous reference and compared bit-for-bit, and the merged top-k is
+/// compared against a full selection. The reference chain, charged by the
+/// same account_publication, is the whole-snapshot baseline the work
+/// reduction is measured against.
 struct ReductionResult {
     PublicationStats delta_stats;
     PublicationStats full_stats;
@@ -474,50 +477,33 @@ struct ReductionResult {
 };
 
 ReductionResult measure_reduction(const BenchOptions& opt) {
-    Rng rng_a(opt.seed);
-    Rng rng_b(opt.seed);
-    AnytimeEngine ea(barabasi_albert(opt.vertices, 2, rng_a),
-                     engine_config(opt));
-    AnytimeEngine eb(barabasi_albert(opt.vertices, 2, rng_b),
-                     engine_config(opt));
-    ea.initialize();
-    eb.initialize();
-    ServeConfig with_delta;
-    with_delta.topk_maintained = opt.topk;
-    with_delta.enable_metrics = false;
-    ServeConfig full_only = with_delta;
-    full_only.delta_publication = false;
-    full_only.shard_reads = false;
-    QueryService sa(ea, with_delta);
-    QueryService sb(eb, full_only);
+    Rng rng(opt.seed);
+    AnytimeEngine engine(barabasi_albert(opt.vertices, 2, rng),
+                         engine_config(opt));
+    engine.initialize();
+    ServeConfig sc;
+    sc.topk_maintained = opt.topk;
+    sc.enable_metrics = false;
+    QueryService service(engine, sc);
 
     ReductionResult result;
-    const auto compare = [&] {
-        const auto a = sa.point(0, FreshnessPolicy::ServeStale);
-        const auto b = sb.point(0, FreshnessPolicy::ServeStale);
-        if (a.meta.version != b.meta.version ||
-            !same_bits(a.closeness, b.closeness) ||
-            a.reachable != b.reachable) {
+    std::shared_ptr<const ResultSnapshot> reference;
+    const auto check = [&](const ResultSnapshot& published) {
+        auto rebuilt =
+            build_snapshot(engine, published.version, reference.get());
+        account_publication(result.full_stats, *rebuilt, reference.get(),
+                            false, rebuilt->scores.size());
+        const auto top = service.topk(opt.topk, FreshnessPolicy::ServeStale);
+        if (!snapshots_identical(published, *rebuilt) ||
+            top.meta.version != published.version ||
+            top.entries != topk_from_snapshot(*rebuilt, opt.topk)) {
             result.bit_identical = false;
         }
-        const auto ta = sa.topk(opt.topk, FreshnessPolicy::ServeStale);
-        const auto tb = sb.topk(opt.topk, FreshnessPolicy::ServeStale);
-        if (ta.entries.size() != tb.entries.size()) {
-            result.bit_identical = false;
-        } else {
-            for (std::size_t i = 0; i < ta.entries.size(); ++i) {
-                if (ta.entries[i].vertex != tb.entries[i].vertex ||
-                    !same_bits(ta.entries[i].score, tb.entries[i].score)) {
-                    result.bit_identical = false;
-                }
-            }
-        }
-        if (!snapshots_identical(*sa.snapshot(),
-                                 *sb.snapshot())) {
-            result.bit_identical = false;
-        }
+        reference = std::move(rebuilt);
         ++result.boundaries_compared;
     };
+    check(*service.snapshot());
+    service.set_on_publish(check);
 
     // Each engine boundary is followed by one out-of-band republication —
     // the serve loop's timer-driven publish (run_workload issues these every
@@ -525,38 +511,23 @@ ReductionResult measure_reduction(const BenchOptions& opt) {
     // paths diverge hardest: the delta ships only the rows that moved since
     // the boundary (usually none), the full path re-scans and re-materializes
     // all n rows every time.
-    const auto republish = [&] {
-        sa.publish();
-        sb.publish();
-        compare();
-    };
     Rng batch_rng(opt.seed ^ 0x9E3779B97F4A7C15ull);
-    RoundRobinPS strategy_a;
-    RoundRobinPS strategy_b;
+    RoundRobinPS strategy;
     for (std::size_t b = 0; b < opt.batches; ++b) {
         for (std::size_t s = 0; s < opt.steps_between; ++s) {
-            ea.run_rc_steps(1);
-            eb.run_rc_steps(1);
-            compare();
-            republish();
+            engine.run_rc_steps(1);
+            service.publish();
         }
         GrowthConfig gc;
         gc.num_new = opt.batch_size;
-        const auto batch = grow_batch(ea.num_vertices(), gc, batch_rng);
-        ea.apply_addition(batch, strategy_a);
-        eb.apply_addition(batch, strategy_b);
-        compare();
-        republish();
+        const auto batch = grow_batch(engine.num_vertices(), gc, batch_rng);
+        engine.apply_addition(batch, strategy);
+        service.publish();
     }
-    while (ea.run_rc_steps(1) > 0) {
-        eb.run_rc_steps(1);
-        compare();
-        republish();
+    while (engine.run_rc_steps(1) > 0) {
+        service.publish();
     }
-    eb.run_to_quiescence();  // no-op when the schedules agree
-    compare();
-    result.delta_stats = sa.publication_stats();
-    result.full_stats = sb.publication_stats();
+    result.delta_stats = service.publication_stats();
     return result;
 }
 

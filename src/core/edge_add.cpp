@@ -18,6 +18,7 @@
 // worklists, which reach the same fixpoint as the paper's full sweep at
 // incremental cost.
 #include <algorithm>
+#include <cmath>
 
 #include "common/assert.hpp"
 #include "core/engine.hpp"
@@ -284,7 +285,8 @@ void AnytimeEngine::add_edges(std::span<const Edge> edges) {
 bool AnytimeEngine::decrease_edge_weight(VertexId u, VertexId v, Weight new_weight) {
     AA_ASSERT_MSG(initialized_, "initialize() must run before dynamic updates");
     AA_ASSERT(u < graph_.num_vertices() && v < graph_.num_vertices());
-    AA_ASSERT_MSG(new_weight > 0, "edge weights must be positive");
+    AA_ASSERT_MSG(std::isfinite(new_weight) && new_weight > 0,
+                  "edge weights must be finite and positive");
     const Weight current = graph_.edge_weight(u, v);
     if (!(current < kInfinity)) {
         return false;  // no such edge

@@ -8,6 +8,7 @@
 // only the final propagate sweep runs as a backend phase, exactly like
 // edge addition's step 3.
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <map>
 #include <set>
@@ -97,7 +98,8 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
     }
     for (const Edge& e : batch.reweights) {
         AA_ASSERT(e.u < n && e.v < n && e.u != e.v);
-        AA_ASSERT_MSG(e.weight > 0, "edge weights must be positive");
+        AA_ASSERT_MSG(std::isfinite(e.weight) && e.weight > 0,
+                      "edge weights must be finite and positive");
         const auto key = canon(e.u, e.v);
         if (!seen.insert(key).second) {
             continue;  // edge already deleted/reweighted by this batch

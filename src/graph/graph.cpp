@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace aa {
 
@@ -30,7 +31,10 @@ VertexId DynamicGraph::add_vertices(std::size_t count) {
 
 bool DynamicGraph::add_edge(VertexId u, VertexId v, Weight weight) {
     AA_ASSERT(u < adjacency_.size() && v < adjacency_.size());
-    AA_ASSERT_MSG(weight > 0, "edge weights must be positive");
+    // Infinite weights are rejected too: edge_weight() reports kInfinity for
+    // "no edge", so an inf-weight edge could never be removed.
+    AA_ASSERT_MSG(std::isfinite(weight) && weight > 0,
+                  "edge weights must be finite and positive");
     if (u == v || has_edge(u, v)) {
         return false;
     }
@@ -61,7 +65,8 @@ Weight DynamicGraph::edge_weight(VertexId u, VertexId v) const {
 
 bool DynamicGraph::set_edge_weight(VertexId u, VertexId v, Weight weight) {
     AA_ASSERT(u < adjacency_.size() && v < adjacency_.size());
-    AA_ASSERT_MSG(weight > 0, "edge weights must be positive");
+    AA_ASSERT_MSG(std::isfinite(weight) && weight > 0,
+                  "edge weights must be finite and positive");
     bool found = false;
     for (Neighbor& nb : adjacency_[u]) {
         if (nb.to == v) {

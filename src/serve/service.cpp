@@ -32,11 +32,43 @@ std::string_view freshness_policy_name(FreshnessPolicy policy) {
     return "?";
 }
 
+void account_publication(PublicationStats& stats, const ResultSnapshot& frozen,
+                         const ResultSnapshot* previous, bool via_delta,
+                         std::size_t rows_scanned) {
+    ++stats.publications;
+    if (via_delta) {
+        ++stats.delta_publications;
+    } else {
+        ++stats.full_publications;
+    }
+    stats.changed_rows += frozen.changed.size();
+    stats.rows_scanned += rows_scanned;
+    for (std::size_t c = 0; c < frozen.scores.num_chunks(); ++c) {
+        const bool shared = previous != nullptr &&
+                            c < previous->scores.num_chunks() &&
+                            frozen.scores.chunk(c) == previous->scores.chunk(c);
+        if (shared) {
+            ++stats.chunks_shared;
+        } else {
+            ++stats.chunks_copied;
+        }
+    }
+    // The full path materializes both n-length planes before CoW chunking;
+    // the delta path only ever holds the changed rows' values.
+    constexpr std::size_t kValueBytes = sizeof(Weight) + sizeof(std::size_t);
+    if (via_delta) {
+        stats.published_bytes +=
+            frozen.changed.size() * (kValueBytes + sizeof(VertexId));
+    } else {
+        stats.published_bytes += frozen.scores.size() * kValueBytes +
+                                 frozen.changed.size() * sizeof(VertexId);
+    }
+}
+
 QueryService::QueryService(AnytimeEngine& engine, ServeConfig config)
     : engine_(engine),
       config_(config),
-      epoch_(std::chrono::steady_clock::now()),
-      tracker_(config.topk_maintained, config.topk_rebuild_churn) {
+      epoch_(std::chrono::steady_clock::now()) {
     if (config_.enable_metrics) {
         metrics_.enable();
         latency_point_ = metrics_.histogram("serve.latency.point", kLatencyBounds);
@@ -125,40 +157,6 @@ TenantCounters QueryService::tenant_counters(TenantId tenant) const {
     return out;
 }
 
-void QueryService::accumulate_publication_stats(const ResultSnapshot& frozen,
-                                                bool via_delta,
-                                                std::size_t rows_scanned) {
-    ++stats_.publications;
-    if (via_delta) {
-        ++stats_.delta_publications;
-    } else {
-        ++stats_.full_publications;
-    }
-    stats_.changed_rows += frozen.changed.size();
-    stats_.rows_scanned += rows_scanned;
-    const ResultSnapshot* previous = last_published_.get();
-    for (std::size_t c = 0; c < frozen.scores.num_chunks(); ++c) {
-        const bool shared = previous != nullptr &&
-                            c < previous->scores.num_chunks() &&
-                            frozen.scores.chunk(c) == previous->scores.chunk(c);
-        if (shared) {
-            ++stats_.chunks_shared;
-        } else {
-            ++stats_.chunks_copied;
-        }
-    }
-    // The full path materializes both n-length planes before CoW chunking;
-    // the delta path only ever holds the changed rows' values.
-    constexpr std::size_t kValueBytes = sizeof(Weight) + sizeof(std::size_t);
-    if (via_delta) {
-        stats_.published_bytes +=
-            frozen.changed.size() * (kValueBytes + sizeof(VertexId));
-    } else {
-        stats_.published_bytes += frozen.scores.size() * kValueBytes +
-                                  frozen.changed.size() * sizeof(VertexId);
-    }
-}
-
 void QueryService::update_shard_planes(
     const std::shared_ptr<const ResultSnapshot>& frozen) {
     const ShardOwnership& ownership = engine_.shard_ownership();
@@ -167,12 +165,13 @@ void QueryService::update_shard_planes(
     const std::size_t num_planes = num_shards + 1;  // + pseudo-shard
     // Shard membership moves only when the vertex count does (a migration
     // re-binds shards to ranks, never vertices to shards), so this is the
-    // only event that invalidates the routing table and the per-shard
-    // trackers' chained state.
+    // only event that invalidates the routing table and re-selects every
+    // plane.
     const bool rebuild = !shard_table_built_ || shard_table_n_ != n ||
                          shard_members_.size() != num_planes;
     std::shared_ptr<ShardTable> fresh;
     std::shared_ptr<const ShardTable> table;
+    std::vector<std::uint8_t> dirty(num_planes, rebuild ? 1 : 0);
     if (rebuild) {
         shard_members_.assign(num_planes, {});
         for (std::size_t v = 0; v < n; ++v) {
@@ -182,14 +181,7 @@ void QueryService::update_shard_planes(
                     : num_shards;
             shard_members_[s].push_back(static_cast<VertexId>(v));
         }
-        while (shard_trackers_.size() < num_planes) {
-            shard_trackers_.emplace_back(config_.topk_maintained,
-                                         config_.topk_rebuild_churn);
-        }
-        for (IncrementalTopK& tracker : shard_trackers_) {
-            tracker.reset();
-        }
-        shard_changed_scratch_.assign(num_planes, {});
+        shard_ranked_.assign(num_planes, {});
         shard_table_n_ = n;
         shard_table_built_ = true;
 
@@ -208,27 +200,36 @@ void QueryService::update_shard_planes(
         table = fresh;
     } else {
         table = shard_table_.load();
-        for (auto& scratch : shard_changed_scratch_) {
-            scratch.clear();
-        }
         for (const VertexId v : frozen->changed) {
-            shard_changed_scratch_[table->shard_of[v]].push_back(v);
+            dirty[table->shard_of[v]] = 1;
         }
     }
+    // A plane none of whose members changed keeps its members' exact score
+    // bits, so its ranking carries over; the rest re-select their exact
+    // top-2K (the TopKPruned focus reads that deeper prefix). Every view is
+    // built before the first store: a merged top-k read needs all planes on
+    // one snapshot, so the window in which they disagree is the stores alone.
+    const std::size_t served = config_.topk_maintained;
+    std::size_t reselected = 0;
+    std::vector<std::shared_ptr<const ShardView>> views;
+    views.reserve(num_planes);
     for (std::size_t s = 0; s < num_planes; ++s) {
-        IncrementalTopK& tracker = shard_trackers_[s];
-        if (rebuild) {
-            tracker.apply_subset(*frozen, shard_members_[s],
-                                 shard_members_[s]);
-        } else {
-            tracker.apply_subset(*frozen, shard_members_[s],
-                                 shard_changed_scratch_[s]);
+        std::vector<TopKEntry>& ranked = shard_ranked_[s];
+        if (dirty[s] != 0) {
+            ranked = topk_from_subset(*frozen, shard_members_[s], 2 * served);
+            ++reselected;
         }
         auto view = std::make_shared<ShardView>();
         view->snapshot = frozen;
-        view->topk = tracker.entries();
-        table->planes[s]->store(std::move(view));
+        view->topk.assign(ranked.begin(),
+                          ranked.begin() + std::min(served, ranked.size()));
+        views.push_back(std::move(view));
     }
+    for (std::size_t s = 0; s < num_planes; ++s) {
+        table->planes[s]->store(std::move(views[s]));
+    }
+    topk_rebuilt_.fetch_add(reselected, std::memory_order_relaxed);
+    topk_patched_.fetch_add(num_planes - reselected, std::memory_order_relaxed);
     if (rebuild) {
         // Published only after every plane holds a view, so routed readers
         // never find an empty slot behind a live table entry.
@@ -236,87 +237,56 @@ void QueryService::update_shard_planes(
     }
 }
 
-void QueryService::refresh_topk_counters() {
-    std::size_t patched = tracker_.patched();
-    std::size_t rebuilt = tracker_.rebuilt();
-    for (const IncrementalTopK& tracker : shard_trackers_) {
-        patched += tracker.patched();
-        rebuilt += tracker.rebuilt();
-    }
-    topk_patched_.store(patched, std::memory_order_relaxed);
-    topk_rebuilt_.store(rebuilt, std::memory_order_relaxed);
-}
-
 void QueryService::publish() {
     const double t0 = wall_now();
+    // The delta declines (null) without a same-n predecessor, for
+    // bounds-carrying snapshots, and when the engine reports every row
+    // changed; the full rebuild produces the identical snapshot.
     std::shared_ptr<ResultSnapshot> built;
-    bool via_delta = false;
     std::size_t rows_scanned = 0;
-    if (config_.delta_publication && !config_.enable_bounds &&
-        last_published_ != nullptr) {
+    if (last_published_ != nullptr) {
         if (const auto delta = build_snapshot_delta(engine_, next_version_,
                                                     *last_published_)) {
             built = apply_snapshot_delta(*last_published_, *delta);
             rows_scanned = delta->rows_scanned;
-            via_delta = true;
         }
     }
-    if (built == nullptr) {
+    const bool via_delta = built != nullptr;
+    if (!via_delta) {
         built = build_snapshot(engine_, next_version_, last_published_.get(),
                                config_.enable_bounds);
         rows_scanned = built->scores.size();
     }
     built->published_wall = wall_now();
     std::shared_ptr<const ResultSnapshot> frozen = std::move(built);
-    accumulate_publication_stats(*frozen, via_delta, rows_scanned);
+    account_publication(stats_, *frozen, last_published_.get(), via_delta,
+                        rows_scanned);
 
     // Shard planes first, then the global slot: a reader routed through a
     // plane may briefly observe a newer version than the global slot
     // (per-shard monotone reads), while waiters woken below — who re-check
     // the global slot — always find the new snapshot already there.
-    if (config_.shard_reads) {
-        update_shard_planes(frozen);
-    }
+    update_shard_planes(frozen);
     store_.publish(frozen);
     ++next_version_;
     last_published_ = frozen;
     publications_.fetch_add(1, std::memory_order_relaxed);
 
-    if (!config_.shard_reads) {
-        // Unsharded: one global tracker feeds one global top-k view. A
-        // reader catching the store/view gap sees a fresh snapshot with a
-        // one-behind view and falls back to a full selection.
-        tracker_.apply(*frozen);
-        auto view = std::make_shared<TopKView>();
-        view->version = frozen->version;
-        view->entries = tracker_.entries();
-        topk_view_.store(std::move(view));
-    }
-    refresh_topk_counters();
-
     if (engine_.refine_policy() == RefinePolicy::TopKPruned) {
-        // Steer refinement at the vertices that decide the top-k answer: the
-        // maintained reserves (the exact top-2k prefix, per shard when
-        // sharded) plus, when bounds are available, every outsider whose
-        // upper bound still reaches into them. A scheduling hint only — the
-        // focus never changes what converges.
+        // Steer refinement at the vertices that decide the top-k answer: each
+        // plane's exact top-2K prefix plus, when bounds are available, every
+        // outsider whose upper bound still reaches into them. A scheduling
+        // hint only — the focus never changes what converges.
         std::vector<VertexId> focus;
         double weakest_lo = kInfinity;
-        const auto add_reserve = [&](const IncrementalTopK& tracker) {
-            for (const TopKEntry& e : tracker.reserve()) {
+        for (const std::vector<TopKEntry>& ranked : shard_ranked_) {
+            for (const TopKEntry& e : ranked) {
                 focus.push_back(e.vertex);
                 if (frozen->has_bounds && e.vertex < frozen->bound_lo.size()) {
                     weakest_lo =
                         std::min(weakest_lo, frozen->bound_lo[e.vertex]);
                 }
             }
-        };
-        if (config_.shard_reads) {
-            for (const IncrementalTopK& tracker : shard_trackers_) {
-                add_reserve(tracker);
-            }
-        } else {
-            add_reserve(tracker_);
         }
         if (frozen->has_bounds && !focus.empty()) {
             for (std::size_t v = 0; v < frozen->bound_hi.size(); ++v) {
@@ -564,8 +534,8 @@ PointResult QueryService::point(VertexId v, FreshnessPolicy policy,
     result.vertex = v;
     QueryStatus status = QueryStatus::Unavailable;
     std::shared_ptr<const ResultSnapshot> snapshot;
-    if (config_.shard_reads && (policy == FreshnessPolicy::ServeStale ||
-                                policy == FreshnessPolicy::BoundedError)) {
+    if (policy == FreshnessPolicy::ServeStale ||
+        policy == FreshnessPolicy::BoundedError) {
         // Immediate reads route through the plane owning v (per-shard
         // monotone reads); anything the planes cannot serve falls back to
         // the global slot below.
@@ -614,9 +584,8 @@ BatchResult QueryService::batch(std::span<const VertexId> vertices,
     BatchResult result;
     QueryStatus status = QueryStatus::Unavailable;
     std::shared_ptr<const ResultSnapshot> snapshot;
-    if (config_.shard_reads && !vertices.empty() &&
-        (policy == FreshnessPolicy::ServeStale ||
-         policy == FreshnessPolicy::BoundedError)) {
+    if (!vertices.empty() && (policy == FreshnessPolicy::ServeStale ||
+                              policy == FreshnessPolicy::BoundedError)) {
         // One plane serves the whole batch (its snapshot is full-width), so
         // the batch stays consistent within a single snapshot. Routed by the
         // first vertex's shard: that is the vertex whose freshness the
@@ -668,15 +637,13 @@ TopKResult QueryService::topk(std::size_t k, FreshnessPolicy policy,
     TopKResult result;
     QueryStatus status = QueryStatus::Unavailable;
     std::shared_ptr<const ResultSnapshot> snapshot;
-    bool merged = false;
-    if (config_.shard_reads && policy == FreshnessPolicy::ServeStale &&
-        k <= config_.topk_maintained) {
-        // Merge the per-shard maintained partials at read time. Sound
-        // because each partial is the exact top-min(K, |shard|) of its
-        // members under the strict total ranking order, so the union
-        // contains the global k-prefix; bit-identical to the full selection.
-        // Requires every plane to hold the same snapshot — mid-publication
-        // disagreement falls back to the global path below.
+    if (policy == FreshnessPolicy::ServeStale && k <= config_.topk_maintained) {
+        // Merge the per-shard partials at read time. Sound because each
+        // partial is the exact top-min(K, |shard|) of its members under the
+        // strict total ranking order, so the union contains the global
+        // k-prefix; bit-identical to the full selection. Requires every plane
+        // to hold the same snapshot — mid-publication disagreement falls back
+        // to a full selection on the global slot below.
         const auto table = shard_table_.load();
         if (table != nullptr && !table->planes.empty()) {
             std::vector<std::shared_ptr<const ShardView>> views;
@@ -705,28 +672,17 @@ TopKResult QueryService::topk(std::size_t k, FreshnessPolicy policy,
                 pool.resize(want);
                 result.entries = std::move(pool);
                 status = QueryStatus::Ok;
-                merged = true;
             }
         }
     }
-    if (!merged) {
+    if (snapshot == nullptr) {
         snapshot = admit(policy, *tenant, status);
         if (snapshot == nullptr) {
             result.meta.status = status;
             finish_query(*tenant, latency_topk_, wall_now() - t0, result.meta);
             return result;
         }
-        const auto view = topk_view_.load();
-        if (!config_.shard_reads && k <= config_.topk_maintained &&
-            view != nullptr && view->version == snapshot->version) {
-            // Served from the incrementally patched ranking; a k-prefix of
-            // the maintained top-K is exactly the top-k of the same snapshot.
-            const std::size_t take = std::min(k, view->entries.size());
-            result.entries.assign(view->entries.begin(),
-                                  view->entries.begin() + take);
-        } else {
-            result.entries = topk_from_snapshot(*snapshot, k);
-        }
+        result.entries = topk_from_snapshot(*snapshot, k);
     }
     result.meta = make_meta(*snapshot);
     if (config_.record_demand) {

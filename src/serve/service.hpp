@@ -7,21 +7,24 @@
 // top-k closeness queries against the published snapshots — they never touch
 // engine state and never block the RC loop.
 //
-// Publication is O(changed): when the engine reports which rows it touched
-// since the last boundary (AnytimeEngine::take_changed_rows), the service
-// builds a SnapshotDelta — re-summing only those rows — and applies it to the
-// predecessor's copy-on-write chunks, so a boundary that changed c vertices
-// costs O(c·n) row scans and copies only the chunks containing them. The
-// result is bit-identical in every field to the full build_snapshot path
-// (pinned by lattice tests); the full path remains as the fallback for
-// structural changes, bounds-carrying streams, and `delta_publication=false`.
-// PublicationStats counts both paths' work (rows scanned, bytes published,
-// chunks copied vs shared) so the saving is measurable, not assumed.
+// Publication is O(changed): at every boundary the service first builds a
+// SnapshotDelta from the rows the engine touched since the last boundary
+// (AnytimeEngine::take_changed_rows) — re-summing only those rows — and
+// applies it to the predecessor's copy-on-write chunks, so a boundary that
+// changed c vertices costs O(c·n) row scans and copies only the chunks
+// containing them. The delta declines, and the service rebuilds the
+// snapshot in full, when there is no same-n predecessor, when snapshots
+// carry bounds, or when the engine reports every row changed. Both builds
+// are bit-identical in every field (a lattice test rebuilds every published
+// boundary in full and compares). PublicationStats counts both paths' work
+// (rows scanned, bytes published, chunks copied vs shared) so the saving is
+// measurable, not assumed.
 //
-// Sharded reads: with `shard_reads` (default), the service maintains one
-// SharedSlot plane per logical shard of the engine's ShardOwnership map,
-// each holding the latest snapshot plus that shard's incrementally-patched
-// top-k partial. Point and batch reads route through the plane owning the
+// Sharded reads: the service maintains one SharedSlot plane per logical
+// shard of the engine's ShardOwnership map, each holding the latest snapshot
+// plus that shard's top-k partial. A publication re-selects a plane's
+// partial only when one of its members changed; every other plane carries
+// its ranking over. Point and batch reads route through the plane owning the
 // queried vertex; top-k reads merge the per-shard partials at read time
 // (bit-identical to the full selection — the ranking is a strict total
 // order). Planes are updated sequentially by the driver, so the freshness
@@ -165,10 +168,20 @@ struct PublicationStats {
     std::size_t published_bytes{0};
 };
 
+/// Charge one publication to `stats`: `frozen` was built from `previous`
+/// (null for a first publication) through the delta path or the full
+/// rebuild, after re-summing `rows_scanned` distance rows. QueryService
+/// charges every publication through this; a caller that rebuilds the same
+/// boundaries in full charges its chain the same way to get the
+/// whole-snapshot baseline.
+void account_publication(PublicationStats& stats, const ResultSnapshot& frozen,
+                         const ResultSnapshot* previous, bool via_delta,
+                         std::size_t rows_scanned);
+
 struct ServeConfig {
-    /// k of the incrementally maintained top-k ranking; top-k queries with
-    /// k <= this are served from the patched ranking, larger ones fall back
-    /// to a full selection on the snapshot.
+    /// K of the per-shard top-k partials; top-k queries with k <= this merge
+    /// the partials, larger ones fall back to a full selection on the
+    /// snapshot.
     std::size_t topk_maintained{10};
     /// Bound on concurrently *waiting* queries of the default tenant before
     /// shedding (TenantConfig::max_pending of tenant 0; additional tenants
@@ -181,27 +194,15 @@ struct ServeConfig {
     /// Capture certified closeness intervals (refine/bounds.hpp) into every
     /// snapshot. Required by the BoundedError policy and by top-k
     /// certification; costs one interval computation per row per
-    /// publication, so off by default. Disables delta publication (the
-    /// wavefront certificate tightens unchanged rows' bounds every step).
+    /// publication, so off by default. Every snapshot is then rebuilt in
+    /// full (the wavefront certificate tightens unchanged rows' bounds every
+    /// step).
     bool enable_bounds{false};
     /// Feed queried vertices into the engine's DemandTracker (scaled by the
     /// querying tenant's demand_weight) so the QueryHeat refinement policy
     /// can steer RC work toward them. Recording is wait-free and, under the
     /// default Uniform policy, has no effect on the engine schedule.
     bool record_demand{true};
-    /// Publish O(changed) snapshot deltas against the previous snapshot when
-    /// the engine can report touched rows; falls back to the full rebuild
-    /// whenever a delta is inapplicable. Results are bit-identical either
-    /// way (lattice-tested); off = always full (the bench baseline).
-    bool delta_publication{true};
-    /// Maintain per-shard snapshot planes aligned to the engine's
-    /// ShardOwnership and route immediate reads through them (per-shard
-    /// monotone reads); off = every read goes through the single global
-    /// snapshot slot.
-    bool shard_reads{true};
-    /// Churn fraction above which the incremental top-k rebuilds instead of
-    /// patching (see IncrementalTopK); identical entries either way.
-    double topk_rebuild_churn{0.5};
 };
 
 /// Response metadata shared by every query shape.
@@ -334,8 +335,10 @@ public:
 
     std::uint64_t publications() const;
     std::uint64_t shed_count() const;
-    /// Incremental top-k maintenance counters, summed across the per-shard
-    /// trackers (or the single global tracker when shard_reads is off).
+    /// Per-shard top-k counters, summed over planes and publications:
+    /// topk_rebuilt() counts plane re-selections (a member changed, or the
+    /// vertex count did), topk_patched() counts planes whose ranking carried
+    /// over unchanged.
     std::size_t topk_patched() const;
     std::size_t topk_rebuilt() const;
     /// Accumulated publication work counters. Mutated on the driver thread
@@ -354,13 +357,8 @@ public:
     const ServeConfig& config() const { return config_; }
 
 private:
-    struct TopKView {
-        std::uint64_t version{0};
-        std::vector<TopKEntry> entries;
-    };
-
     /// One shard's published plane: the snapshot it was cut from plus the
-    /// shard's maintained top-k partial. Immutable once stored.
+    /// shard's top-k partial. Immutable once stored.
     struct ShardView {
         std::shared_ptr<const ResultSnapshot> snapshot;
         std::vector<TopKEntry> topk;
@@ -411,31 +409,25 @@ private:
     void finish_query(TenantState& tenant,
                       MetricsRegistry::Handle latency_histogram,
                       double latency_seconds, const ResponseMeta& meta);
-    void accumulate_publication_stats(const ResultSnapshot& frozen,
-                                      bool via_delta,
-                                      std::size_t rows_scanned);
     void update_shard_planes(
         const std::shared_ptr<const ResultSnapshot>& frozen);
-    void refresh_topk_counters();
 
     AnytimeEngine& engine_;
     ServeConfig config_;
     std::chrono::steady_clock::time_point epoch_;
     SnapshotStore store_;
-    SharedSlot<const TopKView> topk_view_;
     SharedSlot<const ShardTable> shard_table_;
     SharedSlot<const std::vector<std::shared_ptr<TenantState>>> tenants_;
 
     // Driver-thread-only state (publication path).
     std::uint64_t next_version_{1};
     std::shared_ptr<const ResultSnapshot> last_published_;
-    IncrementalTopK tracker_;
-    /// Per-shard members (ascending) + trackers, index num_shards = the
-    /// pseudo-shard for vertices beyond the ownership map. Rebuilt (and
-    /// trackers reset) when the vertex count changes.
+    /// Per-plane members (ascending), index num_shards = the pseudo-shard
+    /// for vertices beyond the ownership map; rebuilt when the vertex count
+    /// changes. shard_ranked_[s] is plane s's exact top-2K (its served
+    /// partial is the K-prefix).
     std::vector<std::vector<VertexId>> shard_members_;
-    std::vector<IncrementalTopK> shard_trackers_;
-    std::vector<std::vector<VertexId>> shard_changed_scratch_;
+    std::vector<std::vector<TopKEntry>> shard_ranked_;
     std::size_t shard_table_n_{0};
     bool shard_table_built_{false};
     PublicationStats stats_;
@@ -448,7 +440,7 @@ private:
     bool closed_{false};
     std::atomic<std::uint64_t> shed_{0};
     std::atomic<std::uint64_t> publications_{0};
-    // Mirrors of the trackers' counters, readable from any thread.
+    // Plane carry-over / re-selection counters, readable from any thread.
     std::atomic<std::size_t> topk_patched_{0};
     std::atomic<std::size_t> topk_rebuilt_{0};
 

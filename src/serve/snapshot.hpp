@@ -136,8 +136,8 @@ struct ResultSnapshot {
     /// previous snapshot share its backing storage (copy-on-write).
     CowScores scores;
     /// Vertices whose (closeness, reachable) differ from the previous
-    /// snapshot — newly added vertices included. This is what lets the
-    /// incremental top-k patch instead of rebuild.
+    /// snapshot — newly added vertices included. The service re-selects
+    /// only the shard planes holding one of these vertices.
     std::vector<VertexId> changed;
     /// Certified closeness intervals, present iff has_bounds (the service's
     /// enable_bounds config). bound_lo/bound_hi bracket the converged score

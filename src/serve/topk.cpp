@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/assert.hpp"
-
 namespace aa {
 
 std::vector<TopKEntry> topk_from_snapshot(const ResultSnapshot& snapshot,
@@ -35,139 +33,6 @@ std::vector<TopKEntry> topk_from_subset(const ResultSnapshot& snapshot,
                       topk_outranks);
     entries.resize(want);
     return entries;
-}
-
-std::vector<TopKEntry> topk_sharded(const ResultSnapshot& snapshot,
-                                    const ShardOwnership& ownership,
-                                    std::size_t k) {
-    const std::size_t n = snapshot.scores.size();
-    const std::size_t want = std::min(k, n);
-    if (want == 0) {
-        return {};
-    }
-    // Bucket by shard; the trailing pseudo-bucket catches vertices the map
-    // has not registered yet.
-    std::vector<std::vector<TopKEntry>> partials(ownership.num_shards() + 1);
-    for (std::size_t v = 0; v < n; ++v) {
-        const std::size_t s = v < ownership.num_vertices()
-                                  ? ownership.shard(static_cast<VertexId>(v))
-                                  : ownership.num_shards();
-        partials[s].push_back(
-            {static_cast<VertexId>(v), snapshot.scores.closeness(v)});
-    }
-    std::vector<TopKEntry> pool;
-    for (auto& partial : partials) {
-        const std::size_t take = std::min(want, partial.size());
-        std::partial_sort(partial.begin(), partial.begin() + take,
-                          partial.end(), topk_outranks);
-        pool.insert(pool.end(), partial.begin(), partial.begin() + take);
-    }
-    const std::size_t out = std::min(want, pool.size());
-    std::partial_sort(pool.begin(), pool.begin() + out, pool.end(),
-                      topk_outranks);
-    pool.resize(out);
-    return pool;
-}
-
-IncrementalTopK::IncrementalTopK(std::size_t k, double rebuild_churn)
-    : k_(k), rebuild_churn_(rebuild_churn) {}
-
-void IncrementalTopK::apply(const ResultSnapshot& snapshot) {
-    advance(snapshot, /*full=*/true, {}, snapshot.changed);
-}
-
-void IncrementalTopK::apply_subset(const ResultSnapshot& snapshot,
-                                   std::span<const VertexId> members,
-                                   std::span<const VertexId> changed) {
-    advance(snapshot, /*full=*/false, members, changed);
-}
-
-void IncrementalTopK::reset() {
-    version_ = 0;
-    last_n_ = 0;
-    entries_.clear();
-    reserve_.clear();
-}
-
-void IncrementalTopK::advance(const ResultSnapshot& snapshot, bool full,
-                              std::span<const VertexId> members,
-                              std::span<const VertexId> changed) {
-    AA_ASSERT_MSG(version_ == 0 || snapshot.version > version_,
-                  "snapshots must be applied in version order");
-    const CowScores& scores = snapshot.scores;
-    const std::size_t n = full ? scores.size() : members.size();
-    const std::size_t want = std::min(k_, n);
-    // The maintained exact prefix is deeper than what is served: demotions
-    // that stay within the reserve patch instead of rebuilding.
-    const std::size_t depth = std::min(2 * k_, n);
-
-    // Patch only across a direct successor: the changed list is relative to
-    // the immediately previous snapshot, so a skipped version breaks the
-    // chain of "unchanged vertices kept their exact bits". It must also
-    // describe the same tracked universe (last_n_ == n for the subset case
-    // is guaranteed by the caller resetting on membership changes).
-    const bool chainable =
-        version_ != 0 && snapshot.version == version_ + 1 && want > 0;
-    // Past the churn threshold a patch would sort nearly the whole universe
-    // anyway; hand the work to the rebuild path (identical entries).
-    const bool churny =
-        n > 0 && static_cast<double>(changed.size()) >=
-                     rebuild_churn_ * static_cast<double>(n);
-    bool done = false;
-    if (chainable && changed.empty()) {
-        // Nothing tracked changed: the maintained state carries over as-is.
-        done = true;
-    } else if (chainable && !churny) {
-        // Previous reserve was exact, so any vertex outside reserve_ that is
-        // not in `changed` still sorts after the previous R-th entry's key.
-        const bool had_outsiders = last_n_ > reserve_.size();
-        const TopKEntry old_rth =
-            had_outsiders ? reserve_.back() : TopKEntry{};
-
-        std::vector<TopKEntry> candidates;
-        candidates.reserve(reserve_.size() + changed.size());
-        for (const TopKEntry& e : reserve_) {
-            candidates.push_back({e.vertex, scores.closeness(e.vertex)});
-        }
-        for (const VertexId v : changed) {
-            candidates.push_back({v, scores.closeness(v)});
-        }
-        std::sort(candidates.begin(), candidates.end(),
-                  [](const TopKEntry& a, const TopKEntry& b) {
-                      return a.vertex < b.vertex;
-                  });
-        candidates.erase(std::unique(candidates.begin(), candidates.end(),
-                                     [](const TopKEntry& a, const TopKEntry& b) {
-                                         return a.vertex == b.vertex;
-                                     }),
-                         candidates.end());
-        if (candidates.size() >= depth) {
-            std::partial_sort(candidates.begin(), candidates.begin() + depth,
-                              candidates.end(), topk_outranks);
-            candidates.resize(depth);
-            // Exact unless the new R-th is weaker than the old R-th was under
-            // its old score — only then could an unchanged outsider (known
-            // weaker than old_rth) deserve a reserve slot. A hub demoted out
-            // of the top k but not past the R-th entry passes this check and
-            // is evicted from the served prefix by the re-rank itself.
-            if (!had_outsiders || !topk_outranks(old_rth, candidates.back())) {
-                reserve_ = std::move(candidates);
-                entries_.assign(reserve_.begin(), reserve_.begin() + want);
-                ++patched_;
-                done = true;
-            }
-        }
-    }
-    if (!done) {
-        reserve_ = full ? topk_from_snapshot(snapshot, depth)
-                        : topk_from_subset(snapshot, members, depth);
-        entries_.assign(reserve_.begin(),
-                        reserve_.begin() +
-                            std::min(want, reserve_.size()));
-        ++rebuilt_;
-    }
-    version_ = snapshot.version;
-    last_n_ = n;
 }
 
 }  // namespace aa

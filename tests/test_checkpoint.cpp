@@ -201,6 +201,19 @@ TEST(Checkpoint, RejectsNegativeDistance) {
                  "negative or NaN distance");
 }
 
+TEST(Checkpoint, RejectsInfiniteEdgeWeight) {
+    // An inf-weight edge used to load silently: edge_weight() reports
+    // kInfinity for "no edge", so it could never be deleted, and it made
+    // every bounds interval's upper end infinite.
+    SavedCheckpoint saved = save_small(4);
+    const std::size_t weight_at = 4 * sizeof(std::uint64_t) + 2 * sizeof(VertexId);
+    ASSERT_GT(peek<Weight>(saved.bytes, weight_at), 0.0);  // first edge
+    poke<Weight>(saved.bytes, weight_at, kInfinity);
+    std::stringstream blob(saved.bytes);
+    EXPECT_DEATH((void)AnytimeEngine::load_checkpoint(blob, small_config(4)),
+                 "finite and positive");
+}
+
 TEST(StepHistory, RecordsEveryStep) {
     Rng rng(6);
     const auto g = barabasi_albert(70, 2, rng);

@@ -59,8 +59,8 @@ INSTANTIATE_TEST_SUITE_P(BucketWidths, DeltaSweep,
                                            1.0, 2.5,
                                            100.0  // one giant bucket = Bellman-Ford
                                            ),
-                         [](const ::testing::TestParamInfo<double>& info) {
-                             std::string name = std::to_string(info.param);
+                         [](const ::testing::TestParamInfo<double>& case_info) {
+                             std::string name = std::to_string(case_info.param);
                              for (auto& c : name) {
                                  if (c == '.') {
                                      c = '_';

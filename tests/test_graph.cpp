@@ -47,6 +47,16 @@ TEST(DynamicGraph, RejectsDuplicateEdge) {
     EXPECT_EQ(g.edge_weight(0, 1), 1.0);  // original weight kept
 }
 
+TEST(DynamicGraph, RejectsInfiniteWeight) {
+    // kInfinity is edge_weight()'s "no edge" value, so an inf-weight edge
+    // could never be removed; both writers refuse it like a non-positive one.
+    DynamicGraph g(2);
+    EXPECT_DEATH(g.add_edge(0, 1, kInfinity), "finite and positive");
+    EXPECT_TRUE(g.add_edge(0, 1, 2.0));
+    EXPECT_DEATH(g.set_edge_weight(0, 1, kInfinity), "finite and positive");
+    EXPECT_EQ(g.edge_weight(0, 1), 2.0);
+}
+
 TEST(DynamicGraph, MissingEdgeIsInfinite) {
     DynamicGraph g(3);
     g.add_edge(0, 1);

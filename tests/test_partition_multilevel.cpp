@@ -150,8 +150,9 @@ INSTANTIATE_TEST_SUITE_P(
                       MultilevelCase{"community", 4},
                       MultilevelCase{"community", 8}, MultilevelCase{"ws", 4},
                       MultilevelCase{"ws", 8}),
-    [](const ::testing::TestParamInfo<MultilevelCase>& info) {
-        return std::string(info.param.name) + "_k" + std::to_string(info.param.k);
+    [](const ::testing::TestParamInfo<MultilevelCase>& case_info) {
+        return std::string(case_info.param.name) + "_k" +
+               std::to_string(case_info.param.k);
     });
 
 TEST(Multilevel, SinglePartTrivial) {

@@ -128,13 +128,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0u, 3u),
                        ::testing::Values(IaKernel::Dijkstra,
                                          IaKernel::DeltaStepping)),
-    [](const ::testing::TestParamInfo<Param>& info) {
-        return std::string(family_name(std::get<0>(info.param))) + "_" +
-               strategy_name(std::get<1>(info.param)) + "_r" +
-               std::to_string(std::get<2>(info.param)) + "_i" +
-               std::to_string(std::get<3>(info.param)) +
-               (std::get<4>(info.param) == IaKernel::DeltaStepping ? "_ds"
-                                                                   : "_dij");
+    [](const ::testing::TestParamInfo<Param>& case_info) {
+        const Param& p = case_info.param;
+        return std::string(family_name(std::get<0>(p))) + "_" +
+               strategy_name(std::get<1>(p)) + "_r" +
+               std::to_string(std::get<2>(p)) + "_i" +
+               std::to_string(std::get<3>(p)) +
+               (std::get<4>(p) == IaKernel::DeltaStepping ? "_ds" : "_dij");
     });
 
 // Random mixed-strategy soak: one longer scenario with interleaved batches,

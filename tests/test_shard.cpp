@@ -14,7 +14,7 @@
 #include "graph/generators.hpp"
 #include "partition/partition.hpp"
 #include "refine/planner.hpp"
-#include "serve/snapshot.hpp"
+#include "serve/service.hpp"
 #include "serve/topk.hpp"
 #include "shard/migration.hpp"
 #include "shard/ownership.hpp"
@@ -244,12 +244,17 @@ TEST(ShardTopK, ShardedSelectionMatchesFullSelectionBitIdentically) {
     AnytimeEngine engine(g, config);
     engine.initialize();
     engine.run_to_quiescence();
-    const auto snapshot = build_snapshot(engine, 1, nullptr);
+    // The service's merged per-shard partials against a full selection; k
+    // beyond topk_maintained takes the service's full-selection fallback.
+    ServeConfig sc;
+    sc.topk_maintained = 32;
+    QueryService service(engine, sc);
+    const auto snapshot = service.snapshot();
     for (const std::size_t k : {std::size_t{1}, std::size_t{5},
                                 std::size_t{32}, std::size_t{500}}) {
-        EXPECT_EQ(topk_sharded(*snapshot, engine.shard_ownership(), k),
-                  topk_from_snapshot(*snapshot, k))
-            << "k=" << k;
+        const TopKResult top = service.topk(k, FreshnessPolicy::ServeStale);
+        ASSERT_EQ(top.meta.version, snapshot->version);
+        EXPECT_EQ(top.entries, topk_from_snapshot(*snapshot, k)) << "k=" << k;
     }
 }
 

@@ -34,7 +34,7 @@ TEST(MetricsRegistry, DisabledDoesNothingAndAllocatesNothing) {
     m.span_add(s, 1, 2, 3);
     m.span_attr(s, "k", "v");
     m.span_close(s, 1.0);
-    m.record_span(MetricSpan{.name = "x"});
+    m.record_span(MetricSpan{.name = "x", .attrs = {}});
 
     EXPECT_TRUE(m.spans().empty());
     EXPECT_TRUE(m.counters().empty());
@@ -141,7 +141,7 @@ TEST(MetricsRegistry, ClearDropsDataButKeepsEnablement) {
     MetricsRegistry m;
     m.enable();
     m.add(m.counter("c"), 1);
-    m.record_span(MetricSpan{.name = "s"});
+    m.record_span(MetricSpan{.name = "s", .attrs = {}});
     m.clear();
     EXPECT_TRUE(m.enabled());
     EXPECT_TRUE(m.spans().empty());

@@ -32,8 +32,6 @@
 //   verify                            check against exact sequential APSP
 //   serve-policy stale|next-step|quiescence|bounded-error
 //                                     freshness for query/topk
-//   serve-shards on|off               route reads through per-shard snapshot
-//                                     planes (rebuilds the serve layer)
 //   tenant <name> [max-pending] [slo] define a tenant (admission limit,
 //                                     freshness SLO wall-seconds) and make it
 //                                     the issuer of later query/topk commands
@@ -101,8 +99,6 @@ const char kHelpText[] =
     "  verify                            check against exact sequential APSP\n"
     "  serve-policy stale|next-step|quiescence|bounded-error\n"
     "                                    freshness for query/topk\n"
-    "  serve-shards on|off               per-shard read planes (rebuilds the\n"
-    "                                    serve layer; tenant counters reset)\n"
     "  tenant <name> [max-pending] [slo] define a tenant and make it the\n"
     "                                    issuer of later query/topk commands\n"
     "  query <v> [policy]                point query via the serve layer\n"
@@ -149,7 +145,6 @@ struct Runner {
     std::unique_ptr<AnytimeEngine> engine;
     std::unique_ptr<QueryService> service;
     FreshnessPolicy policy{FreshnessPolicy::ServeStale};
-    bool serve_shards{true};
     std::vector<TenantDef> tenant_defs;
     std::string active_tenant_name{"default"};
     TenantId active_tenant{kDefaultTenant};
@@ -199,7 +194,6 @@ struct Runner {
         ServeConfig sc;
         sc.enable_metrics = false;  // the engine timeline is the record here
         sc.enable_bounds = true;    // bounded-error queries need intervals
-        sc.shard_reads = serve_shards;
         service = std::make_unique<QueryService>(*engine, sc);
         service->set_step_driver(
             [this] { return engine->run_rc_steps(1) > 0; });
@@ -517,21 +511,6 @@ struct Runner {
             }
             std::printf("serve policy: %s\n",
                         std::string(freshness_policy_name(policy)).c_str());
-        } else if (command == "serve-shards") {
-            std::string value;
-            in >> value;
-            if (value != "on" && value != "off") {
-                std::fprintf(stderr,
-                             "error: serve-shards must be on or off, got "
-                             "'%s'\n",
-                             value.c_str());
-                return false;
-            }
-            serve_shards = value == "on";
-            if (engine) {
-                attach_service();  // rebuild the serve layer over the engine
-            }
-            std::printf("serve shards: %s\n", value.c_str());
         } else if (command == "tenant") {
             std::string name;
             if (!(in >> name)) {

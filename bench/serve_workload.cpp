@@ -24,14 +24,16 @@
 // a slice of the queries uses WaitForNextStep against those budgets, so
 // per-tenant admission control is exercised, not just the stale fast path.
 //
-// The report (--out, default BENCH_serve.json, schema v2) carries per-shape
+// The report (--out, default BENCH_serve.json, schema v3) carries per-shape
 // latency percentiles, global and per-tenant staleness distributions, shed /
 // SLO-miss counts per tenant, publication-path statistics (delta vs full,
 // rows scanned, published bytes), the per-shard top-k counters (planes
 // carried over as `topk_patched`, planes re-selected as `topk_rebuilt`),
 // the host's hardware concurrency, the service's own serve.* metrics
-// registry, and the publication-overhead check (bare vs idle-service
-// simulated clocks must agree — snapshot building is observer-only).
+// registry (histograms, counters, and a per-name span summary instead of
+// the raw serve.publish spans), and the publication-overhead check (bare vs
+// idle-service simulated clocks must agree — snapshot building is
+// observer-only).
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -394,7 +396,7 @@ WorkloadResult run_workload(const BenchOptions& opt, bool open_loop) {
     result.wall_seconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - wall0)
                               .count();
-    result.metrics_json = metrics_to_json(service.metrics_copy(), 4);
+    result.metrics_json = metrics_summary_to_json(service.metrics_copy(), 4);
     return result;
 }
 
@@ -698,7 +700,7 @@ int main(int argc, char** argv) {
     }
 
     std::string json;
-    json += "{\n  \"bench\": \"serve_workload\",\n  \"schema\": 2,\n";
+    json += "{\n  \"bench\": \"serve_workload\",\n  \"schema\": 3,\n";
     json += "  \"config\": {\"n\": " + std::to_string(opt.vertices) +
             ", \"ranks\": " + std::to_string(opt.ranks) +
             ", \"readers\": " + std::to_string(opt.readers) +

@@ -1,6 +1,8 @@
 #include "common/metrics.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -229,12 +231,17 @@ std::string spans_to_json(std::span<const MetricSpan> spans, int indent) {
     return out;
 }
 
-std::string metrics_to_json(const MetricsRegistry& m, int indent) {
+namespace {
+
+/// The registry dump with `span_block` ("\"key\": value") in place of the
+/// span stream.
+std::string registry_to_json(const MetricsRegistry& m, int indent,
+                             const std::string& span_block) {
     std::string pad(static_cast<std::size_t>(indent < 0 ? 0 : indent), ' ');
     std::string inner = pad + "  ";
     std::string out = "{\n";
     out += inner + "\"enabled\": " + (m.enabled() ? "true" : "false") + ",\n";
-    out += inner + "\"spans\": " + spans_to_json(m.spans(), indent + 4) + ",\n";
+    out += inner + span_block + ",\n";
     out += inner + "\"counters\": [";
     const auto counters = m.counters();
     for (std::size_t i = 0; i < counters.size(); ++i) {
@@ -268,6 +275,48 @@ std::string metrics_to_json(const MetricsRegistry& m, int indent) {
     if (!hists.empty()) out += "\n" + inner;
     out += "]\n" + pad + "}";
     return out;
+}
+
+}  // namespace
+
+std::string metrics_to_json(const MetricsRegistry& m, int indent) {
+    return registry_to_json(m, indent,
+                            "\"spans\": " + spans_to_json(m.spans(), indent + 4));
+}
+
+std::string metrics_summary_to_json(const MetricsRegistry& m, int indent) {
+    std::vector<std::string> names;
+    std::vector<std::vector<double>> durations;
+    for (const MetricSpan& span : m.spans()) {
+        const auto it = std::find(names.begin(), names.end(), span.name);
+        const auto i = static_cast<std::size_t>(it - names.begin());
+        if (it == names.end()) {
+            names.push_back(span.name);
+            durations.emplace_back();
+        }
+        durations[i].push_back(span.t_end - span.t_begin);
+    }
+    const std::string pad(static_cast<std::size_t>(indent < 0 ? 0 : indent) + 4, ' ');
+    std::string block = "\"span_summary\": [";
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        std::vector<double>& d = durations[i];
+        std::sort(d.begin(), d.end());
+        // Nearest-rank percentile over the sorted durations.
+        const auto rank = [&d](double q) {
+            const auto r = static_cast<std::size_t>(
+                std::ceil(q * static_cast<double>(d.size())));
+            return d[r == 0 ? 0 : r - 1];
+        };
+        block += (i == 0 ? "\n" : ",\n");
+        block += pad + "{\"name\":\"" + json_escape(names[i]) +
+                 "\",\"count\":" + std::to_string(d.size()) +
+                 ",\"p50\":" + format_double(rank(0.50)) +
+                 ",\"p99\":" + format_double(rank(0.99)) +
+                 ",\"max\":" + format_double(d.back()) + "}";
+    }
+    if (!names.empty()) block += "\n" + pad.substr(2);
+    block += "]";
+    return registry_to_json(m, indent, block);
 }
 
 namespace {

@@ -22,7 +22,8 @@
 // the caller passes — the engine passes simulated seconds; wall-clock
 // benches pass host seconds.
 //
-// Exporters: `metrics_to_json` renders the full registry; `spans_to_csv` /
+// Exporters: `metrics_to_json` renders the full registry and
+// `metrics_summary_to_json` the same with per-name span summaries; `spans_to_csv` /
 // `spans_from_csv` are a lossless round-trip for the span stream (the format
 // external tooling ingests). The engine-level timeline schema built on top
 // of these lives in core/telemetry.hpp.
@@ -159,6 +160,13 @@ std::string spans_to_json(std::span<const MetricSpan> spans, int indent = 2);
 /// Full registry dump: {"enabled":..., "spans":[...], "counters":[...],
 /// "histograms":[...]}.
 std::string metrics_to_json(const MetricsRegistry& m, int indent = 0);
+
+/// The same dump with the span stream reduced to one duration summary per
+/// span name (first-seen order): {"enabled":..., "span_summary":[{"name",
+/// "count", "p50", "p99", "max"}], "counters":[...], "histograms":[...]}.
+/// Durations are t_end - t_begin on the registry's clock; percentiles are
+/// nearest-rank.
+std::string metrics_summary_to_json(const MetricsRegistry& m, int indent = 0);
 
 /// CSV with header `name,rank,step,depth,parent,t_begin,t_end,ops,bytes,
 /// messages,attrs`; attrs is `k=v;k=v` with %-escaping of the delimiter

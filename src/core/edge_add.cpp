@@ -3,13 +3,11 @@
 //   * AnytimeEngine::anywhere_add      — vertex additions (paper Figure 3),
 //   * AnytimeEngine::add_edges         — edge additions between existing
 //                                        vertices ("new relationship
-//                                        formations", [9]),
-//   * AnytimeEngine::decrease_edge_weight — edge weight decreases ([7];
-//                                        increases are routed to the
-//                                        deletion machinery in
-//                                        core/edge_delete.cpp).
+//                                        formations", [9]).
+// Edge weight changes of either sign run through the deletion machinery in
+// core/edge_delete.cpp, whose weight decreases reuse the same broadcast.
 //
-// All three share one primitive: the owner of an endpoint tree-broadcasts
+// Both share one primitive: the owner of an endpoint tree-broadcasts
 // that endpoint's DV row; every rank folds the row in through its cut edges,
 // owners fold it through the new/changed edge, and every rank bridges the
 // two endpoint columns of its local rows (the paper's
@@ -18,7 +16,6 @@
 // worklists, which reach the same fixpoint as the paper's full sweep at
 // incremental cost.
 #include <algorithm>
-#include <cmath>
 
 #include "common/assert.hpp"
 #include "core/engine.hpp"
@@ -280,54 +277,6 @@ void AnytimeEngine::add_edges(std::span<const Edge> edges) {
     report_.dynamic_ops += dynamic_ops;
     note_structural_change();
     fire_boundary_hook();
-}
-
-bool AnytimeEngine::decrease_edge_weight(VertexId u, VertexId v, Weight new_weight) {
-    AA_ASSERT_MSG(initialized_, "initialize() must run before dynamic updates");
-    AA_ASSERT(u < graph_.num_vertices() && v < graph_.num_vertices());
-    AA_ASSERT_MSG(std::isfinite(new_weight) && new_weight > 0,
-                  "edge weights must be finite and positive");
-    const Weight current = graph_.edge_weight(u, v);
-    if (!(current < kInfinity)) {
-        return false;  // no such edge
-    }
-    if (new_weight > current) {
-        // A weight increase can raise distances; route it through the
-        // invalidate/re-settle machinery instead of the monotone broadcast.
-        ShrinkBatch batch;
-        batch.reweights.push_back({u, v, new_weight});
-        apply_deletion(batch);
-        return true;
-    }
-    if (new_weight == current) {
-        return true;
-    }
-
-    graph_.set_edge_weight(u, v, new_weight);
-    const RankId r_u = ownership_.owner(u);
-    const RankId r_v = ownership_.owner(v);
-    ranks_[r_u].sg.update_edge_weight(u, v, new_weight);
-    if (r_v != r_u) {
-        ranks_[r_v].sg.update_edge_weight(u, v, new_weight);
-    }
-
-    double dynamic_ops = broadcast_edge_update(u, v, new_weight);
-    dynamic_ops += broadcast_edge_update(v, u, new_weight);
-    std::vector<double> prop_ops(cluster_->num_ranks(), 0);
-    run_rank_phase([&](RankId r, std::vector<MetricSpan>&) {
-        const double ops =
-            rc_propagate_local(ranks_[r].sg, ranks_[r].store, kernel_pool());
-        cluster_->charge_compute(r, ops);
-        prop_ops[r] = ops;
-    });
-    for (RankId r = 0; r < cluster_->num_ranks(); ++r) {
-        dynamic_ops += prop_ops[r];
-    }
-    cluster_->barrier();
-    report_.dynamic_ops += dynamic_ops;
-    note_structural_change();
-    fire_boundary_hook();
-    return true;
 }
 
 }  // namespace aa

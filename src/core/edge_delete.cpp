@@ -522,4 +522,20 @@ ShrinkReport AnytimeEngine::update_edge_weights(std::span<const Edge> updates) {
     return apply_deletion(batch);
 }
 
+bool AnytimeEngine::decrease_edge_weight(VertexId u, VertexId v, Weight new_weight) {
+    AA_ASSERT_MSG(initialized_, "initialize() must run before dynamic updates");
+    AA_ASSERT(u < graph_.num_vertices() && v < graph_.num_vertices());
+    AA_ASSERT_MSG(std::isfinite(new_weight) && new_weight > 0,
+                  "edge weights must be finite and positive");
+    const Weight current = graph_.edge_weight(u, v);
+    if (!(current < kInfinity)) {
+        return false;  // no such edge
+    }
+    if (new_weight != current) {
+        const Edge update{u, v, new_weight};
+        update_edge_weights({&update, 1});
+    }
+    return true;
+}
+
 }  // namespace aa

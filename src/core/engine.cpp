@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <cstring>
 #include <istream>
 #include <iterator>
@@ -183,7 +182,7 @@ double AnytimeEngine::charge_partition_cost(std::size_t vertices, std::size_t ed
     const double units = static_cast<double>(vertices + edges) *
                          std::log2(static_cast<double>(std::max<std::size_t>(vertices, 2)));
     const double per_rank =
-        config_.partition_cost_factor * units / static_cast<double>(num_ranks());
+        kPartitionCostFactor * units / static_cast<double>(num_ranks());
     for (RankId r = 0; r < cluster_->num_ranks(); ++r) {
         cluster_->charge_compute(r, per_rank);
     }
@@ -246,23 +245,13 @@ void AnytimeEngine::initialize() {
         distribute_edge(e.u, e.v, e.weight);
     }
 
-    // ---- IA: per-rank multithreaded SSSP (Dijkstra or delta-stepping). ----
+    // ---- IA: per-rank multithreaded Dijkstra. ----
     std::vector<double> ia_ops(num_ranks, 0);
     run_rank_phase([&](RankId r, std::vector<MetricSpan>& sink) {
         IaProfile profile;
         const double ia_begin = cluster_->time(r);
-        double ops = 0;
-        if (config_.ia_kernel == IaKernel::DeltaStepping) {
-            std::vector<LocalId> sources(ranks_[r].sg.num_local());
-            std::iota(sources.begin(), sources.end(), 0);
-            ops = ia_delta_stepping(ranks_[r].sg, ranks_[r].store, ia_pool(),
-                                    sources,
-                                    /*mark_prop=*/false, config_.ia_delta,
-                                    mx ? &profile : nullptr);
-        } else {
-            ops = ia_dijkstra_all(ranks_[r].sg, ranks_[r].store, ia_pool(),
-                                  mx ? &profile : nullptr);
-        }
+        const double ops = ia_dijkstra_all(ranks_[r].sg, ranks_[r].store,
+                                           ia_pool(), mx ? &profile : nullptr);
         cluster_->charge_compute(r, ops, config_.ia_threads);
         ia_ops[r] = ops;
         if (mx) {
@@ -350,10 +339,6 @@ bool AnytimeEngine::rc_step() {
     // Planned once on the driver thread so the post and propagate phases
     // below order work consistently.
     const std::vector<std::vector<LocalId>> refine_plans = plan_refine_orders();
-    // Per-rank propagate budgets (static split: the configured per-rank
-    // budget everywhere, bit-identically; demand split: the same total
-    // steered toward the query-hot ranks).
-    const std::vector<double> step_budgets = plan_step_budgets();
 
     // Every ingest of the step runs through here: rank r waits for the
     // arrival instant (it cannot touch a payload earlier), relaxes the
@@ -519,7 +504,7 @@ bool AnytimeEngine::rc_step() {
         const double prop_ops = rc_propagate_local(
             ranks_[r].sg, ranks_[r].store, kernel_pool(),
             kRcPropagateParallelGrain, mx ? &prop_profile : nullptr,
-            kRcPropagateTileCols, refine_plans[r], step_budgets[r]);
+            kRcPropagateTileCols, refine_plans[r], config_.refine_budget_ops);
         cluster_->charge_compute(r, prop_ops);
         phase3_ops[r] += prop_ops;
         if (mx) {
@@ -585,20 +570,6 @@ bool AnytimeEngine::rc_step() {
     }
     fire_boundary_hook();
     return true;
-}
-
-std::vector<double> AnytimeEngine::plan_step_budgets() const {
-    const auto num_ranks = static_cast<std::uint32_t>(ranks_.size());
-    if (config_.refine_budget_split == RefineBudgetSplit::Static ||
-        config_.refine_budget_ops <= 0) {
-        return std::vector<double>(num_ranks, config_.refine_budget_ops);
-    }
-    std::vector<double> heat;
-    if (!demand_->snapshot(heat)) {
-        return std::vector<double>(num_ranks, config_.refine_budget_ops);
-    }
-    return plan_rank_budgets(config_.refine_budget_ops, ownership_, num_ranks,
-                             heat, config_.refine_budget_split);
 }
 
 std::vector<double> AnytimeEngine::shard_static_weights() const {

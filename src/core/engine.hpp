@@ -63,21 +63,16 @@ enum class RepartitionMode {
     Adaptive,
 };
 
-/// SSSP kernel used by the IA phase (and Repartition-S row seeding).
-enum class IaKernel {
-    Dijkstra,       // binary-heap Dijkstra (the paper's choice)
-    DeltaStepping,  // Meyer-Sanders delta-stepping (alternative HPC kernel)
-};
+/// Abstract ops charged per (vertex + edge) * log2(n) unit of multilevel
+/// partitioning work (calibrates DD / Repartition-S / CutEdge-PS partitioning
+/// cost against METIS).
+inline constexpr double kPartitionCostFactor = 8.0;
 
 struct EngineConfig {
     /// Number of simulated processors (the paper evaluates with 16).
     std::uint32_t num_ranks{16};
     /// Threads per rank for the IA-phase Dijkstra (the paper's OpenMP T).
     std::size_t ia_threads{4};
-    /// IA SSSP kernel.
-    IaKernel ia_kernel{IaKernel::Dijkstra};
-    /// Delta-stepping bucket width; <= 0 picks a heuristic.
-    Weight ia_delta{0};
     /// Cost model of the simulated interconnect.
     LogPParams logp{};
     /// RC-step communication schedule.
@@ -104,9 +99,6 @@ struct EngineConfig {
     MultilevelConfig partition{};
     /// Seed for the partitioner and any stochastic strategy components.
     std::uint64_t seed{0x5EED};
-    /// Abstract ops charged per (vertex + edge) * log2(n) unit of multilevel
-    /// partitioning work (calibrates DD/Repartition cost vs. METIS).
-    double partition_cost_factor{8.0};
     /// Repartition-S variant (see RepartitionMode).
     RepartitionMode repartition_mode{RepartitionMode::Scratch};
     /// Closeness formula (Wasserman–Faust corrected vs. the paper's raw
@@ -156,14 +148,9 @@ struct EngineConfig {
     /// fixpoint every step, the historical behaviour. A positive budget
     /// makes steps incremental: undrained rows stay marked and convergence
     /// is spread over more (cheaper) steps, which is what gives a refine
-    /// policy room to finish hot rows first. Applies under any policy.
+    /// policy room to finish hot rows first. Every rank gets the same
+    /// budget, under any policy.
     double refine_budget_ops{0};
-    /// How a positive refine_budget_ops is split across ranks (see
-    /// refine/planner.hpp). Static — the default — gives every rank the
-    /// configured per-rank budget, bit-identical to the pre-split engine;
-    /// DemandProportional steers the same total toward the ranks owning the
-    /// query-hot vertices.
-    RefineBudgetSplit refine_budget_split{RefineBudgetSplit::Static};
     /// Logical shards per rank in the vertex -> shard -> rank ownership
     /// indirection (see shard/ownership.hpp). Any granularity resolves
     /// ownership identically while no shard has been migrated — results,
@@ -280,9 +267,9 @@ public:
     /// skipped. Resume RC stepping afterwards to converge.
     void add_edges(std::span<const Edge> edges);
 
-    /// Anywhere edge-weight decrease (prior work [7]). Returns false if the
-    /// edge does not exist. Weight *increases* are routed through the
-    /// deletion machinery (apply_deletion's invalidate/re-settle path).
+    /// Set one edge's weight (prior work [7]) through update_edge_weights:
+    /// a decrease takes the growth-path broadcast, an increase the
+    /// invalidate/re-settle path. Returns false if the edge does not exist.
     bool decrease_edge_weight(VertexId u, VertexId v, Weight new_weight);
 
     /// Fully-dynamic shrink updates: edge/vertex deletions and weight
@@ -514,10 +501,6 @@ private:
     /// = the historical ascending order). Runs on the driver thread before
     /// the post phase; deterministic given the heat/focus state.
     std::vector<std::vector<LocalId>> plan_refine_orders();
-    /// Per-rank propagate budgets for the starting RC step (see
-    /// plan_rank_budgets in refine/planner.hpp). Static split returns the
-    /// configured per-rank budget for every rank.
-    std::vector<double> plan_step_budgets() const;
     /// Static per-shard weight (vertices + incident edges) the migration
     /// planner scales measured rank load by.
     std::vector<double> shard_static_weights() const;

@@ -1,6 +1,5 @@
 #include "core/ia.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <queue>
@@ -64,21 +63,21 @@ SubCsr build_sub_csr(const LocalSubgraph& sg) {
 
 }  // namespace
 
-double ia_dijkstra(const LocalSubgraph& sg, DistanceStore& store, ThreadPool& pool,
-                   std::span<const LocalId> sources, bool mark_prop,
-                   IaProfile* profile) {
-    if (sources.empty() || sg.num_local() == 0) {
+double ia_dijkstra_all(const LocalSubgraph& sg, DistanceStore& store,
+                       ThreadPool& pool, IaProfile* profile) {
+    const std::size_t num_sources = sg.num_local();
+    if (num_sources == 0) {
         return 0;
     }
     const SubCsr csr = build_sub_csr(sg);
     const std::size_t sub_n = csr.sub_to_global.size();
 
-    std::vector<double> ops(sources.size(), 0);
+    std::vector<double> ops(num_sources, 0);
     // Per-source so the parallel fold below stays race-free.
-    std::vector<std::size_t> folds(sources.size(), 0);
+    std::vector<std::size_t> folds(num_sources, 0);
 
-    pool.parallel_for(0, sources.size(), [&](std::size_t i) {
-        const LocalId source = sources[i];
+    pool.parallel_for(0, num_sources, [&](std::size_t i) {
+        const auto source = static_cast<LocalId>(i);
         double local_ops = 0;
 
         std::vector<Weight> dist(sub_n, kInfinity);
@@ -109,8 +108,8 @@ double ia_dijkstra(const LocalSubgraph& sg, DistanceStore& store, ThreadPool& po
         // this is race-free under parallel_for.
         for (std::uint32_t s = 0; s < sub_n; ++s) {
             if (dist[s] < kInfinity) {
-                store.relax(source, csr.sub_to_global[s], dist[s], mark_prop,
-                            /*mark_send=*/true);
+                store.relax(source, csr.sub_to_global[s], dist[s],
+                            /*mark_prop=*/false, /*mark_send=*/true);
                 local_ops += 1;
                 ++folds[i];
             }
@@ -119,133 +118,7 @@ double ia_dijkstra(const LocalSubgraph& sg, DistanceStore& store, ThreadPool& po
     });
 
     if (profile != nullptr) {
-        profile->sources += sources.size();
-        profile->sub_vertices += sub_n;
-        profile->folds += std::accumulate(folds.begin(), folds.end(),
-                                          std::size_t{0});
-    }
-    return std::accumulate(ops.begin(), ops.end(), 0.0);
-}
-
-double ia_dijkstra_all(const LocalSubgraph& sg, DistanceStore& store,
-                       ThreadPool& pool, IaProfile* profile) {
-    std::vector<LocalId> sources(sg.num_local());
-    std::iota(sources.begin(), sources.end(), 0);
-    return ia_dijkstra(sg, store, pool, sources, /*mark_prop=*/false, profile);
-}
-
-double ia_delta_stepping(const LocalSubgraph& sg, DistanceStore& store,
-                         ThreadPool& pool, std::span<const LocalId> sources,
-                         bool mark_prop, Weight delta, IaProfile* profile) {
-    if (sources.empty() || sg.num_local() == 0) {
-        return 0;
-    }
-    const SubCsr csr = build_sub_csr(sg);
-    const std::size_t sub_n = csr.sub_to_global.size();
-
-    if (delta <= 0) {
-        // Heuristic: average edge weight (Meyer & Sanders suggest Θ(1/max
-        // degree) for unit weights; the average works well for our graphs).
-        Weight total = 0;
-        std::size_t count = 0;
-        for (const auto& adjacency : csr.adjacency) {
-            for (const auto& [v, w] : adjacency) {
-                total += w;
-                ++count;
-            }
-        }
-        delta = count > 0 ? std::max<Weight>(total / static_cast<Weight>(count), 1e-9)
-                          : 1.0;
-    }
-
-    // Pre-split edges into light (w <= delta) and heavy.
-    std::vector<std::vector<std::pair<std::uint32_t, Weight>>> light(sub_n);
-    std::vector<std::vector<std::pair<std::uint32_t, Weight>>> heavy(sub_n);
-    for (std::uint32_t u = 0; u < sub_n; ++u) {
-        for (const auto& [v, w] : csr.adjacency[u]) {
-            (w <= delta ? light : heavy)[u].push_back({v, w});
-        }
-    }
-
-    std::vector<double> ops(sources.size(), 0);
-    std::vector<std::size_t> folds(sources.size(), 0);
-    const Weight local_delta = delta;
-
-    pool.parallel_for(0, sources.size(), [&](std::size_t i) {
-        const LocalId source = sources[i];
-        double local_ops = 0;
-
-        std::vector<Weight> dist(sub_n, kInfinity);
-        std::vector<std::vector<std::uint32_t>> buckets(1);
-        const auto bucket_of = [&](Weight d) {
-            return static_cast<std::size_t>(d / local_delta);
-        };
-        const auto place = [&](std::uint32_t v, Weight d) {
-            const std::size_t b = bucket_of(d);
-            if (b >= buckets.size()) {
-                buckets.resize(b + 1);
-            }
-            buckets[b].push_back(v);
-        };
-
-        dist[source] = 0;
-        place(source, 0);
-
-        std::vector<std::uint32_t> settled;
-        std::vector<std::uint32_t> frontier;
-        for (std::size_t b = 0; b < buckets.size(); ++b) {
-            settled.clear();
-            // Light-edge phase: reprocess the bucket until it stops refilling
-            // (light relaxations can reinsert into the same bucket).
-            while (!buckets[b].empty()) {
-                frontier.swap(buckets[b]);
-                buckets[b].clear();
-                for (const std::uint32_t u : frontier) {
-                    local_ops += 1;
-                    if (bucket_of(dist[u]) != b) {
-                        continue;  // stale entry (improved into an earlier bucket)
-                    }
-                    settled.push_back(u);
-                    for (const auto& [v, w] : light[u]) {
-                        local_ops += 1;
-                        const Weight candidate = dist[u] + w;
-                        if (candidate < dist[v]) {
-                            dist[v] = candidate;
-                            place(v, candidate);
-                        }
-                    }
-                }
-            }
-            // Heavy-edge phase: each settled vertex relaxes its heavy edges
-            // once (they always land in later buckets).
-            for (const std::uint32_t u : settled) {
-                for (const auto& [v, w] : heavy[u]) {
-                    local_ops += 1;
-                    const Weight candidate = dist[u] + w;
-                    if (candidate < dist[v]) {
-                        dist[v] = candidate;
-                        place(v, candidate);
-                    }
-                }
-            }
-        }
-
-        // `settled` may contain duplicates of vertices later re-settled in
-        // the same bucket epoch; dist[] is the single source of truth when
-        // folding into the store.
-        for (std::uint32_t s = 0; s < sub_n; ++s) {
-            if (dist[s] < kInfinity) {
-                store.relax(source, csr.sub_to_global[s], dist[s], mark_prop,
-                            /*mark_send=*/true);
-                local_ops += 1;
-                ++folds[i];
-            }
-        }
-        ops[i] = local_ops;
-    });
-
-    if (profile != nullptr) {
-        profile->sources += sources.size();
+        profile->sources += num_sources;
         profile->sub_vertices += sub_n;
         profile->folds += std::accumulate(folds.begin(), folds.end(),
                                           std::size_t{0});

@@ -92,7 +92,7 @@ void AnytimeEngine::repartition_add(const GrowthBatch& batch) {
         refine_partition(snapshot, refined, config_.partition.refine);
         new_owners = std::move(refined.assignment);
         // Refinement is a few passes over the edges on each rank.
-        const double units = config_.partition_cost_factor *
+        const double units = kPartitionCostFactor *
                              static_cast<double>(new_n + graph_.num_edges());
         for (RankId r = 0; r < num_ranks; ++r) {
             cluster_->charge_compute(r, units / static_cast<double>(num_ranks));

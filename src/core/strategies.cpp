@@ -125,8 +125,7 @@ void CutEdgePS::apply(AnytimeEngine& engine, const GrowthBatch& batch) {
         static_cast<double>(batch.num_new + internal_edges) *
         std::log2(static_cast<double>(std::max<std::size_t>(batch.num_new, 2)));
     for (RankId r = 0; r < num_ranks; ++r) {
-        engine.cluster().charge_compute(
-            r, engine.config().partition_cost_factor * units);
+        engine.cluster().charge_compute(r, kPartitionCostFactor * units);
     }
     engine.anywhere_add(batch, assignment(engine, batch));
 }

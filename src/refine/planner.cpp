@@ -41,58 +41,6 @@ bool parse_refine_policy(std::string_view name, RefinePolicy& out) {
     return true;
 }
 
-std::string_view refine_budget_split_name(RefineBudgetSplit split) {
-    switch (split) {
-        case RefineBudgetSplit::Static:
-            return "static";
-        case RefineBudgetSplit::DemandProportional:
-            return "demand";
-    }
-    return "static";
-}
-
-bool parse_refine_budget_split(std::string_view name, RefineBudgetSplit& out) {
-    if (name == "static") {
-        out = RefineBudgetSplit::Static;
-    } else if (name == "demand") {
-        out = RefineBudgetSplit::DemandProportional;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-std::vector<double> plan_rank_budgets(double per_rank_budget,
-                                      const ShardOwnership& ownership,
-                                      std::uint32_t num_ranks,
-                                      std::span<const double> heat,
-                                      RefineBudgetSplit split) {
-    std::vector<double> budgets(num_ranks, per_rank_budget);
-    if (split == RefineBudgetSplit::Static || per_rank_budget <= 0 ||
-        num_ranks == 0 || heat.empty()) {
-        return budgets;
-    }
-    std::vector<double> rank_heat(num_ranks, 0.0);
-    double total_heat = 0;
-    const std::size_t n = std::min(heat.size(), ownership.num_vertices());
-    for (VertexId v = 0; v < n; ++v) {
-        const RankId r = ownership.owner(v);
-        if (r < num_ranks) {
-            rank_heat[r] += heat[v];
-            total_heat += heat[v];
-        }
-    }
-    if (total_heat <= 0) {
-        return budgets;
-    }
-    const double total_budget = per_rank_budget * num_ranks;
-    for (RankId r = 0; r < num_ranks; ++r) {
-        budgets[r] = total_budget *
-                     (0.5 / num_ranks + 0.5 * rank_heat[r] / total_heat);
-    }
-    return budgets;
-}
-
 std::vector<LocalId> plan_rank_order(const LocalSubgraph& sg,
                                      std::span<const double> heat,
                                      std::span<const std::uint8_t> focus) {

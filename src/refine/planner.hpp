@@ -46,36 +46,6 @@ std::string_view refine_policy_name(RefinePolicy policy);
 /// Parse a canonical name; returns false on unknown values.
 bool parse_refine_policy(std::string_view name, RefinePolicy& out);
 
-/// How a positive EngineConfig::refine_budget_ops is split across ranks.
-enum class RefineBudgetSplit : std::uint8_t {
-    /// Every rank gets the configured per-rank budget — bit-identical to the
-    /// pre-split engine by contract.
-    Static,
-    /// The same *total* budget (per-rank budget x P), steered toward the
-    /// ranks owning the query-hot vertices through the shard map. Uniform
-    /// (or absent) heat reproduces the static split exactly.
-    DemandProportional,
-};
-
-/// Canonical lower-case name ("static" / "demand").
-std::string_view refine_budget_split_name(RefineBudgetSplit split);
-
-/// Parse a canonical name; returns false on unknown values.
-bool parse_refine_budget_split(std::string_view name, RefineBudgetSplit& out);
-
-/// Per-rank propagate budgets for one RC step. Static split, a non-positive
-/// per-rank budget (0 = unbounded), or an empty/zero heat snapshot all yield
-/// `per_rank_budget` for every rank (the bit-identity cases). Otherwise each
-/// rank receives half its static budget as a floor — a positive budget must
-/// stay positive, since 0 means "unbounded" to the kernels — plus its
-/// owned-heat share of the remaining half-total, so uniform per-rank heat
-/// also reproduces the static split bit for bit.
-std::vector<double> plan_rank_budgets(double per_rank_budget,
-                                      const ShardOwnership& ownership,
-                                      std::uint32_t num_ranks,
-                                      std::span<const double> heat,
-                                      RefineBudgetSplit split);
-
 /// Demand-priority sweep order for one rank, or empty when no positive
 /// signal exists (callers must then use the historical ascending order).
 ///

@@ -33,10 +33,10 @@ std::string_view freshness_policy_name(FreshnessPolicy policy) {
 }
 
 void account_publication(PublicationStats& stats, const ResultSnapshot& frozen,
-                         const ResultSnapshot* previous, bool via_delta,
+                         const ResultSnapshot* previous, bool from_delta,
                          std::size_t rows_scanned) {
     ++stats.publications;
-    if (via_delta) {
+    if (from_delta) {
         ++stats.delta_publications;
     } else {
         ++stats.full_publications;
@@ -56,7 +56,7 @@ void account_publication(PublicationStats& stats, const ResultSnapshot& frozen,
     // The full path materializes both n-length planes before CoW chunking;
     // the delta path only ever holds the changed rows' values.
     constexpr std::size_t kValueBytes = sizeof(Weight) + sizeof(std::size_t);
-    if (via_delta) {
+    if (from_delta) {
         stats.published_bytes +=
             frozen.changed.size() * (kValueBytes + sizeof(VertexId));
     } else {
@@ -251,15 +251,15 @@ void QueryService::publish() {
             rows_scanned = delta->rows_scanned;
         }
     }
-    const bool via_delta = built != nullptr;
-    if (!via_delta) {
+    const bool from_delta = built != nullptr;
+    if (!from_delta) {
         built = build_snapshot(engine_, next_version_, last_published_.get(),
                                config_.enable_bounds);
         rows_scanned = built->scores.size();
     }
     built->published_wall = wall_now();
     std::shared_ptr<const ResultSnapshot> frozen = std::move(built);
-    account_publication(stats_, *frozen, last_published_.get(), via_delta,
+    account_publication(stats_, *frozen, last_published_.get(), from_delta,
                         rows_scanned);
 
     // Shard planes first, then the global slot: a reader routed through a
@@ -317,7 +317,7 @@ void QueryService::publish() {
         span.attrs.emplace_back("changed",
                                 std::to_string(frozen->changed.size()));
         span.attrs.emplace_back("quiescent", frozen->quiescent ? "1" : "0");
-        span.attrs.emplace_back("delta", via_delta ? "1" : "0");
+        span.attrs.emplace_back("delta", from_delta ? "1" : "0");
         metrics_.record_span(std::move(span));
     }
     if (on_publish_) {
@@ -527,9 +527,7 @@ PointResult QueryService::point(VertexId v, FreshnessPolicy policy,
                                 TenantId tenant_id) {
     const double t0 = wall_now();
     const auto tenant = tenant_state(tenant_id);
-    if (config_.record_demand) {
-        engine_.demand().record(v, tenant->config.demand_weight);
-    }
+    engine_.demand().record(v, tenant->config.demand_weight);
     PointResult result;
     result.vertex = v;
     QueryStatus status = QueryStatus::Unavailable;
@@ -576,10 +574,8 @@ BatchResult QueryService::batch(std::span<const VertexId> vertices,
                                 FreshnessPolicy policy, TenantId tenant_id) {
     const double t0 = wall_now();
     const auto tenant = tenant_state(tenant_id);
-    if (config_.record_demand) {
-        for (const VertexId v : vertices) {
-            engine_.demand().record(v, tenant->config.demand_weight);
-        }
+    for (const VertexId v : vertices) {
+        engine_.demand().record(v, tenant->config.demand_weight);
     }
     BatchResult result;
     QueryStatus status = QueryStatus::Unavailable;
@@ -685,11 +681,9 @@ TopKResult QueryService::topk(std::size_t k, FreshnessPolicy policy,
         result.entries = topk_from_snapshot(*snapshot, k);
     }
     result.meta = make_meta(*snapshot);
-    if (config_.record_demand) {
-        const double weight = tenant->config.demand_weight;
-        for (const TopKEntry& e : result.entries) {
-            engine_.demand().record(e.vertex, weight);
-        }
+    const double weight = tenant->config.demand_weight;
+    for (const TopKEntry& e : result.entries) {
+        engine_.demand().record(e.vertex, weight);
     }
     if (snapshot->has_bounds && !result.entries.empty()) {
         result.certified = certify_topk(*snapshot, result.entries);

@@ -175,7 +175,7 @@ struct PublicationStats {
 /// boundaries in full charges its chain the same way to get the
 /// whole-snapshot baseline.
 void account_publication(PublicationStats& stats, const ResultSnapshot& frozen,
-                         const ResultSnapshot* previous, bool via_delta,
+                         const ResultSnapshot* previous, bool from_delta,
                          std::size_t rows_scanned);
 
 struct ServeConfig {
@@ -187,8 +187,6 @@ struct ServeConfig {
     /// shedding (TenantConfig::max_pending of tenant 0; additional tenants
     /// bring their own).
     std::size_t max_pending{64};
-    /// Policy used by the no-policy query overloads.
-    FreshnessPolicy default_policy{FreshnessPolicy::ServeStale};
     /// Record serve.* metrics (histograms, counters, publish spans).
     bool enable_metrics{true};
     /// Capture certified closeness intervals (refine/bounds.hpp) into every
@@ -198,11 +196,6 @@ struct ServeConfig {
     /// full (the wavefront certificate tightens unchanged rows' bounds every
     /// step).
     bool enable_bounds{false};
-    /// Feed queried vertices into the engine's DemandTracker (scaled by the
-    /// querying tenant's demand_weight) so the QueryHeat refinement policy
-    /// can steer RC work toward them. Recording is wait-free and, under the
-    /// default Uniform policy, has no effect on the engine schedule.
-    bool record_demand{true};
 };
 
 /// Response metadata shared by every query shape.
@@ -300,13 +293,18 @@ public:
     void close();
 
     // ---- reader side (any thread) -----------------------------------------
+    //
+    // Every query records its vertices (top-k: the returned ones) in the
+    // engine's DemandTracker, scaled by the tenant's demand_weight; recording
+    // is wait-free and, under the default Uniform refine policy, leaves the
+    // engine schedule untouched. The overloads without a policy serve stale.
 
     PointResult point(VertexId v, FreshnessPolicy policy, TenantId tenant);
     PointResult point(VertexId v, FreshnessPolicy policy) {
         return point(v, policy, kDefaultTenant);
     }
     PointResult point(VertexId v) {
-        return point(v, config_.default_policy, kDefaultTenant);
+        return point(v, FreshnessPolicy::ServeStale, kDefaultTenant);
     }
     BatchResult batch(std::span<const VertexId> vertices,
                       FreshnessPolicy policy, TenantId tenant);
@@ -315,14 +313,14 @@ public:
         return batch(vertices, policy, kDefaultTenant);
     }
     BatchResult batch(std::span<const VertexId> vertices) {
-        return batch(vertices, config_.default_policy, kDefaultTenant);
+        return batch(vertices, FreshnessPolicy::ServeStale, kDefaultTenant);
     }
     TopKResult topk(std::size_t k, FreshnessPolicy policy, TenantId tenant);
     TopKResult topk(std::size_t k, FreshnessPolicy policy) {
         return topk(k, policy, kDefaultTenant);
     }
     TopKResult topk(std::size_t k) {
-        return topk(k, config_.default_policy, kDefaultTenant);
+        return topk(k, FreshnessPolicy::ServeStale, kDefaultTenant);
     }
 
     /// The latest snapshot (wait-free; null before the first publication).

@@ -5,8 +5,8 @@
 // reproduce the sequential backend *bit-identically* — every distance, every
 // closeness score, the simulated clock, and the telemetry span stream — no
 // matter how the OS schedules the rank threads. The lattice below exercises
-// it across rank counts, both communication schedules and both IA kernels,
-// with a mid-RC vertex-addition batch in every run.
+// it across rank counts and both communication schedules, with a mid-RC
+// vertex-addition batch in every run.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -87,15 +87,13 @@ struct RunResult {
 };
 
 RunResult run_scenario(BackendKind backend, std::uint32_t ranks,
-                       CommSchedule schedule, IaKernel kernel,
-                       std::size_t backend_threads = 0) {
+                       CommSchedule schedule, std::size_t backend_threads = 0) {
     Rng rng(987);
     DynamicGraph g = barabasi_albert(72, 2, rng, WeightRange{1.0, 3.0});
 
     EngineConfig config;
     config.num_ranks = ranks;
     config.ia_threads = 2;
-    config.ia_kernel = kernel;
     config.schedule = schedule;
     config.seed = 0xBACC01 + ranks;
     config.backend = backend;
@@ -153,25 +151,21 @@ void expect_bit_identical(const RunResult& seq, const RunResult& threaded) {
     }
 }
 
-using Param = std::tuple<std::uint32_t /*ranks*/, CommSchedule, IaKernel>;
+using Param = std::tuple<std::uint32_t /*ranks*/, CommSchedule>;
 
 class BackendDeterminism : public ::testing::TestWithParam<Param> {};
 
 TEST_P(BackendDeterminism, ThreadedMatchesSequentialBitIdentically) {
-    const auto [ranks, schedule, kernel] = GetParam();
-    const RunResult seq =
-        run_scenario(BackendKind::Sequential, ranks, schedule, kernel);
-    const RunResult threaded =
-        run_scenario(BackendKind::Threaded, ranks, schedule, kernel);
+    const auto [ranks, schedule] = GetParam();
+    const RunResult seq = run_scenario(BackendKind::Sequential, ranks, schedule);
+    const RunResult threaded = run_scenario(BackendKind::Threaded, ranks, schedule);
     expect_bit_identical(seq, threaded);
 }
 
 TEST_P(BackendDeterminism, ThreadedWithFewerWorkersThanRanksStillMatches) {
-    const auto [ranks, schedule, kernel] = GetParam();
-    const RunResult seq =
-        run_scenario(BackendKind::Sequential, ranks, schedule, kernel);
-    const RunResult threaded = run_scenario(BackendKind::Threaded, ranks,
-                                            schedule, kernel,
+    const auto [ranks, schedule] = GetParam();
+    const RunResult seq = run_scenario(BackendKind::Sequential, ranks, schedule);
+    const RunResult threaded = run_scenario(BackendKind::Threaded, ranks, schedule,
                                             /*backend_threads=*/2);
     expect_bit_identical(seq, threaded);
 }
@@ -180,16 +174,15 @@ INSTANTIATE_TEST_SUITE_P(
     Lattice, BackendDeterminism,
     ::testing::Combine(::testing::Values(2u, 4u, 8u),
                        ::testing::Values(CommSchedule::SerializedAllToAll,
-                                         CommSchedule::ParallelRounds),
-                       ::testing::Values(IaKernel::Dijkstra,
-                                         IaKernel::DeltaStepping)),
+                                         CommSchedule::ParallelRounds)),
+    // The "_dij" suffix names the (only) Dijkstra IA kernel and keeps the
+    // instance names stable.
     [](const ::testing::TestParamInfo<Param>& p) {
         return "r" + std::to_string(std::get<0>(p.param)) +
                (std::get<1>(p.param) == CommSchedule::SerializedAllToAll
                     ? "_ser"
                     : "_par") +
-               (std::get<2>(p.param) == IaKernel::DeltaStepping ? "_ds"
-                                                                : "_dij");
+               "_dij";
     });
 
 // Repartition-S moves whole rows between ranks; its seed and re-mark loops

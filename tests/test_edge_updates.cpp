@@ -127,6 +127,23 @@ TEST(WeightDecrease, UpdatesShortestPaths) {
     EXPECT_NEAR(engine.distance_row(0)[4], 13.0, 1e-12);
 }
 
+TEST(WeightDecrease, CountsAsOneWeightUpdate) {
+    // Decreases and increases through the same entry point report alike.
+    DynamicGraph g(4);
+    g.add_edge(0, 1, 4.0);
+    g.add_edge(1, 2, 4.0);
+    g.add_edge(2, 3, 4.0);
+    AnytimeEngine engine(g, small_config(2));
+    engine.initialize();
+    engine.run_to_quiescence();
+    ASSERT_EQ(engine.report().weight_updates, 0u);
+
+    EXPECT_TRUE(engine.decrease_edge_weight(1, 2, 1.0));
+    EXPECT_EQ(engine.report().weight_updates, 1u);
+    EXPECT_TRUE(engine.decrease_edge_weight(1, 2, 3.0));  // a raise
+    EXPECT_EQ(engine.report().weight_updates, 2u);
+}
+
 TEST(WeightDecrease, MissingEdgeReturnsFalse) {
     DynamicGraph g(3);
     g.add_edge(0, 1, 2.0);

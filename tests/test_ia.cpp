@@ -2,7 +2,6 @@
 // external boundary bridges).
 #include <gtest/gtest.h>
 
-#include <numeric>
 
 #include "core/closeness.hpp"
 #include "core/ia.hpp"
@@ -86,23 +85,6 @@ TEST(Ia, ReachesExternalBoundaryVertices) {
     EXPECT_GE(rank.store.at(l0, 3), kInfinity);  // not in G_p
 }
 
-TEST(Ia, SubsetSeedingOnlyTouchesRequestedRows) {
-    DynamicGraph g(4);
-    g.add_edge(0, 1, 1.0);
-    g.add_edge(1, 2, 1.0);
-    g.add_edge(2, 3, 1.0);
-    const std::vector<RankId> owners(4, 0);
-    RankFixture rank(0, g, owners);
-    ThreadPool pool(1);
-    const std::vector<LocalId> sources{rank.sg.local_id(2)};
-    ia_dijkstra(rank.sg, rank.store, pool, sources, /*mark_prop=*/true);
-    EXPECT_NEAR(rank.store.at(rank.sg.local_id(2), 0), 2.0, 1e-12);
-    // Untouched row still fresh.
-    EXPECT_GE(rank.store.at(rank.sg.local_id(0), 1), kInfinity);
-    // mark_prop=true queues propagation on the seeded row.
-    EXPECT_TRUE(rank.store.has_prop(rank.sg.local_id(2)));
-}
-
 TEST(Ia, FullIaSkipsPropMarks) {
     DynamicGraph g(3);
     g.add_edge(0, 1, 1.0);
@@ -149,12 +131,17 @@ TEST(Ia, OpsCountDeterministic) {
 }
 
 TEST(Ia, EmptySourcesNoWork) {
+    // A rank that owns no vertex has no IA sources, so it does no work.
     DynamicGraph g(3);
     g.add_edge(0, 1);
     const std::vector<RankId> owners(3, 0);
-    RankFixture rank(0, g, owners);
+    RankFixture rank(1, g, owners);
+    ASSERT_EQ(rank.sg.num_local(), 0u);
     ThreadPool pool(1);
-    EXPECT_EQ(ia_dijkstra(rank.sg, rank.store, pool, {}, false), 0.0);
+    IaProfile profile;
+    EXPECT_EQ(ia_dijkstra_all(rank.sg, rank.store, pool, &profile), 0.0);
+    EXPECT_EQ(profile.sources, 0u);
+    EXPECT_EQ(profile.folds, 0u);
 }
 
 }  // namespace

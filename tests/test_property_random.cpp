@@ -63,12 +63,12 @@ std::unique_ptr<VertexAdditionStrategy> make_strategy(StrategyKind kind,
 }
 
 using Param = std::tuple<Family, StrategyKind, std::uint32_t /*ranks*/,
-                         std::size_t /*inject step*/, IaKernel>;
+                         std::size_t /*inject step*/>;
 
 class DynamicExactness : public ::testing::TestWithParam<Param> {};
 
 TEST_P(DynamicExactness, ConvergesToExactApsp) {
-    const auto [family, kind, ranks, inject_step, kernel] = GetParam();
+    const auto [family, kind, ranks, inject_step] = GetParam();
     const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(family) * 131 +
                                static_cast<std::uint64_t>(kind) * 17 + ranks * 3 +
                                inject_step;
@@ -79,7 +79,6 @@ TEST_P(DynamicExactness, ConvergesToExactApsp) {
     EngineConfig config;
     config.num_ranks = ranks;
     config.ia_threads = 1;
-    config.ia_kernel = kernel;
     config.seed = seed ^ 0xABCD;
     AnytimeEngine engine(g, config);
     engine.initialize();
@@ -125,16 +124,15 @@ INSTANTIATE_TEST_SUITE_P(
                                          StrategyKind::CutEdge,
                                          StrategyKind::Repartition),
                        ::testing::Values(2u, 5u, 8u),
-                       ::testing::Values(0u, 3u),
-                       ::testing::Values(IaKernel::Dijkstra,
-                                         IaKernel::DeltaStepping)),
+                       ::testing::Values(0u, 3u)),
+    // The "_dij" suffix names the (only) Dijkstra IA kernel and keeps the
+    // instance names stable.
     [](const ::testing::TestParamInfo<Param>& case_info) {
         const Param& p = case_info.param;
         return std::string(family_name(std::get<0>(p))) + "_" +
                strategy_name(std::get<1>(p)) + "_r" +
                std::to_string(std::get<2>(p)) + "_i" +
-               std::to_string(std::get<3>(p)) +
-               (std::get<4>(p) == IaKernel::DeltaStepping ? "_ds" : "_dij");
+               std::to_string(std::get<3>(p)) + "_dij";
     });
 
 // Random mixed-strategy soak: one longer scenario with interleaved batches,

@@ -641,7 +641,7 @@ TEST(RefineServe, QueriesFeedTheDemandTracker) {
     config.seed = 29;
     AnytimeEngine engine(std::move(g), config);
     engine.initialize();
-    QueryService service(engine);  // record_demand defaults to true
+    QueryService service(engine);
 
     ASSERT_EQ(engine.demand().heat(7), 0.0);
     service.point(7);
@@ -650,13 +650,6 @@ TEST(RefineServe, QueriesFeedTheDemandTracker) {
     service.batch(vs);
     EXPECT_GT(engine.demand().heat(1), 0.0);
     EXPECT_GT(engine.demand().heat(2), 0.0);
-
-    ServeConfig quiet;
-    quiet.record_demand = false;
-    QueryService silent(engine, quiet);
-    const double before = engine.demand().heat(9);
-    silent.point(9);
-    EXPECT_EQ(engine.demand().heat(9), before);
 }
 
 TEST(RefineCertify, CertifiedTopKNeverDisagreesWithConvergedRanking) {

@@ -3,8 +3,8 @@
 // replaced (for any granularity), extend deterministically, and the
 // telemetry-driven planner must emit bounded, deterministic, never-draining
 // move lists. Plus the satellite pieces that ride on the shard layer: the
-// demand-proportional refine-budget split, the shard-aware partition quality
-// telemetry, and the shard-decomposed serve-layer top-k.
+// shard-aware partition quality telemetry and the shard-decomposed
+// serve-layer top-k.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "partition/partition.hpp"
-#include "refine/planner.hpp"
 #include "serve/service.hpp"
 #include "serve/topk.hpp"
 #include "shard/migration.hpp"
@@ -154,52 +153,6 @@ TEST(MigrationPlanner, EwmaSmoothsAndResetForgets) {
     planner.reset();
     EXPECT_TRUE(planner.rank_load().empty());
     EXPECT_DOUBLE_EQ(planner.imbalance(), 1.0);
-}
-
-TEST(RefineBudgetSplit, NamesRoundTripAndRejectUnknown) {
-    for (const RefineBudgetSplit split :
-         {RefineBudgetSplit::Static, RefineBudgetSplit::DemandProportional}) {
-        RefineBudgetSplit parsed{};
-        ASSERT_TRUE(
-            parse_refine_budget_split(refine_budget_split_name(split), parsed));
-        EXPECT_EQ(parsed, split);
-    }
-    RefineBudgetSplit parsed = RefineBudgetSplit::Static;
-    EXPECT_FALSE(parse_refine_budget_split("Demand", parsed));
-    EXPECT_FALSE(parse_refine_budget_split("", parsed));
-}
-
-TEST(RefineBudgetSplit, StaticAndUniformHeatReproducePerRankBudgetExactly) {
-    // Two ranks, equal vertex counts.
-    const std::vector<RankId> owners{0, 0, 1, 1};
-    const auto ownership = ShardOwnership::from_partition(owners, 2, 2);
-    const std::vector<double> skewed{10.0, 0.0, 0.0, 0.0};
-    // Static split ignores heat entirely.
-    EXPECT_EQ(plan_rank_budgets(50.0, ownership, 2, skewed,
-                                RefineBudgetSplit::Static),
-              (std::vector<double>{50.0, 50.0}));
-    // Demand split under *uniform* heat and equal ownership is bit-identical
-    // to static: total * (0.5/P + 0.5/P) == per-rank budget.
-    const std::vector<double> uniform(4, 3.0);
-    EXPECT_EQ(plan_rank_budgets(50.0, ownership, 2, uniform,
-                                RefineBudgetSplit::DemandProportional),
-              (std::vector<double>{50.0, 50.0}));
-    // Zero budget is the unbounded sentinel and must pass through untouched.
-    EXPECT_EQ(plan_rank_budgets(0.0, ownership, 2, skewed,
-                                RefineBudgetSplit::DemandProportional),
-              (std::vector<double>{0.0, 0.0}));
-}
-
-TEST(RefineBudgetSplit, DemandSplitConservesTotalAndFavorsHotRank) {
-    const std::vector<RankId> owners{0, 0, 1, 1};
-    const auto ownership = ShardOwnership::from_partition(owners, 2, 2);
-    const std::vector<double> heat{9.0, 9.0, 1.0, 1.0};
-    const auto budgets = plan_rank_budgets(
-        100.0, ownership, 2, heat, RefineBudgetSplit::DemandProportional);
-    ASSERT_EQ(budgets.size(), 2u);
-    EXPECT_GT(budgets[0], budgets[1]);
-    EXPECT_GT(budgets[1], 0.0);  // the uniform floor keeps every rank moving
-    EXPECT_NEAR(budgets[0] + budgets[1], 200.0, 1e-9);
 }
 
 TEST(PartitionQuality, ShardLoadsAndCutsAggregateToRankMetrics) {

@@ -203,6 +203,33 @@ TEST(MetricsExport, RegistryJsonContainsEverything) {
     EXPECT_NE(json.find("\"sizes\""), std::string::npos);
 }
 
+TEST(MetricsExport, SummaryJsonReducesSpansPerName) {
+    MetricsRegistry m;
+    m.enable();
+    m.add(m.counter("sent"), 9);
+    const auto record = [&m](const char* name, double t_begin, double t_end) {
+        MetricSpan span;
+        span.name = name;
+        span.t_begin = t_begin;
+        span.t_end = t_end;
+        m.record_span(std::move(span));
+    };
+    for (int i = 1; i <= 4; ++i) {
+        record("publish", 1.0, 1.0 + i);
+    }
+    record("query", 0.0, 0.5);
+
+    const std::string json = metrics_summary_to_json(m, 2);
+    EXPECT_EQ(json.find("\"spans\""), std::string::npos);
+    EXPECT_NE(json.find("{\"name\":\"publish\",\"count\":4,\"p50\":2,"
+                        "\"p99\":4,\"max\":4}"),
+              std::string::npos);
+    EXPECT_NE(json.find("{\"name\":\"query\",\"count\":1,\"p50\":0.5,"
+                        "\"p99\":0.5,\"max\":0.5}"),
+              std::string::npos);
+    EXPECT_NE(json.find("\"sent\""), std::string::npos);
+}
+
 // ---- engine integration ----------------------------------------------------
 
 EngineConfig small_config() {

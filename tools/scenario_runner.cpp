@@ -14,7 +14,6 @@
 //   graph file <path>                 SNAP edge-list host
 //   ranks <P>      threads <T>        cluster shape (before graph)
 //   seed <S>                          RNG seed (before graph)
-//   kernel dijkstra|delta             IA kernel (before graph)
 //   backend seq|threaded              rank execution backend (before graph)
 //   steps <k>                         run k RC steps
 //   add <count> rr|cutedge|repart [communities]   vertex batch
@@ -52,6 +51,7 @@
 // and report which snapshot version answered. Waiting policies run the
 // service in synchronous mode — an unsatisfied query steps the engine inline.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -79,7 +79,6 @@ const char kHelpText[] =
     "commands (one per line, '#' comments):\n"
     "  ranks <P>      threads <T>        cluster shape (before graph)\n"
     "  seed <S>                          RNG seed (before graph)\n"
-    "  kernel dijkstra|delta             IA kernel (before graph)\n"
     "  backend seq|threaded              rank execution backend (before graph)\n"
     "  graph ba <n> <m>                  Barabasi-Albert host\n"
     "  graph er <n> <edges>              Erdos-Renyi host\n"
@@ -127,6 +126,25 @@ bool parse_policy(const std::string& name, FreshnessPolicy& policy) {
                      name.c_str());
         return false;
     }
+    return true;
+}
+
+/// Read the next token of `in` as a positive integer into `out`. A missing,
+/// zero, negative, out-of-range or otherwise unparsable value prints an
+/// error and returns false, leaving `out` untouched.
+template <typename T>
+bool parse_positive(std::istream& in, const std::string& command, T& out) {
+    std::string token;
+    in >> token;
+    T value{};
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (ec != std::errc{} || ptr != end || value == 0) {
+        std::fprintf(stderr, "error: %s needs a positive integer, got '%s'\n",
+                     command.c_str(), token.c_str());
+        return false;
+    }
+    out = value;
     return true;
 }
 
@@ -221,26 +239,12 @@ struct Runner {
             return true;
         }
         if (command == "ranks") {
-            in >> config.num_ranks;
+            return parse_positive(in, command, config.num_ranks);
         } else if (command == "threads") {
-            in >> config.ia_threads;
+            return parse_positive(in, command, config.ia_threads);
         } else if (command == "seed") {
             in >> seed;
             workload_rng.reseed(seed * 101);
-        } else if (command == "kernel") {
-            std::string kernel;
-            in >> kernel;
-            if (kernel == "delta") {
-                config.ia_kernel = IaKernel::DeltaStepping;
-            } else if (kernel == "dijkstra") {
-                config.ia_kernel = IaKernel::Dijkstra;
-            } else {
-                std::fprintf(stderr,
-                             "error: unknown kernel '%s' (valid: dijkstra, "
-                             "delta)\n",
-                             kernel.c_str());
-                return false;
-            }
         } else if (command == "backend") {
             std::string backend;
             in >> backend;

@@ -6,7 +6,8 @@
 // closeness score, the simulated clock, and the telemetry span stream — no
 // matter how the OS schedules the rank threads. The lattice below exercises
 // it across rank counts and both communication schedules, with a mid-RC
-// vertex-addition batch in every run.
+// vertex-addition batch in every run and, in half of the runs, a shrink batch
+// after it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -86,8 +87,15 @@ struct RunResult {
     std::vector<MetricSpan> spans;
 };
 
+// Which dynamic updates a lattice run applies mid-RC.
+enum class Updates {
+    Additions,           // one vertex-addition batch
+    AdditionsThenShrink  // the same batch, then edge/vertex deletions and reweights
+};
+
 RunResult run_scenario(BackendKind backend, std::uint32_t ranks,
-                       CommSchedule schedule, std::size_t backend_threads = 0) {
+                       CommSchedule schedule, Updates updates,
+                       std::size_t backend_threads = 0) {
     Rng rng(987);
     DynamicGraph g = barabasi_albert(72, 2, rng, WeightRange{1.0, 3.0});
 
@@ -115,6 +123,23 @@ RunResult run_scenario(BackendKind backend, std::uint32_t ranks,
     const auto batch = grow_batch(g.num_vertices(), gc, batch_rng);
     RoundRobinPS strategy;
     engine.apply_addition(batch, strategy);
+
+    if (updates == Updates::AdditionsThenShrink) {
+        // The invalidate/re-settle cascade and the decrease broadcast run on
+        // the backend as well.
+        engine.run_rc_steps(1);
+        const std::vector<Edge> edges = engine.graph().edges();
+        ShrinkBatch shrink;
+        shrink.deletions = {edges[4], edges[21]};
+        shrink.vertices = {9};
+        shrink.reweights = {
+            Edge{edges[33].u, edges[33].v, edges[33].weight + 2.0},
+            Edge{edges[50].u, edges[50].v, edges[50].weight * 0.5}};
+        const ShrinkReport report = engine.apply_deletion(shrink);
+        EXPECT_GE(report.edges_removed, 2u);
+        EXPECT_EQ(report.weight_increases, 1u);
+        EXPECT_EQ(report.weight_decreases, 1u);
+    }
     engine.run_to_quiescence();
 
     RunResult result;
@@ -151,21 +176,25 @@ void expect_bit_identical(const RunResult& seq, const RunResult& threaded) {
     }
 }
 
-using Param = std::tuple<std::uint32_t /*ranks*/, CommSchedule>;
+using Param = std::tuple<std::uint32_t /*ranks*/, CommSchedule, Updates>;
 
 class BackendDeterminism : public ::testing::TestWithParam<Param> {};
 
 TEST_P(BackendDeterminism, ThreadedMatchesSequentialBitIdentically) {
-    const auto [ranks, schedule] = GetParam();
-    const RunResult seq = run_scenario(BackendKind::Sequential, ranks, schedule);
-    const RunResult threaded = run_scenario(BackendKind::Threaded, ranks, schedule);
+    const auto [ranks, schedule, updates] = GetParam();
+    const RunResult seq =
+        run_scenario(BackendKind::Sequential, ranks, schedule, updates);
+    const RunResult threaded =
+        run_scenario(BackendKind::Threaded, ranks, schedule, updates);
     expect_bit_identical(seq, threaded);
 }
 
 TEST_P(BackendDeterminism, ThreadedWithFewerWorkersThanRanksStillMatches) {
-    const auto [ranks, schedule] = GetParam();
-    const RunResult seq = run_scenario(BackendKind::Sequential, ranks, schedule);
-    const RunResult threaded = run_scenario(BackendKind::Threaded, ranks, schedule,
+    const auto [ranks, schedule, updates] = GetParam();
+    const RunResult seq =
+        run_scenario(BackendKind::Sequential, ranks, schedule, updates);
+    const RunResult threaded = run_scenario(BackendKind::Threaded, ranks,
+                                            schedule, updates,
                                             /*backend_threads=*/2);
     expect_bit_identical(seq, threaded);
 }
@@ -174,15 +203,18 @@ INSTANTIATE_TEST_SUITE_P(
     Lattice, BackendDeterminism,
     ::testing::Combine(::testing::Values(2u, 4u, 8u),
                        ::testing::Values(CommSchedule::SerializedAllToAll,
-                                         CommSchedule::ParallelRounds)),
-    // The "_dij" suffix names the (only) Dijkstra IA kernel and keeps the
-    // instance names stable.
+                                         CommSchedule::ParallelRounds),
+                       ::testing::Values(Updates::Additions,
+                                         Updates::AdditionsThenShrink)),
+    // The last suffix is kept from an earlier axis so instance names stay
+    // stable: "_dij" runs the addition batch only, "_ds" adds the shrink batch.
     [](const ::testing::TestParamInfo<Param>& p) {
         return "r" + std::to_string(std::get<0>(p.param)) +
                (std::get<1>(p.param) == CommSchedule::SerializedAllToAll
                     ? "_ser"
                     : "_par") +
-               "_dij";
+               (std::get<2>(p.param) == Updates::AdditionsThenShrink ? "_ds"
+                                                                     : "_dij");
     });
 
 // Repartition-S moves whole rows between ranks; its seed and re-mark loops

@@ -72,14 +72,13 @@ int main(int argc, char** argv) {
     const std::size_t step = std::max<std::size_t>(host.num_vertices() / 8, 1);
     std::int64_t refine_round = 0;
     while (!engine.exact()) {
-        const double t0 = engine.sim_seconds();
+        ScopedSpan span(registry, "bw.refine", -1, ++refine_round,
+                        [&engine] { return engine.sim_seconds(); });
         engine.refine(step);
         const auto estimate = engine.scores();
         const double overlap = top_overlap(estimate, exact, k);
-        const auto h = registry.span_open("bw.refine", -1, ++refine_round, t0);
-        registry.span_attr(h, "pivots", std::to_string(engine.pivots_processed()));
-        registry.span_attr(h, "top_decile_overlap", fmt_double(overlap, 3));
-        registry.span_close(h, engine.sim_seconds());
+        span.attr("pivots", std::to_string(engine.pivots_processed()));
+        span.attr("top_decile_overlap", fmt_double(overlap, 3));
         table.add_row({std::to_string(engine.pivots_processed()),
                        fmt_seconds(engine.sim_seconds()),
                        fmt_double(overlap, 3)});

@@ -77,12 +77,11 @@ bool write_timeline(const std::string& path) {
         IaProfile profile;
         const double ops = ia_dijkstra_all(sg, store, pool, &profile);
         const double sim = params.compute_time(ops, threads);
-        const auto h = registry.span_open("ia", 0, -1, t);
-        registry.span_add(h, ops);
-        registry.span_attr(h, "threads", std::to_string(threads));
-        registry.span_attr(h, "sources", std::to_string(profile.sources));
-        registry.span_attr(h, "folds", std::to_string(profile.folds));
-        registry.span_close(h, t + sim);
+        ScopedSpan span(registry, "ia", 0, -1, [&t] { return t; });
+        span.add(ops);
+        span.attr("threads", std::to_string(threads));
+        span.attr("sources", std::to_string(profile.sources));
+        span.attr("folds", std::to_string(profile.folds));
         t += sim;
     }
     std::FILE* f = std::fopen(path.c_str(), "w");

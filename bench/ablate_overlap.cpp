@@ -21,6 +21,7 @@
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
+#include "harness.hpp"
 
 namespace aa {
 namespace {
@@ -69,27 +70,6 @@ BenchOptions parse(int argc, char** argv) {
         std::exit(2);
     }
     return opt;
-}
-
-/// Exactly `n` vertices of R-MAT structure (same construction as the RC
-/// kernel and wire-format ablations so the benches describe one instance).
-DynamicGraph filtered_rmat(std::size_t n, std::size_t edges, Rng& rng) {
-    std::size_t scale = 1;
-    while ((std::size_t{1} << scale) < n) {
-        ++scale;
-    }
-    const std::size_t oversample = edges * 2;
-    const DynamicGraph big = rmat(scale, oversample, rng);
-    DynamicGraph g(n);
-    std::size_t kept = 0;
-    for (VertexId u = 0; u < big.num_vertices() && kept < edges; ++u) {
-        for (const Neighbor& nb : big.neighbors(u)) {
-            if (u < nb.to && nb.to < n && kept < edges) {
-                kept += g.add_edge(u, nb.to, nb.weight) ? 1 : 0;
-            }
-        }
-    }
-    return g;
 }
 
 struct Config {
@@ -153,7 +133,7 @@ int main(int argc, char** argv) {
     const BenchOptions opt = parse(argc, argv);
 
     Rng graph_rng(opt.seed);
-    const DynamicGraph g = filtered_rmat(opt.vertices, opt.edges, graph_rng);
+    const DynamicGraph g = bench::filtered_rmat(opt.vertices, opt.edges, graph_rng);
     std::printf("overlap ablation: n=%zu edges=%zu threads=%zu steps=%d\n",
                 g.num_vertices(), g.num_edges(), opt.threads, opt.steps);
 

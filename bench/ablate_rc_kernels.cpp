@@ -21,6 +21,7 @@
 #include "core/ia.hpp"
 #include "core/rc.hpp"
 #include "graph/generators.hpp"
+#include "harness.hpp"
 #include "runtime/cluster.hpp"
 
 namespace aa {
@@ -72,67 +73,6 @@ BenchOptions parse(int argc, char** argv) {
     return opt;
 }
 
-/// Exactly `n` vertices of R-MAT structure: generate a larger power-of-two
-/// instance and keep the edges with both endpoints below n (the generator
-/// itself only makes 2^scale vertices).
-DynamicGraph filtered_rmat(std::size_t n, std::size_t edges, Rng& rng) {
-    std::size_t scale = 1;
-    while ((std::size_t{1} << scale) < n) {
-        ++scale;
-    }
-    // Oversample so roughly `edges` survive the filter; R-MAT's skew toward
-    // low vertex ids means well over the uniform (n/2^scale)^2 fraction does.
-    const std::size_t oversample = edges * 2;
-    const DynamicGraph big = rmat(scale, oversample, rng);
-    DynamicGraph g(n);
-    std::size_t kept = 0;
-    for (VertexId u = 0; u < big.num_vertices() && kept < edges; ++u) {
-        for (const Neighbor& nb : big.neighbors(u)) {
-            if (u < nb.to && nb.to < n && kept < edges) {
-                kept += g.add_edge(u, nb.to, nb.weight) ? 1 : 0;
-            }
-        }
-    }
-    return g;
-}
-
-struct RankState {
-    Cluster cluster;
-    std::vector<LocalSubgraph> sgs;
-    std::vector<DistanceStore> stores;
-    explicit RankState(std::uint32_t num_ranks) : cluster(num_ranks) {}
-};
-
-std::unique_ptr<RankState> build_state(const DynamicGraph& g,
-                                       const std::vector<RankId>& owners,
-                                       std::uint32_t num_ranks) {
-    auto st = std::make_unique<RankState>(num_ranks);
-    const std::size_t n = g.num_vertices();
-    for (RankId r = 0; r < num_ranks; ++r) {
-        st->sgs.emplace_back(r, owners);
-        st->stores.emplace_back(n);
-        for (const VertexId v : st->sgs[r].local_vertices()) {
-            st->stores[r].add_row(v);
-        }
-    }
-    for (VertexId u = 0; u < n; ++u) {
-        for (const Neighbor& nb : g.neighbors(u)) {
-            if (u >= nb.to) {
-                continue;
-            }
-            st->sgs[owners[u]].add_local_edge(u, nb.to, nb.weight);
-            if (owners[nb.to] != owners[u]) {
-                st->sgs[owners[nb.to]].add_local_edge(u, nb.to, nb.weight);
-            }
-        }
-    }
-    ThreadPool ia_pool(1);
-    for (RankId r = 0; r < num_ranks; ++r) {
-        ia_dijkstra_all(st->sgs[r], st->stores[r], ia_pool);
-    }
-    return st;
-}
-
 enum class Mode { Scalar, Untiled, Batched, Threaded };
 
 const char* mode_name(Mode m) {
@@ -162,7 +102,7 @@ struct ModeResult {
 /// bytes/messages from the kernel profiles) — the measured runs pass nullptr
 /// (or a disabled registry, for the overhead check) so the hot path is the
 /// production one.
-ModeResult run_mode(const RankState& base, Mode mode, std::size_t threads,
+ModeResult run_mode(const bench::RankState& base, Mode mode, std::size_t threads,
                     int rounds, MetricsRegistry* metrics = nullptr) {
     using Clock = std::chrono::steady_clock;
     const std::uint32_t num_ranks = base.cluster.num_ranks();
@@ -189,12 +129,8 @@ ModeResult run_mode(const RankState& base, Mode mode, std::size_t threads,
                                                    BoundaryWireFormat::V2Soa,
                                                    mx ? &post_profile : nullptr);
             if (mx) {
-                MetricSpan span;
-                span.name = "rc.post";
-                span.rank = static_cast<std::int32_t>(r);
-                span.step = round + 1;
-                span.t_begin = secs(p0);
-                span.t_end = secs(Clock::now());
+                MetricSpan span = stamp_span("rc.post", r, round + 1, secs(p0),
+                                             secs(Clock::now()));
                 span.bytes = post_profile.bytes;
                 span.messages = post_profile.messages;
                 metrics->record_span(std::move(span));
@@ -206,12 +142,8 @@ ModeResult run_mode(const RankState& base, Mode mode, std::size_t threads,
         const auto x0 = Clock::now();
         cluster.exchange();
         if (mx) {
-            MetricSpan span;
-            span.name = "rc.exchange";
-            span.step = round + 1;
-            span.t_begin = secs(x0);
-            span.t_end = secs(Clock::now());
-            metrics->record_span(std::move(span));
+            metrics->record_span(
+                stamp_span("rc.exchange", -1, round + 1, secs(x0), secs(Clock::now())));
         }
         for (RankId r = 0; r < num_ranks; ++r) {
             const auto inbox = cluster.receive(r);
@@ -268,26 +200,12 @@ ModeResult run_mode(const RankState& base, Mode mode, std::size_t threads,
             }
             const auto t2 = Clock::now();
             if (mx) {
-                MetricSpan ingest_span;
-                ingest_span.name = "rc.ingest";
-                ingest_span.rank = static_cast<std::int32_t>(r);
-                ingest_span.step = round + 1;
-                ingest_span.t_begin = secs(t0);
-                ingest_span.t_end = secs(t1);
-                ingest_span.ops = ingest;
-                ingest_span.attrs.emplace_back(
-                    "entries", std::to_string(ingest_profile.entries));
-                metrics->record_span(std::move(ingest_span));
-                MetricSpan prop_span;
-                prop_span.name = "rc.propagate";
-                prop_span.rank = static_cast<std::int32_t>(r);
-                prop_span.step = round + 1;
-                prop_span.t_begin = secs(t1);
-                prop_span.t_end = secs(t2);
-                prop_span.ops = propagate;
-                prop_span.attrs.emplace_back(
-                    "rows_drained", std::to_string(prop_profile.rows_drained));
-                metrics->record_span(std::move(prop_span));
+                metrics->record_span(stamp_span(
+                    "rc.ingest", r, round + 1, secs(t0), secs(t1), ingest,
+                    {{"entries", std::to_string(ingest_profile.entries)}}));
+                metrics->record_span(stamp_span(
+                    "rc.propagate", r, round + 1, secs(t1), secs(t2), propagate,
+                    {{"rows_drained", std::to_string(prop_profile.rows_drained)}}));
             }
             result.ingest_ops += ingest;
             result.propagate_ops += propagate;
@@ -318,7 +236,7 @@ int main(int argc, char** argv) {
     const BenchOptions opt = parse(argc, argv);
 
     Rng graph_rng(opt.seed);
-    const DynamicGraph g = filtered_rmat(opt.vertices, opt.edges, graph_rng);
+    const DynamicGraph g = bench::filtered_rmat(opt.vertices, opt.edges, graph_rng);
     std::printf("rc-kernel ablation: n=%zu edges=%zu threads=%zu rounds=%d\n",
                 g.num_vertices(), g.num_edges(), opt.threads, opt.rounds);
 
@@ -355,7 +273,7 @@ int main(int argc, char** argv) {
                                       : static_cast<RankId>(owner_rng.uniform(num_ranks));
         }
         std::printf("-- P=%u: building state + IA...\n", num_ranks);
-        const auto state = build_state(g, owners, num_ranks);
+        const auto state = bench::build_state(g, owners, num_ranks);
 
         // Unmeasured warm-up: a full pass over the same working-set size so
         // page-table/huge-page state is identical for all measured modes (on

@@ -21,6 +21,7 @@
 #include "core/ia.hpp"
 #include "core/rc.hpp"
 #include "graph/generators.hpp"
+#include "harness.hpp"
 #include "runtime/cluster.hpp"
 
 namespace aa {
@@ -72,64 +73,6 @@ BenchOptions parse(int argc, char** argv) {
     return opt;
 }
 
-/// Exactly `n` vertices of R-MAT structure (same construction as the RC
-/// kernel ablation so the two benches describe the same instance).
-DynamicGraph filtered_rmat(std::size_t n, std::size_t edges, Rng& rng) {
-    std::size_t scale = 1;
-    while ((std::size_t{1} << scale) < n) {
-        ++scale;
-    }
-    const std::size_t oversample = edges * 2;
-    const DynamicGraph big = rmat(scale, oversample, rng);
-    DynamicGraph g(n);
-    std::size_t kept = 0;
-    for (VertexId u = 0; u < big.num_vertices() && kept < edges; ++u) {
-        for (const Neighbor& nb : big.neighbors(u)) {
-            if (u < nb.to && nb.to < n && kept < edges) {
-                kept += g.add_edge(u, nb.to, nb.weight) ? 1 : 0;
-            }
-        }
-    }
-    return g;
-}
-
-struct RankState {
-    Cluster cluster;
-    std::vector<LocalSubgraph> sgs;
-    std::vector<DistanceStore> stores;
-    explicit RankState(std::uint32_t num_ranks) : cluster(num_ranks) {}
-};
-
-std::unique_ptr<RankState> build_state(const DynamicGraph& g,
-                                       const std::vector<RankId>& owners,
-                                       std::uint32_t num_ranks) {
-    auto st = std::make_unique<RankState>(num_ranks);
-    const std::size_t n = g.num_vertices();
-    for (RankId r = 0; r < num_ranks; ++r) {
-        st->sgs.emplace_back(r, owners);
-        st->stores.emplace_back(n);
-        for (const VertexId v : st->sgs[r].local_vertices()) {
-            st->stores[r].add_row(v);
-        }
-    }
-    for (VertexId u = 0; u < n; ++u) {
-        for (const Neighbor& nb : g.neighbors(u)) {
-            if (u >= nb.to) {
-                continue;
-            }
-            st->sgs[owners[u]].add_local_edge(u, nb.to, nb.weight);
-            if (owners[nb.to] != owners[u]) {
-                st->sgs[owners[nb.to]].add_local_edge(u, nb.to, nb.weight);
-            }
-        }
-    }
-    ThreadPool ia_pool(1);
-    for (RankId r = 0; r < num_ranks; ++r) {
-        ia_dijkstra_all(st->sgs[r], st->stores[r], ia_pool);
-    }
-    return st;
-}
-
 struct Config {
     const char* name;
     BoundaryWireFormat format;
@@ -151,7 +94,7 @@ struct ConfigResult {
 /// the post canonicalizes column order for both formats and window
 /// accounting uses the decoded footprint, so only the payload encoding (and
 /// the sweep implementation) differ.
-ConfigResult run_config(const RankState& base, const Config& cfg,
+ConfigResult run_config(const bench::RankState& base, const Config& cfg,
                         std::size_t threads, int rounds) {
     using Clock = std::chrono::steady_clock;
     const std::uint32_t num_ranks = base.cluster.num_ranks();
@@ -213,7 +156,7 @@ int main(int argc, char** argv) {
     const BenchOptions opt = parse(argc, argv);
 
     Rng graph_rng(opt.seed);
-    const DynamicGraph g = filtered_rmat(opt.vertices, opt.edges, graph_rng);
+    const DynamicGraph g = bench::filtered_rmat(opt.vertices, opt.edges, graph_rng);
     std::printf("wire-format ablation: n=%zu edges=%zu threads=%zu rounds=%d\n",
                 g.num_vertices(), g.num_edges(), opt.threads, opt.rounds);
 
@@ -248,7 +191,7 @@ int main(int argc, char** argv) {
                             : static_cast<RankId>(owner_rng.uniform(num_ranks));
         }
         std::printf("-- P=%u: building state + IA...\n", num_ranks);
-        const auto state = build_state(g, owners, num_ranks);
+        const auto state = bench::build_state(g, owners, num_ranks);
 
         // Unmeasured warm-up with the same working-set size.
         std::printf("   warm-up...\n");

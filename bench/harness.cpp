@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/metrics.hpp"
+#include "core/ia.hpp"
 #include "core/telemetry.hpp"
 #include <cstdio>
 #include <cstdlib>
@@ -83,6 +84,57 @@ EngineConfig engine_config(const Options& options) {
 DynamicGraph make_host_graph(const Options& options) {
     Rng rng(options.seed);
     return barabasi_albert(options.scaled_vertices(), 3, rng);
+}
+
+DynamicGraph filtered_rmat(std::size_t n, std::size_t edges, Rng& rng) {
+    std::size_t scale = 1;
+    while ((std::size_t{1} << scale) < n) {
+        ++scale;
+    }
+    // Oversample so roughly `edges` survive the filter; R-MAT's skew toward
+    // low vertex ids means well over the uniform (n/2^scale)^2 fraction does.
+    const std::size_t oversample = edges * 2;
+    const DynamicGraph big = rmat(scale, oversample, rng);
+    DynamicGraph g(n);
+    std::size_t kept = 0;
+    for (VertexId u = 0; u < big.num_vertices() && kept < edges; ++u) {
+        for (const Neighbor& nb : big.neighbors(u)) {
+            if (u < nb.to && nb.to < n && kept < edges) {
+                kept += g.add_edge(u, nb.to, nb.weight) ? 1 : 0;
+            }
+        }
+    }
+    return g;
+}
+
+std::unique_ptr<RankState> build_state(const DynamicGraph& g,
+                                       const std::vector<RankId>& owners,
+                                       std::uint32_t num_ranks) {
+    auto st = std::make_unique<RankState>(num_ranks);
+    const std::size_t n = g.num_vertices();
+    for (RankId r = 0; r < num_ranks; ++r) {
+        st->sgs.emplace_back(r, owners);
+        st->stores.emplace_back(n);
+        for (const VertexId v : st->sgs[r].local_vertices()) {
+            st->stores[r].add_row(v);
+        }
+    }
+    for (VertexId u = 0; u < n; ++u) {
+        for (const Neighbor& nb : g.neighbors(u)) {
+            if (u >= nb.to) {
+                continue;
+            }
+            st->sgs[owners[u]].add_local_edge(u, nb.to, nb.weight);
+            if (owners[nb.to] != owners[u]) {
+                st->sgs[owners[nb.to]].add_local_edge(u, nb.to, nb.weight);
+            }
+        }
+    }
+    ThreadPool ia_pool(1);
+    for (RankId r = 0; r < num_ranks; ++r) {
+        ia_dijkstra_all(st->sgs[r], st->stores[r], ia_pool);
+    }
+    return st;
 }
 
 GrowthBatch make_batch(std::size_t host_vertices, std::size_t count,

@@ -9,6 +9,7 @@
 // it. See EXPERIMENTS.md for the scaling argument and recorded outputs.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,28 @@ std::vector<std::size_t> figure5_batch_sizes(const Options& options);
 /// The paper's Figure 8 per-step addition counts (51/187/383/561 per RC step
 /// on a 50k host) as fractions of the configured host size.
 std::vector<std::size_t> figure8_step_sizes(const Options& options);
+
+// ---- kernel-level fixtures (RC kernel, wire-format, overlap ablations) ----
+
+/// Exactly `n` vertices of R-MAT structure: generate a larger power-of-two
+/// instance and keep the edges with both endpoints below n (the generator
+/// itself only makes 2^scale vertices). The kernel ablations share it so they
+/// describe one instance.
+DynamicGraph filtered_rmat(std::size_t n, std::size_t edges, Rng& rng);
+
+/// Per-rank sub-graphs and distance stores under a flat vertex -> rank map,
+/// driven through the RC kernels directly (no engine).
+struct RankState {
+    Cluster cluster;
+    std::vector<LocalSubgraph> sgs;
+    std::vector<DistanceStore> stores;
+    explicit RankState(std::uint32_t num_ranks) : cluster(num_ranks) {}
+};
+
+/// Build every rank's state for `owners` and run IA on it.
+std::unique_ptr<RankState> build_state(const DynamicGraph& g,
+                                       const std::vector<RankId>& owners,
+                                       std::uint32_t num_ranks);
 
 // ---- output --------------------------------------------------------------
 

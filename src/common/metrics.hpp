@@ -16,11 +16,20 @@
 // per-rank phase calls, so even an enabled registry adds O(ranks) work per
 // RC step, not O(relaxations).
 //
-// Spans nest (LIFO): `span_open` inside an open span records the parent and
-// depth, which the exporters preserve so a timeline viewer can reconstruct
-// the tree (e.g. `add` > `repartition.migrate`). Times are whatever clock
-// the caller passes — the engine passes simulated seconds; wall-clock
-// benches pass host seconds.
+// Spans nest (LIFO): a span opened inside an open span records the parent
+// and depth, which the exporters preserve so a timeline viewer can
+// reconstruct the tree (e.g. `add` > `repartition.migrate`). Times are
+// whatever clock the caller passes — the engine passes simulated seconds;
+// wall-clock benches pass host seconds.
+//
+// Two helpers are the way to make spans. `ScopedSpan` is a driver-side phase
+// span that opens on construction and closes when it leaves scope, so nested
+// phases close LIFO by construction; on a disabled registry it is one branch
+// and allocates nothing. `stamp_span` builds an already-closed span from
+// explicit bounds — what per-rank phase bodies push into their sinks, and
+// what one-shot recorders hand to `record_span`. The raw `span_open` /
+// `span_close` pair stays for tests and benches that need to drive the
+// registry directly.
 //
 // Exporters: `metrics_to_json` renders the full registry and
 // `metrics_summary_to_json` the same with per-name span summaries; `spans_to_csv` /
@@ -114,7 +123,8 @@ public:
 
     // ---- spans -------------------------------------------------------------
 
-    /// Open a span at time `t_begin`. Spans close LIFO (assert-checked).
+    /// Open a span at time `t_begin`. Spans close LIFO (checked in every
+    /// build type, like every handle below).
     Handle span_open(std::string_view name, std::int32_t rank = -1,
                      std::int64_t step = -1, double t_begin = 0);
     /// Accumulate work onto an open span.
@@ -142,6 +152,56 @@ private:
     std::vector<std::uint32_t> open_stack_;
     std::vector<CounterValue> counters_;
     std::vector<HistogramValue> histograms_;
+};
+
+/// A closed span from explicit bounds on any clock. Build it only when the
+/// registry is enabled: the attrs are formatted eagerly.
+MetricSpan stamp_span(std::string_view name, std::int32_t rank,
+                      std::int64_t step, double t_begin, double t_end,
+                      double ops = 0,
+                      std::vector<std::pair<std::string, std::string>> attrs = {});
+
+/// RAII span: opens at `clock()` on construction and closes at `clock()` on
+/// destruction. On a disabled registry it neither reads the clock nor
+/// allocates; test it (`if (span)`) before computing an attribute that costs
+/// more than the branch.
+template <class Clock>
+class ScopedSpan {
+public:
+    ScopedSpan(MetricsRegistry& registry, std::string_view name,
+               std::int32_t rank, std::int64_t step, Clock clock)
+        : clock_(std::move(clock)) {
+        if (registry.enabled()) {
+            registry_ = &registry;
+            handle_ = registry.span_open(name, rank, step, clock_());
+        }
+    }
+    ~ScopedSpan() {
+        if (registry_ != nullptr) {
+            registry_->span_close(handle_, clock_());
+        }
+    }
+    ScopedSpan(const ScopedSpan&) = delete;
+    ScopedSpan& operator=(const ScopedSpan&) = delete;
+
+    /// True when the span is recording.
+    explicit operator bool() const { return registry_ != nullptr; }
+
+    void add(double ops, std::uint64_t bytes = 0, std::uint64_t messages = 0) {
+        if (registry_ != nullptr) {
+            registry_->span_add(handle_, ops, bytes, messages);
+        }
+    }
+    void attr(std::string_view key, std::string value) {
+        if (registry_ != nullptr) {
+            registry_->span_attr(handle_, key, std::move(value));
+        }
+    }
+
+private:
+    MetricsRegistry* registry_{nullptr};
+    MetricsRegistry::Handle handle_{MetricsRegistry::kNullHandle};
+    Clock clock_;
 };
 
 // ---- exporters -------------------------------------------------------------

@@ -55,7 +55,6 @@ EdgeBroadcast decode_edge_broadcast(std::span<const std::byte> payload) {
 }  // namespace
 
 double AnytimeEngine::broadcast_edge_update(VertexId from, VertexId to, Weight w) {
-    const auto num_ranks = cluster_->num_ranks();
     const RankId r_from = ownership_.owner(from);
     const RankId r_to = ownership_.owner(to);
     double total_ops = 0;
@@ -74,8 +73,7 @@ double AnytimeEngine::broadcast_edge_update(VertexId from, VertexId to, Weight w
     // Apply the update at every rank. Receivers parse the wire payload; the
     // sender applies its own copy directly (`b` is read-only from here, so
     // concurrent rank closures may share it).
-    std::vector<double> rank_ops(num_ranks, 0);
-    run_rank_phase([&](RankId r, std::vector<MetricSpan>&) {
+    run_rank_phase(total_ops, [&](RankId r) {
         RankState& state = ranks_[r];
         const EdgeBroadcast* update = &b;
         EdgeBroadcast decoded;
@@ -118,11 +116,8 @@ double AnytimeEngine::broadcast_edge_update(VertexId from, VertexId to, Weight w
             ops += 2;
         }
         cluster_->charge_compute(r, ops);
-        rank_ops[r] = ops;
+        return ops;
     });
-    for (RankId r = 0; r < num_ranks; ++r) {
-        total_ops += rank_ops[r];
-    }
     return total_ops;
 }
 
@@ -135,105 +130,66 @@ void AnytimeEngine::anywhere_add(const GrowthBatch& batch,
 
     const std::size_t k = batch.num_new;
     const std::size_t new_n = graph_.num_vertices() + k;
-    const auto num_ranks = cluster_->num_ranks();
     double dynamic_ops = 0;
-    const bool mx = metrics_->enabled();
 
     // ---- 1. Structural extension (Figure 3, lines 11-18). ----
-    auto extend_span = MetricsRegistry::kNullHandle;
-    if (mx) {
-        extend_span = metrics_->span_open("add.extend", -1,
-                                          static_cast<std::int64_t>(rc_steps_),
-                                          sim_seconds());
-    }
-    graph_.add_vertices(k);
-    ownership_.extend(assignment);
-    std::vector<double> extend_ops(num_ranks, 0);
-    run_rank_phase([&](RankId r, std::vector<MetricSpan>&) {
-        RankState& state = ranks_[r];
-        state.sg.extend_ownership(assignment);
-        // DV resize: one new column per existing row (amortized via doubling
-        // growth, the paper's O(n) bound), plus a fresh row per adopted
-        // vertex (added below in adoption order).
-        const double ops =
-            static_cast<double>(state.store.num_rows()) + static_cast<double>(k);
-        state.store.grow_columns(new_n);
-        cluster_->charge_compute(r, ops);
-        extend_ops[r] = ops;
-    });
-    for (RankId r = 0; r < num_ranks; ++r) {
-        dynamic_ops += extend_ops[r];
-    }
-    for (std::size_t i = 0; i < k; ++i) {
-        const VertexId v = batch.base_id + static_cast<VertexId>(i);
-        RankState& owner = ranks_[assignment[i]];
-        const LocalId row = owner.store.add_row(v);
-        AA_ASSERT_MSG(owner.sg.global_id(row) == v,
-                      "row order diverged from adoption order");
-        cluster_->charge_compute(assignment[i], static_cast<double>(new_n));
-        dynamic_ops += static_cast<double>(new_n);
-    }
-
-    if (mx) {
-        metrics_->span_add(extend_span, dynamic_ops);
-        metrics_->span_close(extend_span, sim_seconds());
+    {
+        auto span = phase_span("add.extend");
+        graph_.add_vertices(k);
+        ownership_.extend(assignment);
+        run_rank_phase(dynamic_ops, [&](RankId r) {
+            RankState& state = ranks_[r];
+            state.sg.extend_ownership(assignment);
+            // DV resize: one new column per existing row (amortized via
+            // doubling growth, the paper's O(n) bound), plus a fresh row per
+            // adopted vertex (added below in adoption order).
+            const double ops = static_cast<double>(state.store.num_rows()) +
+                               static_cast<double>(k);
+            state.store.grow_columns(new_n);
+            cluster_->charge_compute(r, ops);
+            return ops;
+        });
+        for (std::size_t i = 0; i < k; ++i) {
+            const VertexId v = batch.base_id + static_cast<VertexId>(i);
+            RankState& owner = ranks_[assignment[i]];
+            const LocalId row = owner.store.add_row(v);
+            AA_ASSERT_MSG(owner.sg.global_id(row) == v,
+                          "row order diverged from adoption order");
+            cluster_->charge_compute(assignment[i], static_cast<double>(new_n));
+            dynamic_ops += static_cast<double>(new_n);
+        }
+        span.add(dynamic_ops);
     }
 
     // ---- 2. Edge additions (Figure 3, lines 19-44). The broadcast carries
     //          the *existing* endpoint's row; the new endpoint's row starts
     //          near-empty and its content reaches neighbours through the
     //          regular RC sends as it fills in. ----
-    auto broadcast_span = MetricsRegistry::kNullHandle;
-    if (mx) {
-        broadcast_span = metrics_->span_open(
-            "add.broadcast", -1, static_cast<std::int64_t>(rc_steps_),
-            sim_seconds());
-    }
-    const double ops_before_edges = dynamic_ops;
-    for (const Edge& e : batch.edges) {
-        const VertexId lo = std::min(e.u, e.v);
-        const VertexId hi = std::max(e.u, e.v);
-        AA_ASSERT_MSG(hi >= batch.base_id, "batch edge touches no new vertex");
-        if (!graph_.add_edge(lo, hi, e.weight)) {
-            continue;  // duplicate within the batch
+    {
+        auto span = phase_span("add.broadcast");
+        const double ops_before_edges = dynamic_ops;
+        for (const Edge& e : batch.edges) {
+            const VertexId lo = std::min(e.u, e.v);
+            const VertexId hi = std::max(e.u, e.v);
+            AA_ASSERT_MSG(hi >= batch.base_id, "batch edge touches no new vertex");
+            if (!graph_.add_edge(lo, hi, e.weight)) {
+                continue;  // duplicate within the batch
+            }
+            distribute_edge(lo, hi, e.weight);
+            dynamic_ops += broadcast_edge_update(lo, hi, e.weight);
         }
-        const RankId r_lo = ownership_.owner(lo);
-        const RankId r_hi = ownership_.owner(hi);
-        ranks_[r_lo].sg.add_local_edge(lo, hi, e.weight);
-        if (r_hi != r_lo) {
-            ranks_[r_hi].sg.add_local_edge(lo, hi, e.weight);
+        span.add(dynamic_ops - ops_before_edges);
+        if (span) {
+            span.attr("edges", std::to_string(batch.edges.size()));
         }
-        dynamic_ops += broadcast_edge_update(lo, hi, e.weight);
-    }
-    if (mx) {
-        metrics_->span_add(broadcast_span, dynamic_ops - ops_before_edges);
-        metrics_->span_attr(broadcast_span, "edges",
-                            std::to_string(batch.edges.size()));
-        metrics_->span_close(broadcast_span, sim_seconds());
     }
 
     // ---- 3. Within-rank propagation to fixpoint. ----
-    auto propagate_span = MetricsRegistry::kNullHandle;
-    if (mx) {
-        propagate_span = metrics_->span_open(
-            "add.propagate", -1, static_cast<std::int64_t>(rc_steps_),
-            sim_seconds());
-    }
-    const double ops_before_prop = dynamic_ops;
-    std::vector<double> prop_ops(num_ranks, 0);
-    run_rank_phase([&](RankId r, std::vector<MetricSpan>&) {
-        const double ops =
-            rc_propagate_local(ranks_[r].sg, ranks_[r].store, kernel_pool());
-        cluster_->charge_compute(r, ops);
-        prop_ops[r] = ops;
-    });
-    for (RankId r = 0; r < num_ranks; ++r) {
-        dynamic_ops += prop_ops[r];
-    }
-    cluster_->barrier();
-    if (mx) {
-        metrics_->span_add(propagate_span, dynamic_ops - ops_before_prop);
-        metrics_->span_close(propagate_span, sim_seconds());
+    {
+        auto span = phase_span("add.propagate");
+        const double ops_before_prop = dynamic_ops;
+        settle_ranks(dynamic_ops);
+        span.add(dynamic_ops - ops_before_prop);
     }
     report_.dynamic_ops += dynamic_ops;
     note_structural_change();
@@ -241,7 +197,6 @@ void AnytimeEngine::anywhere_add(const GrowthBatch& batch,
 
 void AnytimeEngine::add_edges(std::span<const Edge> edges) {
     AA_ASSERT_MSG(initialized_, "initialize() must run before dynamic updates");
-    const auto num_ranks = cluster_->num_ranks();
     double dynamic_ops = 0;
 
     for (const Edge& e : edges) {
@@ -249,12 +204,7 @@ void AnytimeEngine::add_edges(std::span<const Edge> edges) {
         if (!graph_.add_edge(e.u, e.v, e.weight)) {
             continue;  // duplicate
         }
-        const RankId r_u = ownership_.owner(e.u);
-        const RankId r_v = ownership_.owner(e.v);
-        ranks_[r_u].sg.add_local_edge(e.u, e.v, e.weight);
-        if (r_v != r_u) {
-            ranks_[r_v].sg.add_local_edge(e.u, e.v, e.weight);
-        }
+        distribute_edge(e.u, e.v, e.weight);
         // Both endpoints are established vertices with full rows, so both
         // rows are broadcast (prior work [9] evaluates the new-edge
         // inequality in both directions).
@@ -263,17 +213,7 @@ void AnytimeEngine::add_edges(std::span<const Edge> edges) {
         report_.edge_additions += 1;
     }
 
-    std::vector<double> prop_ops(num_ranks, 0);
-    run_rank_phase([&](RankId r, std::vector<MetricSpan>&) {
-        const double ops =
-            rc_propagate_local(ranks_[r].sg, ranks_[r].store, kernel_pool());
-        cluster_->charge_compute(r, ops);
-        prop_ops[r] = ops;
-    });
-    for (RankId r = 0; r < num_ranks; ++r) {
-        dynamic_ops += prop_ops[r];
-    }
-    cluster_->barrier();
+    settle_ranks(dynamic_ops);
     report_.dynamic_ops += dynamic_ops;
     note_structural_change();
     fire_boundary_hook();

@@ -42,21 +42,63 @@ struct AffectedEdge {
 /// exact and the slack admits no extra suspect beyond exact ties.
 constexpr Weight kSuspectSlack = 1e-9;
 
+/// One row's block and the ranks sharing a cut edge with the row.
+using FanOutBlock = std::pair<std::vector<RankId>, BoundaryBlock>;
+
+/// The cascade's row fan-out (boundary views and raises): replicate each
+/// block to its ranks and post one payload per destination in the configured
+/// wire format. Returns the entries shipped, summed over destinations.
+std::size_t fan_out_blocks(Cluster& cluster, RankId from, MessageTag tag,
+                           BoundaryWireFormat wire,
+                           const std::vector<FanOutBlock>& blocks) {
+    std::vector<std::vector<BoundaryBlock>> per_dest(cluster.num_ranks());
+    std::vector<std::size_t> dest_entries(cluster.num_ranks(), 0);
+    for (const auto& [destinations, block] : blocks) {
+        for (const RankId dest : destinations) {
+            dest_entries[dest] += block.entries.size();
+            per_dest[dest].push_back(block);
+        }
+    }
+    std::size_t shipped = 0;
+    for (RankId dest = 0; dest < per_dest.size(); ++dest) {
+        if (!per_dest[dest].empty()) {
+            shipped += dest_entries[dest];
+            cluster.send(from, dest, tag, encode_boundary_blocks(per_dest[dest], wire),
+                         dest_entries[dest]);
+        }
+    }
+    return shipped;
+}
+
+/// The receiving half: decode every `tag` payload in rank r's inbox and
+/// hand each block to fn.
+template <class Fn>
+void for_each_received_block(Cluster& cluster, RankId r, MessageTag tag,
+                             BoundaryWireFormat wire, Fn&& fn) {
+    for (const Message& m : cluster.receive(r)) {
+        AA_ASSERT(m.tag == tag);
+        for (const BoundaryBlock& block : decode_boundary_blocks(m.bytes(), wire)) {
+            fn(block);
+        }
+    }
+}
+
 }  // namespace
 
 ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
     AA_ASSERT_MSG(initialized_, "initialize() must run before dynamic updates");
+    const ShrinkReport rep = shrink_and_resettle(batch);
+    note_structural_change();
+    fire_boundary_hook();
+    return rep;
+}
+
+ShrinkReport AnytimeEngine::shrink_and_resettle(const ShrinkBatch& batch) {
     const std::size_t n = graph_.num_vertices();
     const auto num_ranks = cluster_->num_ranks();
     ShrinkReport rep;
     double dynamic_ops = 0;
-    const bool mx = metrics_->enabled();
-    auto span = MetricsRegistry::kNullHandle;
-    if (mx) {
-        span = metrics_->span_open("delete", -1,
-                                   static_cast<std::int64_t>(rc_steps_),
-                                   sim_seconds());
-    }
+    auto span = phase_span("delete");
 
     // ---- 1. Normalize the batch and apply the shrinking structural changes.
     // Vertex deletions expand to their incident edge sets; duplicates (and
@@ -89,10 +131,8 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
         if (!(w_old < kInfinity)) {
             continue;  // not present (e.g. already deleted): a no-op
         }
-        ranks_[ownership_.owner(e.u)].sg.remove_local_edge(e.u, e.v);
-        if (ownership_.owner(e.v) != ownership_.owner(e.u)) {
-            ranks_[ownership_.owner(e.v)].sg.remove_local_edge(e.u, e.v);
-        }
+        distribute_edge(e.u, e.v,
+                        [&](LocalSubgraph& sg) { sg.remove_local_edge(e.u, e.v); });
         affected.push_back({key.first, key.second, w_old});
         ++rep.edges_removed;
     }
@@ -113,10 +153,9 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
             continue;
         }
         graph_.set_edge_weight(e.u, e.v, e.weight);
-        ranks_[ownership_.owner(e.u)].sg.update_edge_weight(e.u, e.v, e.weight);
-        if (ownership_.owner(e.v) != ownership_.owner(e.u)) {
-            ranks_[ownership_.owner(e.v)].sg.update_edge_weight(e.u, e.v, e.weight);
-        }
+        distribute_edge(e.u, e.v, [&](LocalSubgraph& sg) {
+            sg.update_edge_weight(e.u, e.v, e.weight);
+        });
         affected.push_back({key.first, key.second, w_old});
         ++rep.weight_increases;
     }
@@ -258,8 +297,7 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
             num_ranks);
         for (RankId p = 0; p < num_ranks; ++p) {
             RankState& st = ranks_[p];
-            std::vector<std::vector<BoundaryBlock>> per_dest(num_ranks);
-            std::vector<std::size_t> dest_entries(num_ranks, 0);
+            std::vector<FanOutBlock> outgoing;
             double ops = 0;
             for (LocalId l = 0; l < st.sg.num_local(); ++l) {
                 const auto destinations = st.sg.neighbor_ranks(l);
@@ -275,24 +313,13 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
                     }
                 }
                 ops += static_cast<double>(cols_t.size());
-                if (block.entries.empty()) {
-                    continue;
-                }
-                for (const RankId dest : destinations) {
-                    dest_entries[dest] += block.entries.size();
-                    per_dest[dest].push_back(block);
+                if (!block.entries.empty()) {
+                    outgoing.emplace_back(destinations, std::move(block));
                 }
             }
-            for (RankId dest = 0; dest < num_ranks; ++dest) {
-                if (per_dest[dest].empty()) {
-                    continue;
-                }
-                ops += static_cast<double>(dest_entries[dest]);
-                cluster_->send(p, dest, MessageTag::ShrinkBoundaryView,
-                               encode_boundary_blocks(per_dest[dest],
-                                                      config_.wire_format),
-                               dest_entries[dest]);
-            }
+            ops += static_cast<double>(
+                fan_out_blocks(*cluster_, p, MessageTag::ShrinkBoundaryView,
+                               config_.wire_format, outgoing));
             cluster_->charge_compute(p, ops);
             dynamic_ops += ops;
         }
@@ -301,10 +328,9 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
         }
         for (RankId p = 0; p < num_ranks; ++p) {
             double ops = 0;
-            for (const Message& m : cluster_->receive(p)) {
-                AA_ASSERT(m.tag == MessageTag::ShrinkBoundaryView);
-                for (const BoundaryBlock& block :
-                     decode_boundary_blocks(m.bytes(), config_.wire_format)) {
+            for_each_received_block(
+                *cluster_, p, MessageTag::ShrinkBoundaryView, config_.wire_format,
+                [&](const BoundaryBlock& block) {
                     auto& view = views[p][block.vertex];
                     view.assign(cols_t.size(), kInfinity);
                     for (const DvEntry& e : block.entries) {
@@ -312,8 +338,7 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
                         view[t_index[e.column]] = e.distance;
                     }
                     ops += static_cast<double>(block.entries.size());
-                }
-            }
+                });
             cluster_->charge_compute(p, ops);
             dynamic_ops += ops;
         }
@@ -395,8 +420,7 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
                 // Ship the raises: one block per invalidated row, columns
                 // ascending (map order per row; per-column at most one raise),
                 // replicated to every rank sharing a cut edge with the row.
-                std::vector<std::vector<BoundaryBlock>> per_dest(num_ranks);
-                std::vector<std::size_t> dest_entries(num_ranks, 0);
+                std::vector<FanOutBlock> outgoing;
                 for (auto& [l, entries] : raised) {
                     std::sort(entries.begin(), entries.end(),
                               [](const DvEntry& a, const DvEntry& b) {
@@ -410,20 +434,10 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
                     block.vertex = st.sg.global_id(l);
                     block.entries = std::move(entries);
                     ops += static_cast<double>(block.entries.size());
-                    for (const RankId dest : destinations) {
-                        dest_entries[dest] += block.entries.size();
-                        per_dest[dest].push_back(block);
-                    }
+                    outgoing.emplace_back(destinations, std::move(block));
                 }
-                for (RankId dest = 0; dest < num_ranks; ++dest) {
-                    if (per_dest[dest].empty()) {
-                        continue;
-                    }
-                    cluster_->send(p, dest, MessageTag::ShrinkRaise,
-                                   encode_boundary_blocks(per_dest[dest],
-                                                          config_.wire_format),
-                                   dest_entries[dest]);
-                }
+                fan_out_blocks(*cluster_, p, MessageTag::ShrinkRaise,
+                               config_.wire_format, outgoing);
                 cluster_->charge_compute(p, ops);
                 dynamic_ops += ops;
             }
@@ -434,10 +448,9 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
             for (RankId p = 0; p < num_ranks; ++p) {
                 RankState& st = ranks_[p];
                 double ops = 0;
-                for (const Message& m : cluster_->receive(p)) {
-                    AA_ASSERT(m.tag == MessageTag::ShrinkRaise);
-                    for (const BoundaryBlock& block :
-                         decode_boundary_blocks(m.bytes(), config_.wire_format)) {
+                for_each_received_block(
+                    *cluster_, p, MessageTag::ShrinkRaise, config_.wire_format,
+                    [&](const BoundaryBlock& block) {
                         const auto vit = views[p].find(block.vertex);
                         for (const DvEntry& e : block.entries) {
                             AA_ASSERT(t_index[e.column] != kInvalidVertex);
@@ -458,8 +471,7 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
                                 }
                             }
                         }
-                    }
-                }
+                    });
                 cluster_->charge_compute(p, ops);
                 dynamic_ops += ops;
             }
@@ -470,10 +482,9 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
     // broadcast is sound now that no stale-low entry survives.
     for (const Edge& e : decreases) {
         graph_.set_edge_weight(e.u, e.v, e.weight);
-        ranks_[ownership_.owner(e.u)].sg.update_edge_weight(e.u, e.v, e.weight);
-        if (ownership_.owner(e.v) != ownership_.owner(e.u)) {
-            ranks_[ownership_.owner(e.v)].sg.update_edge_weight(e.u, e.v, e.weight);
-        }
+        distribute_edge(e.u, e.v, [&](LocalSubgraph& sg) {
+            sg.update_edge_weight(e.u, e.v, e.weight);
+        });
         dynamic_ops += broadcast_edge_update(e.u, e.v, e.weight);
         dynamic_ops += broadcast_edge_update(e.v, e.u, e.weight);
         ++rep.weight_decreases;
@@ -481,38 +492,21 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
 
     // ---- 8. Local re-settlement to fixpoint (edge addition's step 3); the
     // cross-rank part rides the send worklists of the caller's next RC steps.
-    std::vector<double> prop_ops(num_ranks, 0);
-    run_rank_phase([&](RankId r, std::vector<MetricSpan>&) {
-        const double ops =
-            rc_propagate_local(ranks_[r].sg, ranks_[r].store, kernel_pool());
-        cluster_->charge_compute(r, ops);
-        prop_ops[r] = ops;
-    });
-    for (RankId r = 0; r < num_ranks; ++r) {
-        dynamic_ops += prop_ops[r];
-    }
-    cluster_->barrier();
+    settle_ranks(dynamic_ops);
 
     report_.dynamic_ops += dynamic_ops;
     report_.edge_deletions += rep.edges_removed;
     report_.weight_updates += rep.weight_increases + rep.weight_decreases;
     report_.invalidated_entries += rep.invalidated_entries;
     report_.sim_seconds = sim_seconds();
-    if (mx) {
-        metrics_->span_attr(span, "edges_removed",
-                            std::to_string(rep.edges_removed));
-        metrics_->span_attr(span, "reweights",
-                            std::to_string(rep.weight_increases +
-                                           rep.weight_decreases));
-        metrics_->span_attr(span, "invalidated",
-                            std::to_string(rep.invalidated_entries));
-        metrics_->span_attr(span, "cascade_rounds",
-                            std::to_string(rep.cascade_rounds));
-        metrics_->span_add(span, dynamic_ops);
-        metrics_->span_close(span, sim_seconds());
+    if (span) {
+        span.attr("edges_removed", std::to_string(rep.edges_removed));
+        span.attr("reweights",
+                  std::to_string(rep.weight_increases + rep.weight_decreases));
+        span.attr("invalidated", std::to_string(rep.invalidated_entries));
+        span.attr("cascade_rounds", std::to_string(rep.cascade_rounds));
     }
-    note_structural_change();
-    fire_boundary_hook();
+    span.add(dynamic_ops);
     return rep;
 }
 

@@ -478,14 +478,43 @@ private:
         DistanceStore store;
     };
 
-    void distribute_edge(VertexId u, VertexId v, Weight w);
-    /// Run one per-rank phase body on the execution backend: fn(r, sink) is
-    /// called once per rank (possibly concurrently — it must confine itself
-    /// to rank-r state plus the rank-confined Cluster entry points), spans
-    /// pushed into `sink` are merged into the registry in ascending rank
-    /// order after the barrier, so telemetry is identical across backends.
+    /// Mirror one edge change onto the sub-graphs of both endpoint owners
+    /// (once when they coincide): change(sg) runs on u's owner, then v's.
+    template <class Change>
+    void distribute_edge(VertexId u, VertexId v, Change&& change) {
+        const RankId ru = ownership_.owner(u);
+        const RankId rv = ownership_.owner(v);
+        change(ranks_[ru].sg);
+        if (rv != ru) {
+            change(ranks_[rv].sg);
+        }
+    }
+    void distribute_edge(VertexId u, VertexId v, Weight w) {
+        distribute_edge(u, v, [&](LocalSubgraph& sg) { sg.add_local_edge(u, v, w); });
+    }
+    /// Rebuild every rank's sub-graph and (diagonal-only) distance rows from
+    /// ownership_ and graph_, rows in adoption order.
+    void build_rank_states();
+    /// Run one per-rank phase body on the execution backend: fn(r) (or
+    /// fn(r, sink)) is called once per rank, possibly concurrently — it must
+    /// confine itself to rank-r state plus the rank-confined Cluster entry
+    /// points — and returns rank r's ops. After the barrier the ops are added
+    /// to `ops` and the spans pushed into `sink` are merged into the registry,
+    /// both in ascending rank order, so totals and telemetry are identical
+    /// across backends.
     void run_rank_phase(
-        const std::function<void(RankId, std::vector<MetricSpan>&)>& fn);
+        double& ops,
+        const std::function<double(RankId, std::vector<MetricSpan>&)>& fn);
+    void run_rank_phase(double& ops, const std::function<double(RankId)>& fn);
+    /// Drain every rank's propagate worklist to the local fixpoint (charged,
+    /// ops added to `ops`), then barrier.
+    void settle_ranks(double& ops);
+    /// A driver-side phase span on the simulated clock, stamped with the
+    /// number of completed RC steps.
+    auto phase_span(std::string_view name) {
+        return ScopedSpan(*metrics_, name, -1, static_cast<std::int64_t>(rc_steps_),
+                          [this] { return sim_seconds(); });
+    }
     /// Pool the per-rank kernels may fan intra-rank work out to: the shared
     /// IA pool under a sequential backend; an inline (no-worker) pool / null
     /// when ranks run concurrently — ThreadPool::parallel_for must not be
@@ -517,6 +546,13 @@ private:
     void refresh_weight_extremes();
     /// Returns the total ops charged (for the DD telemetry span).
     double charge_partition_cost(std::size_t vertices, std::size_t edges);
+    /// Repartition-S's new owner of every vertex of the grown graph (the
+    /// first `old_n` are the established ones), with the partitioning cost
+    /// charged.
+    std::vector<RankId> repartition_owners(std::size_t old_n);
+    /// apply_deletion's update, under its "delete" span: structural change,
+    /// invalidation cascade, deferred decreases, local re-settlement.
+    ShrinkReport shrink_and_resettle(const ShrinkBatch& batch);
     /// Broadcast row(from) and apply the new/changed edge {from, to, w}
     /// everywhere it can bind immediately. Returns the ops charged.
     double broadcast_edge_update(VertexId from, VertexId to, Weight w);

@@ -49,21 +49,17 @@ void AnytimeEngine::drain_in_flight_updates() {
     // Inboxes can also hold messages delivered by earlier collectives but not
     // yet received (the async path's leftovers) — ingest those too, exactly
     // as the next RC step's phase 3 would have.
-    std::vector<double> drain_ops(ranks_.size(), 0);
-    run_rank_phase([&](RankId r, std::vector<MetricSpan>&) {
+    run_rank_phase(report_.dynamic_ops, [&](RankId r) {
         const auto inbox = cluster_->receive(r);
         if (inbox.empty()) {
-            return;
+            return 0.0;
         }
         const double ops = rc_ingest_updates(
             ranks_[r].sg, ranks_[r].store, inbox, config_.wire_format,
             kernel_pool(), kRcIngestParallelGrain, rc_ingest_window_bytes_);
         cluster_->charge_compute(r, ops);
-        drain_ops[r] = ops;
+        return ops;
     });
-    for (const double ops : drain_ops) {
-        report_.dynamic_ops += ops;
-    }
 }
 
 void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
@@ -91,12 +87,7 @@ void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
         return;
     }
 
-    const bool mx = metrics_->enabled();
-    const auto migrate_span =
-        mx ? metrics_->span_open("migrate", -1,
-                                 static_cast<std::int64_t>(rc_steps_),
-                                 sim_seconds())
-           : MetricsRegistry::kNullHandle;
+    auto span = phase_span("migrate");
     double dynamic_ops = 0;
     const auto n = static_cast<double>(graph_.num_vertices());
 
@@ -171,8 +162,7 @@ void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
     cluster_->exchange();
 
     // ---- 6. Surgery + conservative re-marking, rank-confined. ----
-    std::vector<double> rank_ops(num_ranks, 0);
-    run_rank_phase([&, this](RankId r, std::vector<MetricSpan>&) {
+    run_rank_phase(dynamic_ops, [&, this](RankId r) {
         RankState& state = ranks_[r];
         double ops = 0;
 
@@ -292,11 +282,8 @@ void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
         // already posts locally consistent boundary DVs.
         ops += rc_propagate_local(state.sg, state.store, kernel_pool());
         cluster_->charge_compute(r, ops);
-        rank_ops[r] = ops;
+        return ops;
     });
-    for (RankId r = 0; r < num_ranks; ++r) {
-        dynamic_ops += rank_ops[r];
-    }
     cluster_->barrier();
 
     report_.shard_migrations += applied.size();
@@ -306,13 +293,11 @@ void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
     // planner proposes another move.
     planner_.reset();
     note_structural_change();
-    if (mx) {
-        metrics_->span_attr(migrate_span, "moves",
-                            std::to_string(applied.size()));
-        metrics_->span_attr(migrate_span, "rows", std::to_string(moved_rows));
-        metrics_->span_add(migrate_span, dynamic_ops);
-        metrics_->span_close(migrate_span, sim_seconds());
+    if (span) {
+        span.attr("moves", std::to_string(applied.size()));
+        span.attr("rows", std::to_string(moved_rows));
     }
+    span.add(dynamic_ops);
 }
 
 }  // namespace aa

@@ -28,35 +28,9 @@ void encode_migrated_row(Serializer& out, VertexId vertex,
 
 }  // namespace
 
-void AnytimeEngine::repartition_add(const GrowthBatch& batch) {
-    AA_ASSERT_MSG(initialized_, "initialize() must run before dynamic updates");
-    AA_ASSERT_MSG(batch.base_id == graph_.num_vertices(),
-                  "batch does not follow the current vertex space");
-
-    const std::size_t old_n = graph_.num_vertices();
-    const std::size_t new_n = old_n + batch.num_new;
+std::vector<RankId> AnytimeEngine::repartition_owners(std::size_t old_n) {
+    const std::size_t new_n = graph_.num_vertices();
     const auto num_ranks = cluster_->num_ranks();
-    double dynamic_ops = 0;
-    const bool mx = metrics_->enabled();
-    const auto span_step = static_cast<std::int64_t>(rc_steps_);
-    const auto open_stage = [&](const char* name) {
-        return mx ? metrics_->span_open(name, -1, span_step, sim_seconds())
-                  : MetricsRegistry::kNullHandle;
-    };
-    const auto close_stage = [&](MetricsRegistry::Handle h) {
-        if (mx) {
-            metrics_->span_close(h, sim_seconds());
-        }
-    };
-
-    // ---- 1. Integrate the batch into the global structure. ----
-    graph_.add_vertices(batch.num_new);
-    for (const Edge& e : batch.edges) {
-        graph_.add_edge(e.u, e.v, e.weight);
-    }
-
-    // ---- 2. Repartition the grown graph. ----
-    const auto partition_span = open_stage("repartition.partition");
     std::vector<RankId> new_owners;
     if (config_.repartition_mode == RepartitionMode::Adaptive) {
         // Adaptive: start from the current assignment, place each new vertex
@@ -148,125 +122,140 @@ void AnytimeEngine::repartition_add(const GrowthBatch& batch) {
                 r, static_cast<double>(num_ranks) * num_ranks + new_n);
         }
     }
+    return new_owners;
+}
 
-    close_stage(partition_span);
+void AnytimeEngine::repartition_add(const GrowthBatch& batch) {
+    AA_ASSERT_MSG(initialized_, "initialize() must run before dynamic updates");
+    AA_ASSERT_MSG(batch.base_id == graph_.num_vertices(),
+                  "batch does not follow the current vertex space");
 
-    // Which existing vertices actually change owner (drives both migration
-    // and the consistency re-marking below).
+    const std::size_t old_n = graph_.num_vertices();
+    const std::size_t new_n = old_n + batch.num_new;
+    const auto num_ranks = cluster_->num_ranks();
+    double dynamic_ops = 0;
+
+    // ---- 1. Integrate the batch into the global structure. A batch edge
+    //          repeated (as u v or v u) is inserted, and seeded, once. ----
+    graph_.add_vertices(batch.num_new);
+    std::vector<Edge> inserted;
+    for (const Edge& e : batch.edges) {
+        if (graph_.add_edge(e.u, e.v, e.weight)) {
+            inserted.push_back({std::min(e.u, e.v), std::max(e.u, e.v), e.weight});
+        }
+    }
+
+    // ---- 2. Repartition the grown graph. Which existing vertices actually
+    //          change owner drives both migration and the consistency
+    //          re-marking below. ----
+    std::vector<RankId> new_owners;
     std::vector<std::uint8_t> moved(new_n, 0);
-    std::size_t moved_existing = 0;
-    for (VertexId v = 0; v < old_n; ++v) {
-        moved[v] = new_owners[v] != ownership_.owner(v) ? 1 : 0;
-        moved_existing += moved[v];
-    }
-    for (VertexId v = static_cast<VertexId>(old_n); v < new_n; ++v) {
-        moved[v] = 1;  // new vertices count as moved everywhere
-    }
-    last_moved_vertices_ = moved_existing;
-    if (mx) {
-        metrics_->span_attr(partition_span, "mode",
-                            config_.repartition_mode == RepartitionMode::Adaptive
-                                ? "adaptive"
-                                : "scratch");
-        metrics_->span_attr(partition_span, "moved_vertices",
-                            std::to_string(moved_existing));
+    {
+        auto span = phase_span("repartition.partition");
+        new_owners = repartition_owners(old_n);
+        std::size_t moved_existing = 0;
+        for (VertexId v = 0; v < old_n; ++v) {
+            moved[v] = new_owners[v] != ownership_.owner(v) ? 1 : 0;
+            moved_existing += moved[v];
+        }
+        for (VertexId v = static_cast<VertexId>(old_n); v < new_n; ++v) {
+            moved[v] = 1;  // new vertices count as moved everywhere
+        }
+        last_moved_vertices_ = moved_existing;
+        if (span) {
+            span.attr("mode", config_.repartition_mode == RepartitionMode::Adaptive
+                                  ? "adaptive"
+                                  : "scratch");
+            span.attr("moved_vertices", std::to_string(moved_existing));
+        }
     }
 
     // ---- 3. Widen every row, then migrate rows whose owner changed. ----
-    const auto migrate_span = open_stage("repartition.migrate");
-    for (RankId r = 0; r < num_ranks; ++r) {
-        const double ops = static_cast<double>(ranks_[r].store.num_rows()) +
-                           static_cast<double>(batch.num_new);
-        ranks_[r].store.grow_columns(new_n);
-        cluster_->charge_compute(r, ops);
-        dynamic_ops += ops;
-    }
-
     // Rows this rank keeps (or receives), keyed by global vertex. Rows with
     // pending (unpropagated/unsent) changes lose that dirty state in the
     // rebuild, so they must be re-marked like moved rows.
     std::vector<std::unordered_map<VertexId, std::vector<Weight>>> retained(num_ranks);
     std::vector<std::uint8_t> had_pending(new_n, 0);
-    for (RankId r = 0; r < num_ranks; ++r) {
-        RankState& state = ranks_[r];
-        std::vector<Serializer> outgoing(num_ranks);
-        for (LocalId l = 0; l < state.sg.num_local(); ++l) {
-            const VertexId g = state.sg.global_id(l);
-            const RankId dest = new_owners[g];
-            had_pending[g] =
-                state.store.has_prop(l) || state.store.has_send(l) ? 1 : 0;
-            auto values = state.store.extract_row(l);
-            if (dest == r) {
-                retained[r].emplace(g, std::move(values));
-            } else {
-                encode_migrated_row(outgoing[dest], g, values);
-                cluster_->charge_compute(r, static_cast<double>(values.size()));
-                dynamic_ops += static_cast<double>(values.size());
-            }
+    {
+        auto span = phase_span("repartition.migrate");
+        for (RankId r = 0; r < num_ranks; ++r) {
+            const double ops = static_cast<double>(ranks_[r].store.num_rows()) +
+                               static_cast<double>(batch.num_new);
+            ranks_[r].store.grow_columns(new_n);
+            cluster_->charge_compute(r, ops);
+            dynamic_ops += ops;
         }
-        for (RankId dest = 0; dest < num_ranks; ++dest) {
-            if (dest != r && outgoing[dest].size() > 0) {
-                cluster_->send(r, dest, MessageTag::MigratedRows,
-                               outgoing[dest].take());
-            }
-        }
-    }
-    // The migration uses the same personalized all-to-all as an RC step.
-    cluster_->exchange();
-    for (RankId r = 0; r < num_ranks; ++r) {
-        for (const Message& message : cluster_->receive(r)) {
-            if (message.tag != MessageTag::MigratedRows) {
-                continue;
-            }
-            Deserializer in(message.bytes());
-            while (!in.exhausted()) {
-                const auto vertex = in.read<VertexId>();
-                auto values = in.read_vector<Weight>();
-                cluster_->charge_compute(r, static_cast<double>(values.size()));
-                dynamic_ops += static_cast<double>(values.size());
-                retained[r].emplace(vertex, std::move(values));
-            }
-        }
-    }
-    close_stage(migrate_span);
 
-    // ---- 4. Rebuild rank state under the new ownership. ----
-    const auto rebuild_span = open_stage("repartition.rebuild");
-    // A repartition re-deals the logical shards from scratch: the fresh
-    // assignment defines the new shard layout (owner resolution is identical
-    // for any shards_per_rank, so this does not perturb bit-identity).
-    ownership_ = ShardOwnership::from_partition(new_owners, num_ranks,
-                                                config_.shards_per_rank);
-    planner_.reset();
-    for (RankId r = 0; r < num_ranks; ++r) {
-        RankState& state = ranks_[r];
-        state.sg = LocalSubgraph(r, ownership_);
-        state.store = DistanceStore(new_n);
-        state.store.set_simd_enabled(config_.rc_simd);
-        for (const VertexId v : state.sg.local_vertices()) {
-            state.store.add_row(v);
+        for (RankId r = 0; r < num_ranks; ++r) {
+            RankState& state = ranks_[r];
+            std::vector<Serializer> outgoing(num_ranks);
+            for (LocalId l = 0; l < state.sg.num_local(); ++l) {
+                const VertexId g = state.sg.global_id(l);
+                const RankId dest = new_owners[g];
+                had_pending[g] =
+                    state.store.has_prop(l) || state.store.has_send(l) ? 1 : 0;
+                auto values = state.store.extract_row(l);
+                if (dest == r) {
+                    retained[r].emplace(g, std::move(values));
+                } else {
+                    encode_migrated_row(outgoing[dest], g, values);
+                    cluster_->charge_compute(r, static_cast<double>(values.size()));
+                    dynamic_ops += static_cast<double>(values.size());
+                }
+            }
+            for (RankId dest = 0; dest < num_ranks; ++dest) {
+                if (dest != r && outgoing[dest].size() > 0) {
+                    cluster_->send(r, dest, MessageTag::MigratedRows,
+                                   outgoing[dest].take());
+                }
+            }
         }
-    }
-    for (const Edge& e : graph_.edges()) {
-        distribute_edge(e.u, e.v, e.weight);
-    }
-
-    // Install retained/migrated rows; new vertices keep their near-empty
-    // (diagonal-only) rows and are seeded through the edge broadcasts below.
-    for (RankId r = 0; r < num_ranks; ++r) {
-        RankState& state = ranks_[r];
-        for (LocalId l = 0; l < state.sg.num_local(); ++l) {
-            const VertexId g = state.sg.global_id(l);
-            const auto it = retained[r].find(g);
-            if (it != retained[r].end()) {
-                state.store.install_row(l, std::move(it->second));
-            } else {
-                AA_ASSERT_MSG(g >= old_n, "existing vertex lost its row");
+        // The migration uses the same personalized all-to-all as an RC step.
+        cluster_->exchange();
+        for (RankId r = 0; r < num_ranks; ++r) {
+            for (const Message& message : cluster_->receive(r)) {
+                if (message.tag != MessageTag::MigratedRows) {
+                    continue;
+                }
+                Deserializer in(message.bytes());
+                while (!in.exhausted()) {
+                    const auto vertex = in.read<VertexId>();
+                    auto values = in.read_vector<Weight>();
+                    cluster_->charge_compute(r, static_cast<double>(values.size()));
+                    dynamic_ops += static_cast<double>(values.size());
+                    retained[r].emplace(vertex, std::move(values));
+                }
             }
         }
     }
 
-    close_stage(rebuild_span);
+    // ---- 4. Rebuild rank state under the new ownership. ----
+    {
+        auto span = phase_span("repartition.rebuild");
+        // A repartition re-deals the logical shards from scratch: the fresh
+        // assignment defines the new shard layout (owner resolution is
+        // identical for any shards_per_rank, so this does not perturb
+        // bit-identity).
+        ownership_ = ShardOwnership::from_partition(new_owners, num_ranks,
+                                                    config_.shards_per_rank);
+        planner_.reset();
+        build_rank_states();
+        // Install retained/migrated rows; new vertices keep their near-empty
+        // (diagonal-only) rows and are seeded through the edge broadcasts
+        // below.
+        for (RankId r = 0; r < num_ranks; ++r) {
+            RankState& state = ranks_[r];
+            for (LocalId l = 0; l < state.sg.num_local(); ++l) {
+                const VertexId g = state.sg.global_id(l);
+                const auto it = retained[r].find(g);
+                if (it != retained[r].end()) {
+                    state.store.install_row(l, std::move(it->second));
+                } else {
+                    AA_ASSERT_MSG(g >= old_n, "existing vertex lost its row");
+                }
+            }
+        }
+    }
 
     // ---- 5. Seed the batch through the anywhere edge broadcasts (the same
     //          primitive as anywhere_add): each batch edge folds the lower
@@ -279,17 +268,14 @@ void AnytimeEngine::repartition_add(const GrowthBatch& batch) {
     //          walking exactly those owner-row witnesses. The broadcasts
     //          preserve the invariant; through-partition shortcuts the SSSP
     //          would have found arrive with the next RC exchanges. ----
-    const auto seed_span = open_stage("repartition.seed");
-    const double ops_before_seed = dynamic_ops;
-    for (const Edge& e : batch.edges) {
-        const VertexId lo = std::min(e.u, e.v);
-        const VertexId hi = std::max(e.u, e.v);
-        dynamic_ops += broadcast_edge_update(lo, hi, graph_.edge_weight(lo, hi));
+    {
+        auto span = phase_span("repartition.seed");
+        const double ops_before_seed = dynamic_ops;
+        for (const Edge& e : inserted) {
+            dynamic_ops += broadcast_edge_update(e.u, e.v, e.weight);
+        }
+        span.add(dynamic_ops - ops_before_seed);
     }
-    if (mx) {
-        metrics_->span_add(seed_span, dynamic_ops - ops_before_seed);
-    }
-    close_stage(seed_span);
 
     // ---- 6. Re-establish consistency marks — but only where the move
     //          actually changed relationships. A row is affected iff it
@@ -300,9 +286,8 @@ void AnytimeEngine::repartition_add(const GrowthBatch& batch) {
     //          the relabeling above) keeps Repartition-S's fixed cost at the
     //          true repartition delta; what remains is the paper's
     //          "additional RC steps" cost. ----
-    const auto remark_span = open_stage("repartition.remark");
-    std::vector<double> remark_ops(num_ranks, 0);
-    run_rank_phase([&](RankId r, std::vector<MetricSpan>&) {
+    auto span = phase_span("repartition.remark");
+    run_rank_phase(dynamic_ops, [&](RankId r) {
         // `moved` and `had_pending` are read-only from here, shared across
         // the concurrent rank closures.
         RankState& state = ranks_[r];
@@ -331,13 +316,9 @@ void AnytimeEngine::repartition_add(const GrowthBatch& batch) {
         // already sends locally consistent boundary DVs.
         ops += rc_propagate_local(state.sg, state.store, kernel_pool());
         cluster_->charge_compute(r, ops);
-        remark_ops[r] = ops;
+        return ops;
     });
-    for (RankId r = 0; r < num_ranks; ++r) {
-        dynamic_ops += remark_ops[r];
-    }
     cluster_->barrier();
-    close_stage(remark_span);
     report_.dynamic_ops += dynamic_ops;
     note_structural_change();
 }

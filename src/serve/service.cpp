@@ -308,17 +308,13 @@ void QueryService::publish() {
 
     if (config_.enable_metrics) {
         std::lock_guard<std::mutex> lock(metrics_mutex_);
-        MetricSpan span;
-        span.name = "serve.publish";
-        span.step = static_cast<std::int64_t>(frozen->rc_step);
-        span.t_begin = t0;
-        span.t_end = wall_now();
-        span.attrs.emplace_back("version", std::to_string(frozen->version));
-        span.attrs.emplace_back("changed",
-                                std::to_string(frozen->changed.size()));
-        span.attrs.emplace_back("quiescent", frozen->quiescent ? "1" : "0");
-        span.attrs.emplace_back("delta", from_delta ? "1" : "0");
-        metrics_.record_span(std::move(span));
+        metrics_.record_span(stamp_span(
+            "serve.publish", -1, static_cast<std::int64_t>(frozen->rc_step), t0,
+            wall_now(), 0,
+            {{"version", std::to_string(frozen->version)},
+             {"changed", std::to_string(frozen->changed.size())},
+             {"quiescent", frozen->quiescent ? "1" : "0"},
+             {"delta", from_delta ? "1" : "0"}}));
     }
     if (on_publish_) {
         on_publish_(*frozen);

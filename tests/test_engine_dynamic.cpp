@@ -4,6 +4,8 @@
 // the grown graph.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "core/baseline.hpp"
 #include "core/closeness.hpp"
 #include "core/engine.hpp"
@@ -236,6 +238,41 @@ TEST(EngineDynamic, ReportTracksAdditions) {
     EXPECT_EQ(engine.report().vertex_additions, 6u);
     EXPECT_EQ(engine.report().edge_additions, batch.edges.size());
     EXPECT_GT(engine.report().dynamic_ops, 0.0);
+}
+
+// A batch that repeats an edge (as `u v` or `v u`) inserts it once, so it
+// must count once and be seeded once: the report, the op total and the
+// simulated clock equal those of the deduplicated batch.
+TEST(EngineDynamic, DuplicateBatchEdgesCountOnce) {
+    Rng rng(61);
+    const auto g = barabasi_albert(40, 2, rng);
+    const auto batch = make_batch(g, 6, 108);
+    GrowthBatch repeated = batch;
+    repeated.edges.push_back(batch.edges[0]);
+    repeated.edges.push_back({batch.edges[1].v, batch.edges[1].u,
+                              batch.edges[1].weight});
+    for (const bool repartition : {false, true}) {
+        const auto run = [&g, repartition](const GrowthBatch& b) {
+            AnytimeEngine engine(g, small_config(3));
+            engine.initialize();
+            engine.run_rc_steps(1);
+            RoundRobinPS round_robin;
+            RepartitionS repartition_s;
+            engine.apply_addition(b, repartition
+                                         ? static_cast<VertexAdditionStrategy&>(
+                                               repartition_s)
+                                         : round_robin);
+            return std::make_tuple(engine.report().edge_additions,
+                                   engine.report().dynamic_ops,
+                                   engine.sim_seconds());
+        };
+        const auto [want_edges, want_ops, want_sim] = run(batch);
+        const auto [got_edges, got_ops, got_sim] = run(repeated);
+        EXPECT_EQ(want_edges, batch.edges.size()) << repartition;
+        EXPECT_EQ(got_edges, want_edges) << repartition;
+        EXPECT_EQ(got_ops, want_ops) << repartition;
+        EXPECT_EQ(got_sim, want_sim) << repartition;
+    }
 }
 
 }  // namespace

@@ -17,10 +17,14 @@
 //   }
 //
 // The `metrics.spans` stream carries the phase timeline proper: "dd",
-// per-rank "ia", per-step/per-rank "rc.post" / "rc.exchange[.rank]" /
-// "rc.ingest" / "rc.propagate", and "add" events (with strategy,
+// per-rank "ia", per-step/per-rank "rc.post" / "rc.exchange" (or
+// "rc.exchange.inflight" for event-driven steps) with its per-rank
+// "rc.exchange.rank" children / "rc.ingest" (or "rc.ingest.early" for an
+// event-driven arrival) / "rc.propagate", "add" events (with strategy,
 // moved-vertex count and new-cut-edge attributes) with their nested
-// sub-phases. All times are simulated seconds. The CSV exporter emits just
+// "add.extend" / "add.broadcast" / "add.propagate" or "repartition.partition"
+// / ".migrate" / ".rebuild" / ".seed" / ".remark" sub-phases, and "delete"
+// and "migrate" events. All times are simulated seconds. The CSV exporter emits just
 // the span stream (common/metrics.hpp's lossless span CSV).
 #pragma once
 

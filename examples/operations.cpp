@@ -4,11 +4,14 @@
 //   * per-RC-step telemetry (bytes / messages / ops / exchange time),
 //   * taking a checkpoint of an in-flight analysis,
 //   * "crashing" (dropping the engine) and resuming from the checkpoint on a
-//     fresh engine, then absorbing more dynamic updates,
+//     fresh engine — exactly where the saved run stopped: same clock, same
+//     pending work, no recovery sweep — then absorbing more dynamic updates,
+//   * a damaged checkpoint being refused with a typed CheckpointError,
 //   * the distributed closeness reduction a deployment would actually run.
 #include <cstdio>
 #include <optional>
 #include <sstream>
+#include <string>
 
 #include "core/closeness.hpp"
 #include "core/engine.hpp"
@@ -49,10 +52,25 @@ int main() {
         // Engine destroyed here — simulated crash.
     }
 
+    // Storage is not trusted: every section carries a CRC32C, so a flipped
+    // byte is refused with a typed error instead of loading silently wrong.
+    std::string damaged = checkpoint.str();
+    damaged[damaged.size() / 2] ^= 0x5A;
+    std::stringstream damaged_stream(damaged);
+    try {
+        (void)AnytimeEngine::load_checkpoint(damaged_stream, config);
+        std::printf("damaged checkpoint loaded (unexpected)\n");
+    } catch (const CheckpointError& e) {
+        std::printf("damaged copy refused: %s\n", e.what());
+    }
+
     std::printf("--- process restarted; resuming from checkpoint ---\n");
     auto engine = AnytimeEngine::load_checkpoint(checkpoint, config);
-    std::printf("resumed at RC%zu, sim clock %.4fs\n", engine.rc_steps_completed(),
-                engine.sim_seconds());
+    // The restore is exact: the clock, the step count and the pending RC
+    // work are the saved engine's, so the next step continues its schedule.
+    std::printf("resumed at RC%zu, sim clock %.4fs, %s\n", engine.rc_steps_completed(),
+                engine.sim_seconds(),
+                engine.quiescent() ? "quiescent" : "pending RC work carried over");
 
     // New actors arrive after the resume; incorporate and converge.
     GrowthConfig growth;

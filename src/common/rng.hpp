@@ -5,6 +5,7 @@
 // a single seed. The engine itself is fully deterministic.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -60,6 +61,17 @@ public:
 
     /// Derive an independent child stream (for per-component seeding).
     Rng fork() { return Rng((*this)() ^ 0xA3EC647659359ACDull); }
+
+    /// The raw generator state (checkpointing): set_state(state()) resumes
+    /// the stream exactly where it was. The all-zero state is degenerate
+    /// (the generator would emit zeros forever) and must not be set.
+    std::array<std::uint64_t, 4> state() const { return {s_[0], s_[1], s_[2], s_[3]}; }
+    void set_state(const std::array<std::uint64_t, 4>& state) {
+        AA_ASSERT(state[0] != 0 || state[1] != 0 || state[2] != 0 || state[3] != 0);
+        for (std::size_t i = 0; i < 4; ++i) {
+            s_[i] = state[i];
+        }
+    }
 
 private:
     static std::uint64_t rotl(std::uint64_t x, int k) {

@@ -164,15 +164,41 @@ __attribute__((target("avx2"))) std::size_t relax_from_row_avx2(
 
 LocalId DistanceStore::add_row(VertexId self) {
     AA_ASSERT(self < num_columns_);
+    std::vector<Weight> dist(num_columns_, kInfinity);
+    dist[self] = 0;
+    return append_row(self, std::move(dist));
+}
+
+LocalId DistanceStore::append_row(VertexId self, std::vector<Weight> dist) {
+    AA_ASSERT(self < num_columns_ && dist.size() == num_columns_);
+    AA_ASSERT_MSG(dist[self] == 0, "appended row lacks its zero diagonal");
     Row row;
     row.self = self;
-    row.dist.assign(num_columns_, kInfinity);
-    row.dist[self] = 0;
+    row.dist = std::move(dist);
     rows_.push_back(std::move(row));
     prop_mark_.resize(rows_.size() * num_columns_, 0);
     send_mark_.resize(rows_.size() * num_columns_, 0);
     touch_stamp_.push_back(touch_epoch_);  // a fresh row is by definition touched
     return static_cast<LocalId>(rows_.size() - 1);
+}
+
+bool DistanceStore::restore_pending(LocalId r, std::span<const VertexId> prop,
+                                    std::span<const VertexId> send) {
+    AA_ASSERT(r < rows_.size());
+    Row& row = rows_[r];
+    AA_ASSERT(row.prop.cols.empty() && row.send.cols.empty());
+    const auto restore = [this](DirtySet& set, std::uint8_t* mark,
+                                std::span<const VertexId> cols) {
+        for (const VertexId col : cols) {
+            if (col >= num_columns_ || mark[col] == set.epoch) {
+                return false;
+            }
+            mark[col] = set.epoch;
+            set.cols.push_back(col);
+        }
+        return true;
+    };
+    return restore(row.prop, prop_mark(r), prop) && restore(row.send, send_mark(r), send);
 }
 
 void DistanceStore::grow_columns(std::size_t new_count) {

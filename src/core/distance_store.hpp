@@ -108,6 +108,11 @@ public:
     /// LocalId in creation order, matching LocalSubgraph::adopt order.
     LocalId add_row(VertexId self);
 
+    /// Append a row that takes ownership of `dist` (num_columns() values,
+    /// zero at `self`) with empty dirty sets — checkpoint restore reads each
+    /// row straight into the vector it hands over here.
+    LocalId append_row(VertexId self, std::vector<Weight> dist);
+
     /// Grow every row (and the column space) to `new_count` columns.
     void grow_columns(std::size_t new_count);
 
@@ -180,6 +185,23 @@ public:
 
     bool has_prop(LocalId r) const { return !rows_[r].prop.cols.empty(); }
     bool has_send(LocalId r) const { return !rows_[r].send.cols.empty(); }
+
+    /// Pending (not yet drained) prop / send columns of row r, in mark order.
+    std::span<const VertexId> pending_prop(LocalId r) const {
+        AA_ASSERT(r < rows_.size());
+        return rows_[r].prop.cols;
+    }
+    std::span<const VertexId> pending_send(LocalId r) const {
+        AA_ASSERT(r < rows_.size());
+        return rows_[r].send.cols;
+    }
+
+    /// Re-mark row r's pending columns in the given order (checkpoint
+    /// restore; the row's sets must be empty). Returns false, with the sets
+    /// in an unspecified state, if a column is out of range or repeats
+    /// within one set.
+    bool restore_pending(LocalId r, std::span<const VertexId> prop,
+                         std::span<const VertexId> send);
 
     /// Any row with unsent changes?
     bool any_send_pending() const;

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <istream>
-#include <iterator>
-#include <ostream>
 
 #include "common/assert.hpp"
 #include "core/ia.hpp"
@@ -769,120 +765,6 @@ ClosenessScores AnytimeEngine::compute_closeness_distributed() {
     }
     cluster_->barrier();
     return scores;
-}
-
-namespace {
-constexpr std::uint64_t kCheckpointMagic = 0xAA00C4EC4901DEAD;
-}  // namespace
-
-void AnytimeEngine::save_checkpoint(std::ostream& out) const {
-    AA_ASSERT_MSG(initialized_, "nothing to checkpoint before initialize()");
-    Serializer s;
-    s.write(kCheckpointMagic);
-    s.write(static_cast<std::uint64_t>(cluster_->num_ranks()));
-    s.write(static_cast<std::uint64_t>(graph_.num_vertices()));
-    const auto edges = graph_.edges();
-    s.write(static_cast<std::uint64_t>(edges.size()));
-    for (const Edge& e : edges) {
-        s.write(e.u);
-        s.write(e.v);
-        s.write(e.weight);
-    }
-    // Ownership travels as the two-level shard tables so a migrated
-    // assignment (which no flat from_partition construction reproduces)
-    // restores exactly.
-    s.write_span(std::span<const ShardId>(ownership_.shard_of()));
-    s.write_span(std::span<const RankId>(ownership_.shard_map()));
-    s.write(ownership_.shards_per_rank());
-    s.write(static_cast<std::uint64_t>(rc_steps_));
-    s.write(sim_seconds());
-    // Rows in ascending global-vertex order, full width.
-    for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
-        const RankState& state = ranks_[ownership_.owner(v)];
-        s.write_span(state.store.row(state.sg.local_id(v)));
-    }
-    const auto buffer = s.take();
-    out.write(reinterpret_cast<const char*>(buffer.data()),
-              static_cast<std::streamsize>(buffer.size()));
-    AA_ASSERT_MSG(out.good(), "checkpoint write failed");
-}
-
-AnytimeEngine AnytimeEngine::load_checkpoint(std::istream& in, EngineConfig config) {
-    std::vector<std::byte> buffer;
-    {
-        std::vector<char> raw((std::istreambuf_iterator<char>(in)),
-                              std::istreambuf_iterator<char>());
-        buffer.resize(raw.size());
-        std::memcpy(buffer.data(), raw.data(), raw.size());
-    }
-    Deserializer d(buffer);
-    AA_ASSERT_MSG(d.read<std::uint64_t>() == kCheckpointMagic,
-                  "not an anytime-anywhere checkpoint");
-    const auto ranks = static_cast<std::uint32_t>(d.read<std::uint64_t>());
-    AA_ASSERT_MSG(ranks == config.num_ranks,
-                  "checkpoint was taken with a different rank count");
-    const auto n = static_cast<std::size_t>(d.read<std::uint64_t>());
-    const auto m = static_cast<std::size_t>(d.read<std::uint64_t>());
-
-    DynamicGraph graph(n);
-    for (std::size_t i = 0; i < m; ++i) {
-        const auto u = d.read<VertexId>();
-        const auto v = d.read<VertexId>();
-        const auto w = d.read<Weight>();
-        graph.add_edge(u, v, w);
-    }
-    auto shard_of = d.read_vector<ShardId>();
-    AA_ASSERT(shard_of.size() == n);
-    auto shard_map = d.read_vector<RankId>();
-    for (const RankId r : shard_map) {
-        // Rank state is indexed by these entries (owner resolution).
-        AA_ASSERT_MSG(r < ranks, "checkpoint shard map names an unknown rank");
-    }
-    const auto shards_per_rank = d.read<std::uint32_t>();
-    const auto rc_steps = static_cast<std::size_t>(d.read<std::uint64_t>());
-    const auto sim_time = d.read<double>();
-
-    AnytimeEngine engine(std::move(graph), config);
-    engine.initialized_ = true;
-    engine.rc_steps_ = rc_steps;
-    engine.ownership_ = ShardOwnership(std::move(shard_of), std::move(shard_map),
-                                       shards_per_rank);
-
-    // Rebuild rank state from the checkpointed ownership (no DD re-run).
-    engine.build_rank_states();
-    for (VertexId v = 0; v < n; ++v) {
-        auto values = d.read_vector<Weight>();
-        AA_ASSERT(values.size() == n);
-        // Relaxation only ever lowers a value, so a corrupt entry below the
-        // true distance would survive every later RC step: reject it here.
-        AA_ASSERT_MSG(values[v] == 0, "checkpoint row has a non-zero diagonal");
-        for (const Weight value : values) {
-            AA_ASSERT_MSG(value >= 0, "checkpoint holds a negative or NaN distance");
-        }
-        RankState& state = engine.ranks_[engine.ownership_.owner(v)];
-        state.store.install_row(state.sg.local_id(v), std::move(values));
-    }
-    AA_ASSERT_MSG(d.exhausted(), "trailing bytes in checkpoint");
-    // The wavefront certificate is not checkpointed: after a restore only
-    // the (exact) diagonal is trusted until one full RC step re-establishes
-    // the intra-rank base case.
-    engine.wavefront_k_ = -1;
-    engine.refresh_weight_extremes();
-    engine.demand_->resize(n);
-
-    // Pending worklist marks are not checkpointed; re-establish consistency
-    // conservatively (one full sweep, like Repartition-S after migration).
-    for (RankId r = 0; r < ranks; ++r) {
-        RankState& state = engine.ranks_[r];
-        for (LocalId l = 0; l < state.sg.num_local(); ++l) {
-            state.store.mark_row_for_prop(l);
-            if (state.sg.is_boundary(l)) {
-                state.store.mark_row_for_send(l);
-            }
-        }
-    }
-    engine.cluster_->fast_forward(sim_time);
-    return engine;
 }
 
 }  // namespace aa

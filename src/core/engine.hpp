@@ -26,6 +26,7 @@
 #include <iosfwd>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -168,6 +169,14 @@ struct EngineConfig {
     /// Auto-migration: max/mean per-rank load (EWMA of measured relax ops)
     /// that must be exceeded before a move is planned.
     double migrate_imbalance_threshold{1.25};
+};
+
+/// Thrown by load_checkpoint on any malformed, corrupt, truncated or
+/// mismatched checkpoint (and by save_checkpoint when the stream fails). The
+/// message names what was rejected; a checkpoint is never loaded partially.
+class CheckpointError : public std::runtime_error {
+public:
+    using std::runtime_error::runtime_error;
 };
 
 /// Counters describing one engine lifetime; used by benchmarks and reports.
@@ -405,11 +414,11 @@ public:
     /// rows order ahead of plain heat. Out-of-range ids are ignored.
     void set_refine_focus(const std::vector<VertexId>& focus);
 
-    /// Completed RC steps since the last structural base case (-1 right
-    /// after a checkpoint restore) — the k of the wavefront settledness
-    /// certificate in refine/bounds.hpp. Budgeted steps (refine_budget_ops
-    /// > 0) do not advance it: they may stop short of the local fixpoint the
-    /// certificate's induction needs.
+    /// Completed RC steps since the last structural base case (-1 before
+    /// initialize(); a checkpoint restore keeps the saved value) — the k of
+    /// the wavefront settledness certificate in refine/bounds.hpp. Budgeted
+    /// steps (refine_budget_ops > 0) do not advance it: they may stop short
+    /// of the local fixpoint the certificate's induction needs.
     std::int64_t wavefront_steps() const { return wavefront_k_; }
 
     /// The engine-side inputs of the closeness interval math, captured from
@@ -460,16 +469,28 @@ public:
 
     // ---- checkpointing ------------------------------------------------------
 
-    /// Serialize the full analysis state (graph, ownership, distance rows,
-    /// progress counters, simulated clock) — the anytime property turned
-    /// into persistence: an interrupted analysis can resume later or on
-    /// another machine.
+    /// Serialize the full algorithmic state — graph, shard tables, each
+    /// rank's local layout (row order and adjacency order), distance rows,
+    /// pending prop/send marks in mark order, in-flight boundary messages,
+    /// per-rank simulated clocks, the step and wavefront counters and the
+    /// engine RNG — as checkpoint format v2 (see ARCHITECTURE.md,
+    /// "Checkpoints"). Every section is streamed straight to `out` and sealed
+    /// with a CRC32C. The anytime property turned into persistence: an
+    /// interrupted analysis can resume later or on another machine. Throws
+    /// CheckpointError if the stream fails or a message other than a
+    /// boundary-DV update is in flight.
     void save_checkpoint(std::ostream& out) const;
 
-    /// Rebuild an engine from a checkpoint. The restored engine owes one
-    /// consistency sweep (pending worklist marks are not part of the
-    /// checkpoint), which is re-established conservatively; resuming RC
-    /// steps continues exactly where the saved analysis left off.
+    /// Rebuild an engine from a v2 checkpoint, exactly: the restored engine
+    /// continues the saved schedule step for step — a quiescent save loads
+    /// quiescent and takes zero RC steps, a mid-RC save finishes with the
+    /// same distances, ops and sim_seconds() as the uninterrupted engine.
+    /// Run history (step history, telemetry, query heat, migration-planner
+    /// load) starts empty. `in` must be seekable (its size bounds every
+    /// length before anything is allocated). Throws CheckpointError naming
+    /// the defect on bad magic or version, a config mismatch (rank count,
+    /// shards_per_rank, closeness variant, wire format), a CRC failure, a
+    /// truncation, any semantically invalid value, or trailing bytes.
     static AnytimeEngine load_checkpoint(std::istream& in, EngineConfig config);
 
 private:

@@ -126,79 +126,158 @@ void encode_v2_block(Serializer& out, VertexId vertex, std::span<const VertexId>
     out.write_bytes(std::as_bytes(dists));
 }
 
+/// Structural parse result of a boundary payload: nullptr on success, else
+/// the greppable failure message (see rc.hpp). The decoders for in-process
+/// payloads assert on it; boundary_payload_error() hands it to the caller.
+using ParseError = const char*;
+
+#define AA_PARSE_CHECK(cond, message) \
+    do {                              \
+        if (!(cond)) {                \
+            return (message);         \
+        }                             \
+    } while (0)
+#define AA_PARSE_TRY(expr)                      \
+    do {                                        \
+        if (const ParseError error_ = (expr)) { \
+            return error_;                      \
+        }                                       \
+    } while (0)
+
 /// Decode the column section of one v2 block into `out` (appending exactly
-/// `count` strictly ascending columns) and advance `cursor` past it. All
-/// structural failure modes assert with greppable messages (see rc.hpp).
-void decode_v2_columns(std::span<const std::byte> payload, std::size_t& cursor,
-                       std::uint32_t count, std::uint8_t encoding,
-                       std::vector<VertexId>& out) {
+/// `count` strictly ascending columns) and advance `cursor` past it.
+ParseError decode_v2_columns(std::span<const std::byte> payload, std::size_t& cursor,
+                             std::uint32_t count, std::uint8_t encoding,
+                             std::vector<VertexId>& out) {
+    std::uint32_t value = 0;
     if (encoding == kColDeltaVarint) {
-        std::uint64_t col = read_varint_u32(payload, cursor);
+        AA_PARSE_TRY(try_read_varint_u32(payload, cursor, value));
+        std::uint64_t col = value;
         out.push_back(static_cast<VertexId>(col));
         for (std::uint32_t i = 1; i < count; ++i) {
-            const std::uint32_t delta = read_varint_u32(payload, cursor);
-            AA_ASSERT_MSG(delta >= 1, "boundary block non-monotone column delta");
-            col += delta;
-            AA_ASSERT_MSG(col <= std::numeric_limits<VertexId>::max(),
-                          "boundary block column overflow");
+            AA_PARSE_TRY(try_read_varint_u32(payload, cursor, value));
+            AA_PARSE_CHECK(value >= 1, "boundary block non-monotone column delta");
+            col += value;
+            AA_PARSE_CHECK(col <= std::numeric_limits<VertexId>::max(),
+                           "boundary block column overflow");
             out.push_back(static_cast<VertexId>(col));
         }
-    } else {
-        const std::uint32_t num_runs = read_varint_u32(payload, cursor);
-        AA_ASSERT_MSG(num_runs >= 1 && num_runs <= count,
-                      "boundary block run count invalid");
-        std::uint64_t produced = 0;
-        std::uint64_t prev_end = 0;
-        for (std::uint32_t r = 0; r < num_runs; ++r) {
-            const std::uint32_t gap = read_varint_u32(payload, cursor);
-            std::uint64_t start;
-            if (r == 0) {
-                start = gap;
-            } else {
-                AA_ASSERT_MSG(gap >= 1, "boundary block non-monotone column delta");
-                start = prev_end + gap;
-            }
-            const std::uint64_t len =
-                static_cast<std::uint64_t>(read_varint_u32(payload, cursor)) + 1;
-            AA_ASSERT_MSG(produced + len <= count,
-                          "boundary block run length mismatch");
-            const std::uint64_t end = start + len - 1;
-            AA_ASSERT_MSG(end <= std::numeric_limits<VertexId>::max(),
-                          "boundary block column overflow");
-            for (std::uint64_t c = start; c <= end; ++c) {
-                out.push_back(static_cast<VertexId>(c));
-            }
-            produced += len;
-            prev_end = end;
-        }
-        AA_ASSERT_MSG(produced == count, "boundary block run length mismatch");
+        return nullptr;
     }
+    AA_PARSE_TRY(try_read_varint_u32(payload, cursor, value));
+    const std::uint32_t num_runs = value;
+    AA_PARSE_CHECK(num_runs >= 1 && num_runs <= count,
+                   "boundary block run count invalid");
+    std::uint64_t produced = 0;
+    std::uint64_t prev_end = 0;
+    for (std::uint32_t r = 0; r < num_runs; ++r) {
+        AA_PARSE_TRY(try_read_varint_u32(payload, cursor, value));
+        std::uint64_t start = value;
+        if (r != 0) {
+            AA_PARSE_CHECK(value >= 1, "boundary block non-monotone column delta");
+            start = prev_end + value;
+        }
+        AA_PARSE_TRY(try_read_varint_u32(payload, cursor, value));
+        const std::uint64_t len = static_cast<std::uint64_t>(value) + 1;
+        AA_PARSE_CHECK(produced + len <= count, "boundary block run length mismatch");
+        const std::uint64_t end = start + len - 1;
+        AA_PARSE_CHECK(end <= std::numeric_limits<VertexId>::max(),
+                       "boundary block column overflow");
+        for (std::uint64_t c = start; c <= end; ++c) {
+            out.push_back(static_cast<VertexId>(c));
+        }
+        produced += len;
+        prev_end = end;
+    }
+    AA_PARSE_CHECK(produced == count, "boundary block run length mismatch");
+    return nullptr;
 }
 
 /// Shared v1 validation pass: walk the block headers and check every
 /// declared entry count against the remaining payload *before* anything is
 /// allocated, so a malformed (or hostile) length prefix cannot trigger a
-/// huge allocation. Returns the number of blocks.
-std::size_t validate_boundary_payload_v1(std::span<const std::byte> payload) {
+/// huge allocation. Counts the blocks into `block_count`.
+ParseError walk_v1_blocks(std::span<const std::byte> payload, std::size_t& block_count) {
     constexpr std::size_t kHeaderBytes = sizeof(VertexId) + sizeof(std::uint64_t);
     std::size_t cursor = 0;
-    std::size_t block_count = 0;
+    block_count = 0;
     while (cursor < payload.size()) {
-        AA_ASSERT_MSG(payload.size() - cursor >= kHeaderBytes,
-                      "boundary block header truncated");
+        AA_PARSE_CHECK(payload.size() - cursor >= kHeaderBytes,
+                       "boundary block header truncated");
         std::uint64_t declared = 0;
         std::memcpy(&declared, payload.data() + cursor + sizeof(VertexId),
                     sizeof(declared));
         cursor += kHeaderBytes;
         // Division keeps the comparison overflow-safe even for declared
         // counts near 2^64.
-        AA_ASSERT_MSG(declared <= (payload.size() - cursor) / sizeof(DvEntry),
-                      "boundary block entry count exceeds payload");
+        AA_PARSE_CHECK(declared <= (payload.size() - cursor) / sizeof(DvEntry),
+                       "boundary block entry count exceeds payload");
         cursor += static_cast<std::size_t>(declared) * sizeof(DvEntry);
         ++block_count;
     }
+    return nullptr;
+}
+
+std::size_t validate_boundary_payload_v1(std::span<const std::byte> payload) {
+    std::size_t block_count = 0;
+    const ParseError error = walk_v1_blocks(payload, block_count);
+    AA_ASSERT_MSG(error == nullptr, error);
     return block_count;
 }
+
+/// One parsed v2 block, as offsets: the column arena may still reallocate
+/// while blocks stream in, so spans are formed only once the walk is done.
+struct RawSoaBlock {
+    VertexId vertex;
+    std::size_t col_start;
+    std::uint32_t count;
+    std::size_t dist_offset;
+};
+
+/// The v2 structural walk. Any hostile count is bounded before columns are
+/// materialized: `count` entries need count * 8 distance bytes later in the
+/// payload, so a block can never append more than remaining/8 columns before
+/// the exact check below rejects it — total allocation stays O(payload size).
+ParseError walk_v2_blocks(std::span<const std::byte> payload,
+                          std::vector<VertexId>& column_arena,
+                          std::vector<RawSoaBlock>& raw) {
+    column_arena.clear();
+    std::size_t cursor = 0;
+    while (cursor < payload.size()) {
+        AA_PARSE_CHECK(payload.size() - cursor >= sizeof(VertexId),
+                       "boundary block header truncated");
+        VertexId vertex;
+        std::memcpy(&vertex, payload.data() + cursor, sizeof(vertex));
+        cursor += sizeof(vertex);
+        std::uint32_t count = 0;
+        AA_PARSE_TRY(try_read_varint_u32(payload, cursor, count));
+        AA_PARSE_CHECK(count <= (payload.size() - cursor) / sizeof(Weight),
+                       "boundary block entry count exceeds payload");
+        AA_PARSE_CHECK(cursor < payload.size(), "boundary block header truncated");
+        const auto encoding = static_cast<std::uint8_t>(payload[cursor++]);
+        AA_PARSE_CHECK(encoding == kColDeltaVarint || encoding == kColRunLength,
+                       "boundary block unknown column encoding");
+        const std::size_t col_start = column_arena.size();
+        if (count > 0) {
+            AA_PARSE_TRY(
+                decode_v2_columns(payload, cursor, count, encoding, column_arena));
+        }
+        while ((cursor & (sizeof(Weight) - 1)) != 0) {
+            AA_PARSE_CHECK(cursor < payload.size(), "boundary block padding truncated");
+            AA_PARSE_CHECK(payload[cursor] == std::byte{0},
+                           "boundary block padding corrupt");
+            ++cursor;
+        }
+        AA_PARSE_CHECK(count <= (payload.size() - cursor) / sizeof(Weight),
+                       "boundary block entry count exceeds payload");
+        raw.push_back({vertex, col_start, count, cursor});
+        cursor += static_cast<std::size_t>(count) * sizeof(Weight);
+    }
+    return nullptr;
+}
+
+#undef AA_PARSE_TRY
+#undef AA_PARSE_CHECK
 
 }  // namespace
 
@@ -254,52 +333,12 @@ std::vector<BoundaryBlock> decode_boundary_blocks(std::span<const std::byte> pay
 
 std::vector<BoundaryBlockSoaView> decode_boundary_block_soa_views(
     std::span<const std::byte> payload, std::vector<VertexId>& column_arena) {
-    column_arena.clear();
-    // The arena may still reallocate while blocks stream in, so record index
-    // ranges first and convert them to spans only once the walk is done. Any
-    // hostile count is bounded before columns are materialized: `count`
-    // entries need count * 8 distance bytes later in the payload, so a block
-    // can never append more than remaining/8 columns before the exact check
-    // below rejects it — total allocation stays O(payload size).
-    struct RawBlock {
-        VertexId vertex;
-        std::size_t col_start;
-        std::uint32_t count;
-        std::size_t dist_offset;
-    };
-    std::vector<RawBlock> raw;
-    std::size_t cursor = 0;
-    while (cursor < payload.size()) {
-        AA_ASSERT_MSG(payload.size() - cursor >= sizeof(VertexId),
-                      "boundary block header truncated");
-        VertexId vertex;
-        std::memcpy(&vertex, payload.data() + cursor, sizeof(vertex));
-        cursor += sizeof(vertex);
-        const std::uint32_t count = read_varint_u32(payload, cursor);
-        AA_ASSERT_MSG(count <= (payload.size() - cursor) / sizeof(Weight),
-                      "boundary block entry count exceeds payload");
-        AA_ASSERT_MSG(cursor < payload.size(), "boundary block header truncated");
-        const auto encoding = static_cast<std::uint8_t>(payload[cursor++]);
-        AA_ASSERT_MSG(encoding == kColDeltaVarint || encoding == kColRunLength,
-                      "boundary block unknown column encoding");
-        const std::size_t col_start = column_arena.size();
-        if (count > 0) {
-            decode_v2_columns(payload, cursor, count, encoding, column_arena);
-        }
-        while ((cursor & (sizeof(Weight) - 1)) != 0) {
-            AA_ASSERT_MSG(cursor < payload.size(), "boundary block padding truncated");
-            AA_ASSERT_MSG(payload[cursor] == std::byte{0},
-                          "boundary block padding corrupt");
-            ++cursor;
-        }
-        AA_ASSERT_MSG(count <= (payload.size() - cursor) / sizeof(Weight),
-                      "boundary block entry count exceeds payload");
-        raw.push_back({vertex, col_start, count, cursor});
-        cursor += static_cast<std::size_t>(count) * sizeof(Weight);
-    }
+    std::vector<RawSoaBlock> raw;
+    const ParseError error = walk_v2_blocks(payload, column_arena, raw);
+    AA_ASSERT_MSG(error == nullptr, error);
     std::vector<BoundaryBlockSoaView> views;
     views.reserve(raw.size());
-    for (const RawBlock& block : raw) {
+    for (const RawSoaBlock& block : raw) {
         const std::byte* dist_bytes = payload.data() + block.dist_offset;
         // In-place f64 view: the encoder's 8-byte block quantum plus the
         // allocator's >= 8-byte base alignment make this cast safe; asserted
@@ -332,6 +371,64 @@ std::vector<BoundaryBlockView> decode_boundary_block_views(
         blocks.push_back(block);
     }
     return blocks;
+}
+
+const char* boundary_payload_error(std::span<const std::byte> payload,
+                                   BoundaryWireFormat format, std::size_t num_columns) {
+    const auto bad_distance = [](Weight d) { return !(d >= 0); };  // NaN fails too
+    if (format == BoundaryWireFormat::V2Soa) {
+        std::vector<VertexId> arena;
+        std::vector<RawSoaBlock> raw;
+        if (const ParseError error = walk_v2_blocks(payload, arena, raw)) {
+            return error;
+        }
+        for (const RawSoaBlock& block : raw) {
+            if (block.vertex >= num_columns) {
+                return "boundary block vertex out of range";
+            }
+            // Columns are strictly ascending, so the last one bounds them all.
+            if (block.count > 0 &&
+                arena[block.col_start + block.count - 1] >= num_columns) {
+                return "boundary block column out of range";
+            }
+            for (std::uint32_t i = 0; i < block.count; ++i) {
+                Weight d;
+                std::memcpy(&d, payload.data() + block.dist_offset + i * sizeof(Weight),
+                            sizeof(d));
+                if (bad_distance(d)) {
+                    return "boundary block distance negative or NaN";
+                }
+            }
+        }
+        return nullptr;
+    }
+    std::size_t block_count = 0;
+    if (const ParseError error = walk_v1_blocks(payload, block_count)) {
+        return error;
+    }
+    std::size_t cursor = 0;
+    while (cursor < payload.size()) {
+        VertexId vertex;
+        std::uint64_t count = 0;
+        std::memcpy(&vertex, payload.data() + cursor, sizeof(vertex));
+        std::memcpy(&count, payload.data() + cursor + sizeof(vertex), sizeof(count));
+        cursor += sizeof(vertex) + sizeof(count);
+        if (vertex >= num_columns) {
+            return "boundary block vertex out of range";
+        }
+        const DvEntrySpan entries(payload.data() + cursor,
+                                  static_cast<std::size_t>(count));
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+            if (entries[i].column >= num_columns) {
+                return "boundary block column out of range";
+            }
+            if (bad_distance(entries[i].distance)) {
+                return "boundary block distance negative or NaN";
+            }
+        }
+        cursor += entries.size() * sizeof(DvEntry);
+    }
+    return nullptr;
 }
 
 double rc_post_boundary_updates(const LocalSubgraph& sg, DistanceStore& store,

@@ -281,4 +281,12 @@ struct BoundaryBlockSoaView {
 std::vector<BoundaryBlockSoaView> decode_boundary_block_soa_views(
     std::span<const std::byte> payload, std::vector<VertexId>& column_arena);
 
+/// Non-aborting check of a boundary-update payload that comes from outside
+/// the process (a checkpoint's in-flight messages): the decoders' structural
+/// validation, plus every block vertex and column below `num_columns` and
+/// every distance >= 0 or +inf. Returns nullptr if the RC ingest kernel can
+/// consume the payload, else the failure message.
+const char* boundary_payload_error(std::span<const std::byte> payload,
+                                   BoundaryWireFormat format, std::size_t num_columns);
+
 }  // namespace aa

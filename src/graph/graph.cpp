@@ -18,6 +18,18 @@ DynamicGraph DynamicGraph::from_edges(std::span<const Edge> edges, std::size_t n
     return g;
 }
 
+DynamicGraph DynamicGraph::from_adjacency(std::vector<std::vector<Neighbor>> adjacency) {
+    DynamicGraph g;
+    g.adjacency_ = std::move(adjacency);
+    std::size_t entries = 0;
+    for (const auto& list : g.adjacency_) {
+        entries += list.size();
+    }
+    AA_ASSERT_MSG(entries % 2 == 0, "adjacency lists are not symmetric");
+    g.num_edges_ = entries / 2;
+    return g;
+}
+
 VertexId DynamicGraph::add_vertex() {
     adjacency_.emplace_back();
     return static_cast<VertexId>(adjacency_.size() - 1);

@@ -42,6 +42,13 @@ public:
     std::size_t num_vertices() const { return adjacency_.size(); }
     std::size_t num_edges() const { return num_edges_; }
 
+    /// Construct from per-vertex adjacency lists, keeping each list's order
+    /// (checkpoint restore: the order decides later traversals). The lists
+    /// must describe a simple undirected graph — every {u, v} listed once
+    /// under u and once under v with the same finite positive weight, no
+    /// self-loops — which the caller has validated.
+    static DynamicGraph from_adjacency(std::vector<std::vector<Neighbor>> adjacency);
+
     /// Append a new isolated vertex; returns its id.
     VertexId add_vertex();
 

@@ -13,8 +13,9 @@
 //     d̂(v, t) <= k * w_min   =>   d̂(v, t) = d(v, t)  (exact)
 //
 // (k = the engine's wavefront counter, reset to 0 by every structural
-// update path after its local re-settlement, -1 right after a checkpoint
-// restore when only the diagonal is trusted; w_min = the smallest edge
+// update path after its local re-settlement, -1 before the engine is
+// initialized, when only the diagonal is trusted; a checkpoint restore
+// keeps the saved k; w_min = the smallest edge
 // weight in the live graph.) Entries that are still +inf are *unknown*: the
 // true distance is anywhere in [max(1, k) * w_min, +inf]. Finite but
 // unsettled entries are certainly reachable (the estimate is a witness
@@ -74,7 +75,7 @@ struct BoundsParams {
     Weight w_min{kInfinity};
     Weight w_max{0};
     /// Completed RC steps since the last structural base case; -1 = only the
-    /// diagonal is trusted (fresh checkpoint restore).
+    /// diagonal is trusted (no base case established yet).
     std::int64_t wavefront_k{-1};
     /// Quiescent engines are converged: intervals collapse to the exact
     /// score and +inf entries are certified unreachable.

@@ -18,13 +18,15 @@
 //     totals are derived from the per-rank sent counters when stats() is
 //     read, not accumulated at post time.
 //   * driver-only entry points — exchange(), broadcast(), barrier(),
-//     fast_forward(), reset(), has_pending_messages(), time()/max_time(),
+//     restore_clocks(), mailboxes(), restore_message(), reset(),
+//     has_pending_messages(), time()/max_time(),
 //     rank_stats()/stats() and set_metrics() must run on the driver thread
 //     while no rank closure is in flight (between the backend's barriers).
 // ExecutionBackend::run_ranks provides the happens-before edges at both ends.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "runtime/alltoall.hpp"
@@ -131,9 +133,21 @@ public:
     /// Synchronize all clocks to the maximum. Returns the barrier time.
     double barrier();
 
-    /// Jump every clock forward to at least `t` (checkpoint restore: the
-    /// resumed analysis continues from the saved simulated time).
-    void fast_forward(double t);
+    /// Set every rank's clock to the saved value (checkpoint restore: the
+    /// resumed analysis continues from the saved per-rank simulated times).
+    /// Mailboxes and accounting are left untouched.
+    void restore_clocks(std::span<const double> times);
+
+    /// The outboxes (posted, not yet exchanged) and inboxes (delivered, not
+    /// yet received) — what a checkpoint persists as in-flight traffic.
+    const MailboxSystem& mailboxes() const { return mailboxes_; }
+
+    /// Put a checkpointed in-flight message back into its outbox or (if
+    /// `delivered`) its inbox, without touching the traffic accounting: the
+    /// send was already counted by the engine that saved it.
+    void restore_message(Message message, bool delivered) {
+        mailboxes_.restore(std::move(message), delivered);
+    }
 
     double time(RankId r) const;
     double max_time() const;

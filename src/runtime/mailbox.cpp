@@ -83,4 +83,19 @@ const std::vector<Message>& MailboxSystem::peek_outbox(RankId r) const {
     return outboxes_[r];
 }
 
+const std::vector<Message>& MailboxSystem::peek_inbox(RankId r) const {
+    AA_ASSERT(r < num_ranks());
+    return inboxes_[r];
+}
+
+void MailboxSystem::restore(Message message, bool delivered) {
+    if (!delivered) {
+        post(std::move(message));
+        return;
+    }
+    AA_ASSERT(message.from < num_ranks() && message.to < num_ranks());
+    AA_ASSERT_MSG(message.from != message.to, "self-sends are a logic error");
+    inboxes_[message.to].push_back(std::move(message));
+}
+
 }  // namespace aa

@@ -6,8 +6,8 @@
 // Concurrency contract: post(message) touches only outboxes_[message.from]
 // and take_inbox(r) only inboxes_[r], so distinct ranks may post/drain
 // concurrently (the ThreadedBackend compute phase). Everything that crosses
-// boxes — deliver / deliver_all / has_pending / peek_outbox — is driver-only
-// and must not overlap any rank-side call.
+// boxes — deliver / deliver_all / has_pending / peek_* / restore — is
+// driver-only and must not overlap any rank-side call.
 #pragma once
 
 #include <vector>
@@ -52,6 +52,11 @@ public:
     std::vector<Message> take_inbox(RankId r);
 
     const std::vector<Message>& peek_outbox(RankId r) const;
+    const std::vector<Message>& peek_inbox(RankId r) const;
+
+    /// Put a checkpointed message back where it was: appended to its
+    /// sender's outbox, or (`delivered`) to its receiver's inbox. Driver-only.
+    void restore(Message message, bool delivered);
 
 private:
     std::vector<std::vector<Message>> outboxes_;

@@ -168,26 +168,39 @@ private:
     std::size_t cursor_{0};
 };
 
-/// Decode one LEB128 varint that must fit a u32, advancing `cursor`.
-/// Structural validation is part of the contract: a continuation bit set at
-/// the end of the payload ("varint truncated") or an encoding of five bytes
-/// whose final byte spills past 32 bits ("varint overlong") dies on the
-/// AA_ASSERT check — a hostile payload can never make the decoder read past
-/// `data` or return a silently wrapped value.
+/// Decode one LEB128 varint that must fit a u32 into `value`, advancing
+/// `cursor`. Returns nullptr on success, else what is wrong: a continuation
+/// bit set at the end of the payload ("varint truncated") or an encoding of
+/// five bytes whose final byte spills past 32 bits ("varint overlong"). A
+/// hostile payload can never make the decoder read past `data` or return a
+/// silently wrapped value.
+inline const char* try_read_varint_u32(std::span<const std::byte> data,
+                                       std::size_t& cursor, std::uint32_t& value) {
+    value = 0;
+    for (unsigned shift = 0; shift < 35; shift += 7) {
+        if (cursor >= data.size()) {
+            return "varint truncated";
+        }
+        const auto byte = static_cast<std::uint8_t>(data[cursor++]);
+        if (shift == 28 && (byte & 0xF0) != 0) {
+            return "varint overlong";
+        }
+        value |= static_cast<std::uint32_t>(byte & 0x7F) << shift;
+        if ((byte & 0x80) == 0) {
+            return nullptr;
+        }
+    }
+    return "varint overlong";
+}
+
+/// try_read_varint_u32 for trusted (in-process) payloads: a malformed
+/// varint dies on the AA_ASSERT contract check with the same message.
 inline std::uint32_t read_varint_u32(std::span<const std::byte> data,
                                      std::size_t& cursor) {
     std::uint32_t value = 0;
-    for (unsigned shift = 0; shift < 35; shift += 7) {
-        AA_ASSERT_MSG(cursor < data.size(), "varint truncated");
-        const auto byte = static_cast<std::uint8_t>(data[cursor++]);
-        AA_ASSERT_MSG(shift != 28 || (byte & 0xF0) == 0, "varint overlong");
-        value |= static_cast<std::uint32_t>(byte & 0x7F) << shift;
-        if ((byte & 0x80) == 0) {
-            return value;
-        }
-    }
-    AA_ASSERT_MSG(false, "varint overlong");
-    return 0;  // unreachable
+    const char* error = try_read_varint_u32(data, cursor, value);
+    AA_ASSERT_MSG(error == nullptr, error);
+    return value;
 }
 
 /// Wire size of a value under the LEB128 encoding above.

@@ -4,10 +4,13 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/crc32c.hpp"
 #include "core/baseline.hpp"
 #include "core/closeness.hpp"
 #include "core/engine.hpp"
+#include "core/rc.hpp"
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
 
@@ -22,31 +25,76 @@ EngineConfig small_config(std::uint32_t ranks) {
     return config;
 }
 
+std::span<const std::byte> as_bytes(const std::string& s) {
+    return std::as_bytes(std::span<const char>(s.data(), s.size()));
+}
+
+TEST(Crc32c, StandardCheckVector) {
+    EXPECT_EQ(crc32c(as_bytes("123456789")), 0xE3069283u);
+    EXPECT_EQ(crc32c_portable(as_bytes("123456789")), 0xE3069283u);
+    EXPECT_EQ(crc32c({}), 0u);
+}
+
+TEST(Crc32c, IncrementalMatchesOneShotOnEveryPath) {
+    std::string data;
+    for (int i = 0; i < 1000; ++i) {
+        data.push_back(static_cast<char>(i * 37 + 11));
+    }
+    const std::uint32_t whole = crc32c_portable(as_bytes(data));
+    EXPECT_EQ(crc32c(as_bytes(data)), whole);
+    for (const std::size_t split : {0, 1, 7, 8, 9, 500, 999, 1000}) {
+        const std::string a = data.substr(0, split);
+        const std::string b = data.substr(split);
+        EXPECT_EQ(crc32c(as_bytes(b), crc32c(as_bytes(a))), whole) << split;
+        EXPECT_EQ(crc32c_portable(as_bytes(b), crc32c_portable(as_bytes(a))), whole)
+            << split;
+    }
+}
+
+std::string save(const AnytimeEngine& engine) {
+    std::stringstream blob;
+    engine.save_checkpoint(blob);
+    return blob.str();
+}
+
+AnytimeEngine load(const std::string& bytes, const EngineConfig& config) {
+    std::stringstream blob(bytes);
+    return AnytimeEngine::load_checkpoint(blob, config);
+}
+
+/// load() must throw a CheckpointError whose message contains `needle`.
+void expect_rejected(const std::string& bytes, const EngineConfig& config,
+                     const std::string& needle) {
+    try {
+        (void)load(bytes, config);
+        ADD_FAILURE() << "checkpoint loaded; expected a rejection naming '" << needle
+                      << "'";
+    } catch (const CheckpointError& e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << "message: " << e.what();
+    }
+}
+
 TEST(Checkpoint, RoundTripAtQuiescence) {
     Rng rng(1);
     const auto g = barabasi_albert(60, 2, rng);
     AnytimeEngine engine(g, small_config(4));
     engine.initialize();
     engine.run_to_quiescence();
-    const double saved_time = engine.sim_seconds();
-    const auto saved_matrix = engine.full_distance_matrix();
+    ASSERT_TRUE(engine.quiescent());
 
-    std::stringstream blob;
-    engine.save_checkpoint(blob);
-    auto restored = AnytimeEngine::load_checkpoint(blob, small_config(4));
-
+    auto restored = load(save(engine), small_config(4));
     EXPECT_EQ(restored.num_vertices(), 60u);
+    // Exact restore: a quiescent save loads quiescent, owes no RC step, and
+    // keeps the saver's counters and clock.
+    EXPECT_TRUE(restored.quiescent());
     EXPECT_EQ(restored.rc_steps_completed(), engine.rc_steps_completed());
-    EXPECT_GE(restored.sim_seconds(), saved_time);
-    const auto matrix = restored.full_distance_matrix();
-    for (std::size_t v = 0; v < 60; ++v) {
-        for (std::size_t t = 0; t < 60; ++t) {
-            EXPECT_EQ(matrix[v][t], saved_matrix[v][t]);
-        }
-    }
-    // A restored quiescent state converges immediately (the conservative
-    // consistency sweep finds nothing new).
-    restored.run_to_quiescence();
+    EXPECT_EQ(restored.sim_seconds(), engine.sim_seconds());
+    EXPECT_FALSE(restored.rc_step());
+    EXPECT_EQ(restored.rc_steps_completed(), engine.rc_steps_completed());
+    EXPECT_EQ(restored.sim_seconds(), engine.sim_seconds());
+    EXPECT_EQ(restored.full_distance_matrix(), engine.full_distance_matrix());
+
     const auto exact = exact_apsp(g);
     const auto final_matrix = restored.full_distance_matrix();
     for (std::size_t v = 0; v < 60; ++v) {
@@ -59,18 +107,20 @@ TEST(Checkpoint, RoundTripAtQuiescence) {
 }
 
 TEST(Checkpoint, ResumeMidConvergence) {
-    // Interrupt after one RC step, checkpoint, restore, finish: must reach
-    // the exact answer.
+    // Interrupt after one RC step, checkpoint, restore, finish: the resumed
+    // run is the uninterrupted run, bit for bit.
     Rng rng(2);
     const auto g = erdos_renyi_gnm(50, 140, rng, WeightRange{1.0, 3.0});
     AnytimeEngine engine(g, small_config(3));
     engine.initialize();
     engine.run_rc_steps(1);
 
-    std::stringstream blob;
-    engine.save_checkpoint(blob);
-    auto restored = AnytimeEngine::load_checkpoint(blob, small_config(3));
+    auto restored = load(save(engine), small_config(3));
     restored.run_to_quiescence();
+    engine.run_to_quiescence();
+    EXPECT_EQ(restored.full_distance_matrix(), engine.full_distance_matrix());
+    EXPECT_EQ(restored.sim_seconds(), engine.sim_seconds());
+    EXPECT_EQ(restored.rc_steps_completed(), engine.rc_steps_completed());
 
     const auto exact = exact_apsp(g);
     const auto matrix = restored.full_distance_matrix();
@@ -92,9 +142,7 @@ TEST(Checkpoint, RestoredEngineAcceptsDynamicUpdates) {
     engine.initialize();
     engine.run_to_quiescence();
 
-    std::stringstream blob;
-    engine.save_checkpoint(blob);
-    auto restored = AnytimeEngine::load_checkpoint(blob, small_config(4));
+    auto restored = load(save(engine), small_config(4));
 
     GrowthConfig gc;
     gc.num_new = 10;
@@ -116,10 +164,152 @@ TEST(Checkpoint, RestoredEngineAcceptsDynamicUpdates) {
     }
 }
 
+// ---- exact resume --------------------------------------------------------
+//
+// One script of engine updates with three save points. At each, the engine
+// is saved and restored; the restored engine and the uninterrupted one then
+// both run to quiescence and must agree bit for bit: distances, the clock,
+// the step count, and every resumed step's ops and traffic. Both then absorb
+// the same further updates and must still agree.
+
+enum class SavePoint { MidRc, AfterAddition, AfterDeletion };
+
+/// Deliver a boundary block for `e.u`'s row to the owner of `e.v` outside the
+/// RC loop, so it sits in that rank's inbox (`deliver`) or the sender's
+/// outbox until the next step picks it up.
+void inject_boundary_block(AnytimeEngine& engine, bool deliver) {
+    for (const Edge& e : engine.graph().edges()) {
+        const RankId from = engine.shard_ownership().owner(e.u);
+        const RankId to = engine.shard_ownership().owner(e.v);
+        if (from == to) {
+            continue;
+        }
+        BoundaryBlock block{e.u, {}};
+        const std::vector<Weight> row = engine.distance_row(e.u);
+        for (VertexId c = 0; c < row.size(); ++c) {
+            if (row[c] < kInfinity) {
+                block.entries.push_back({c, row[c]});
+            }
+        }
+        const std::size_t entries = block.entries.size();
+        engine.cluster().send(from, to, MessageTag::BoundaryDvUpdate,
+                              encode_boundary_blocks({block}), entries);
+        if (deliver) {
+            engine.cluster().exchange();
+        }
+        return;
+    }
+    FAIL() << "no cut edge to inject a boundary block over";
+}
+
+AnytimeEngine drive_to(SavePoint point, const EngineConfig& config) {
+    Rng rng(21);
+    AnytimeEngine engine(barabasi_albert(60, 2, rng, WeightRange{1.0, 4.0}), config);
+    engine.initialize();
+    engine.run_rc_steps(2);
+    if (point == SavePoint::MidRc) {
+        return engine;
+    }
+    GrowthConfig gc;
+    gc.num_new = 6;
+    gc.communities = 2;
+    gc.weights = WeightRange{1.0, 4.0};
+    Rng batch_rng(22);
+    RoundRobinPS strategy;
+    engine.apply_addition(grow_batch(engine.num_vertices(), gc, batch_rng), strategy);
+    // An undelivered inbox: the next step ingests it ahead of its own traffic.
+    inject_boundary_block(engine, true);
+    if (point == SavePoint::AfterAddition) {
+        return engine;
+    }
+    engine.rc_step();
+    const std::vector<Edge> edges = engine.graph().edges();
+    ShrinkBatch shrink;
+    shrink.deletions = {edges[2], edges[17]};
+    shrink.reweights = {Edge{edges[25].u, edges[25].v, edges[25].weight + 2.0}};
+    engine.apply_deletion(shrink);
+    // A posted, not yet exchanged message.
+    inject_boundary_block(engine, false);
+    return engine;
+}
+
+void expect_exact_resume(SavePoint point, BackendKind backend, bool async) {
+    EngineConfig config = small_config(4);
+    config.backend = backend;
+    config.rc_async = async;
+    AnytimeEngine engine = drive_to(point, config);
+    ASSERT_FALSE(engine.quiescent());
+    AnytimeEngine restored = load(save(engine), config);
+    EXPECT_EQ(restored.sim_seconds(), engine.sim_seconds());
+    EXPECT_EQ(restored.wavefront_steps(), engine.wavefront_steps());
+
+    const std::size_t steps_before = engine.step_history().size();
+    engine.run_to_quiescence();
+    restored.run_to_quiescence();
+    EXPECT_EQ(restored.full_distance_matrix(), engine.full_distance_matrix());
+    EXPECT_EQ(restored.sim_seconds(), engine.sim_seconds())
+        << std::hexfloat << restored.sim_seconds() << " vs " << engine.sim_seconds();
+    EXPECT_EQ(restored.rc_steps_completed(), engine.rc_steps_completed());
+    const auto& resumed = restored.step_history();
+    ASSERT_EQ(resumed.size(), engine.step_history().size() - steps_before);
+    for (std::size_t i = 0; i < resumed.size(); ++i) {
+        const RcStepStats& want = engine.step_history()[steps_before + i];
+        EXPECT_EQ(resumed[i].step, want.step);
+        EXPECT_EQ(resumed[i].ops, want.ops) << "step " << want.step;
+        EXPECT_EQ(resumed[i].messages, want.messages) << "step " << want.step;
+        EXPECT_EQ(resumed[i].bytes, want.bytes) << "step " << want.step;
+        EXPECT_EQ(resumed[i].sim_seconds_after, want.sim_seconds_after)
+            << "step " << want.step;
+    }
+
+    // Later structural updates see the same state too: Repartition-S draws
+    // from the engine RNG and walks the graph's adjacency order, and a
+    // vertex deletion walks that order as well.
+    for (AnytimeEngine* e : {&engine, &restored}) {
+        GrowthConfig gc;
+        gc.num_new = 5;
+        gc.weights = WeightRange{1.0, 4.0};
+        Rng batch_rng(23);
+        RepartitionS repartition;
+        e->apply_addition(grow_batch(e->num_vertices(), gc, batch_rng), repartition);
+        ShrinkBatch shrink;
+        shrink.vertices = {4};
+        e->apply_deletion(shrink);
+        e->run_to_quiescence();
+    }
+    EXPECT_EQ(restored.full_distance_matrix(), engine.full_distance_matrix());
+    EXPECT_EQ(restored.sim_seconds(), engine.sim_seconds())
+        << std::hexfloat << restored.sim_seconds() << " vs " << engine.sim_seconds();
+    EXPECT_EQ(restored.owners(), engine.owners());
+}
+
+void expect_exact_resume_everywhere(SavePoint point) {
+    for (const BackendKind backend : {BackendKind::Sequential, BackendKind::Threaded}) {
+        for (const bool async : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << (backend == BackendKind::Threaded ? "threaded" : "sequential")
+                         << (async ? " async" : " sync"));
+            expect_exact_resume(point, backend, async);
+        }
+    }
+}
+
+TEST(Checkpoint, ExactResumeMidRc) { expect_exact_resume_everywhere(SavePoint::MidRc); }
+
+TEST(Checkpoint, ExactResumeAfterAddition) {
+    expect_exact_resume_everywhere(SavePoint::AfterAddition);
+}
+
+TEST(Checkpoint, ExactResumeAfterDeletion) {
+    expect_exact_resume_everywhere(SavePoint::AfterDeletion);
+}
+
+// ---- rejection ------------------------------------------------------------
+
 TEST(Checkpoint, RejectsGarbage) {
-    std::stringstream blob;
-    blob << "definitely not a checkpoint";
-    EXPECT_DEATH((void)AnytimeEngine::load_checkpoint(blob, small_config(2)), "");
+    expect_rejected("definitely not a checkpoint", small_config(2), "bad magic");
+    expect_rejected("short", small_config(2), "truncated");
+    expect_rejected("", small_config(2), "truncated");
 }
 
 TEST(Checkpoint, RejectsRankMismatch) {
@@ -127,43 +317,25 @@ TEST(Checkpoint, RejectsRankMismatch) {
     const auto g = barabasi_albert(30, 2, rng);
     AnytimeEngine engine(g, small_config(4));
     engine.initialize();
-    std::stringstream blob;
-    engine.save_checkpoint(blob);
-    EXPECT_DEATH((void)AnytimeEngine::load_checkpoint(blob, small_config(8)),
-                 "rank count");
+    expect_rejected(save(engine), small_config(8), "rank count");
 }
 
-/// A saved checkpoint of a small quiescent engine plus the byte offsets of
-/// the first shard-map entry and the first distance row, following the
-/// layout save_checkpoint writes (header, edges, shard_of, shard_map,
-/// counters, then one length-prefixed row per vertex).
-struct SavedCheckpoint {
-    std::string bytes;
-    std::size_t shard_map_at{0};
-    std::size_t rows_at{0};
-};
-
-SavedCheckpoint save_small(std::uint32_t ranks) {
-    Rng rng(8);
+TEST(Checkpoint, RejectsConfigFingerprintMismatch) {
+    Rng rng(5);
     const auto g = barabasi_albert(30, 2, rng);
-    AnytimeEngine engine(g, small_config(ranks));
+    AnytimeEngine engine(g, small_config(4));
     engine.initialize();
-    engine.run_to_quiescence();
-    std::stringstream blob;
-    engine.save_checkpoint(blob);
+    const std::string bytes = save(engine);
 
-    SavedCheckpoint saved;
-    saved.bytes = blob.str();
-    const std::size_t n = engine.num_vertices();
-    const std::size_t shards = engine.shard_ownership().shard_map().size();
-    saved.shard_map_at = 4 * sizeof(std::uint64_t) +
-                         engine.graph().num_edges() *
-                             (2 * sizeof(VertexId) + sizeof(Weight)) +
-                         sizeof(std::uint64_t) + n * sizeof(ShardId) +
-                         sizeof(std::uint64_t);
-    saved.rows_at = saved.shard_map_at + shards * sizeof(RankId) +
-                    sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
-    return saved;
+    EngineConfig shards = small_config(4);
+    shards.shards_per_rank = 3;
+    expect_rejected(bytes, shards, "shards_per_rank");
+    EngineConfig variant = small_config(4);
+    variant.closeness_variant = ClosenessVariant::Raw;
+    expect_rejected(bytes, variant, "closeness variant");
+    EngineConfig wire = small_config(4);
+    wire.wire_format = BoundaryWireFormat::V1Aos;
+    expect_rejected(bytes, wire, "wire format");
 }
 
 template <typename T>
@@ -178,40 +350,263 @@ void poke(std::string& bytes, std::size_t offset, T value) {
     std::memcpy(bytes.data() + offset, &value, sizeof(T));
 }
 
+/// One checkpoint section: its first byte and the offset of its CRC32C.
+struct Section {
+    std::size_t begin{0};
+    std::size_t crc_at{0};
+};
+
+/// Recompute a section's CRC32C after poking a value into it, so the load
+/// reaches the semantic validator instead of stopping at the checksum.
+void reseal(std::string& bytes, const Section& section) {
+    const std::string body = bytes.substr(section.begin, section.crc_at - section.begin);
+    poke<std::uint32_t>(bytes, section.crc_at, crc32c(as_bytes(body)));
+}
+
+/// A saved checkpoint of a small engine with every section located by
+/// walking the v2 layout (see src/core/checkpoint.cpp): header, graph,
+/// shards, layout, rows, marks, state, mail.
+struct SavedCheckpoint {
+    std::string bytes;
+    std::size_t n{0};
+    Section header, graph, shards, layout, rows, marks, state, mail;
+};
+
+SavedCheckpoint locate_sections(std::string bytes, std::size_t ranks) {
+    SavedCheckpoint saved;
+    saved.bytes = std::move(bytes);
+    const std::string& b = saved.bytes;
+    std::size_t at = 0;
+    const auto close = [&](Section& s) {
+        s.crc_at = at;
+        at += sizeof(std::uint32_t);
+    };
+    const auto skip_adjacency = [&] {
+        at += 8 + peek<std::uint64_t>(b, at) * (sizeof(VertexId) + sizeof(Weight));
+    };
+    saved.header.begin = at;
+    at += 8 + 3 * 4 + 2;
+    close(saved.header);
+
+    saved.graph.begin = at;
+    saved.n = peek<std::uint64_t>(b, at);
+    at += 8;
+    for (std::size_t v = 0; v < saved.n; ++v) {
+        skip_adjacency();
+    }
+    close(saved.graph);
+
+    saved.shards.begin = at;
+    at += 8 + peek<std::uint64_t>(b, at) * sizeof(ShardId);
+    at += 8 + peek<std::uint64_t>(b, at) * sizeof(RankId);
+    close(saved.shards);
+
+    saved.layout.begin = at;
+    for (std::size_t r = 0; r < ranks; ++r) {
+        const auto rows = peek<std::uint64_t>(b, at);
+        at += 8;
+        for (std::uint64_t i = 0; i < rows; ++i) {
+            at += sizeof(VertexId);
+            skip_adjacency();
+        }
+    }
+    close(saved.layout);
+
+    saved.rows.begin = at;
+    at += saved.n * saved.n * sizeof(Weight);
+    close(saved.rows);
+
+    saved.marks.begin = at;
+    for (std::size_t i = 0; i < 2 * saved.n; ++i) {
+        at += 8 + peek<std::uint64_t>(b, at) * sizeof(VertexId);
+    }
+    close(saved.marks);
+
+    saved.state.begin = at;
+    at += 8 + 8 + 4 * 8 + ranks * sizeof(double);
+    close(saved.state);
+
+    saved.mail.begin = at;
+    const auto messages = peek<std::uint64_t>(b, at);
+    at += 8;
+    for (std::uint64_t i = 0; i < messages; ++i) {
+        at += 1 + 3 * 4 + 8;
+        at += 8 + peek<std::uint64_t>(b, at);
+    }
+    close(saved.mail);
+    EXPECT_EQ(at, b.size()) << "the section walk disagrees with the v2 layout";
+    return saved;
+}
+
+/// A small engine saved at quiescence (mid_rc = false) or after one RC step
+/// with one boundary message left in an outbox (mid_rc = true).
+SavedCheckpoint save_small(std::uint32_t ranks, bool mid_rc = false) {
+    Rng rng(8);
+    const auto g = barabasi_albert(30, 2, rng);
+    AnytimeEngine engine(g, small_config(ranks));
+    engine.initialize();
+    if (mid_rc) {
+        engine.run_rc_steps(1);
+        inject_boundary_block(engine, false);
+    } else {
+        engine.run_to_quiescence();
+    }
+    return locate_sections(save(engine), ranks);
+}
+
 TEST(Checkpoint, RejectsShardMapRankOutOfRange) {
     // A shard-map entry names the rank whose state owns the shard's rows;
-    // one past P used to be read out of bounds while distributing edges.
+    // one past P would index rank state out of bounds.
     SavedCheckpoint saved = save_small(4);
-    ASSERT_LT(peek<RankId>(saved.bytes, saved.shard_map_at), 4u);
-    poke<RankId>(saved.bytes, saved.shard_map_at, 1000);
-    std::stringstream blob(saved.bytes);
-    EXPECT_DEATH((void)AnytimeEngine::load_checkpoint(blob, small_config(4)),
-                 "unknown rank");
+    const std::size_t first_entry =
+        saved.shards.begin + 8 + saved.n * sizeof(ShardId) + 8;
+    ASSERT_LT(peek<RankId>(saved.bytes, first_entry), 4u);
+    poke<RankId>(saved.bytes, first_entry, 1000);
+    reseal(saved.bytes, saved.shards);
+    expect_rejected(saved.bytes, small_config(4), "unknown rank");
 }
 
 TEST(Checkpoint, RejectsNegativeDistance) {
     // Relaxation never raises a value, so a negative distance would survive
     // every later RC step and skew closeness silently.
     SavedCheckpoint saved = save_small(4);
-    const std::size_t entry = saved.rows_at + sizeof(std::uint64_t) + sizeof(Weight);
-    ASSERT_GT(peek<Weight>(saved.bytes, entry), 0.0);  // row 0, column 1
+    std::size_t entry = saved.rows.begin;
+    while (!(peek<Weight>(saved.bytes, entry) > 0)) {  // first off-diagonal entry
+        entry += sizeof(Weight);
+    }
     poke<Weight>(saved.bytes, entry, -5.0);
-    std::stringstream blob(saved.bytes);
-    EXPECT_DEATH((void)AnytimeEngine::load_checkpoint(blob, small_config(4)),
-                 "negative or NaN distance");
+    reseal(saved.bytes, saved.rows);
+    expect_rejected(saved.bytes, small_config(4), "negative or NaN distance");
 }
 
 TEST(Checkpoint, RejectsInfiniteEdgeWeight) {
-    // An inf-weight edge used to load silently: edge_weight() reports
-    // kInfinity for "no edge", so it could never be deleted, and it made
+    // An inf-weight edge would load silently: edge_weight() reports
+    // kInfinity for "no edge", so it could never be deleted, and it makes
     // every bounds interval's upper end infinite.
     SavedCheckpoint saved = save_small(4);
-    const std::size_t weight_at = 4 * sizeof(std::uint64_t) + 2 * sizeof(VertexId);
-    ASSERT_GT(peek<Weight>(saved.bytes, weight_at), 0.0);  // first edge
+    // Vertex 0's first neighbour: after n and vertex 0's degree.
+    const std::size_t weight_at = saved.graph.begin + 8 + 8 + sizeof(VertexId);
+    ASSERT_GT(peek<Weight>(saved.bytes, weight_at), 0.0);
     poke<Weight>(saved.bytes, weight_at, kInfinity);
-    std::stringstream blob(saved.bytes);
-    EXPECT_DEATH((void)AnytimeEngine::load_checkpoint(blob, small_config(4)),
-                 "finite and positive");
+    reseal(saved.bytes, saved.graph);
+    expect_rejected(saved.bytes, small_config(4), "finite and positive");
+}
+
+TEST(Checkpoint, RejectsMalformedGraph) {
+    const SavedCheckpoint saved = save_small(4);
+    const std::size_t degree_at = saved.graph.begin + 8;
+    ASSERT_GE(peek<std::uint64_t>(saved.bytes, degree_at), 2u);
+    const std::size_t first = degree_at + 8;  // vertex 0's first neighbour id
+    const std::size_t second = first + sizeof(VertexId) + sizeof(Weight);
+    const auto corrupt = [&](auto mutate, const std::string& needle) {
+        std::string bytes = saved.bytes;
+        mutate(bytes);
+        reseal(bytes, saved.graph);
+        expect_rejected(bytes, small_config(4), needle);
+    };
+    corrupt([&](std::string& b) { poke<VertexId>(b, first, 1000); }, "endpoint >= n");
+    corrupt([&](std::string& b) { poke<VertexId>(b, first, 0); }, "self-loop");
+    corrupt([&](std::string& b) { poke<VertexId>(b, second, peek<VertexId>(b, first)); },
+            "duplicate edge");
+    corrupt([&](std::string& b) {
+        poke<Weight>(b, first + sizeof(VertexId), peek<Weight>(b, first + 4) + 0.5);
+    },
+            "not listed identically");
+}
+
+TEST(Checkpoint, RejectsDirtyColumnOutOfRange) {
+    SavedCheckpoint saved = save_small(4, true);
+    // The first row with a pending prop or send column.
+    std::size_t at = saved.marks.begin;
+    while (peek<std::uint64_t>(saved.bytes, at) == 0) {
+        at += 8;
+        ASSERT_LT(at, saved.marks.crc_at) << "no pending marks to corrupt";
+    }
+    poke<VertexId>(saved.bytes, at + 8, static_cast<VertexId>(saved.n + 5));
+    reseal(saved.bytes, saved.marks);
+    expect_rejected(saved.bytes, small_config(4), "pending marks");
+}
+
+TEST(Checkpoint, RejectsMessageRankOutOfRange) {
+    SavedCheckpoint saved = save_small(4, true);
+    ASSERT_EQ(peek<std::uint64_t>(saved.bytes, saved.mail.begin), 1u);
+    poke<RankId>(saved.bytes, saved.mail.begin + 8 + 1, 9);  // the sender
+    reseal(saved.bytes, saved.mail);
+    expect_rejected(saved.bytes, small_config(4), "unknown rank");
+}
+
+TEST(Checkpoint, RejectsMalformedMessagePayload) {
+    // The payload is what the next RC step's ingest kernel decodes, so it is
+    // validated like any other input: here its block names a vertex >= n.
+    SavedCheckpoint saved = save_small(4, true);
+    const std::size_t payload_at = saved.mail.begin + 8 + 1 + 3 * 4 + 8 + 8;
+    poke<VertexId>(saved.bytes, payload_at, 1000000);
+    reseal(saved.bytes, saved.mail);
+    expect_rejected(saved.bytes, small_config(4), "boundary block vertex out of range");
+}
+
+TEST(Checkpoint, RejectsChecksumMismatchAndTrailingBytes) {
+    SavedCheckpoint saved = save_small(4);
+    std::string flipped = saved.bytes;
+    std::size_t entry = saved.rows.begin;
+    while (!(peek<Weight>(flipped, entry) > 0 &&
+             peek<Weight>(flipped, entry) < kInfinity)) {
+        entry += sizeof(Weight);
+    }
+    flipped[entry] ^= 0x01;  // the lowest mantissa bit: a valid distance still
+    expect_rejected(flipped, small_config(4), "section 'rows' fails its CRC32C check");
+    expect_rejected(saved.bytes + '\0', small_config(4), "trailing bytes");
+}
+
+// ---- corruption sweep -------------------------------------------------------
+//
+// Every single-byte corruption and every truncation of a real checkpoint
+// (mid-RC, so the marks and mail sections are populated) must end in a
+// CheckpointError: no crash, no other exception, no silent load.
+
+TEST(CheckpointCorruption, EveryFlippedByteIsRejected) {
+    const SavedCheckpoint saved = save_small(4, true);
+    ASSERT_GT(saved.mail.crc_at - saved.mail.begin, 8u);
+    std::vector<std::size_t> accepted;
+    std::vector<std::size_t> wrong_error;
+    for (std::size_t i = 0; i < saved.bytes.size(); ++i) {
+        std::string bytes = saved.bytes;
+        bytes[i] = static_cast<char>(bytes[i] ^ 0xFF);
+        try {
+            (void)load(bytes, small_config(4));
+            accepted.push_back(i);
+        } catch (const CheckpointError&) {
+        } catch (...) {
+            wrong_error.push_back(i);
+        }
+    }
+    EXPECT_TRUE(accepted.empty()) << accepted.size() << " flips loaded, first at byte "
+                                  << accepted.front();
+    EXPECT_TRUE(wrong_error.empty()) << wrong_error.size()
+                                     << " flips threw another exception, first at byte "
+                                     << wrong_error.front();
+}
+
+TEST(CheckpointCorruption, EveryTruncationIsRejected) {
+    const SavedCheckpoint saved = save_small(4, true);
+    std::vector<std::size_t> accepted;
+    std::vector<std::size_t> wrong_error;
+    for (std::size_t length = 0; length < saved.bytes.size(); ++length) {
+        try {
+            (void)load(saved.bytes.substr(0, length), small_config(4));
+            accepted.push_back(length);
+        } catch (const CheckpointError&) {
+        } catch (...) {
+            wrong_error.push_back(length);
+        }
+    }
+    EXPECT_TRUE(accepted.empty()) << accepted.size() << " truncations loaded, first at "
+                                  << accepted.front();
+    EXPECT_TRUE(wrong_error.empty()) << wrong_error.size()
+                                     << " truncations threw another exception, first at "
+                                     << wrong_error.front();
+    // The intact checkpoint itself loads.
+    EXPECT_NO_THROW((void)load(saved.bytes, small_config(4)));
 }
 
 TEST(StepHistory, RecordsEveryStep) {

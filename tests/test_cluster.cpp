@@ -166,22 +166,25 @@ TEST(Cluster, SentAndReceivedTotalsBalanceAfterDelivery) {
     EXPECT_EQ(cluster.stats().total_bytes, bytes_sent);
 }
 
-TEST(Cluster, FastForwardKeepsPendingMessagesAndStats) {
-    // fast_forward is checkpoint restore: it jumps the clocks without
-    // touching the mailboxes or the accounting.
+TEST(Cluster, RestoreClocksKeepsPendingMessagesAndStats) {
+    // restore_clocks is checkpoint restore: it sets each rank's clock
+    // without touching the mailboxes or the accounting.
     Cluster cluster(2);
     cluster.send(0, 1, MessageTag::Control, bytes(10));
-    cluster.fast_forward(123.0);
+    const std::vector<double> times{123.0, 45.0};
+    cluster.restore_clocks(times);
     EXPECT_EQ(cluster.time(0), 123.0);
-    EXPECT_EQ(cluster.time(1), 123.0);
+    EXPECT_EQ(cluster.time(1), 45.0);
     EXPECT_TRUE(cluster.has_pending_messages());
     EXPECT_EQ(cluster.stats().total_messages, 1u);
     // The buffered message is still deliverable afterwards.
     cluster.exchange();
     EXPECT_EQ(cluster.receive(1).size(), 1u);
-    // fast_forward never rewinds a clock that is already ahead.
-    cluster.fast_forward(1.0);
-    EXPECT_GE(cluster.time(0), 123.0);
+    // Restoring sets the clocks exactly, rewinding one that is ahead.
+    const std::vector<double> earlier{1.0, 2.0};
+    cluster.restore_clocks(earlier);
+    EXPECT_EQ(cluster.time(0), 1.0);
+    EXPECT_EQ(cluster.time(1), 2.0);
 }
 
 TEST(Cluster, ResetDropsPendingMessagesAndZeroesRankStats) {

@@ -349,7 +349,7 @@ TEST(Bounds, WavefrontCounterTracksStructuralChanges) {
     EXPECT_EQ(engine.wavefront_steps(), 0);
 }
 
-TEST(Bounds, CheckpointRestoreTrustsOnlyTheDiagonal) {
+TEST(Bounds, CheckpointRestoreKeepsWavefront) {
     Rng rng(9);
     DynamicGraph g = barabasi_albert(70, 2, rng);
     const DynamicGraph mirror = g;
@@ -360,16 +360,18 @@ TEST(Bounds, CheckpointRestoreTrustsOnlyTheDiagonal) {
     AnytimeEngine engine(std::move(g), config);
     engine.initialize();
     engine.rc_step();
+    ASSERT_EQ(engine.wavefront_steps(), 1);
 
     std::stringstream buffer;
     engine.save_checkpoint(buffer);
     AnytimeEngine restored = AnytimeEngine::load_checkpoint(buffer, config);
-    EXPECT_EQ(restored.wavefront_steps(), -1);
-    // Intervals stay sound with only the diagonal trusted...
+    // The certificate is part of the exact restore: the restored engine
+    // trusts exactly what the saver trusted...
+    EXPECT_EQ(restored.wavefront_steps(), engine.wavefront_steps());
     expect_intervals_contain_converged(restored, mirror);
-    // ...and recover normal settledness once the engine steps again.
+    // ...and keeps counting from there.
     restored.rc_step();
-    EXPECT_EQ(restored.wavefront_steps(), 0);
+    EXPECT_EQ(restored.wavefront_steps(), 2);
     restored.run_to_quiescence();
     expect_intervals_contain_converged(restored, mirror);
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/rc.hpp"
@@ -548,6 +549,38 @@ TEST(BoundaryBlockV2Validation, SoaViewDecoderRejectsTheSamePayloads) {
         EXPECT_DEATH((void)decode_boundary_block_soa_views(payload, arena),
                      "varint truncated");
     }
+}
+
+TEST(BoundaryPayloadError, ReportsWhatTheDecodersDieOn) {
+    // The non-aborting check used for payloads from outside the process
+    // (checkpointed in-flight messages): the decoders' structural verdicts
+    // as a message, plus range and sign checks against the column count.
+    const auto error = [](const std::vector<std::byte>& payload,
+                          BoundaryWireFormat format) -> std::string {
+        const char* message = boundary_payload_error(payload, format, 10);
+        return message == nullptr ? "" : message;
+    };
+    for (const BoundaryWireFormat format :
+         {BoundaryWireFormat::V1Aos, BoundaryWireFormat::V2Soa}) {
+        const auto block = [&](VertexId vertex, VertexId col, Weight d) {
+            return encode_boundary_blocks({{vertex, {{1, 0.5}, {col, d}}}}, format);
+        };
+        EXPECT_EQ(error(block(3, 7, 2.0), format), "");
+        EXPECT_EQ(error(block(3, 7, kInfinity), format), "");
+        EXPECT_EQ(error(block(10, 7, 2.0), format), "boundary block vertex out of range");
+        EXPECT_EQ(error(block(3, 10, 2.0), format), "boundary block column out of range");
+        EXPECT_EQ(error(block(3, 7, -1.0), format),
+                  "boundary block distance negative or NaN");
+        EXPECT_EQ(error(block(3, 7, std::numeric_limits<Weight>::quiet_NaN()), format),
+                  "boundary block distance negative or NaN");
+        std::vector<std::byte> truncated = block(3, 7, 2.0);
+        truncated.pop_back();
+        EXPECT_NE(error(truncated, format), "");
+    }
+    Serializer out;
+    out.write(VertexId{7});
+    out.write(std::uint8_t{0x80});
+    EXPECT_EQ(error(out.take(), BoundaryWireFormat::V2Soa), "varint truncated");
 }
 
 }  // namespace

@@ -429,6 +429,7 @@ TelemetryGoldenRun run_telemetry_golden(bool rc_async, BackendKind backend) {
     run.spans_hash = kFnvBasis;
     run.matrix_hash = kFnvBasis;
     std::stringstream blob;
+    double uninterrupted_sim_seconds = 0;
     {
         AnytimeEngine engine(g, config);
         engine.initialize();
@@ -487,9 +488,15 @@ TelemetryGoldenRun run_telemetry_golden(bool rc_async, BackendKind backend) {
         run.dynamic_ops = engine.report().dynamic_ops;
         run.spans_hash = hash_spans(run.spans_hash, engine.metrics());
         EXPECT_EQ(engine.metrics().open_span_count(), 0u);
+        // The independent oracle for the restore leg: the saver itself, run
+        // on to quiescence without the interruption.
+        engine.run_to_quiescence();
+        uninterrupted_sim_seconds = engine.sim_seconds();
     }
     AnytimeEngine restored = AnytimeEngine::load_checkpoint(blob, config);
     restored.run_to_quiescence();
+    EXPECT_EQ(restored.sim_seconds(), uninterrupted_sim_seconds)
+        << std::hexfloat << restored.sim_seconds() << " vs " << uninterrupted_sim_seconds;
     run.sim_seconds = restored.sim_seconds();
     run.matrix_hash = hash_matrix(run.matrix_hash, restored);
     run.spans_hash = hash_spans(run.spans_hash, restored.metrics());
@@ -524,12 +531,15 @@ void expect_telemetry_golden(const TelemetryGoldenRun& got,
 
 // Both exchange modes converge to the same matrix and differ in the
 // timeline; both backends must reproduce their mode's values exactly.
+// The restore leg's sim_seconds and spans_hash were re-captured when the
+// checkpoint became an exact restore (no resweep after the load); the
+// restored clock is pinned independently against the uninterrupted saver.
 constexpr TelemetryGoldenRun kSyncTelemetryGolden{
-    0x1.4f6ap+16,          0x1.60a8p+14,       0x1.6c60709dcedd9p-6,
-    0x1.b2766564ea0f8p-8, 0x1547cfa22326651a, 0x4cb8fa07fbaa8d98};
+    0x1.4f6ap+16,          0x1.60a8p+14,       0x1.649cd165ff7d3p-6,
+    0x1.b2766564ea0f8p-8, 0x1547cfa22326651a, 0x7c578d348391d5a8};
 constexpr TelemetryGoldenRun kAsyncTelemetryGolden{
-    0x1.4f6ap+16,          0x1.60a8p+14,       0x1.6c052141c61e7p-6,
-    0x1.b1e46f2dc0ad4p-8, 0x1547cfa22326651a, 0xc8d559ca56c4275c};
+    0x1.4f6ap+16,          0x1.60a8p+14,       0x1.6453b1c8917f4p-6,
+    0x1.b1e46f2dc0ad4p-8, 0x1547cfa22326651a, 0x207f8fff0c27d6a9};
 
 TEST(TelemetryGolden, EveryUpdatePathSyncSequential) {
     expect_telemetry_golden(run_telemetry_golden(false, BackendKind::Sequential),

@@ -26,7 +26,7 @@
 //   telemetry                         print per-step telemetry so far
 //   metrics [json|csv] [path]         dump the aa.timeline.v1 block (stdout
 //                                     when no path is given)
-//   checkpoint <path>                 save engine state
+//   checkpoint <path>                 save engine state (via <path>.tmp + rename)
 //   restore <path>                    replace the engine from a checkpoint
 //   verify                            check against exact sequential APSP
 //   serve-policy stale|next-step|quiescence|bounded-error
@@ -93,7 +93,7 @@ const char kHelpText[] =
     "  closeness [top]                   print top-k closeness (engine-side)\n"
     "  telemetry                         print per-step telemetry so far\n"
     "  metrics [json|csv] [path]         dump the aa.timeline.v1 block\n"
-    "  checkpoint <path>                 save engine state\n"
+    "  checkpoint <path>                 save engine state (via <path>.tmp + rename)\n"
     "  restore <path>                    replace the engine from a checkpoint\n"
     "  verify                            check against exact sequential APSP\n"
     "  serve-policy stale|next-step|quiescence|bounded-error\n"
@@ -458,8 +458,32 @@ struct Runner {
             require_engine(command);
             std::string path;
             in >> path;
-            std::ofstream out(path, std::ios::binary);
-            engine->save_checkpoint(out);
+            // Write beside the target and rename over it, so a crash mid-save
+            // never leaves a torn checkpoint where a good one was.
+            const std::string tmp = path + ".tmp";
+            {
+                std::ofstream out(tmp, std::ios::binary);
+                if (!out) {
+                    std::fprintf(stderr, "error: cannot open %s\n", tmp.c_str());
+                    return false;
+                }
+                try {
+                    engine->save_checkpoint(out);
+                    out.close();
+                } catch (const CheckpointError& e) {
+                    std::fprintf(stderr, "error: %s: %s\n", tmp.c_str(), e.what());
+                    return false;
+                }
+                if (!out) {
+                    std::fprintf(stderr, "error: cannot write %s\n", tmp.c_str());
+                    return false;
+                }
+            }
+            if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+                std::fprintf(stderr, "error: cannot rename %s to %s\n", tmp.c_str(),
+                             path.c_str());
+                return false;
+            }
             std::printf("[%8.4fs] checkpoint written to %s\n",
                         engine->sim_seconds(), path.c_str());
         } else if (command == "restore") {
@@ -471,9 +495,16 @@ struct Runner {
                              path.c_str());
                 return false;
             }
+            std::unique_ptr<AnytimeEngine> restored;
+            try {
+                restored = std::make_unique<AnytimeEngine>(
+                    AnytimeEngine::load_checkpoint(file, config));
+            } catch (const CheckpointError& e) {
+                std::fprintf(stderr, "error: %s: %s\n", path.c_str(), e.what());
+                return false;
+            }
             service.reset();  // detach the boundary hook before the swap
-            engine = std::make_unique<AnytimeEngine>(
-                AnytimeEngine::load_checkpoint(file, config));
+            engine = std::move(restored);
             mirror = engine->graph();
             attach_service();
             std::printf("[%8.4fs] restored from %s (RC%zu, %zu vertices)\n",

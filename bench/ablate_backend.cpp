@@ -14,12 +14,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
+#include "harness.hpp"
 #include "runtime/backend.hpp"
 
 namespace aa {
@@ -165,10 +165,7 @@ int main(int argc, char** argv) {
     Rng graph_rng(opt.seed);
     const DynamicGraph g = barabasi_albert(opt.vertices, opt.edge_factor,
                                            graph_rng, WeightRange{1.0, 3.0});
-    // hardware_concurrency() may return 0 when not computable; clamp to 1 so
-    // the single-core check below never divides the truth by a bogus zero.
-    const unsigned hw_raw = std::thread::hardware_concurrency();
-    const unsigned hw_threads = hw_raw == 0 ? 1 : hw_raw;
+    const unsigned hw_threads = bench::host_hardware_concurrency();
     const bool single_core_parity = hw_threads < 2;
     std::printf("backend ablation: n=%zu edges=%zu ranks=8 steps<=%zu "
                 "host_hw_concurrency=%u\n",
@@ -222,8 +219,7 @@ int main(int argc, char** argv) {
             std::to_string(g.num_vertices()) +
             ", \"edges\": " + std::to_string(g.num_edges()) + "},\n";
     json += "  \"ranks\": 8,\n  \"seed\": " + std::to_string(opt.seed) + ",\n";
-    json += "  \"host_hardware_concurrency\": " + std::to_string(hw_threads) +
-            ",\n";
+    json += "  " + bench::host_json() + ",\n";
     json += std::string("  \"single_core_parity\": ") +
             (single_core_parity ? "true" : "false") + ",\n";
     json += "  \"note\": \"";
@@ -241,15 +237,5 @@ int main(int argc, char** argv) {
     json += "  \"runs\": [\n" + run_to_json("seq", seq) + ",\n" +
             run_to_json("threaded", threaded) + "\n  ]\n}\n";
 
-    if (!opt.out.empty()) {
-        std::FILE* f = std::fopen(opt.out.c_str(), "w");
-        if (f == nullptr) {
-            std::fprintf(stderr, "cannot open %s\n", opt.out.c_str());
-            return 1;
-        }
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        std::printf("wrote %s\n", opt.out.c_str());
-    }
-    return 0;
+    return bench::write_report(opt.out, json) ? 0 : 1;
 }

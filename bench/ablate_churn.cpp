@@ -29,6 +29,7 @@
 #include "core/edge_delete.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
+#include "harness.hpp"
 
 namespace aa {
 namespace {
@@ -226,6 +227,7 @@ int main(int argc, char** argv) {
             ", \"edges\": " + std::to_string(host.num_edges()) + "},\n";
     json += "  \"ranks\": " + std::to_string(config.num_ranks) +
             ",\n  \"seed\": " + std::to_string(opt.seed) + ",\n";
+    json += "  " + bench::host_json() + ",\n";
     json += "  \"note\": \"anytime_delta_s is the simulated cost of "
             "apply_deletion + add_edges + reconvergence on a converged "
             "engine; restart_s is a from-scratch run on the final graph. "
@@ -252,15 +254,5 @@ int main(int argc, char** argv) {
     }
     json += "  ]\n}\n";
 
-    if (!opt.out.empty()) {
-        std::FILE* f = std::fopen(opt.out.c_str(), "w");
-        if (f == nullptr) {
-            std::fprintf(stderr, "cannot open %s\n", opt.out.c_str());
-            return 1;
-        }
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        std::printf("wrote %s\n", opt.out.c_str());
-    }
-    return 0;
+    return bench::write_report(opt.out, json) ? 0 : 1;
 }

@@ -31,13 +31,13 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
+#include "harness.hpp"
 
 namespace aa {
 namespace {
@@ -248,11 +248,6 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    // hardware_concurrency() may return 0 when not computable; clamp to 1 so
-    // the report never divides by it accidentally downstream.
-    const unsigned hw_raw = std::thread::hardware_concurrency();
-    const unsigned hw_threads = hw_raw == 0 ? 1 : hw_raw;
-
     char buf[1024];
     std::string json;
     json += "{\n  \"bench\": \"migrate\",\n";
@@ -264,8 +259,7 @@ int main(int argc, char** argv) {
             ",\n  \"shards_per_rank\": " +
             std::to_string(config.shards_per_rank) +
             ",\n  \"seed\": " + std::to_string(opt.seed) + ",\n";
-    json += "  \"host_hardware_concurrency\": " + std::to_string(hw_threads) +
-            ",\n";
+    json += "  " + bench::host_json() + ",\n";
     std::snprintf(buf, sizeof(buf),
                   "  \"workload\": {\"batches\": %zu, \"batch_size\": %zu},\n"
                   "  \"migrate_max_shards\": %u,\n"
@@ -303,15 +297,5 @@ int main(int argc, char** argv) {
                   reduction);
     json += buf;
 
-    if (!opt.out.empty()) {
-        std::FILE* f = std::fopen(opt.out.c_str(), "w");
-        if (f == nullptr) {
-            std::fprintf(stderr, "cannot open %s\n", opt.out.c_str());
-            return 1;
-        }
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        std::printf("wrote %s\n", opt.out.c_str());
-    }
-    return 0;
+    return bench::write_report(opt.out, json) ? 0 : 1;
 }

@@ -1,9 +1,10 @@
-// RC kernel ablation: scalar vs batched vs batched+threaded relaxation on an
-// R-MAT instance, all modes running the identical relaxation schedule. The
-// headline number is the wall-clock spent inside the ingest/propagate kernels
-// (post/exchange are shared code across modes); the bench also cross-checks
-// that every mode produced bit-identical distance matrices and op counts, so
-// a speedup can never come from doing less work.
+// RC kernel ablation: the batched kernels with and without a thread pool on
+// an R-MAT instance, both modes running the identical relaxation schedule.
+// The headline number is the wall-clock spent inside the ingest/propagate
+// kernels (post/exchange are shared code across modes); the bench also
+// cross-checks that the threaded run produced a bit-identical distance
+// matrix and op count to the batched one, so a speedup can never come from
+// doing less work.
 //
 // Emits a JSON report (--out, default BENCH_rc_kernels.json) recorded in the
 // repository root; build with the `bench` preset (-O3) for quotable numbers.
@@ -13,7 +14,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -73,16 +73,10 @@ BenchOptions parse(int argc, char** argv) {
     return opt;
 }
 
-enum class Mode { Scalar, Untiled, Batched, Threaded };
+enum class Mode { Batched, Threaded };
 
 const char* mode_name(Mode m) {
-    switch (m) {
-        case Mode::Scalar: return "scalar";
-        case Mode::Untiled: return "batched+untiled";
-        case Mode::Batched: return "batched";
-        case Mode::Threaded: return "batched+threaded";
-    }
-    return "?";
+    return m == Mode::Batched ? "batched" : "batched+threaded";
 }
 
 struct ModeResult {
@@ -150,54 +144,14 @@ ModeResult run_mode(const bench::RankState& base, Mode mode, std::size_t threads
             RcIngestProfile ingest_profile;
             RcPropagateProfile prop_profile;
             const auto t0 = Clock::now();
-            double ingest = 0;
-            double propagate = 0;
-            switch (mode) {
-                case Mode::Scalar:
-                    ingest = rc_ingest_updates_scalar(base.sgs[r], stores[r], inbox);
-                    break;
-                case Mode::Untiled:
-                case Mode::Batched:
-                    ingest = rc_ingest_updates(base.sgs[r], stores[r], inbox,
-                                               BoundaryWireFormat::V2Soa,
-                                               nullptr, kRcIngestParallelGrain,
-                                               kRcIngestWindowBytes,
-                                               mx ? &ingest_profile : nullptr);
-                    break;
-                case Mode::Threaded:
-                    ingest = rc_ingest_updates(base.sgs[r], stores[r], inbox,
-                                               BoundaryWireFormat::V2Soa,
-                                               pool.get(), kRcIngestParallelGrain,
-                                               kRcIngestWindowBytes,
-                                               mx ? &ingest_profile : nullptr);
-                    break;
-            }
+            const double ingest = rc_ingest_updates(
+                base.sgs[r], stores[r], inbox, BoundaryWireFormat::V2Soa, pool.get(),
+                kRcIngestParallelGrain, kRcIngestWindowBytes,
+                mx ? &ingest_profile : nullptr);
             const auto t1 = Clock::now();
-            switch (mode) {
-                case Mode::Scalar:
-                    propagate = rc_propagate_local_scalar(base.sgs[r], stores[r]);
-                    break;
-                case Mode::Untiled:
-                    // The batched sweep with row blocking disabled
-                    // (tile_cols = 0): isolates what the gathered L1-resident
-                    // tiles buy on top of batching.
-                    propagate = rc_propagate_local(base.sgs[r], stores[r], nullptr,
-                                                   kRcPropagateParallelGrain,
-                                                   mx ? &prop_profile : nullptr,
-                                                   /*tile_cols=*/0);
-                    break;
-                case Mode::Batched:
-                    propagate = rc_propagate_local(base.sgs[r], stores[r], nullptr,
-                                                   kRcPropagateParallelGrain,
-                                                   mx ? &prop_profile : nullptr);
-                    break;
-                case Mode::Threaded:
-                    propagate = rc_propagate_local(base.sgs[r], stores[r],
-                                                   pool.get(),
-                                                   kRcPropagateParallelGrain,
-                                                   mx ? &prop_profile : nullptr);
-                    break;
-            }
+            const double propagate =
+                rc_propagate_local(base.sgs[r], stores[r], pool.get(),
+                                   kRcPropagateParallelGrain, mx ? &prop_profile : nullptr);
             const auto t2 = Clock::now();
             if (mx) {
                 metrics->record_span(stamp_span(
@@ -249,14 +203,10 @@ int main(int argc, char** argv) {
             ",\n  \"rounds\": " + std::to_string(opt.rounds) +
             ",\n  \"seed\": " + std::to_string(opt.seed) + ",\n";
     // Threaded-mode wall clock only reflects the pool when the host actually
-    // has cores to run it; record the host's concurrency so the JSON is
-    // interpretable wherever it was produced. hardware_concurrency() may
-    // return 0 when the value is not computable — treat that as one thread
-    // rather than emitting a bogus 0 / tripping the comparison below.
-    const unsigned hw_threads_raw = std::thread::hardware_concurrency();
-    const unsigned hw_threads = hw_threads_raw == 0 ? 1 : hw_threads_raw;
-    json += "  \"host_hardware_concurrency\": " + std::to_string(hw_threads) +
-            ",\n  \"configs\": [\n";
+    // has cores to run it; the recorded host makes the JSON interpretable
+    // wherever it was produced.
+    const unsigned hw_threads = bench::host_hardware_concurrency();
+    json += "  " + bench::host_json() + ",\n  \"configs\": [\n";
     if (hw_threads < opt.threads) {
         std::printf(
             "   note: host has %u hardware thread(s) < %zu bench threads; "
@@ -281,11 +231,10 @@ int main(int argc, char** argv) {
         std::printf("   warm-up...\n");
         (void)run_mode(*state, Mode::Batched, opt.threads, opt.rounds);
 
-        ModeResult results[4];
-        const Mode modes[4] = {Mode::Scalar, Mode::Untiled, Mode::Batched,
-                               Mode::Threaded};
-        constexpr int kModes = 4;
-        constexpr int kBatched = 2;  // index of the tiled batched reference
+        ModeResult results[2];
+        const Mode modes[2] = {Mode::Batched, Mode::Threaded};
+        constexpr int kModes = 2;
+        constexpr int kBatched = 0;  // index of the batched reference
         for (int m = 0; m < kModes; ++m) {
             results[m] = run_mode(*state, modes[m], opt.threads, opt.rounds);
             std::printf("   %-17s kernel %8.3fs (ingest %7.3fs / prop %7.3fs)  "
@@ -295,22 +244,16 @@ int main(int argc, char** argv) {
                         results[m].total_seconds, results[m].ops);
         }
         for (int m = 1; m < kModes; ++m) {
-            if (results[m].ops != results[0].ops ||
-                results[m].checksum != results[0].checksum) {
-                std::fprintf(stderr, "MODE MISMATCH vs scalar: %s\n",
+            if (results[m].ops != results[kBatched].ops ||
+                results[m].checksum != results[kBatched].checksum) {
+                std::fprintf(stderr, "MODE MISMATCH vs batched: %s\n",
                              mode_name(modes[m]));
                 return 1;
             }
         }
-        const double sp_batched =
-            results[0].kernel_seconds / results[kBatched].kernel_seconds;
-        const double sp_threaded = results[0].kernel_seconds / results[3].kernel_seconds;
-        // Tiling only touches the propagate sweep; compare that phase alone.
-        const double sp_tiled =
-            results[1].propagate_seconds / results[kBatched].propagate_seconds;
-        std::printf("   speedup: batched %.2fx, batched+threaded %.2fx, "
-                    "tiled propagate %.2fx over untiled\n",
-                    sp_batched, sp_threaded, sp_tiled);
+        const double sp_threaded =
+            results[kBatched].kernel_seconds / results[1].kernel_seconds;
+        std::printf("   speedup: batched+threaded %.2fx over batched\n", sp_threaded);
 
         // Overhead check: rerun Batched with a *disabled* registry attached.
         // Every metrics hook is live but short-circuits on the enabled bit,
@@ -349,27 +292,15 @@ int main(int argc, char** argv) {
         }
         char sp[320];
         std::snprintf(sp, sizeof(sp),
-                      "], \"speedup_batched\": %.3f, \"speedup_batched_threaded\": "
-                      "%.3f, \"speedup_tiled_propagate\": %.3f, "
+                      "], \"speedup_batched_threaded\": %.3f, "
                       "\"disabled_metrics_kernel_seconds\": %.6f, "
                       "\"disabled_metrics_overhead\": %.3f,\n     \"timeline\": ",
-                      sp_batched, sp_threaded, sp_tiled, off.kernel_seconds,
-                      off_ratio);
+                      sp_threaded, off.kernel_seconds, off_ratio);
         json += sp;
         json += metrics_to_json(instrumented, 5);
         json += "}";
     }
     json += "\n  ]\n}\n";
 
-    if (!opt.out.empty()) {
-        std::FILE* f = std::fopen(opt.out.c_str(), "w");
-        if (f == nullptr) {
-            std::fprintf(stderr, "cannot open %s\n", opt.out.c_str());
-            return 1;
-        }
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        std::printf("wrote %s\n", opt.out.c_str());
-    }
-    return 0;
+    return bench::write_report(opt.out, json) ? 0 : 1;
 }

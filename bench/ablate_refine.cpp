@@ -35,6 +35,7 @@
 #include "core/closeness.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
+#include "harness.hpp"
 #include "refine/planner.hpp"
 
 namespace aa {
@@ -277,6 +278,7 @@ int main(int argc, char** argv) {
             ", \"weights\": \"unit\"},\n";
     json += "  \"ranks\": " + std::to_string(config.num_ranks) +
             ",\n  \"seed\": " + std::to_string(opt.seed) + ",\n";
+    json += "  " + bench::host_json() + ",\n";
     std::snprintf(buf, sizeof(buf),
                   "  \"budget_ops_per_rank_step\": %.0f,\n"
                   "  \"trace\": {\"distribution\": \"zipf\", \"s\": %.2f, "
@@ -312,15 +314,5 @@ int main(int argc, char** argv) {
                   speedup);
     json += buf;
 
-    if (!opt.out.empty()) {
-        std::FILE* f = std::fopen(opt.out.c_str(), "w");
-        if (f == nullptr) {
-            std::fprintf(stderr, "cannot open %s\n", opt.out.c_str());
-            return 1;
-        }
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        std::printf("wrote %s\n", opt.out.c_str());
-    }
-    return 0;
+    return bench::write_report(opt.out, json) ? 0 : 1;
 }

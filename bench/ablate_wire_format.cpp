@@ -14,7 +14,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -175,10 +174,7 @@ int main(int argc, char** argv) {
     json += "  \"threads\": " + std::to_string(opt.threads) +
             ",\n  \"rounds\": " + std::to_string(opt.rounds) +
             ",\n  \"seed\": " + std::to_string(opt.seed) + ",\n";
-    const unsigned hw_threads_raw = std::thread::hardware_concurrency();
-    const unsigned hw_threads = hw_threads_raw == 0 ? 1 : hw_threads_raw;
-    json += "  \"host_hardware_concurrency\": " + std::to_string(hw_threads) +
-            ",\n  \"configs\": [\n";
+    json += "  " + bench::host_json() + ",\n  \"configs\": [\n";
 
     bool all_bars_met = true;
     bool first_config = true;
@@ -281,15 +277,5 @@ int main(int argc, char** argv) {
                      opt.out.c_str());
         return 1;
     }
-    if (!opt.out.empty()) {
-        std::FILE* f = std::fopen(opt.out.c_str(), "w");
-        if (f == nullptr) {
-            std::fprintf(stderr, "cannot open %s\n", opt.out.c_str());
-            return 1;
-        }
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        std::printf("wrote %s\n", opt.out.c_str());
-    }
-    return 0;
+    return bench::write_report(opt.out, json) ? 0 : 1;
 }

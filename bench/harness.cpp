@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <thread>
 
 namespace aa::bench {
 
@@ -316,14 +317,7 @@ bool JsonReport::write() const {
         out += "\n  ";
     }
     out += "]\n}\n";
-    std::ofstream file(path_);
-    if (!file) {
-        std::fprintf(stderr, "cannot open %s\n", path_.c_str());
-        return false;
-    }
-    file << out;
-    std::printf("wrote %s\n", path_.c_str());
-    return true;
+    return write_report(path_, out);
 }
 
 JsonReport make_report(const std::string& bench, const Options& options) {
@@ -334,6 +328,33 @@ JsonReport make_report(const std::string& bench, const Options& options) {
                        ", \"threads\": " + std::to_string(options.threads) +
                        ", \"seed\": " + std::to_string(options.seed) + "}");
     return report;
+}
+
+unsigned host_hardware_concurrency() {
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+std::string host_json() {
+    return "\"host_hardware_concurrency\": " + std::to_string(host_hardware_concurrency()) +
+           ", \"build_type\": \"" AA_BUILD_TYPE "\"";
+}
+
+bool write_report(const std::string& path, const std::string& json) {
+    if (path.empty()) {
+        return true;
+    }
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+        std::fprintf(stderr, "cannot open %s\n", path.c_str());
+        return false;
+    }
+    const bool written = std::fwrite(json.data(), 1, json.size(), f) == json.size();
+    if (std::fclose(f) != 0 || !written) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return false;
+    }
+    std::printf("wrote %s\n", path.c_str());
+    return true;
 }
 
 std::string fmt_seconds(double seconds) {

@@ -110,6 +110,20 @@ private:
 std::string fmt_seconds(double seconds);
 std::string fmt_double(double value, int precision = 3);
 
+/// std::thread::hardware_concurrency(), or 1 where the host does not report
+/// it (the standard library returns 0 then).
+unsigned host_hardware_concurrency();
+
+/// The host and build every BENCH_*.json records, as JSON object members
+/// without braces: `"host_hardware_concurrency": N, "build_type": "..."`,
+/// the build type being the CMake build type this binary was compiled under.
+std::string host_json();
+
+/// Write a rendered report to `path`, checking the open, the write and the
+/// close. Prints "wrote PATH" on success; on failure prints a diagnostic and
+/// returns false, and the bench exits 1. An empty path writes nothing.
+bool write_report(const std::string& path, const std::string& json);
+
 /// JSON report writer shared by every figure/ablation binary: the printed
 /// table plus one aa.timeline.v1 block per recorded engine run, so each
 /// bench's JSON shows where simulated time and traffic went per rank and per

@@ -53,6 +53,7 @@
 #include "core/engine.hpp"
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
+#include "harness.hpp"
 #include "serve/service.hpp"
 
 namespace aa {
@@ -711,9 +712,8 @@ int main(int argc, char** argv) {
             ", \"open_qps\": " + std::to_string(opt.open_qps) +
             ", \"min_queries\": " + std::to_string(opt.min_queries) +
             ", \"open_queries\": " + std::to_string(opt.open_queries) +
-            ", \"seed\": " + std::to_string(opt.seed) +
-            ",\n             \"host_hardware_concurrency\": " +
-            std::to_string(std::thread::hardware_concurrency()) + "},\n";
+            ", \"seed\": " + std::to_string(opt.seed) + "},\n";
+    json += "  " + bench::host_json() + ",\n";
     char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "  \"publication_overhead\": {\"sim_seconds_bare\": %.6f, "
@@ -756,15 +756,5 @@ int main(int argc, char** argv) {
     }
     json += "  ]\n}\n";
 
-    if (!opt.out.empty()) {
-        std::FILE* f = std::fopen(opt.out.c_str(), "w");
-        if (f == nullptr) {
-            std::fprintf(stderr, "cannot open %s\n", opt.out.c_str());
-            return 1;
-        }
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        std::printf("wrote %s\n", opt.out.c_str());
-    }
-    return 0;
+    return bench::write_report(opt.out, json) ? 0 : 1;
 }

@@ -91,74 +91,6 @@ __attribute__((target("avx2"))) std::size_t relax_soa_avx2(
     return m;
 }
 
-/// Same sweep with the candidate gathered from a source row (the propagate
-/// inner loop): cand = offset + src[col]. Columns may arrive in any order
-/// and may even repeat (the contract is "exactly like relax() per column in
-/// order"), so bounds are asserted per chunk and any chunk holding a
-/// duplicate column is relaxed scalar: a duplicate inside one gather would
-/// read the pre-store value for both lanes, where the sequential semantics
-/// make the second attempt observe the first one's store. Duplicates across
-/// chunks are safe (the later chunk re-gathers). Real callers pass drained
-/// dirty sets (unique, sorted), so the fallback is cold.
-__attribute__((target("avx2"))) std::size_t relax_from_row_avx2(
-    Weight* dist, const Weight* src, const VertexId* cols, std::size_t count,
-    Weight offset, VertexId* improved, std::size_t num_columns) {
-    const __m256d voffset = _mm256_set1_pd(offset);
-    const __m256d veps = _mm256_set1_pd(kEpsilon);
-    std::size_t m = 0;
-    std::size_t i = 0;
-    for (; i + 4 <= count; i += 4) {
-        const VertexId c0 = cols[i], c1 = cols[i + 1], c2 = cols[i + 2],
-                       c3 = cols[i + 3];
-        AA_ASSERT(c0 < num_columns && c1 < num_columns && c2 < num_columns &&
-                  c3 < num_columns);
-        if (c0 == c1 || c0 == c2 || c0 == c3 || c1 == c2 || c1 == c3 || c2 == c3) {
-            for (std::size_t k = i; k < i + 4; ++k) {
-                const VertexId col = cols[k];
-                const Weight candidate = offset + src[col];
-                const bool better = candidate < dist[col] - kEpsilon;
-                if (better) {
-                    dist[col] = candidate;
-                }
-                improved[m] = col;
-                m += better;
-            }
-            continue;
-        }
-        const __m128i vcols =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols + i));
-        const __m256d current = gather_pd(dist, vcols);
-        const __m256d cand = _mm256_add_pd(voffset, gather_pd(src, vcols));
-        const __m256d better =
-            _mm256_cmp_pd(cand, _mm256_sub_pd(current, veps), _CMP_LT_OQ);
-        int mask = _mm256_movemask_pd(better);
-        if (mask == 0) {
-            continue;
-        }
-        alignas(32) Weight cand_lanes[4];
-        _mm256_store_pd(cand_lanes, cand);
-        while (mask != 0) {
-            const int lane = std::countr_zero(static_cast<unsigned>(mask));
-            mask &= mask - 1;
-            const VertexId col = cols[i + lane];
-            dist[col] = cand_lanes[lane];
-            improved[m++] = col;
-        }
-    }
-    for (; i < count; ++i) {
-        const VertexId col = cols[i];
-        AA_ASSERT(col < num_columns);
-        const Weight candidate = offset + src[col];
-        const bool better = candidate < dist[col] - kEpsilon;
-        if (better) {
-            dist[col] = candidate;
-        }
-        improved[m] = col;
-        m += better;
-    }
-    return m;
-}
-
 #endif  // AA_SIMD_X86
 }  // namespace
 
@@ -333,51 +265,6 @@ std::size_t DistanceStore::relax_batch_soa(LocalId r, std::span<const VertexId> 
             improved[m] = col;
             m += better;
         }
-    }
-    if (m == 0) {
-        return 0;
-    }
-    record_improved(r, std::span<const VertexId>(improved.data(), m), mark_prop,
-                    mark_send);
-    return m;
-}
-
-std::size_t DistanceStore::relax_batch_from_row(LocalId r, std::span<const VertexId> cols,
-                                                std::span<const Weight> src, Weight offset,
-                                                bool mark_prop, bool mark_send) {
-    AA_ASSERT(r < rows_.size());
-    Row& row = rows_[r];
-    Weight* dist = row.dist.data();
-    AA_ASSERT(src.data() != dist);
-
-    static thread_local std::vector<VertexId> improved;
-    if (improved.size() < cols.size()) {
-        improved.resize(cols.size());
-    }
-
-    // Same compare-and-store sweep as relax_batch, with the candidate read
-    // straight out of the source row instead of a serialized entry. Columns
-    // from a drained dirty set are unique, which is all the gather path needs
-    // (no intra-gather aliasing); they need not be sorted.
-    const std::size_t count = cols.size();
-    std::size_t m = 0;
-#if defined(AA_SIMD_X86)
-    if (simd_enabled_ && kHostHasAvx2) {
-        m = relax_from_row_avx2(dist, src.data(), cols.data(), count, offset,
-                                improved.data(), num_columns_);
-    } else
-#endif
-    for (std::size_t i = 0; i < count; ++i) {
-        const VertexId col = cols[i];
-        AA_ASSERT(col < num_columns_);
-        const Weight candidate = offset + src[col];
-        const Weight current = dist[col];
-        const bool better = candidate < current - kEpsilon;
-        if (better) {
-            dist[col] = candidate;
-        }
-        improved[m] = col;
-        m += better;
     }
     if (m == 0) {
         return 0;

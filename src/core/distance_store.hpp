@@ -163,17 +163,6 @@ public:
                                 std::span<const Weight> dists, Weight offset,
                                 bool mark_prop = true, bool mark_send = true);
 
-    /// Same sweep, but the candidate for each column is offset + src[col]
-    /// instead of a serialized entry — the local-propagation inner loop,
-    /// where `src` is the drained row and `cols` its changed columns. Sweeping
-    /// straight out of the source row spares the caller materializing a
-    /// DvEntry batch per drain. `src` must not alias row r (the propagation
-    /// graph has no self loops). Exactly equivalent to calling relax() with
-    /// offset + src[col] per column in order.
-    std::size_t relax_batch_from_row(LocalId r, std::span<const VertexId> cols,
-                                     std::span<const Weight> src, Weight offset,
-                                     bool mark_prop = true, bool mark_send = true);
-
     /// Drain the propagation worklist of row r (columns changed since last
     /// local propagation), in mark order. Clears the set. The returned span
     /// remains valid until row r's next take_prop (marks on *other* rows, and

@@ -14,16 +14,17 @@
 // The engine sequences these per rank; the functions here are the per-rank
 // kernels and each returns the abstract op count it executed.
 //
-// Execution modes. The default kernels run *batched*: whole DV-entry spans
-// are relaxed through DistanceStore::relax_batch instead of per-element
-// relax() calls, and, when a ThreadPool is supplied, the row sweeps run in
-// parallel (rows are written by exactly one task each; the worklist merge is
-// the only synchronization point). The `_scalar` variants preserve the
-// original per-element implementation as the reference for the
-// kernel-equivalence tests and the ablation bench. All modes execute the
-// same relaxation schedule, so they produce bit-identical distance matrices,
-// identical dirty-set contents, and identical op counts — threading changes
-// host wall-clock time only, never the simulated LogP accounting.
+// Execution modes. The kernels run *batched*: whole DV-entry spans are
+// relaxed through DistanceStore::relax_batch / relax_batch_soa instead of
+// per-element relax() calls, and, when a ThreadPool is supplied, the row
+// sweeps run in parallel (rows are written by exactly one task each; the
+// worklist merge is the only synchronization point). Each phase has exactly
+// one sweep; the per-element reference the kernel-equivalence tests compare
+// against lives in tests/test_rc_kernels.cpp. Batched and threaded runs
+// execute the same relaxation schedule as that reference, so they produce
+// bit-identical distance matrices, identical dirty-set contents, and
+// identical op counts — threading changes host wall-clock time only, never
+// the simulated LogP accounting.
 //
 // Op accounting (what each kernel charges to the simulated clock):
 //   * rc_post_boundary_updates — one op per drained send column (drain +
@@ -149,7 +150,7 @@ std::size_t adaptive_rc_ingest_window_bytes(std::size_t live_ranks);
 /// streamed from memory once per window instead of once per incident block
 /// and the window's entries stay cache-resident across all their sweeps;
 /// within each row, block-arrival order is preserved, keeping results
-/// bit-identical to the scalar kernel. With a multi-thread `pool`, a
+/// bit-identical to a per-element relax() loop in arrival order. With a multi-thread `pool`, a
 /// window's row groups (pairwise-disjoint rows) are relaxed in parallel.
 /// Returns ops.
 double rc_ingest_updates(const LocalSubgraph& sg, DistanceStore& store,
@@ -171,11 +172,11 @@ inline constexpr std::size_t kRcPropagateParallelGrain = 8192;
 /// buffer (tile_cols x 8 bytes — the default keeps it L1-resident) which is
 /// then swept into *every* neighbour row while still hot, so the scattered
 /// source-row gather happens once per tile instead of once per neighbour.
-/// 0 disables tiling (the per-neighbour relax_batch_from_row reference path,
-/// kept for the kernel ablation bench). Tiling cannot change results: each
-/// (neighbour, column) pair is relaxed exactly once with the same candidate,
-/// columns stay in ascending order per neighbour, and worklist pushes happen
-/// in neighbour order after the row's full sweep either way.
+/// The width must be positive (rc_propagate_local asserts it). Tiling cannot
+/// change results: each (neighbour, column) pair is relaxed exactly once with
+/// the same candidate, columns stay in ascending order per neighbour, and
+/// worklist pushes happen in neighbour order after the row's full sweep
+/// whatever the width.
 inline constexpr std::size_t kRcPropagateTileCols = 4096;
 
 /// Phase 3b: within-rank propagation to fixpoint. Drains the prop worklists
@@ -208,14 +209,6 @@ double rc_propagate_local(const LocalSubgraph& sg, DistanceStore& store,
                           std::size_t tile_cols = kRcPropagateTileCols,
                           std::span<const LocalId> seed_order = {},
                           double max_ops = 0);
-
-/// Reference implementations: the original one-(row, column)-at-a-time
-/// kernels. Kept as ground truth for tests and the rc-kernel ablation bench;
-/// bit-identical results and op counts to the batched/threaded paths.
-double rc_ingest_updates_scalar(const LocalSubgraph& sg, DistanceStore& store,
-                                const std::vector<Message>& inbox,
-                                BoundaryWireFormat format = BoundaryWireFormat::V2Soa);
-double rc_propagate_local_scalar(const LocalSubgraph& sg, DistanceStore& store);
 
 /// Serialize the payload of one boundary update: repeated blocks, layout per
 /// `format`.

@@ -169,48 +169,6 @@ TEST(DistanceStore, RelaxBatchMatchesRelaxLoop) {
     }
 }
 
-TEST(DistanceStore, RelaxBatchFromRowMatchesRelaxLoop) {
-    // relax_batch_from_row (the propagate inner loop: candidates gathered
-    // from a source row instead of serialized entries) must match per-column
-    // relax() exactly.
-    Rng rng(321);
-    for (int round = 0; round < 20; ++round) {
-        DistanceStore a(64);
-        DistanceStore b(64);
-        const LocalId ua = a.add_row(0);
-        const LocalId va = a.add_row(1);
-        const LocalId ub = b.add_row(0);
-        const LocalId vb = b.add_row(1);
-        std::vector<VertexId> cols;
-        for (int i = 0; i < 40; ++i) {
-            const auto col = static_cast<VertexId>(rng.uniform(64));
-            const Weight d = rng.uniform(0.0, 10.0);
-            a.relax(ua, col, d);
-            b.relax(ub, col, d);
-            cols.push_back(col);
-        }
-        const Weight offset = rng.uniform(0.0, 2.0);
-        const auto src_a = a.row(ua);
-        std::size_t improved_loop = 0;
-        for (const VertexId col : cols) {
-            improved_loop += a.relax(va, col, offset + src_a[col]) ? 1 : 0;
-        }
-        const std::size_t improved_batch =
-            b.relax_batch_from_row(vb, cols, b.row(ub), offset);
-        EXPECT_EQ(improved_loop, improved_batch);
-        for (VertexId c = 0; c < 64; ++c) {
-            EXPECT_EQ(a.at(va, c), b.at(vb, c)) << "col " << c;
-        }
-        const auto pa = a.take_send(va);
-        const auto pb = b.take_send(vb);
-        std::vector<VertexId> sa(pa.begin(), pa.end());
-        std::vector<VertexId> sb(pb.begin(), pb.end());
-        std::sort(sa.begin(), sa.end());
-        std::sort(sb.begin(), sb.end());
-        EXPECT_EQ(sa, sb);
-    }
-}
-
 TEST(DistanceStore, RelaxBatchHonoursMarkFlags) {
     DistanceStore store(4);
     const LocalId r = store.add_row(0);

@@ -1,13 +1,14 @@
 // Direct tests of the RC-step kernels (post / ingest / propagate) against a
 // hand-built two-rank fixture — the units underneath the engine's rc_step() —
-// plus property tests pinning the batched and threaded kernels to the scalar
-// reference: bit-identical distance matrices, identical op counts, and
-// equivalent dirty-set contents across random graphs, seeds, partitions, and
-// thread counts.
+// plus property tests pinning the batched and threaded kernels to a
+// per-element scalar reference defined below: bit-identical distance
+// matrices, identical op counts, and equivalent dirty-set contents across
+// random graphs, seeds, partitions, and thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
 #include <memory>
 
 #include "core/ia.hpp"
@@ -136,6 +137,17 @@ TEST(RcKernels, PropagateChainsAcrossMultipleHops) {
     EXPECT_EQ(store.at(sg.local_id(0), 0), 0.0);
 }
 
+TEST(RcKernels, ZeroTileWidthIsRejected) {
+    // A zero-width tile would never advance the row-blocked sweep.
+    TwoRankFixture fx;
+    fx.run_ia();
+    fx.store0.relax(fx.sg0.local_id(1), 3, 2.0);
+    EXPECT_DEATH(rc_propagate_local(fx.sg0, fx.store0, nullptr,
+                                    kRcPropagateParallelGrain, nullptr,
+                                    /*tile_cols=*/0),
+                 "tile width");
+}
+
 TEST(RcKernels, FullCycleConverges) {
     TwoRankFixture fx;
     fx.run_ia();
@@ -165,6 +177,65 @@ TEST(RcKernels, FullCycleConverges) {
 // three kernel modes. All modes execute the same relaxation schedule, so they
 // must agree bit for bit — on every matrix entry, on every op count, and on
 // the dirty-set contents in between kernels.
+
+// The scalar reference: one DistanceStore::relax() per (row, column), in
+// block-arrival order for ingest and FIFO drain order for propagate, charging
+// one op per attempt — the semantics the library's batched sweeps reproduce.
+double scalar_ingest(const LocalSubgraph& sg, DistanceStore& store,
+                     const std::vector<Message>& inbox,
+                     BoundaryWireFormat format = BoundaryWireFormat::V2Soa) {
+    double ops = 0;
+    for (const Message& message : inbox) {
+        if (message.tag != MessageTag::BoundaryDvUpdate) {
+            continue;
+        }
+        for (const BoundaryBlock& block : decode_boundary_blocks(message.bytes(), format)) {
+            // d(local, t) <= w(local, ext) + d(ext, t) through each cut edge.
+            for (const auto& [local, w] : sg.external_neighbors(block.vertex)) {
+                for (const DvEntry& entry : block.entries) {
+                    store.relax(local, entry.column, w + entry.distance);
+                    ops += 1;
+                }
+            }
+        }
+    }
+    return ops;
+}
+
+double scalar_propagate(const LocalSubgraph& sg, DistanceStore& store) {
+    double ops = 0;
+    std::deque<LocalId> worklist;
+    std::vector<std::uint8_t> queued(sg.num_local(), 0);
+    for (LocalId l = 0; l < sg.num_local(); ++l) {
+        if (store.has_prop(l)) {
+            worklist.push_back(l);
+            queued[l] = 1;
+        }
+    }
+    while (!worklist.empty()) {
+        const LocalId u = worklist.front();
+        worklist.pop_front();
+        queued[u] = 0;
+        const auto cols = store.take_prop(u);
+        const auto row_u = store.row(u);
+        for (const Neighbor& nb : sg.neighbors(u)) {
+            if (!sg.owns(nb.to)) {
+                continue;  // cross-rank propagation happens via RC messages
+            }
+            const LocalId v = sg.local_id(nb.to);
+            bool improved = false;
+            for (const VertexId col : cols) {
+                improved |= store.relax(v, col, row_u[col] + nb.weight);
+                ops += 1;
+            }
+            if (improved && queued[v] == 0) {
+                worklist.push_back(v);
+                queued[v] = 1;
+            }
+        }
+    }
+    return ops;
+}
 
 enum class Mode { Scalar, Batched, Threaded };
 
@@ -247,9 +318,8 @@ RcOps run_rc_fixpoint(MiniCluster& mc, Mode mode, std::size_t threads = 1,
             const auto inbox = mc.cluster.receive(r);
             switch (mode) {
                 case Mode::Scalar:
-                    ops.ingest += rc_ingest_updates_scalar(mc.sgs[r], mc.stores[r],
-                                                           inbox, format);
-                    ops.propagate += rc_propagate_local_scalar(mc.sgs[r], mc.stores[r]);
+                    ops.ingest += scalar_ingest(mc.sgs[r], mc.stores[r], inbox, format);
+                    ops.propagate += scalar_propagate(mc.sgs[r], mc.stores[r]);
                     break;
                 case Mode::Batched:
                     ops.ingest += rc_ingest_updates(mc.sgs[r], mc.stores[r], inbox,
@@ -370,8 +440,8 @@ TEST(RcKernelEquivalence, IngestDirtySetsMatchScalar) {
     scalar.cluster.exchange();
     batched.cluster.exchange();
     for (RankId r = 0; r < 4; ++r) {
-        const double ops_s = rc_ingest_updates_scalar(scalar.sgs[r], scalar.stores[r],
-                                                      scalar.cluster.receive(r));
+        const double ops_s =
+            scalar_ingest(scalar.sgs[r], scalar.stores[r], scalar.cluster.receive(r));
         const double ops_b = rc_ingest_updates(batched.sgs[r], batched.stores[r],
                                                batched.cluster.receive(r),
                                                BoundaryWireFormat::V2Soa, &pool,

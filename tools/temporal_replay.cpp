@@ -29,9 +29,11 @@
 // raw span stream (CSV) for the whole replay after convergence.
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -141,6 +143,35 @@ std::vector<TemporalEdge> synth_stream(std::size_t n, std::uint64_t seed) {
     return edges;
 }
 
+/// Parse all of `text` as a decimal integer in [lo, hi]. A sign, blank or
+/// trailing character fails, as does an out-of-range value.
+bool parse_integer(const std::string& text, std::uint64_t lo, std::uint64_t hi,
+                   std::uint64_t& out) {
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+        return false;
+    }
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+    if (errno != 0 || *end != '\0' || value < lo || value > hi) {
+        return false;
+    }
+    out = value;
+    return true;
+}
+
+/// Parse all of `text` as a number in [lo, hi]; NaN is never in range.
+bool parse_number(const std::string& text, double lo, double hi, double& out) {
+    errno = 0;
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || errno != 0 || *end != '\0' || !(value >= lo && value <= hi)) {
+        return false;
+    }
+    out = value;
+    return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -162,17 +193,40 @@ int main(int argc, char** argv) {
         const std::string arg = argv[i];
         const auto value = [&]() -> std::string {
             if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n", arg.c_str());
+                std::fprintf(stderr, "error: missing value for %s\n", arg.c_str());
                 std::exit(2);
             }
             return argv[++i];
         };
-        if (arg == "--windows") windows = std::stoul(value());
-        else if (arg == "--warmup") warmup = std::stod(value());
+        // A bad numeric value is an `error:` line and exit 2, never a crash.
+        const auto reject = [&](const std::string& text, const char* expected) {
+            std::fprintf(stderr, "error: %s needs %s, got '%s'\n", arg.c_str(), expected,
+                         text.c_str());
+            std::exit(2);
+        };
+        const auto integer = [&](std::uint64_t lo, std::uint64_t hi, const char* expected) {
+            const std::string text = value();
+            std::uint64_t out = 0;
+            if (!parse_integer(text, lo, hi, out)) {
+                reject(text, expected);
+            }
+            return out;
+        };
+        constexpr auto kAny = std::numeric_limits<std::uint64_t>::max();
+        if (arg == "--windows") windows = integer(1, kAny, "an integer >= 1");
+        else if (arg == "--warmup") {
+            const std::string text = value();
+            if (!parse_number(text, 0.0, 1.0, warmup)) {
+                reject(text, "a fraction in [0, 1]");
+            }
+        }
         else if (arg == "--strategy") strategy_name = value();
-        else if (arg == "--ranks") ranks = static_cast<std::uint32_t>(std::stoul(value()));
-        else if (arg == "--seed") seed = std::stoull(value());
-        else if (arg == "--synth") synth = std::stoul(value());
+        else if (arg == "--ranks") {
+            ranks = static_cast<std::uint32_t>(integer(
+                1, std::numeric_limits<std::uint32_t>::max(), "a rank count >= 1"));
+        }
+        else if (arg == "--seed") seed = integer(0, kAny, "an unsigned integer");
+        else if (arg == "--synth") synth = integer(0, kAny, "an unsigned integer");
         else if (arg == "--verify") verify = true;
         else if (arg == "--timeline") timeline_json = value();
         else if (arg == "--timeline-csv") timeline_csv = value();
@@ -187,7 +241,7 @@ int main(int argc, char** argv) {
             }
         }
         else if (arg[0] == '-') {
-            std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
+            std::fprintf(stderr, "error: unknown flag %s\n", arg.c_str());
             return 2;
         } else {
             path = arg;

@@ -55,7 +55,8 @@ static_assert(std::is_trivially_copyable_v<DvEntry>);
 /// Layout of the boundary-DV payload blocks exchanged in the RC step (see
 /// core/rc.hpp for the encoders/decoders and the byte-accounting contract).
 enum class BoundaryWireFormat : std::uint8_t {
-    /// Array-of-structs: [u32 vertex][u64 count][count x 12-byte DvEntry].
+    /// Array-of-structs: [u32 vertex][u64 count][count x 16-byte DvEntry:
+    /// u32 column, 4 zero pad bytes, f64 distance].
     /// The historical format; entry runs sit 12 bytes past the block header,
     /// so the doubles inside are never 8-aligned.
     V1Aos = 1,

@@ -42,43 +42,34 @@ struct AffectedEdge {
 /// exact and the slack admits no extra suspect beyond exact ties.
 constexpr Weight kSuspectSlack = 1e-9;
 
-/// One row's block and the ranks sharing a cut edge with the row.
-using FanOutBlock = std::pair<std::vector<RankId>, BoundaryBlock>;
+/// A v2 block's entries read one DvEntry at a time, the shape DvEntrySpan
+/// gives a v1 block.
+struct SoaEntries {
+    std::span<const VertexId> cols;
+    std::span<const Weight> dists;
+    std::size_t size() const { return cols.size(); }
+    DvEntry operator[](std::size_t i) const { return {cols[i], dists[i]}; }
+};
 
-/// The cascade's row fan-out (boundary views and raises): replicate each
-/// block to its ranks and post one payload per destination in the configured
-/// wire format. Returns the entries shipped, summed over destinations.
-std::size_t fan_out_blocks(Cluster& cluster, RankId from, MessageTag tag,
-                           BoundaryWireFormat wire,
-                           const std::vector<FanOutBlock>& blocks) {
-    std::vector<std::vector<BoundaryBlock>> per_dest(cluster.num_ranks());
-    std::vector<std::size_t> dest_entries(cluster.num_ranks(), 0);
-    for (const auto& [destinations, block] : blocks) {
-        for (const RankId dest : destinations) {
-            dest_entries[dest] += block.entries.size();
-            per_dest[dest].push_back(block);
-        }
-    }
-    std::size_t shipped = 0;
-    for (RankId dest = 0; dest < per_dest.size(); ++dest) {
-        if (!per_dest[dest].empty()) {
-            shipped += dest_entries[dest];
-            cluster.send(from, dest, tag, encode_boundary_blocks(per_dest[dest], wire),
-                         dest_entries[dest]);
-        }
-    }
-    return shipped;
-}
-
-/// The receiving half: decode every `tag` payload in rank r's inbox and
-/// hand each block to fn.
+/// The receiving half of the cascade's row fan-out (boundary views and
+/// raises, posted through BoundaryFanOut): decode every `tag` payload in rank
+/// r's inbox in place and hand each block to fn(vertex, entries), where
+/// entries has size() and operator[] yielding a DvEntry.
 template <class Fn>
 void for_each_received_block(Cluster& cluster, RankId r, MessageTag tag,
                              BoundaryWireFormat wire, Fn&& fn) {
+    std::vector<VertexId> arena;  // v2 column arena, reused across messages
     for (const Message& m : cluster.receive(r)) {
         AA_ASSERT(m.tag == tag);
-        for (const BoundaryBlock& block : decode_boundary_blocks(m.bytes(), wire)) {
-            fn(block);
+        if (wire == BoundaryWireFormat::V2Soa) {
+            for (const BoundaryBlockSoaView& block :
+                 decode_boundary_block_soa_views(m.bytes(), arena)) {
+                fn(block.vertex, SoaEntries{block.cols, block.dists});
+            }
+        } else {
+            for (const BoundaryBlockView& block : decode_boundary_block_views(m.bytes())) {
+                fn(block.vertex, block.entries);
+            }
         }
     }
 }
@@ -295,31 +286,33 @@ ShrinkReport AnytimeEngine::shrink_and_resettle(const ShrinkBatch& batch) {
         // infinity, which matches its row).
         std::vector<std::unordered_map<VertexId, std::vector<Weight>>> views(
             num_ranks);
+        std::vector<VertexId> cols;  // reused: one row's finite columns
+        std::vector<Weight> dists;   // reused: their distances
         for (RankId p = 0; p < num_ranks; ++p) {
             RankState& st = ranks_[p];
-            std::vector<FanOutBlock> outgoing;
+            BoundaryFanOut fan_out(num_ranks, config_.wire_format);
             double ops = 0;
             for (LocalId l = 0; l < st.sg.num_local(); ++l) {
                 const auto destinations = st.sg.neighbor_ranks(l);
                 if (destinations.empty()) {
                     continue;
                 }
-                BoundaryBlock block;
-                block.vertex = st.sg.global_id(l);
                 const auto row = st.store.row(l);
+                cols.clear();
+                dists.clear();
                 for (const VertexId t : cols_t) {
                     if (row[t] < kInfinity) {
-                        block.entries.push_back({t, row[t]});
+                        cols.push_back(t);
+                        dists.push_back(row[t]);
                     }
                 }
                 ops += static_cast<double>(cols_t.size());
-                if (!block.entries.empty()) {
-                    outgoing.emplace_back(destinations, std::move(block));
+                if (!cols.empty()) {
+                    fan_out.add(st.sg.global_id(l), cols, dists, destinations);
                 }
             }
             ops += static_cast<double>(
-                fan_out_blocks(*cluster_, p, MessageTag::ShrinkBoundaryView,
-                               config_.wire_format, outgoing));
+                fan_out.post(*cluster_, p, MessageTag::ShrinkBoundaryView).entries);
             cluster_->charge_compute(p, ops);
             dynamic_ops += ops;
         }
@@ -330,14 +323,15 @@ ShrinkReport AnytimeEngine::shrink_and_resettle(const ShrinkBatch& batch) {
             double ops = 0;
             for_each_received_block(
                 *cluster_, p, MessageTag::ShrinkBoundaryView, config_.wire_format,
-                [&](const BoundaryBlock& block) {
-                    auto& view = views[p][block.vertex];
+                [&](VertexId vertex, const auto& entries) {
+                    auto& view = views[p][vertex];
                     view.assign(cols_t.size(), kInfinity);
-                    for (const DvEntry& e : block.entries) {
+                    for (std::size_t i = 0; i < entries.size(); ++i) {
+                        const DvEntry e = entries[i];
                         AA_ASSERT(t_index[e.column] != kInvalidVertex);
                         view[t_index[e.column]] = e.distance;
                     }
-                    ops += static_cast<double>(block.entries.size());
+                    ops += static_cast<double>(entries.size());
                 });
             cluster_->charge_compute(p, ops);
             dynamic_ops += ops;
@@ -420,7 +414,7 @@ ShrinkReport AnytimeEngine::shrink_and_resettle(const ShrinkBatch& batch) {
                 // Ship the raises: one block per invalidated row, columns
                 // ascending (map order per row; per-column at most one raise),
                 // replicated to every rank sharing a cut edge with the row.
-                std::vector<FanOutBlock> outgoing;
+                BoundaryFanOut fan_out(num_ranks, config_.wire_format);
                 for (auto& [l, entries] : raised) {
                     std::sort(entries.begin(), entries.end(),
                               [](const DvEntry& a, const DvEntry& b) {
@@ -430,14 +424,16 @@ ShrinkReport AnytimeEngine::shrink_and_resettle(const ShrinkBatch& batch) {
                     if (destinations.empty()) {
                         continue;
                     }
-                    BoundaryBlock block;
-                    block.vertex = st.sg.global_id(l);
-                    block.entries = std::move(entries);
-                    ops += static_cast<double>(block.entries.size());
-                    outgoing.emplace_back(destinations, std::move(block));
+                    cols.clear();
+                    dists.clear();
+                    for (const DvEntry& e : entries) {
+                        cols.push_back(e.column);
+                        dists.push_back(e.distance);
+                    }
+                    ops += static_cast<double>(entries.size());
+                    fan_out.add(st.sg.global_id(l), cols, dists, destinations);
                 }
-                fan_out_blocks(*cluster_, p, MessageTag::ShrinkRaise,
-                               config_.wire_format, outgoing);
+                fan_out.post(*cluster_, p, MessageTag::ShrinkRaise);
                 cluster_->charge_compute(p, ops);
                 dynamic_ops += ops;
             }
@@ -450,15 +446,16 @@ ShrinkReport AnytimeEngine::shrink_and_resettle(const ShrinkBatch& batch) {
                 double ops = 0;
                 for_each_received_block(
                     *cluster_, p, MessageTag::ShrinkRaise, config_.wire_format,
-                    [&](const BoundaryBlock& block) {
-                        const auto vit = views[p].find(block.vertex);
-                        for (const DvEntry& e : block.entries) {
+                    [&](VertexId vertex, const auto& entries) {
+                        const auto vit = views[p].find(vertex);
+                        for (std::size_t i = 0; i < entries.size(); ++i) {
+                            const DvEntry e = entries[i];
                             AA_ASSERT(t_index[e.column] != kInvalidVertex);
                             if (vit != views[p].end()) {
                                 vit->second[t_index[e.column]] = kInfinity;
                             }
                             for (const auto& [ly, w] :
-                                 st.sg.external_neighbors(block.vertex)) {
+                                 st.sg.external_neighbors(vertex)) {
                                 ops += 1;
                                 const Weight dy = st.store.at(ly, e.column);
                                 if (dy < kInfinity) {

@@ -1,7 +1,9 @@
 #include "core/rc.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cstddef>
 #include <cstring>
 #include <deque>
 #include <limits>
@@ -119,6 +121,24 @@ void encode_v2_block(Serializer& out, VertexId vertex, std::span<const VertexId>
     }
     out.pad_to(sizeof(Weight));
     out.write_bytes(std::as_bytes(dists));
+}
+
+/// Encode one v1 block: [u32 vertex][u64 count][count x DvEntry]. Each entry
+/// goes out as a zeroed DvEntry image with its two fields copied in, so the
+/// struct's padding bytes travel as zeros and the block bytes are a pure
+/// function of the entries (a raw DvEntry copy would ship whatever the
+/// padding held).
+void encode_v1_block(Serializer& out, VertexId vertex, std::span<const VertexId> cols,
+                     std::span<const Weight> dists) {
+    AA_ASSERT(cols.size() == dists.size());
+    out.write(vertex);
+    out.write(static_cast<std::uint64_t>(cols.size()));
+    std::array<std::byte, sizeof(DvEntry)> image{};
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+        std::memcpy(image.data() + offsetof(DvEntry, column), &cols[i], sizeof(VertexId));
+        std::memcpy(image.data() + offsetof(DvEntry, distance), &dists[i], sizeof(Weight));
+        out.write_bytes(image);
+    }
 }
 
 /// Structural parse result of a boundary payload: nullptr on success, else
@@ -275,16 +295,15 @@ std::vector<std::byte> encode_boundary_blocks(const std::vector<BoundaryBlock>& 
     std::vector<VertexId> cols;
     std::vector<Weight> dists;
     for (const BoundaryBlock& block : blocks) {
+        cols.clear();
+        dists.clear();
+        for (const DvEntry& entry : block.entries) {
+            cols.push_back(entry.column);
+            dists.push_back(entry.distance);
+        }
         if (format == BoundaryWireFormat::V1Aos) {
-            out.write(block.vertex);
-            out.write_span(std::span<const DvEntry>(block.entries));
+            encode_v1_block(out, block.vertex, cols, dists);
         } else {
-            cols.clear();
-            dists.clear();
-            for (const DvEntry& entry : block.entries) {
-                cols.push_back(entry.column);
-                dists.push_back(entry.distance);
-            }
             encode_v2_block(out, block.vertex, cols, dists);
         }
     }
@@ -422,27 +441,82 @@ const char* boundary_payload_error(std::span<const std::byte> payload,
     return nullptr;
 }
 
+void order_drained_columns(std::vector<VertexId>& cols,
+                           std::span<std::uint64_t> col_bits) {
+    if (cols.size() < 64) {
+        std::sort(cols.begin(), cols.end());
+        return;
+    }
+    for (const VertexId col : cols) {
+        col_bits[col >> 6] |= std::uint64_t{1} << (col & 63);
+    }
+    cols.clear();
+    for (std::size_t w = 0; w < col_bits.size(); ++w) {
+        std::uint64_t word = col_bits[w];
+        if (word == 0) {
+            continue;
+        }
+        col_bits[w] = 0;
+        while (word != 0) {
+            const auto bit = static_cast<VertexId>(std::countr_zero(word));
+            cols.push_back(static_cast<VertexId>(w << 6) + bit);
+            word &= word - 1;
+        }
+    }
+}
+
+BoundaryFanOut::BoundaryFanOut(std::size_t num_ranks, BoundaryWireFormat format)
+    : format_(format), payloads_(num_ranks), entries_(num_ranks, 0) {}
+
+void BoundaryFanOut::add(VertexId vertex, std::span<const VertexId> cols,
+                         std::span<const Weight> dists,
+                         std::span<const RankId> destinations) {
+    encoder_.clear();
+    if (format_ == BoundaryWireFormat::V2Soa) {
+        encode_v2_block(encoder_, vertex, cols, dists);
+    } else {
+        encode_v1_block(encoder_, vertex, cols, dists);
+    }
+    const auto block_bytes = encoder_.view();
+    for (const RankId dest : destinations) {
+        payloads_[dest].insert(payloads_[dest].end(), block_bytes.begin(),
+                               block_bytes.end());
+        entries_[dest] += cols.size();
+    }
+}
+
+BoundaryFanOut::Posted BoundaryFanOut::post(Cluster& cluster, RankId from,
+                                            MessageTag tag) {
+    Posted posted;
+    for (RankId dest = 0; dest < payloads_.size(); ++dest) {
+        if (payloads_[dest].empty()) {
+            continue;
+        }
+        AA_ASSERT_MSG(dest != from, "boundary block addressed to its own rank");
+        ++posted.messages;
+        posted.bytes += payloads_[dest].size();
+        posted.entries += entries_[dest];
+        cluster.send(from, dest, tag, std::move(payloads_[dest]), entries_[dest]);
+        payloads_[dest] = {};
+        entries_[dest] = 0;
+    }
+    return posted;
+}
+
 double rc_post_boundary_updates(const LocalSubgraph& sg, DistanceStore& store,
                                 Cluster& cluster, BoundaryWireFormat format,
                                 RcPostProfile* profile,
                                 std::span<const LocalId> row_order) {
     AA_ASSERT_MSG(row_order.empty() || row_order.size() == sg.num_local(),
                   "refine plan must be a permutation of all local rows");
-    const RankId me = sg.rank();
-    const std::uint32_t num_ranks = cluster.num_ranks();
     double ops = 0;
-
-    // Per-destination payloads: each sending row's block is encoded exactly
-    // once and its bytes appended to every destination buffer (both payload
-    // formats are plain concatenations of self-aligned blocks). The entry
-    // counts ride along so the cluster can price the message by decoded
-    // footprint under PriceModel::PerEntry.
-    std::vector<std::vector<std::byte>> outgoing(num_ranks);
-    std::vector<std::size_t> outgoing_entries(num_ranks, 0);
-    std::vector<VertexId> sorted_cols;  // reused across rows
-    std::vector<DvEntry> entries;       // reused across rows (v1)
-    std::vector<Weight> dists;          // reused across rows (v2)
-    Serializer encoder;                 // reused across rows
+    // Each sending row's block is encoded exactly once and its bytes shared
+    // by every destination payload (see BoundaryFanOut).
+    BoundaryFanOut fan_out(cluster.num_ranks(), format);
+    std::vector<VertexId> sorted_cols;  // reused: drained columns in column order
+    std::vector<Weight> dists;          // reused: their finite distances
+    // Scratch bitmap for order_drained_columns (one bit per column).
+    std::vector<std::uint64_t> col_bits((store.num_columns() + 63) / 64, 0);
 
     for (std::size_t i = 0; i < sg.num_local(); ++i) {
         // A refine plan visits rows in planner priority order; the empty
@@ -469,60 +543,38 @@ double rc_post_boundary_updates(const LocalSubgraph& sg, DistanceStore& store,
         // Non-finite entries are dropped at drain time: an invalidated column
         // may sit in the send set (the deletion path re-dirties what it
         // raises), but infinity relaxes nothing remotely — raises travel as
-        // explicit ShrinkRaise messages, never as boundary-DV entries.
+        // explicit ShrinkRaise messages, never as boundary-DV entries. The
+        // filter and the distance gather share one ascending pass over the
+        // row, compacting the kept columns in place.
+        sorted_cols.assign(cols.begin(), cols.end());
+        order_drained_columns(sorted_cols, col_bits);
         const auto row = store.row(l);
-        sorted_cols.clear();
-        for (const VertexId col : cols) {
+        dists.clear();
+        std::size_t kept = 0;
+        for (const VertexId col : sorted_cols) {
             if (row[col] < kInfinity) {
-                sorted_cols.push_back(col);
-            }
-        }
-        std::sort(sorted_cols.begin(), sorted_cols.end());
-        if (sorted_cols.empty()) {
-            continue;
-        }
-        encoder.clear();
-        if (format == BoundaryWireFormat::V2Soa) {
-            dists.clear();
-            dists.reserve(sorted_cols.size());
-            for (const VertexId col : sorted_cols) {
+                sorted_cols[kept++] = col;
                 dists.push_back(row[col]);
             }
-            encode_v2_block(encoder, sg.global_id(l), sorted_cols, dists);
-        } else {
-            entries.clear();
-            entries.reserve(sorted_cols.size());
-            for (const VertexId col : sorted_cols) {
-                entries.push_back({col, row[col]});
-            }
-            encoder.write(sg.global_id(l));
-            encoder.write_span(std::span<const DvEntry>(entries));
         }
-        const auto block_bytes = encoder.view();
+        sorted_cols.resize(kept);
+        if (kept == 0) {
+            continue;
+        }
+        fan_out.add(sg.global_id(l), sorted_cols, dists, destinations);
         // Serialization cost is charged once per block, not once per
         // destination: the encoded bytes are shared (see rc.hpp).
-        ops += static_cast<double>(sorted_cols.size());
+        ops += static_cast<double>(kept);
         if (profile != nullptr) {
             ++profile->blocks;
-            profile->entries += sorted_cols.size();
-        }
-        for (const RankId dest : destinations) {
-            outgoing[dest].insert(outgoing[dest].end(), block_bytes.begin(),
-                                  block_bytes.end());
-            outgoing_entries[dest] += sorted_cols.size();
+            profile->entries += kept;
         }
     }
 
-    for (RankId dest = 0; dest < num_ranks; ++dest) {
-        if (dest == me || outgoing[dest].empty()) {
-            continue;
-        }
-        if (profile != nullptr) {
-            ++profile->messages;
-            profile->bytes += outgoing[dest].size();
-        }
-        cluster.send(me, dest, MessageTag::BoundaryDvUpdate, std::move(outgoing[dest]),
-                     outgoing_entries[dest]);
+    const auto posted = fan_out.post(cluster, sg.rank(), MessageTag::BoundaryDvUpdate);
+    if (profile != nullptr) {
+        profile->messages += posted.messages;
+        profile->bytes += posted.bytes;
     }
     return ops;
 }
@@ -747,7 +799,7 @@ double rc_propagate_local(const LocalSubgraph& sg, DistanceStore& store,
     std::vector<std::uint8_t> improved;  // reused: per-target improvement flags
     std::vector<VertexId> sorted_cols;   // reused: drained columns in column order
     std::vector<Weight> gathered;        // reused: contiguous drained source values
-    // Scratch bitmap for linear-time column ordering (one bit per column).
+    // Scratch bitmap for order_drained_columns (one bit per column).
     std::vector<std::uint64_t> col_bits((store.num_columns() + 63) / 64, 0);
 
     while (!worklist.empty()) {
@@ -772,29 +824,9 @@ double rc_propagate_local(const LocalSubgraph& sg, DistanceStore& store,
         // reordering cannot change any relaxation outcome — but a sorted
         // sweep walks both the source and the target row forward instead of
         // scattering, and the ordering cost is paid once per drained row yet
-        // reused across all its neighbours. Large drains order via the
-        // scratch bitmap in O(k + columns/64); small ones with a plain sort.
+        // reused across all its neighbours (see order_drained_columns).
         sorted_cols.assign(cols.begin(), cols.end());
-        if (sorted_cols.size() >= 64) {
-            for (const VertexId col : sorted_cols) {
-                col_bits[col >> 6] |= std::uint64_t{1} << (col & 63);
-            }
-            sorted_cols.clear();
-            for (std::size_t w = 0; w < col_bits.size(); ++w) {
-                std::uint64_t word = col_bits[w];
-                if (word == 0) {
-                    continue;
-                }
-                col_bits[w] = 0;
-                while (word != 0) {
-                    const auto bit = static_cast<VertexId>(std::countr_zero(word));
-                    sorted_cols.push_back(static_cast<VertexId>(w << 6) + bit);
-                    word &= word - 1;
-                }
-            }
-        } else {
-            std::sort(sorted_cols.begin(), sorted_cols.end());
-        }
+        order_drained_columns(sorted_cols, col_bits);
         const auto row_u = store.row(u);
         targets.clear();
         for (const Neighbor& nb : sg.neighbors(u)) {

@@ -98,10 +98,11 @@ struct RcPropagateProfile {
 /// Phase 1: drain every row's send-list and post one BoundaryDvUpdate message
 /// per neighbouring rank that shares a cut edge with the row's vertex. Each
 /// row's block is serialized once — in the requested wire format, columns
-/// canonically sorted ascending — and the encoded bytes are appended to every
-/// destination payload (see the accounting note above). Send-lists of
-/// interior rows are drained too (they have no audience; a row that later
-/// becomes boundary is re-marked in full by the edge-addition path).
+/// canonically ordered ascending by order_drained_columns — and the encoded
+/// bytes are appended to every destination payload through BoundaryFanOut
+/// (see the accounting note above). Send-lists of interior rows are drained
+/// too (they have no audience; a row that later becomes boundary is
+/// re-marked in full by the edge-addition path).
 ///
 /// `row_order` (the refine planner's output, see refine/planner.hpp) makes
 /// the drain visit rows in that order instead of ascending LocalId; it must
@@ -116,6 +117,15 @@ double rc_post_boundary_updates(const LocalSubgraph& sg, DistanceStore& store,
                                 BoundaryWireFormat format = BoundaryWireFormat::V2Soa,
                                 RcPostProfile* profile = nullptr,
                                 std::span<const LocalId> row_order = {});
+
+/// Order a drained row's columns ascending in place: the one column ordering
+/// the post and propagate kernels share. The columns must be unique and below
+/// 64 x col_bits.size(). Drains of 64 or more columns are ordered through
+/// `col_bits`, a caller-owned scratch bitmap of one bit per column, in
+/// O(k + columns/64): it must be all-zero on entry and is all-zero again on
+/// return. Smaller drains use std::sort, which beats the word scan there.
+void order_drained_columns(std::vector<VertexId>& cols,
+                           std::span<std::uint64_t> col_bits);
 
 /// Minimum relaxation-attempt count per payload window before the window's
 /// row groups fan out to the pool: below this, parallel_for dispatch latency
@@ -212,7 +222,8 @@ double rc_propagate_local(const LocalSubgraph& sg, DistanceStore& store,
 
 /// Serialize the payload of one boundary update: repeated blocks, layout per
 /// `format`.
-///   V1Aos: [u32 vertex][u64 count][count x 12-byte DvEntry].
+///   V1Aos: [u32 vertex][u64 count][count x 16-byte DvEntry: u32 column,
+///          4 zero pad bytes, f64 distance].
 ///   V2Soa: [u32 vertex][varint count][u8 col_encoding][columns]
 ///          [zero pad to 8][count x f64], where the columns are either
 ///          delta-varints (encoding 0: first column absolute, then raw
@@ -232,6 +243,39 @@ struct BoundaryBlock {
 std::vector<std::byte> encode_boundary_blocks(
     const std::vector<BoundaryBlock>& blocks,
     BoundaryWireFormat format = BoundaryWireFormat::V2Soa);
+
+/// Per-destination boundary payloads, built block by block: each block is
+/// encoded once in the given wire format and its bytes appended to every
+/// destination's payload (both formats are plain concatenations of
+/// self-contained blocks), so the payload bytes equal encode_boundary_blocks
+/// over each destination's blocks in arrival order. Entry counts ride along
+/// so the cluster can price each message by decoded footprint under
+/// PriceModel::PerEntry. The post kernel and the deletion path's view and
+/// raise exchanges share it.
+class BoundaryFanOut {
+public:
+    BoundaryFanOut(std::size_t num_ranks, BoundaryWireFormat format);
+
+    /// Encode one block (`cols` strictly ascending, `dists` alongside) and
+    /// append it to each destination's payload.
+    void add(VertexId vertex, std::span<const VertexId> cols,
+             std::span<const Weight> dists, std::span<const RankId> destinations);
+
+    struct Posted {
+        std::size_t messages{0};
+        std::size_t bytes{0};
+        std::size_t entries{0};  // summed over destinations
+    };
+    /// Send one `tag` message per non-empty payload from rank `from`, in
+    /// ascending destination order, and start over empty.
+    Posted post(Cluster& cluster, RankId from, MessageTag tag);
+
+private:
+    BoundaryWireFormat format_;
+    std::vector<std::vector<std::byte>> payloads_;
+    std::vector<std::size_t> entries_;
+    Serializer encoder_;  // reused across blocks
+};
 
 /// Decode a boundary-update payload. The payload is validated structurally
 /// before anything proportional to a declared count is allocated; malformed

@@ -10,7 +10,9 @@
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <numeric>
 
+#include "common/rng.hpp"
 #include "core/ia.hpp"
 #include "core/rc.hpp"
 #include "graph/generators.hpp"
@@ -166,6 +168,159 @@ TEST(RcKernels, FullCycleConverges) {
     EXPECT_NEAR(fx.store1.at(fx.sg1.local_id(3), 0), 3.0, 1e-12);
     EXPECT_FALSE(fx.store0.any_send_pending());
     EXPECT_FALSE(fx.store1.any_send_pending());
+}
+
+// order_drained_columns, the column ordering post and propagate share. The
+// drain sizes straddle the switch from std::sort to the scratch bitmap at 64
+// columns, the column spaces leave a partial last bitmap word, every drain of
+// two or more columns holds both extreme columns, and one bitmap serves every
+// call: it must come back all-zero each time.
+TEST(RcKernels, OrderDrainedColumnsMatchesSortAndClearsScratch) {
+    Rng rng(2024);
+    for (const std::size_t n : {std::size_t{100}, std::size_t{130}, std::size_t{2000}}) {
+        std::vector<std::uint64_t> col_bits((n + 63) / 64, 0);
+        std::vector<VertexId> middle(n - 2);
+        std::iota(middle.begin(), middle.end(), VertexId{1});
+        for (const std::size_t k :
+             {std::size_t{0}, std::size_t{63}, std::size_t{64}, n - 1}) {
+            rng.shuffle(middle);
+            std::vector<VertexId> cols;
+            if (k > 0) {
+                cols = {0, static_cast<VertexId>(n - 1)};
+                cols.insert(cols.end(), middle.begin(), middle.begin() + (k - 2));
+                rng.shuffle(cols);
+            }
+            std::vector<VertexId> expected = cols;
+            std::sort(expected.begin(), expected.end());
+            order_drained_columns(cols, col_bits);
+            EXPECT_EQ(cols, expected) << "n=" << n << " k=" << k;
+            EXPECT_TRUE(std::all_of(col_bits.begin(), col_bits.end(),
+                                    [](std::uint64_t word) { return word == 0; }))
+                << "n=" << n << " k=" << k;
+        }
+    }
+}
+
+// Post orders drains of 64 or more columns through the bitmap and smaller
+// ones with std::sort; either way every destination must receive exactly
+// the bytes encode_boundary_blocks gives for the std::sort-ed finite
+// entries, in both wire formats. Every fifth drained column is invalidated
+// to +inf first, and post must drop it.
+TEST(RcKernels, PostLargeDrainsMatchSortedEncoding) {
+    constexpr std::size_t n = 200;  // not a multiple of 64
+    // Vertex 0 (rank 0) has cut edges to vertex 1 (rank 1) and 2 (rank 2).
+    std::vector<RankId> owners(n, 0);
+    owners[1] = 1;
+    owners[2] = 2;
+    Rng rng(7);
+    for (const BoundaryWireFormat format :
+         {BoundaryWireFormat::V1Aos, BoundaryWireFormat::V2Soa}) {
+        for (const std::size_t k : {std::size_t{63}, std::size_t{64}, n - 1}) {
+            Cluster cluster(3);
+            LocalSubgraph sg(0, owners);
+            DistanceStore store(n);
+            for (const VertexId v : sg.local_vertices()) {
+                store.add_row(v);
+            }
+            sg.add_local_edge(0, 1, 1.0);
+            sg.add_local_edge(0, 2, 1.0);
+            for (LocalId r = 0; r < store.num_rows(); ++r) {
+                (void)store.take_send(r);
+            }
+            // Mark k distinct columns of row 0, all but the self column when
+            // k = n - 1, in shuffled order.
+            std::vector<VertexId> cols(n - 1);
+            std::iota(cols.begin(), cols.end(), VertexId{1});
+            rng.shuffle(cols);
+            cols.resize(k);
+            const LocalId l = sg.local_id(0);
+            std::vector<DvEntry> finite;
+            for (std::size_t i = 0; i < k; ++i) {
+                const Weight d = 1.0 + static_cast<Weight>(rng.uniform(1000)) / 8;
+                ASSERT_TRUE(store.relax(l, cols[i], d));
+                if (i % 5 == 0) {
+                    store.mark_invalidated(l, cols[i]);
+                } else {
+                    finite.push_back({cols[i], d});
+                }
+            }
+            std::sort(finite.begin(), finite.end(),
+                      [](const DvEntry& a, const DvEntry& b) { return a.column < b.column; });
+            const auto expected = encode_boundary_blocks({{0, finite}}, format);
+
+            RcPostProfile profile;
+            const double ops =
+                rc_post_boundary_updates(sg, store, cluster, format, &profile);
+            EXPECT_EQ(ops, static_cast<double>(k + finite.size()));
+            EXPECT_EQ(profile.entries, finite.size());
+            EXPECT_EQ(profile.messages, 2u);
+            EXPECT_EQ(profile.bytes, 2 * expected.size());
+            cluster.exchange();
+            for (const RankId dest : {RankId{1}, RankId{2}}) {
+                const auto inbox = cluster.receive(dest);
+                ASSERT_EQ(inbox.size(), 1u);
+                EXPECT_EQ(inbox[0].entries, finite.size());
+                const auto got = inbox[0].bytes();
+                EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
+                                       expected.end()))
+                    << "k=" << k << " dest=" << dest << " format="
+                    << static_cast<int>(format);
+            }
+        }
+    }
+}
+
+// BoundaryFanOut encodes each block once and appends it to every
+// destination: each payload must equal encode_boundary_blocks over that
+// destination's blocks in arrival order, and post() must send one message
+// per non-empty payload with the destination's entry count.
+TEST(RcKernels, FanOutMatchesPerDestinationEncoding) {
+    const std::vector<BoundaryBlock> blocks = {
+        {5, {{1, 0.5}, {2, 1.5}, {9, 2.0}}},
+        {6, {{0, 3.0}}},
+        {7, {{3, 1.0}, {4, 1.25}}},
+    };
+    const std::vector<std::vector<RankId>> destinations = {{1, 3}, {3}, {1, 2, 3}};
+    for (const BoundaryWireFormat format :
+         {BoundaryWireFormat::V1Aos, BoundaryWireFormat::V2Soa}) {
+        Cluster cluster(4);
+        BoundaryFanOut fan_out(4, format);
+        std::vector<std::vector<BoundaryBlock>> per_dest(4);
+        for (std::size_t b = 0; b < blocks.size(); ++b) {
+            std::vector<VertexId> cols;
+            std::vector<Weight> dists;
+            for (const DvEntry& e : blocks[b].entries) {
+                cols.push_back(e.column);
+                dists.push_back(e.distance);
+            }
+            fan_out.add(blocks[b].vertex, cols, dists, destinations[b]);
+            for (const RankId dest : destinations[b]) {
+                per_dest[dest].push_back(blocks[b]);
+            }
+        }
+        const auto posted = fan_out.post(cluster, 0, MessageTag::ShrinkRaise);
+        EXPECT_EQ(posted.messages, 3u);
+        EXPECT_EQ(posted.entries, 3u * 2 + 1u * 1 + 2u * 3);  // entries x destinations
+        cluster.exchange();
+        std::size_t bytes = 0;
+        for (RankId dest = 1; dest < 4; ++dest) {
+            const auto inbox = cluster.receive(dest);
+            ASSERT_EQ(inbox.size(), 1u);
+            EXPECT_EQ(inbox[0].tag, MessageTag::ShrinkRaise);
+            std::size_t entries = 0;
+            for (const BoundaryBlock& block : per_dest[dest]) {
+                entries += block.entries.size();
+            }
+            EXPECT_EQ(inbox[0].entries, entries);
+            const auto expected = encode_boundary_blocks(per_dest[dest], format);
+            const auto got = inbox[0].bytes();
+            EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
+                                   expected.end()))
+                << "dest=" << dest << " format=" << static_cast<int>(format);
+            bytes += got.size();
+        }
+        EXPECT_EQ(posted.bytes, bytes);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -537,7 +537,7 @@ AnytimeEngine AnytimeEngine::load_checkpoint(std::istream& in, EngineConfig conf
         if (entries > payload.size()) {
             reject("in-flight message declares more entries than payload bytes");
         }
-        if (const char* error = boundary_payload_error(payload, config.wire_format, n)) {
+        if (const char* error = boundary_payload_error(payload, n)) {
             reject(std::string("in-flight message payload: ") + error);
         }
         item.delivered = delivered != 0;

@@ -4,13 +4,13 @@
 #include <bit>
 #include <utility>
 
-// Explicit SIMD sweeps: compiled only when the build opts in
-// (-DAA_ENABLE_SIMD=ON) on x86-64, taken at runtime only when the CPU
-// reports AVX2 and the store's simd_enabled() toggle is on. The scalar loops
+// Explicit SIMD sweeps: compiled on x86-64 (function-level target
+// attributes, no global -mavx2), taken at runtime only when the CPU reports
+// AVX2 and the store's simd_enabled() toggle is on. The scalar loops
 // below remain the reference semantics; the vector paths reproduce them bit
 // for bit (same IEEE adds, same epsilon compare, improved columns recorded
 // in ascending-entry order reconstructed from the compare mask).
-#if defined(AA_ENABLE_SIMD) && defined(__x86_64__)
+#if defined(__x86_64__)
 #define AA_SIMD_X86 1
 #include <immintrin.h>
 #endif
@@ -180,54 +180,6 @@ bool DistanceStore::relax(LocalId r, VertexId col, Weight candidate, bool mark_p
     return true;
 }
 
-std::size_t DistanceStore::relax_batch(LocalId r, DvEntrySpan entries, Weight offset,
-                                       bool mark_prop, bool mark_send) {
-    AA_ASSERT(r < rows_.size());
-    Row& row = rows_[r];
-    Weight* dist = row.dist.data();
-
-    // Scratch for improved columns; thread_local so concurrent sweeps over
-    // distinct rows don't share it and its capacity is reused across calls.
-    // Grow-only: resize() value-initializes any regrown tail, so shrinking for
-    // a small batch would make every later large batch pay a memset.
-    static thread_local std::vector<VertexId> improved;
-    if (improved.size() < entries.size()) {
-        improved.resize(entries.size());
-    }
-
-    // Compare-and-store sweep with compacting append of the improved column
-    // indices: the `m += better` compaction keeps the bookkeeping free of
-    // data-dependent branches. The store itself is conditional on purpose —
-    // an unconditional cmov-style store would dirty every touched cache line
-    // and force a DRAM writeback even for sweeps that improve nothing, which
-    // for matrix-scale rows costs far more than the occasional branch miss.
-    // Callers keep the destination row cache-resident across consecutive
-    // batches (ingest groups a window's blocks by row; propagate reuses one
-    // column-sorted batch across all neighbour rows), so the dist[] accesses
-    // rarely leave the cache hierarchy mid-sweep.
-    const std::size_t count = entries.size();
-    std::size_t m = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        const DvEntry entry = entries[i];
-        const VertexId col = entry.column;
-        AA_ASSERT(col < num_columns_);
-        const Weight candidate = offset + entry.distance;
-        const Weight current = dist[col];
-        const bool better = candidate < current - kEpsilon;
-        if (better) {
-            dist[col] = candidate;
-        }
-        improved[m] = col;
-        m += better;
-    }
-    if (m == 0) {
-        return 0;
-    }
-    record_improved(r, std::span<const VertexId>(improved.data(), m), mark_prop,
-                    mark_send);
-    return m;
-}
-
 std::size_t DistanceStore::relax_batch_soa(LocalId r, std::span<const VertexId> cols,
                                            std::span<const Weight> dists, Weight offset,
                                            bool mark_prop, bool mark_send) {
@@ -238,6 +190,10 @@ std::size_t DistanceStore::relax_batch_soa(LocalId r, std::span<const VertexId> 
     // cols ascending (decoder-validated), so the back() check bounds them all.
     AA_ASSERT(cols.empty() || cols.back() < num_columns_);
 
+    // Scratch for improved columns; thread_local so concurrent sweeps over
+    // distinct rows don't share it and its capacity is reused across calls.
+    // Grow-only: resize() value-initializes any regrown tail, so shrinking for
+    // a small batch would make every later large batch pay a memset.
     static thread_local std::vector<VertexId> improved;
     if (improved.size() < cols.size()) {
         improved.resize(cols.size());
@@ -252,8 +208,17 @@ std::size_t DistanceStore::relax_batch_soa(LocalId r, std::span<const VertexId> 
     } else
 #endif
     {
-        // Scalar reference sweep — see relax_batch for why the store is
-        // conditional and the append compacting.
+        // Scalar reference sweep with compacting append of the improved
+        // column indices: the `m += better` compaction keeps the bookkeeping
+        // free of data-dependent branches. The store itself is conditional on
+        // purpose — an unconditional cmov-style store would dirty every
+        // touched cache line and force a DRAM writeback even for sweeps that
+        // improve nothing, which for matrix-scale rows costs far more than
+        // the occasional branch miss. Callers keep the destination row
+        // cache-resident across consecutive batches (ingest groups a window's
+        // blocks by row; propagate reuses one gathered tile across all
+        // neighbour rows), so the dist[] accesses rarely leave the cache
+        // hierarchy mid-sweep.
         for (std::size_t i = 0; i < count; ++i) {
             const VertexId col = cols[i];
             const Weight candidate = offset + dists[i];

@@ -36,7 +36,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <vector>
 
@@ -53,49 +52,15 @@ struct DvEntry {
 static_assert(std::is_trivially_copyable_v<DvEntry>);
 
 /// Layout of the boundary-DV payload blocks exchanged in the RC step (see
-/// core/rc.hpp for the encoders/decoders and the byte-accounting contract).
+/// core/rc.hpp for the encoder/decoders and the byte-accounting contract).
+/// One layout remains; the enumerator keeps its value because checkpoints
+/// record it in their header.
 enum class BoundaryWireFormat : std::uint8_t {
-    /// Array-of-structs: [u32 vertex][u64 count][count x 16-byte DvEntry:
-    /// u32 column, 4 zero pad bytes, f64 distance].
-    /// The historical format; entry runs sit 12 bytes past the block header,
-    /// so the doubles inside are never 8-aligned.
-    V1Aos = 1,
     /// Struct-of-arrays: [u32 vertex][varint count][columns: delta-varint or
     /// run-length, ascending][zero pad to 8][count x aligned f64]. Columns
-    /// cost ~1-2 bytes instead of 4+8-byte-amortized headers, and the
-    /// contiguous aligned distance run is what the vectorized relaxation
-    /// sweeps consume in place.
+    /// cost ~1-2 bytes each, and the contiguous aligned distance run is what
+    /// the vectorized relaxation sweeps consume in place.
     V2Soa = 2,
-};
-
-/// Read-only view over a run of serialized DvEntry records at arbitrary byte
-/// alignment. V1Aos payloads place each block's entry run 12 bytes past the
-/// block header, so the doubles inside are not 8-aligned and the records
-/// cannot be aliased as a DvEntry array; operator[] reads through memcpy
-/// instead, which compiles to two plain loads on x86-64 — but it also pins
-/// the sweep to scalar loads, which is one of the two costs the V2Soa format
-/// exists to remove. This view is what lets the RC ingest kernel sweep v1
-/// entries straight out of a received payload without first copying them
-/// into an aligned vector.
-class DvEntrySpan {
-public:
-    DvEntrySpan() = default;
-    DvEntrySpan(const std::byte* data, std::size_t count) : data_(data), size_(count) {}
-    /*implicit*/ DvEntrySpan(std::span<const DvEntry> entries)
-        : data_(reinterpret_cast<const std::byte*>(entries.data())),
-          size_(entries.size()) {}
-
-    std::size_t size() const { return size_; }
-    const std::byte* data() const { return data_; }
-    DvEntry operator[](std::size_t i) const {
-        DvEntry e;
-        std::memcpy(&e, data_ + i * sizeof(DvEntry), sizeof(e));
-        return e;
-    }
-
-private:
-    const std::byte* data_{nullptr};
-    std::size_t size_{0};
 };
 
 class DistanceStore {
@@ -133,33 +98,22 @@ public:
     bool relax(LocalId r, VertexId col, Weight candidate, bool mark_prop = true,
                bool mark_send = true);
 
-    /// Batched relaxation: attempt to lower row r's entry for every
-    /// entry.column to offset + entry.distance in one compare-and-store sweep
-    /// (the RC inner loop: offset is the connecting edge weight, the entries
-    /// are another vertex's DV columns). Improved columns are recorded in the
-    /// dirty sets once at the end rather than per element. Exactly equivalent
-    /// to calling relax() per entry in order, including the acceptance
-    /// epsilon. Returns the number of improved columns. The DvEntrySpan
-    /// overload additionally accepts entries still sitting (possibly
-    /// unaligned) inside a serialized payload.
-    std::size_t relax_batch(LocalId r, DvEntrySpan entries, Weight offset,
-                            bool mark_prop = true, bool mark_send = true);
-    std::size_t relax_batch(LocalId r, std::span<const DvEntry> entries, Weight offset,
-                            bool mark_prop = true, bool mark_send = true) {
-        return relax_batch(r, DvEntrySpan(entries), offset, mark_prop, mark_send);
-    }
-
-    /// SoA variant of relax_batch: the candidates are offset + dists[i] for
-    /// column cols[i], with `dists` a contiguous (8-aligned) f64 run — the
-    /// shape the v2 wire format delivers, viewable in place, and also the
-    /// shape of the row-blocked propagate sweep's gathered tiles (see
-    /// kRcPropagateTileCols in core/rc.hpp). Preconditions:
-    /// cols.size() == dists.size() and cols strictly increasing (the v2
-    /// decoder guarantees both); sortedness makes the bounds check O(1) and
-    /// rules out intra-batch column aliasing, which is what lets the AVX2
-    /// sweep (compiled under AA_ENABLE_SIMD, taken when simd_enabled()) keep
-    /// exactly the scalar reference semantics: same IEEE adds, same epsilon
-    /// compare, improved columns recorded in ascending-entry order.
+    /// Batched relaxation: attempt to lower row r's entry for column cols[i]
+    /// to offset + dists[i] in one compare-and-store sweep (the RC inner
+    /// loop: offset is the connecting edge weight, the pairs are another
+    /// vertex's DV columns). `dists` is a contiguous (8-aligned) f64 run —
+    /// the shape the boundary wire format delivers, viewable in place, and
+    /// also the shape of the row-blocked propagate sweep's gathered tiles
+    /// (see kRcPropagateTileCols in core/rc.hpp). Improved columns are
+    /// recorded in the dirty sets once at the end rather than per element.
+    /// Exactly equivalent to calling relax() per pair in order, including
+    /// the acceptance epsilon. Returns the number of improved columns.
+    /// Preconditions: cols.size() == dists.size() and cols strictly
+    /// increasing (the decoder guarantees both); sortedness makes the bounds
+    /// check O(1) and rules out intra-batch column aliasing, which is what
+    /// lets the AVX2 sweep (taken when simd_enabled() on an AVX2 host) keep
+    /// exactly the scalar semantics: same IEEE adds, same epsilon compare,
+    /// improved columns recorded in ascending-entry order.
     std::size_t relax_batch_soa(LocalId r, std::span<const VertexId> cols,
                                 std::span<const Weight> dists, Weight offset,
                                 bool mark_prop = true, bool mark_send = true);
@@ -263,11 +217,11 @@ public:
         }
     }
 
-    /// Whether the explicit SIMD sweeps may run (effective only when the
-    /// build enables them via -DAA_ENABLE_SIMD=ON and the CPU has AVX2; the
-    /// scalar loop is the reference semantics either way and results are
-    /// bit-identical by construction). Benchmarks flip this off to ablate
-    /// the vector path; EngineConfig::rc_simd plumbs it per engine.
+    /// Whether the explicit SIMD sweeps may run (effective only on an x86-64
+    /// host whose CPU has AVX2; the scalar loop is the reference semantics
+    /// either way and results are bit-identical by construction). Benchmarks
+    /// flip this off to ablate the vector path; EngineConfig::rc_simd plumbs
+    /// it per engine.
     void set_simd_enabled(bool enabled) { simd_enabled_ = enabled; }
     bool simd_enabled() const { return simd_enabled_; }
 

@@ -42,34 +42,17 @@ struct AffectedEdge {
 /// exact and the slack admits no extra suspect beyond exact ties.
 constexpr Weight kSuspectSlack = 1e-9;
 
-/// A v2 block's entries read one DvEntry at a time, the shape DvEntrySpan
-/// gives a v1 block.
-struct SoaEntries {
-    std::span<const VertexId> cols;
-    std::span<const Weight> dists;
-    std::size_t size() const { return cols.size(); }
-    DvEntry operator[](std::size_t i) const { return {cols[i], dists[i]}; }
-};
-
 /// The receiving half of the cascade's row fan-out (boundary views and
 /// raises, posted through BoundaryFanOut): decode every `tag` payload in rank
-/// r's inbox in place and hand each block to fn(vertex, entries), where
-/// entries has size() and operator[] yielding a DvEntry.
+/// r's inbox in place and hand each block to fn(vertex, cols, dists).
 template <class Fn>
-void for_each_received_block(Cluster& cluster, RankId r, MessageTag tag,
-                             BoundaryWireFormat wire, Fn&& fn) {
-    std::vector<VertexId> arena;  // v2 column arena, reused across messages
+void for_each_received_block(Cluster& cluster, RankId r, MessageTag tag, Fn&& fn) {
+    std::vector<VertexId> arena;  // column arena, reused across messages
     for (const Message& m : cluster.receive(r)) {
         AA_ASSERT(m.tag == tag);
-        if (wire == BoundaryWireFormat::V2Soa) {
-            for (const BoundaryBlockSoaView& block :
-                 decode_boundary_block_soa_views(m.bytes(), arena)) {
-                fn(block.vertex, SoaEntries{block.cols, block.dists});
-            }
-        } else {
-            for (const BoundaryBlockView& block : decode_boundary_block_views(m.bytes())) {
-                fn(block.vertex, block.entries);
-            }
+        for (const BoundaryBlockSoaView& block :
+             decode_boundary_block_soa_views(m.bytes(), arena)) {
+            fn(block.vertex, block.cols, block.dists);
         }
     }
 }
@@ -281,16 +264,15 @@ ShrinkReport AnytimeEngine::shrink_and_resettle(const ShrinkBatch& batch) {
         // ---- 5. External views: each rank needs the affected columns of
         // every external boundary vertex to run support checks across cut
         // edges. Boundary rows restricted to the affected columns travel as
-        // regular boundary blocks in the configured wire format; a vertex
-        // with no finite affected column is simply absent (reads default to
-        // infinity, which matches its row).
+        // regular boundary blocks; a vertex with no finite affected column is
+        // simply absent (reads default to infinity, which matches its row).
         std::vector<std::unordered_map<VertexId, std::vector<Weight>>> views(
             num_ranks);
         std::vector<VertexId> cols;  // reused: one row's finite columns
         std::vector<Weight> dists;   // reused: their distances
         for (RankId p = 0; p < num_ranks; ++p) {
             RankState& st = ranks_[p];
-            BoundaryFanOut fan_out(num_ranks, config_.wire_format);
+            BoundaryFanOut fan_out(num_ranks);
             double ops = 0;
             for (LocalId l = 0; l < st.sg.num_local(); ++l) {
                 const auto destinations = st.sg.neighbor_ranks(l);
@@ -322,16 +304,16 @@ ShrinkReport AnytimeEngine::shrink_and_resettle(const ShrinkBatch& batch) {
         for (RankId p = 0; p < num_ranks; ++p) {
             double ops = 0;
             for_each_received_block(
-                *cluster_, p, MessageTag::ShrinkBoundaryView, config_.wire_format,
-                [&](VertexId vertex, const auto& entries) {
+                *cluster_, p, MessageTag::ShrinkBoundaryView,
+                [&](VertexId vertex, std::span<const VertexId> block_cols,
+                    std::span<const Weight> block_dists) {
                     auto& view = views[p][vertex];
                     view.assign(cols_t.size(), kInfinity);
-                    for (std::size_t i = 0; i < entries.size(); ++i) {
-                        const DvEntry e = entries[i];
-                        AA_ASSERT(t_index[e.column] != kInvalidVertex);
-                        view[t_index[e.column]] = e.distance;
+                    for (std::size_t i = 0; i < block_cols.size(); ++i) {
+                        AA_ASSERT(t_index[block_cols[i]] != kInvalidVertex);
+                        view[t_index[block_cols[i]]] = block_dists[i];
                     }
-                    ops += static_cast<double>(entries.size());
+                    ops += static_cast<double>(block_cols.size());
                 });
             cluster_->charge_compute(p, ops);
             dynamic_ops += ops;
@@ -414,7 +396,7 @@ ShrinkReport AnytimeEngine::shrink_and_resettle(const ShrinkBatch& batch) {
                 // Ship the raises: one block per invalidated row, columns
                 // ascending (map order per row; per-column at most one raise),
                 // replicated to every rank sharing a cut edge with the row.
-                BoundaryFanOut fan_out(num_ranks, config_.wire_format);
+                BoundaryFanOut fan_out(num_ranks);
                 for (auto& [l, entries] : raised) {
                     std::sort(entries.begin(), entries.end(),
                               [](const DvEntry& a, const DvEntry& b) {
@@ -445,25 +427,26 @@ ShrinkReport AnytimeEngine::shrink_and_resettle(const ShrinkBatch& batch) {
                 RankState& st = ranks_[p];
                 double ops = 0;
                 for_each_received_block(
-                    *cluster_, p, MessageTag::ShrinkRaise, config_.wire_format,
-                    [&](VertexId vertex, const auto& entries) {
+                    *cluster_, p, MessageTag::ShrinkRaise,
+                    [&](VertexId vertex, std::span<const VertexId> block_cols,
+                        std::span<const Weight> pre_raise) {
                         const auto vit = views[p].find(vertex);
-                        for (std::size_t i = 0; i < entries.size(); ++i) {
-                            const DvEntry e = entries[i];
-                            AA_ASSERT(t_index[e.column] != kInvalidVertex);
+                        for (std::size_t i = 0; i < block_cols.size(); ++i) {
+                            const VertexId t = block_cols[i];
+                            AA_ASSERT(t_index[t] != kInvalidVertex);
                             if (vit != views[p].end()) {
-                                vit->second[t_index[e.column]] = kInfinity;
+                                vit->second[t_index[t]] = kInfinity;
                             }
                             for (const auto& [ly, w] :
                                  st.sg.external_neighbors(vertex)) {
                                 ops += 1;
-                                const Weight dy = st.store.at(ly, e.column);
+                                const Weight dy = st.store.at(ly, t);
                                 if (dy < kInfinity) {
                                     // The surviving endpoint owes the
                                     // invalidating rank a resend.
-                                    st.store.mark_for_send(ly, e.column);
-                                    if (dy >= w + e.distance - kSuspectSlack) {
-                                        queue[p].push_back({ly, e.column});
+                                    st.store.mark_for_send(ly, t);
+                                    if (dy >= w + pre_raise[i] - kSuspectSlack) {
+                                        queue[p].push_back({ly, t});
                                     }
                                 }
                             }

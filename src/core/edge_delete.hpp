@@ -14,13 +14,13 @@
 //      DistanceStore::mark_invalidated and the raise cascades to the
 //      neighbours that depended on it — across ranks as ShrinkRaise messages
 //      carrying the pre-raise value, encoded with the same boundary-block
-//      codecs (both wire formats) as the regular RC exchange.
+//      codec as the regular RC exchange.
 //
 //   2. re-settle — the surviving frontier is re-marked into the ordinary
 //      prop/send worklists (a finite neighbour of an invalidated entry owes
 //      it a relaxation; a finite cut-edge endpoint owes the invalidating rank
 //      a resend), after which the unchanged RC machinery — sync or rc_async,
-//      either backend, either wire format — reconverges by monotone decrease.
+//      either backend — reconverges by monotone decrease.
 //
 // Over-invalidation is harmless (re-settlement relearns it); the design only
 // has to avoid *under*-invalidation, which the support inequality guarantees

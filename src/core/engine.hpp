@@ -119,9 +119,7 @@ struct EngineConfig {
     std::size_t backend_threads{0};
     /// Boundary-DV wire format for the RC exchange (see
     /// BoundaryWireFormat in core/distance_store.hpp and the accounting note
-    /// in core/rc.hpp). Distances, dirty order and op counts are
-    /// bit-identical across formats; v2 ships fewer bytes, so exchange time
-    /// (and sim_seconds) improves under it.
+    /// in core/rc.hpp). V2Soa is the only format; checkpoints record it.
     BoundaryWireFormat wire_format{BoundaryWireFormat::V2Soa};
     /// Payload-window size for the RC ingest kernel (see rc.hpp). Windowing
     /// never changes results — a 256-byte window and a 128 MB window produce
@@ -131,9 +129,9 @@ struct EngineConfig {
     /// backend, one under the sequential), clamped to [4 MiB, 128 MiB] — see
     /// adaptive_rc_ingest_window_bytes. An explicit value always wins.
     std::size_t rc_ingest_window_bytes{0};
-    /// Allow the explicit SIMD relaxation sweeps (effective only when built
-    /// with -DAA_ENABLE_SIMD=ON on hardware with AVX2; results are
-    /// bit-identical to the scalar reference either way).
+    /// Allow the explicit SIMD relaxation sweeps (effective only on x86-64
+    /// hardware with AVX2; results are bit-identical to the scalar reference
+    /// either way).
     bool rc_simd{true};
     /// How the RC kernels order per-rank work (see refine/planner.hpp).
     /// Uniform — the default — keeps the historical ascending sweeps and is
@@ -298,7 +296,7 @@ public:
     /// Apply the given shard moves through the migration protocol
     /// (core/migrate.cpp): drain in-flight boundary messages, ship each
     /// moving shard's DV rows + adjacency over the wire (boundary-block
-    /// encoding, both formats), republish the shard map, splice the rows out
+    /// encoding), republish the shard map, splice the rows out
     /// of / into the rank states, and re-settle locally. Converged state
     /// afterwards is bit-identical to a from-scratch engine on the final
     /// assignment. No-op moves (unknown shard, same rank) are skipped.

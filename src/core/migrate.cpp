@@ -11,7 +11,7 @@
 //      addressed under the old map; their send-lists are drained at the
 //      sender, so a block that never lands is information lost.
 //   2. Sources encode each moving shard — per vertex its adjacency, plus the
-//      finite DV entries as boundary blocks in the configured wire format —
+//      finite DV entries as boundary blocks —
 //      and post it to the destination under MessageTag::ShardMigration.
 //      (Encode strictly before surgery: it reads the live rows.)
 //   3. Republish the shard map: the engine's copy and every rank's replica
@@ -127,9 +127,9 @@ void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
             entries += blocks.back().entries.size();
         }
         // Pad so the block region starts 8-aligned within the payload — the
-        // same offsets the encoder assumed, so v2 distance runs stay aligned.
+        // same offsets the encoder assumed, so the distance runs stay aligned.
         out.pad_to(8);
-        out.write_bytes(encode_boundary_blocks(blocks, config_.wire_format));
+        out.write_bytes(encode_boundary_blocks(blocks));
         // Post-kernel accounting: one op per serialized entry, one per row.
         const double ops =
             static_cast<double>(entries) + static_cast<double>(pm.vertices.size());
@@ -204,8 +204,7 @@ void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
             }
             const std::size_t header = payload.size() - in.remaining();
             const std::size_t aligned = (header + 7) & ~std::size_t{7};
-            const auto blocks = decode_boundary_blocks(payload.subspan(aligned),
-                                                       config_.wire_format);
+            const auto blocks = decode_boundary_blocks(payload.subspan(aligned));
             AA_ASSERT_MSG(blocks.size() == rows.size(),
                           "migration payload row/block mismatch");
             for (std::size_t i = 0; i < rows.size(); ++i) {

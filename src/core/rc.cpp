@@ -1,7 +1,6 @@
 #include "core/rc.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstring>
@@ -18,7 +17,7 @@ namespace aa {
 
 namespace {
 
-/// v2 column-encoding selectors (the u8 after the entry-count varint).
+/// Column-encoding selectors (the u8 after the entry-count varint).
 constexpr std::uint8_t kColDeltaVarint = 0;
 constexpr std::uint8_t kColRunLength = 1;
 
@@ -88,13 +87,13 @@ void write_rle_columns(Serializer& out, std::span<const VertexId> cols,
     AA_ASSERT(runs == num_runs);
 }
 
-/// Encode one v2 block. `cols` must be strictly ascending (asserted); the
+/// Encode one block. `cols` must be strictly ascending (asserted); the
 /// encoder deterministically picks the smaller column encoding (tie goes to
 /// delta-varint) so identical inputs always produce identical bytes. The
 /// trailing pad keeps the block size a multiple of 8 — every block in a
 /// concatenated payload therefore starts 8-aligned and its f64 run can be
 /// read in place.
-void encode_v2_block(Serializer& out, VertexId vertex, std::span<const VertexId> cols,
+void encode_block(Serializer& out, VertexId vertex, std::span<const VertexId> cols,
                      std::span<const Weight> dists) {
     AA_ASSERT(cols.size() == dists.size());
     out.write(vertex);
@@ -103,7 +102,7 @@ void encode_v2_block(Serializer& out, VertexId vertex, std::span<const VertexId>
         out.write(kColDeltaVarint);
     } else {
         for (std::size_t i = 1; i < cols.size(); ++i) {
-            AA_ASSERT_MSG(cols[i] > cols[i - 1], "v2 block columns not ascending");
+            AA_ASSERT_MSG(cols[i] > cols[i - 1], "boundary block columns not ascending");
         }
         const std::size_t delta_bytes = delta_columns_size(cols);
         // Probe the RLE size only when it can win: it needs at most one
@@ -121,24 +120,6 @@ void encode_v2_block(Serializer& out, VertexId vertex, std::span<const VertexId>
     }
     out.pad_to(sizeof(Weight));
     out.write_bytes(std::as_bytes(dists));
-}
-
-/// Encode one v1 block: [u32 vertex][u64 count][count x DvEntry]. Each entry
-/// goes out as a zeroed DvEntry image with its two fields copied in, so the
-/// struct's padding bytes travel as zeros and the block bytes are a pure
-/// function of the entries (a raw DvEntry copy would ship whatever the
-/// padding held).
-void encode_v1_block(Serializer& out, VertexId vertex, std::span<const VertexId> cols,
-                     std::span<const Weight> dists) {
-    AA_ASSERT(cols.size() == dists.size());
-    out.write(vertex);
-    out.write(static_cast<std::uint64_t>(cols.size()));
-    std::array<std::byte, sizeof(DvEntry)> image{};
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-        std::memcpy(image.data() + offsetof(DvEntry, column), &cols[i], sizeof(VertexId));
-        std::memcpy(image.data() + offsetof(DvEntry, distance), &dists[i], sizeof(Weight));
-        out.write_bytes(image);
-    }
 }
 
 /// Structural parse result of a boundary payload: nullptr on success, else
@@ -159,9 +140,9 @@ using ParseError = const char*;
         }                                       \
     } while (0)
 
-/// Decode the column section of one v2 block into `out` (appending exactly
+/// Decode the column section of one block into `out` (appending exactly
 /// `count` strictly ascending columns) and advance `cursor` past it.
-ParseError decode_v2_columns(std::span<const std::byte> payload, std::size_t& cursor,
+ParseError decode_columns(std::span<const std::byte> payload, std::size_t& cursor,
                              std::uint32_t count, std::uint8_t encoding,
                              std::vector<VertexId>& out) {
     std::uint32_t value = 0;
@@ -208,32 +189,7 @@ ParseError decode_v2_columns(std::span<const std::byte> payload, std::size_t& cu
     return nullptr;
 }
 
-/// Shared v1 validation pass: walk the block headers and check every
-/// declared entry count against the remaining payload *before* anything is
-/// allocated, so a malformed (or hostile) length prefix cannot trigger a
-/// huge allocation. Counts the blocks into `block_count`.
-ParseError walk_v1_blocks(std::span<const std::byte> payload, std::size_t& block_count) {
-    constexpr std::size_t kHeaderBytes = sizeof(VertexId) + sizeof(std::uint64_t);
-    std::size_t cursor = 0;
-    block_count = 0;
-    while (cursor < payload.size()) {
-        AA_PARSE_CHECK(payload.size() - cursor >= kHeaderBytes,
-                       "boundary block header truncated");
-        std::uint64_t declared = 0;
-        std::memcpy(&declared, payload.data() + cursor + sizeof(VertexId),
-                    sizeof(declared));
-        cursor += kHeaderBytes;
-        // Division keeps the comparison overflow-safe even for declared
-        // counts near 2^64.
-        AA_PARSE_CHECK(declared <= (payload.size() - cursor) / sizeof(DvEntry),
-                       "boundary block entry count exceeds payload");
-        cursor += static_cast<std::size_t>(declared) * sizeof(DvEntry);
-        ++block_count;
-    }
-    return nullptr;
-}
-
-/// One parsed v2 block, as offsets: the column arena may still reallocate
+/// One parsed block, as offsets: the column arena may still reallocate
 /// while blocks stream in, so spans are formed only once the walk is done.
 struct RawSoaBlock {
     VertexId vertex;
@@ -242,11 +198,11 @@ struct RawSoaBlock {
     std::size_t dist_offset;
 };
 
-/// The v2 structural walk. Any hostile count is bounded before columns are
+/// The structural walk. Any hostile count is bounded before columns are
 /// materialized: `count` entries need count * 8 distance bytes later in the
 /// payload, so a block can never append more than remaining/8 columns before
 /// the exact check below rejects it — total allocation stays O(payload size).
-ParseError walk_v2_blocks(std::span<const std::byte> payload,
+ParseError walk_blocks(std::span<const std::byte> payload,
                           std::vector<VertexId>& column_arena,
                           std::vector<RawSoaBlock>& raw) {
     column_arena.clear();
@@ -268,7 +224,7 @@ ParseError walk_v2_blocks(std::span<const std::byte> payload,
         const std::size_t col_start = column_arena.size();
         if (count > 0) {
             AA_PARSE_TRY(
-                decode_v2_columns(payload, cursor, count, encoding, column_arena));
+                decode_columns(payload, cursor, count, encoding, column_arena));
         }
         while ((cursor & (sizeof(Weight) - 1)) != 0) {
             AA_PARSE_CHECK(cursor < payload.size(), "boundary block padding truncated");
@@ -289,8 +245,7 @@ ParseError walk_v2_blocks(std::span<const std::byte> payload,
 
 }  // namespace
 
-std::vector<std::byte> encode_boundary_blocks(const std::vector<BoundaryBlock>& blocks,
-                                              BoundaryWireFormat format) {
+std::vector<std::byte> encode_boundary_blocks(const std::vector<BoundaryBlock>& blocks) {
     Serializer out;
     std::vector<VertexId> cols;
     std::vector<Weight> dists;
@@ -301,38 +256,20 @@ std::vector<std::byte> encode_boundary_blocks(const std::vector<BoundaryBlock>& 
             cols.push_back(entry.column);
             dists.push_back(entry.distance);
         }
-        if (format == BoundaryWireFormat::V1Aos) {
-            encode_v1_block(out, block.vertex, cols, dists);
-        } else {
-            encode_v2_block(out, block.vertex, cols, dists);
-        }
+        encode_block(out, block.vertex, cols, dists);
     }
     return out.take();
 }
 
-std::vector<BoundaryBlock> decode_boundary_blocks(std::span<const std::byte> payload,
-                                                  BoundaryWireFormat format) {
+std::vector<BoundaryBlock> decode_boundary_blocks(std::span<const std::byte> payload) {
     std::vector<BoundaryBlock> blocks;
-    if (format == BoundaryWireFormat::V2Soa) {
-        std::vector<VertexId> arena;
-        for (const BoundaryBlockSoaView& view :
-             decode_boundary_block_soa_views(payload, arena)) {
-            BoundaryBlock block;
-            block.vertex = view.vertex;
-            block.entries.reserve(view.cols.size());
-            for (std::size_t i = 0; i < view.cols.size(); ++i) {
-                block.entries.push_back({view.cols[i], view.dists[i]});
-            }
-            blocks.push_back(std::move(block));
-        }
-        return blocks;
-    }
-    for (const BoundaryBlockView& view : decode_boundary_block_views(payload)) {
+    std::vector<VertexId> arena;
+    for (const BoundaryBlockSoaView& view : decode_boundary_block_soa_views(payload, arena)) {
         BoundaryBlock& block = blocks.emplace_back();
         block.vertex = view.vertex;
-        block.entries.resize(view.entries.size());
-        for (std::size_t i = 0; i < view.entries.size(); ++i) {
-            block.entries[i] = view.entries[i];
+        block.entries.reserve(view.cols.size());
+        for (std::size_t i = 0; i < view.cols.size(); ++i) {
+            block.entries.push_back({view.cols[i], view.dists[i]});
         }
     }
     return blocks;
@@ -341,7 +278,7 @@ std::vector<BoundaryBlock> decode_boundary_blocks(std::span<const std::byte> pay
 std::vector<BoundaryBlockSoaView> decode_boundary_block_soa_views(
     std::span<const std::byte> payload, std::vector<VertexId>& column_arena) {
     std::vector<RawSoaBlock> raw;
-    const ParseError error = walk_v2_blocks(payload, column_arena, raw);
+    const ParseError error = walk_blocks(payload, column_arena, raw);
     AA_ASSERT_MSG(error == nullptr, error);
     std::vector<BoundaryBlockSoaView> views;
     views.reserve(raw.size());
@@ -359,84 +296,29 @@ std::vector<BoundaryBlockSoaView> decode_boundary_block_soa_views(
     return views;
 }
 
-std::vector<BoundaryBlockView> decode_boundary_block_views(
-    std::span<const std::byte> payload) {
-    std::size_t block_count = 0;
-    const ParseError error = walk_v1_blocks(payload, block_count);
-    AA_ASSERT_MSG(error == nullptr, error);
-    std::vector<BoundaryBlockView> blocks;
-    blocks.reserve(block_count);
-    constexpr std::size_t kHeaderBytes = sizeof(VertexId) + sizeof(std::uint64_t);
-    std::size_t cursor = 0;
-    while (cursor < payload.size()) {
-        BoundaryBlockView block;
-        std::memcpy(&block.vertex, payload.data() + cursor, sizeof(VertexId));
-        std::uint64_t declared = 0;
-        std::memcpy(&declared, payload.data() + cursor + sizeof(VertexId),
-                    sizeof(declared));
-        cursor += kHeaderBytes;
-        block.entries = DvEntrySpan(payload.data() + cursor,
-                                    static_cast<std::size_t>(declared));
-        cursor += static_cast<std::size_t>(declared) * sizeof(DvEntry);
-        blocks.push_back(block);
-    }
-    return blocks;
-}
-
 const char* boundary_payload_error(std::span<const std::byte> payload,
-                                   BoundaryWireFormat format, std::size_t num_columns) {
-    const auto bad_distance = [](Weight d) { return !(d >= 0); };  // NaN fails too
-    if (format == BoundaryWireFormat::V2Soa) {
-        std::vector<VertexId> arena;
-        std::vector<RawSoaBlock> raw;
-        if (const ParseError error = walk_v2_blocks(payload, arena, raw)) {
-            return error;
-        }
-        for (const RawSoaBlock& block : raw) {
-            if (block.vertex >= num_columns) {
-                return "boundary block vertex out of range";
-            }
-            // Columns are strictly ascending, so the last one bounds them all.
-            if (block.count > 0 &&
-                arena[block.col_start + block.count - 1] >= num_columns) {
-                return "boundary block column out of range";
-            }
-            for (std::uint32_t i = 0; i < block.count; ++i) {
-                Weight d;
-                std::memcpy(&d, payload.data() + block.dist_offset + i * sizeof(Weight),
-                            sizeof(d));
-                if (bad_distance(d)) {
-                    return "boundary block distance negative or NaN";
-                }
-            }
-        }
-        return nullptr;
-    }
-    std::size_t block_count = 0;
-    if (const ParseError error = walk_v1_blocks(payload, block_count)) {
+                                   std::size_t num_columns) {
+    std::vector<VertexId> arena;
+    std::vector<RawSoaBlock> raw;
+    if (const ParseError error = walk_blocks(payload, arena, raw)) {
         return error;
     }
-    std::size_t cursor = 0;
-    while (cursor < payload.size()) {
-        VertexId vertex;
-        std::uint64_t count = 0;
-        std::memcpy(&vertex, payload.data() + cursor, sizeof(vertex));
-        std::memcpy(&count, payload.data() + cursor + sizeof(vertex), sizeof(count));
-        cursor += sizeof(vertex) + sizeof(count);
-        if (vertex >= num_columns) {
+    for (const RawSoaBlock& block : raw) {
+        if (block.vertex >= num_columns) {
             return "boundary block vertex out of range";
         }
-        const DvEntrySpan entries(payload.data() + cursor,
-                                  static_cast<std::size_t>(count));
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-            if (entries[i].column >= num_columns) {
-                return "boundary block column out of range";
-            }
-            if (bad_distance(entries[i].distance)) {
+        // Columns are strictly ascending, so the last one bounds them all.
+        if (block.count > 0 && arena[block.col_start + block.count - 1] >= num_columns) {
+            return "boundary block column out of range";
+        }
+        for (std::uint32_t i = 0; i < block.count; ++i) {
+            Weight d;
+            std::memcpy(&d, payload.data() + block.dist_offset + i * sizeof(Weight),
+                        sizeof(d));
+            if (!(d >= 0)) {  // NaN fails too
                 return "boundary block distance negative or NaN";
             }
         }
-        cursor += entries.size() * sizeof(DvEntry);
     }
     return nullptr;
 }
@@ -465,18 +347,14 @@ void order_drained_columns(std::vector<VertexId>& cols,
     }
 }
 
-BoundaryFanOut::BoundaryFanOut(std::size_t num_ranks, BoundaryWireFormat format)
-    : format_(format), payloads_(num_ranks), entries_(num_ranks, 0) {}
+BoundaryFanOut::BoundaryFanOut(std::size_t num_ranks)
+    : payloads_(num_ranks), entries_(num_ranks, 0) {}
 
 void BoundaryFanOut::add(VertexId vertex, std::span<const VertexId> cols,
                          std::span<const Weight> dists,
                          std::span<const RankId> destinations) {
     encoder_.clear();
-    if (format_ == BoundaryWireFormat::V2Soa) {
-        encode_v2_block(encoder_, vertex, cols, dists);
-    } else {
-        encode_v1_block(encoder_, vertex, cols, dists);
-    }
+    encode_block(encoder_, vertex, cols, dists);
     const auto block_bytes = encoder_.view();
     for (const RankId dest : destinations) {
         payloads_[dest].insert(payloads_[dest].end(), block_bytes.begin(),
@@ -504,7 +382,7 @@ BoundaryFanOut::Posted BoundaryFanOut::post(Cluster& cluster, RankId from,
 }
 
 double rc_post_boundary_updates(const LocalSubgraph& sg, DistanceStore& store,
-                                Cluster& cluster, BoundaryWireFormat format,
+                                Cluster& cluster, BoundaryWireFormat /*format*/,
                                 RcPostProfile* profile,
                                 std::span<const LocalId> row_order) {
     AA_ASSERT_MSG(row_order.empty() || row_order.size() == sg.num_local(),
@@ -512,7 +390,7 @@ double rc_post_boundary_updates(const LocalSubgraph& sg, DistanceStore& store,
     double ops = 0;
     // Each sending row's block is encoded exactly once and its bytes shared
     // by every destination payload (see BoundaryFanOut).
-    BoundaryFanOut fan_out(cluster.num_ranks(), format);
+    BoundaryFanOut fan_out(cluster.num_ranks());
     std::vector<VertexId> sorted_cols;  // reused: drained columns in column order
     std::vector<Weight> dists;          // reused: their finite distances
     // Scratch bitmap for order_drained_columns (one bit per column).
@@ -535,11 +413,10 @@ double rc_post_boundary_updates(const LocalSubgraph& sg, DistanceStore& store,
         if (destinations.empty()) {
             continue;  // interior row: changes have no external audience
         }
-        // Canonicalize to ascending column order for BOTH formats: columns
-        // within a drain are unique, so ordering cannot change any receiver
-        // outcome or the op count — it makes the block bytes a pure function
-        // of the drained set (v2's delta encoding requires it, v1 follows so
-        // the two formats execute the identical relaxation schedule).
+        // Canonicalize to ascending column order: columns within a drain are
+        // unique, so ordering cannot change any receiver outcome or the op
+        // count — it makes the block bytes a pure function of the drained
+        // set (the delta encoding requires it).
         // Non-finite entries are dropped at drain time: an invalidated column
         // may sit in the send set (the deletion path re-dirties what it
         // raises), but infinity relaxes nothing remotely — raises travel as
@@ -608,79 +485,49 @@ struct IngestPair {
 }  // namespace
 
 double rc_ingest_updates(const LocalSubgraph& sg, DistanceStore& store,
-                         const std::vector<Message>& inbox, BoundaryWireFormat format,
+                         const std::vector<Message>& inbox, BoundaryWireFormat /*format*/,
                          ThreadPool* pool, std::size_t parallel_grain,
                          std::size_t window_bytes, RcIngestProfile* profile) {
-    // Pass 1: decode every received block in place (zero copy — v1 views and
-    // v2 distance spans point into the message payloads, which outlive this
-    // call; v2 column spans point into per-message arenas kept alive below)
-    // and flatten the work into (row, block, weight) pairs, one per incident
-    // cut edge, in block-arrival order.
+    // Pass 1: decode every received block in place (zero copy — distance
+    // spans point into the message payloads, which outlive this call; column
+    // spans point into per-message arenas kept alive below) and flatten the
+    // work into (row, block, weight) pairs, one per incident cut edge, in
+    // block-arrival order.
     double ops = 0;
-    std::vector<BoundaryBlockView> views;          // v1 blocks
-    std::vector<BoundaryBlockSoaView> soa_views;   // v2 blocks
-    std::vector<std::vector<VertexId>> arenas;     // v2 column storage
+    std::vector<BoundaryBlockSoaView> blocks;   // blocks with a local audience
+    std::vector<std::vector<VertexId>> arenas;  // column storage, per message
     std::vector<IngestPair> pairs;
-    // Shared admission step: record the block's work if it has a local
-    // audience. Returns true if the caller should keep the decoded block.
-    const auto admit = [&](VertexId vertex, std::size_t entry_count,
-                           std::uint32_t view_index) {
-        const auto locals = sg.external_neighbors(vertex);
-        if (locals.empty() || entry_count == 0) {
-            return false;
-        }
-        ops += static_cast<double>(entry_count) * static_cast<double>(locals.size());
-        if (profile != nullptr) {
-            ++profile->blocks;
-            profile->entries += entry_count;
-            profile->relax_attempts += entry_count * locals.size();
-        }
-        for (const auto& [local, w] : locals) {
-            pairs.push_back({local, view_index, w});
-        }
-        return true;
-    };
     for (const Message& message : inbox) {
         if (message.tag != MessageTag::BoundaryDvUpdate) {
             continue;
         }
-        if (format == BoundaryWireFormat::V2Soa) {
-            auto& arena = arenas.emplace_back();
-            for (const BoundaryBlockSoaView& block :
-                 decode_boundary_block_soa_views(message.bytes(), arena)) {
-                if (admit(block.vertex, block.cols.size(),
-                          static_cast<std::uint32_t>(soa_views.size()))) {
-                    soa_views.push_back(block);
-                }
+        auto& arena = arenas.emplace_back();
+        for (const BoundaryBlockSoaView& block :
+             decode_boundary_block_soa_views(message.bytes(), arena)) {
+            const auto locals = sg.external_neighbors(block.vertex);
+            const std::size_t entry_count = block.cols.size();
+            if (locals.empty() || entry_count == 0) {
+                continue;
             }
-        } else {
-            for (const BoundaryBlockView& block :
-                 decode_boundary_block_views(message.bytes())) {
-                if (admit(block.vertex, block.entries.size(),
-                          static_cast<std::uint32_t>(views.size()))) {
-                    views.push_back(block);
-                }
+            ops += static_cast<double>(entry_count) * static_cast<double>(locals.size());
+            if (profile != nullptr) {
+                ++profile->blocks;
+                profile->entries += entry_count;
+                profile->relax_attempts += entry_count * locals.size();
             }
+            const auto index = static_cast<std::uint32_t>(blocks.size());
+            for (const auto& [local, w] : locals) {
+                pairs.push_back({local, index, w});
+            }
+            blocks.push_back(block);
         }
     }
     if (pairs.empty()) {
         return ops;
     }
-    // Window accounting and the relaxation sweep, format-abstracted. Window
-    // sizes are measured in *decoded* entry footprint (sizeof(DvEntry) per
-    // entry) for both formats, so the window splits — and therefore the
-    // whole schedule — are identical whichever format is on the wire.
-    const auto block_entries = [&](std::uint32_t b) {
-        return format == BoundaryWireFormat::V2Soa ? soa_views[b].cols.size()
-                                                   : views[b].entries.size();
-    };
     const auto relax_block = [&](const IngestPair& pr) {
-        if (format == BoundaryWireFormat::V2Soa) {
-            const BoundaryBlockSoaView& b = soa_views[pr.block];
-            store.relax_batch_soa(pr.row, b.cols, b.dists, pr.w);
-        } else {
-            store.relax_batch(pr.row, views[pr.block].entries, pr.w);
-        }
+        const BoundaryBlockSoaView& b = blocks[pr.block];
+        store.relax_batch_soa(pr.row, b.cols, b.dists, pr.w);
     };
 
     // Pass 2: process the pairs in payload *windows*. A round's inbox can be
@@ -712,15 +559,16 @@ double rc_ingest_updates(const LocalSubgraph& sg, DistanceStore& store,
                 // Pairs of one block are consecutive, so windows split only
                 // at block boundaries (a block is never torn across windows,
                 // and a window always takes at least one block even when a
-                // single block exceeds window_bytes).
-                const std::size_t bytes = block_entries(pr.block) * sizeof(DvEntry);
+                // single block exceeds window_bytes). Windows are measured in
+                // decoded entry footprint, not wire bytes.
+                const std::size_t bytes = blocks[pr.block].cols.size() * sizeof(DvEntry);
                 if (accumulated_bytes != 0 && accumulated_bytes + bytes > window_bytes) {
                     break;
                 }
                 accumulated_bytes += bytes;
                 last_block = pr.block;
             }
-            window_attempts += block_entries(pr.block);
+            window_attempts += blocks[pr.block].cols.size();
             ++p;
         }
 

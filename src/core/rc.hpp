@@ -15,8 +15,8 @@
 // kernels and each returns the abstract op count it executed.
 //
 // Execution modes. The kernels run *batched*: whole DV-entry spans are
-// relaxed through DistanceStore::relax_batch / relax_batch_soa instead of
-// per-element relax() calls, and, when a ThreadPool is supplied, the row
+// relaxed through DistanceStore::relax_batch_soa instead of per-element
+// relax() calls, and, when a ThreadPool is supplied, the row
 // sweeps run in parallel (rows are written by exactly one task each; the
 // worklist merge is the only synchronization point). Each phase has exactly
 // one sweep; the per-element reference the kernel-equivalence tests compare
@@ -43,26 +43,16 @@
 //   * rc_propagate_local — one op per drained column per local neighbour of
 //     the drained row (again one attempted relaxation each).
 //
-// Wire formats and the bytes-on-wire accounting change. The boundary-DV
-// payload exists in two layouts (BoundaryWireFormat in distance_store.hpp):
-// the historical v1 array-of-structs blocks and the v2 struct-of-arrays
-// blocks (delta/run-length varint columns + aligned f64 run). Op pricing is
-// charged identically under both — per drained column and per serialized
-// entry per block, never per byte — so the relaxation schedule, distance
-// matrices, dirty-append order, and op counts are bit-identical across
-// formats. What deliberately changes is the *byte count* handed to the LogP
-// model: v2 payloads are smaller, so exchange time (and therefore
-// sim_seconds) improves under v2. This is an intentional accounting change
-// of the same kind as PR 1's encode-once pricing: the simulated cluster
-// charges for the bytes an MPI rank would actually put on the wire, and the
-// wire just got cheaper. To keep the schedule format-independent, the post
-// kernel canonicalizes each block's columns into ascending order for BOTH
-// formats (columns within a block are unique, so ordering cannot change any
-// relaxation outcome, op count, or dirty-set content — it only fixes the
-// within-block entry order and makes payload bytes a pure function of the
-// drained set), and the ingest window accounting below measures both formats
-// by their *decoded* footprint (entries x sizeof(DvEntry)), so window splits
-// are identical under either format.
+// The wire format (BoundaryWireFormat in distance_store.hpp) is one layout:
+// struct-of-arrays blocks of delta/run-length varint columns plus an aligned
+// f64 run. Ops are charged per drained column and per serialized entry per
+// block, never per byte; the byte count goes to the LogP model. The post
+// kernel canonicalizes each block's columns into ascending order (columns
+// within a block are unique, so ordering cannot change any relaxation
+// outcome, op count, or dirty-set content — it only fixes the within-block
+// entry order and makes payload bytes a pure function of the drained set),
+// and the ingest window accounting below measures blocks by their *decoded*
+// footprint (entries x sizeof(DvEntry)), not their wire bytes.
 #pragma once
 
 #include "core/distance_store.hpp"
@@ -97,8 +87,8 @@ struct RcPropagateProfile {
 
 /// Phase 1: drain every row's send-list and post one BoundaryDvUpdate message
 /// per neighbouring rank that shares a cut edge with the row's vertex. Each
-/// row's block is serialized once — in the requested wire format, columns
-/// canonically ordered ascending by order_drained_columns — and the encoded
+/// row's block is serialized once — columns canonically ordered ascending by
+/// order_drained_columns — and the encoded
 /// bytes are appended to every destination payload through BoundaryFanOut
 /// (see the accounting note above). Send-lists of interior rows are drained
 /// too (they have no audience; a row that later becomes boundary is
@@ -111,6 +101,7 @@ struct RcPropagateProfile {
 /// therefore the receivers' relaxation order — never the drained set, the
 /// op count, or any converged value. An empty order is the historical
 /// ascending sweep, byte-identical to the pre-refine kernel.
+/// `format` names the wire format; V2Soa is the only one.
 /// Returns ops.
 double rc_post_boundary_updates(const LocalSubgraph& sg, DistanceStore& store,
                                 Cluster& cluster,
@@ -152,10 +143,9 @@ std::size_t adaptive_rc_ingest_window_bytes(std::size_t live_ranks);
 /// Phase 3a: apply received BoundaryDvUpdate messages — relax every local
 /// endpoint of each cut edge incident to an updated external vertex.
 /// Non-BoundaryDvUpdate messages are ignored (callers drain those contexts
-/// separately). `format` must match what the senders posted (the payload is
-/// not self-describing; the engine applies one config-wide format). Batched:
-/// blocks are decoded in place (zero copy — v2 column arrays are the one
-/// materialized piece) and processed in payload windows of ~window_bytes of
+/// separately). `format` names the wire format; V2Soa is the only one.
+/// Batched: blocks are decoded in place (zero copy — the column arrays are
+/// the one materialized piece) and processed in payload windows of ~window_bytes of
 /// decoded entries whose work is grouped by destination row, so a row is
 /// streamed from memory once per window instead of once per incident block
 /// and the window's entries stay cache-resident across all their sweeps;
@@ -220,41 +210,35 @@ double rc_propagate_local(const LocalSubgraph& sg, DistanceStore& store,
                           std::span<const LocalId> seed_order = {},
                           double max_ops = 0);
 
-/// Serialize the payload of one boundary update: repeated blocks, layout per
-/// `format`.
-///   V1Aos: [u32 vertex][u64 count][count x 16-byte DvEntry: u32 column,
-///          4 zero pad bytes, f64 distance].
-///   V2Soa: [u32 vertex][varint count][u8 col_encoding][columns]
-///          [zero pad to 8][count x f64], where the columns are either
-///          delta-varints (encoding 0: first column absolute, then raw
-///          deltas >= 1) or run-length runs (encoding 1: varint run count,
-///          then per run a varint start gap and a varint (length - 1)); the
-///          encoder picks whichever is smaller per block (ties -> deltas).
-///          Every v2 block's total size is a multiple of 8, so concatenated
-///          blocks keep each distance run 8-aligned — the property that lets
-///          receivers view it in place as an aligned f64 span.
-/// V2 requires each block's entries sorted by strictly ascending column
-/// (asserted); rc_post_boundary_updates canonicalizes to that order for both
-/// formats.
+/// Serialize the payload of one boundary update: repeated blocks of
+///   [u32 vertex][varint count][u8 col_encoding][columns]
+///   [zero pad to 8][count x f64], where the columns are either
+///   delta-varints (encoding 0: first column absolute, then raw deltas >= 1)
+///   or run-length runs (encoding 1: varint run count, then per run a varint
+///   start gap and a varint (length - 1)); the encoder picks whichever is
+///   smaller per block (ties -> deltas). Every block's total size is a
+///   multiple of 8, so concatenated blocks keep each distance run 8-aligned
+///   — the property that lets receivers view it in place as an aligned f64
+///   span.
+/// Each block's entries must be sorted by strictly ascending column
+/// (asserted); rc_post_boundary_updates canonicalizes to that order.
 struct BoundaryBlock {
     VertexId vertex;
     std::vector<DvEntry> entries;
 };
-std::vector<std::byte> encode_boundary_blocks(
-    const std::vector<BoundaryBlock>& blocks,
-    BoundaryWireFormat format = BoundaryWireFormat::V2Soa);
+std::vector<std::byte> encode_boundary_blocks(const std::vector<BoundaryBlock>& blocks);
 
 /// Per-destination boundary payloads, built block by block: each block is
-/// encoded once in the given wire format and its bytes appended to every
-/// destination's payload (both formats are plain concatenations of
-/// self-contained blocks), so the payload bytes equal encode_boundary_blocks
+/// encoded once and its bytes appended to every destination's payload (a
+/// payload is a plain concatenation of self-contained blocks), so the
+/// payload bytes equal encode_boundary_blocks
 /// over each destination's blocks in arrival order. Entry counts ride along
 /// so the cluster can price each message by decoded footprint under
 /// PriceModel::PerEntry. The post kernel and the deletion path's view and
 /// raise exchanges share it.
 class BoundaryFanOut {
 public:
-    BoundaryFanOut(std::size_t num_ranks, BoundaryWireFormat format);
+    explicit BoundaryFanOut(std::size_t num_ranks);
 
     /// Encode one block (`cols` strictly ascending, `dists` alongside) and
     /// append it to each destination's payload.
@@ -271,7 +255,6 @@ public:
     Posted post(Cluster& cluster, RankId from, MessageTag tag);
 
 private:
-    BoundaryWireFormat format_;
     std::vector<std::vector<std::byte>> payloads_;
     std::vector<std::size_t> entries_;
     Serializer encoder_;  // reused across blocks
@@ -283,25 +266,9 @@ private:
 /// encodings, non-monotone or overflowing column deltas, run lengths that
 /// disagree with the entry count, nonzero padding, entry counts past the
 /// payload end — overflow-safely) fail an AA_ASSERT contract check.
-std::vector<BoundaryBlock> decode_boundary_blocks(
-    std::span<const std::byte> payload,
-    BoundaryWireFormat format = BoundaryWireFormat::V2Soa);
+std::vector<BoundaryBlock> decode_boundary_blocks(std::span<const std::byte> payload);
 
-/// Zero-copy v1 variant: the same structural validation, but each block's
-/// entries stay in place as a DvEntrySpan over the payload bytes instead of
-/// being copied into an owning vector. Views are valid only while the
-/// payload's storage is alive — the ingest kernel consumes them inside the
-/// message loop. This is the decode the batched kernel uses for v1 payloads:
-/// the copying variant would stream every entry through memory twice before
-/// the first relaxation reads it.
-struct BoundaryBlockView {
-    VertexId vertex;
-    DvEntrySpan entries;
-};
-std::vector<BoundaryBlockView> decode_boundary_block_views(
-    std::span<const std::byte> payload);
-
-/// Zero-copy v2 variant: per block, a strictly-ascending column span and the
+/// Zero-copy variant: per block, a strictly-ascending column span and the
 /// aligned in-place f64 distance span — exactly the shape
 /// DistanceStore::relax_batch_soa consumes. The distance spans point into
 /// `payload`; the column spans point into `column_arena`, which the call
@@ -324,6 +291,6 @@ std::vector<BoundaryBlockSoaView> decode_boundary_block_soa_views(
 /// every distance >= 0 or +inf. Returns nullptr if the RC ingest kernel can
 /// consume the payload, else the failure message.
 const char* boundary_payload_error(std::span<const std::byte> payload,
-                                   BoundaryWireFormat format, std::size_t num_columns);
+                                   std::size_t num_columns);
 
 }  // namespace aa

@@ -18,13 +18,13 @@ namespace aa {
 ///
 /// PerByte prices exactly the bytes the serializer put on the wire — the
 /// historical behaviour, and the right model when the experiment is about
-/// transport (wire-format ablations, schedule ablations). PerEntry prices a
-/// boundary-DV message by its *decoded* entry footprint (16-byte header +
-/// entries x sizeof(DvEntry)) regardless of how cleverly the payload was
-/// encoded, so transport wins (v2's varint/RLE columns) stop leaking into
-/// algorithmic `sim_seconds`: under PerEntry, v1 and v2 runs of the same
-/// schedule produce bit-identical simulated times, which is what lets an
-/// experiment attribute a speedup to the algorithm rather than the encoder.
+/// transport (schedule ablations). PerEntry prices a boundary-DV message by
+/// its *decoded* entry footprint (16-byte header + entries x
+/// sizeof(DvEntry)) regardless of how cleverly the payload was encoded, so
+/// encoding wins (the varint/RLE columns) stay out of algorithmic
+/// `sim_seconds`: a run's simulated time depends only on how many entries
+/// its schedule ships, which is what lets an experiment attribute a speedup
+/// to the algorithm rather than the encoder.
 /// Non-boundary messages (control, broadcasts, migrations) carry no entry
 /// count and are priced by wire bytes under both models.
 enum class PriceModel : std::uint8_t {

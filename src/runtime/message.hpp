@@ -85,7 +85,7 @@ public:
 
     /// LEB128 unsigned varint: 7 payload bits per byte, high bit = "more
     /// bytes follow". Small values — sorted-column deltas, entry counts —
-    /// shrink from 4-8 fixed bytes to 1-2, which is what makes the v2
+    /// shrink from 4-8 fixed bytes to 1-2, which is what makes the
     /// boundary-DV column array cheap on the (simulated) wire.
     void write_varint(std::uint64_t value) {
         while (value >= 0x80) {
@@ -96,14 +96,14 @@ public:
     }
 
     /// Append raw bytes with no length prefix — for caller-framed data whose
-    /// extent is recoverable from context (e.g. the v2 boundary block's f64
+    /// extent is recoverable from context (e.g. the boundary block's f64
     /// run, whose length is the already-written entry count).
     void write_bytes(std::span<const std::byte> bytes) {
         buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
     }
 
     /// Append zero bytes until the buffer size is a multiple of `alignment`
-    /// (a power of two). The v2 boundary-block encoder uses this to land each
+    /// (a power of two). The boundary-block encoder uses this to land each
     /// block's f64 distance run on an 8-byte boundary so receivers can read
     /// it in place as an aligned span.
     void pad_to(std::size_t alignment) {

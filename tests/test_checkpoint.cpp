@@ -320,24 +320,6 @@ TEST(Checkpoint, RejectsRankMismatch) {
     expect_rejected(save(engine), small_config(8), "rank count");
 }
 
-TEST(Checkpoint, RejectsConfigFingerprintMismatch) {
-    Rng rng(5);
-    const auto g = barabasi_albert(30, 2, rng);
-    AnytimeEngine engine(g, small_config(4));
-    engine.initialize();
-    const std::string bytes = save(engine);
-
-    EngineConfig shards = small_config(4);
-    shards.shards_per_rank = 3;
-    expect_rejected(bytes, shards, "shards_per_rank");
-    EngineConfig variant = small_config(4);
-    variant.closeness_variant = ClosenessVariant::Raw;
-    expect_rejected(bytes, variant, "closeness variant");
-    EngineConfig wire = small_config(4);
-    wire.wire_format = BoundaryWireFormat::V1Aos;
-    expect_rejected(bytes, wire, "wire format");
-}
-
 template <typename T>
 T peek(const std::string& bytes, std::size_t offset) {
     T value;
@@ -452,6 +434,29 @@ SavedCheckpoint save_small(std::uint32_t ranks, bool mid_rc = false) {
         engine.run_to_quiescence();
     }
     return locate_sections(save(engine), ranks);
+}
+
+TEST(Checkpoint, RejectsConfigFingerprintMismatch) {
+    Rng rng(5);
+    const auto g = barabasi_albert(30, 2, rng);
+    AnytimeEngine engine(g, small_config(4));
+    engine.initialize();
+    SavedCheckpoint saved = locate_sections(save(engine), 4);
+
+    EngineConfig shards = small_config(4);
+    shards.shards_per_rank = 3;
+    expect_rejected(saved.bytes, shards, "shards_per_rank");
+    EngineConfig variant = small_config(4);
+    variant.closeness_variant = ClosenessVariant::Raw;
+    expect_rejected(saved.bytes, variant, "closeness variant");
+    // The header's last byte is the wire format. Only V2Soa (2) exists, so a
+    // file claiming the retired v1 id must not load, even with a valid CRC.
+    const std::size_t wire_at = saved.header.crc_at - 1;
+    ASSERT_EQ(peek<std::uint8_t>(saved.bytes, wire_at),
+              static_cast<std::uint8_t>(BoundaryWireFormat::V2Soa));
+    poke<std::uint8_t>(saved.bytes, wire_at, 1);
+    reseal(saved.bytes, saved.header);
+    expect_rejected(saved.bytes, small_config(4), "wire format");
 }
 
 TEST(Checkpoint, RejectsShardMapRankOutOfRange) {

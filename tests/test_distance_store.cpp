@@ -134,53 +134,76 @@ TEST(DistanceStore, PendingQueries) {
 }
 
 TEST(DistanceStore, RelaxBatchMatchesRelaxLoop) {
-    // relax_batch must be exactly equivalent to per-entry relax() — same
-    // values, same improved count, same dirty-set contents — on random entry
-    // streams including duplicates, worse candidates, and epsilon-window
-    // near-ties.
-    Rng rng(99);
-    for (int round = 0; round < 20; ++round) {
+    // Repeated relax_batch calls on one row must track a per-entry relax()
+    // loop exactly — values, improved counts, dirty-set contents — as the
+    // row's state builds up. Each batch covers a dense column range (the
+    // shape of run-length columns and of propagate's gathered tiles), and
+    // some candidates sit inside the acceptance epsilon of the current value,
+    // where neither side may accept them.
+    for (const bool simd : {true, false}) {
+        SCOPED_TRACE(simd ? "simd" : "scalar");
+        Rng rng(99);
         DistanceStore a(64);
         DistanceStore b(64);
+        b.set_simd_enabled(simd);
         const LocalId ra = a.add_row(0);
         const LocalId rb = b.add_row(0);
-        std::vector<DvEntry> entries;
-        for (int i = 0; i < 200; ++i) {
-            entries.push_back({static_cast<VertexId>(rng.uniform(64)),
-                               rng.uniform(0.0, 10.0)});
+        for (int round = 0; round < 20; ++round) {
+            const auto first = static_cast<VertexId>(rng.uniform(32));
+            const auto count = 1 + static_cast<std::size_t>(rng.uniform(64 - first));
+            const Weight offset = rng.uniform(0.0, 2.0);
+            std::vector<VertexId> cols(count);
+            std::vector<Weight> dists(count);
+            for (std::size_t i = 0; i < count; ++i) {
+                cols[i] = first + static_cast<VertexId>(i);
+                const Weight current = a.at(ra, cols[i]);
+                dists[i] = current < kInfinity && rng.uniform01() < 0.3
+                               ? current * (1 - 1e-14) - offset  // inside epsilon
+                               : rng.uniform(0.0, 10.0);
+            }
+            std::size_t improved_loop = 0;
+            for (std::size_t i = 0; i < count; ++i) {
+                improved_loop += a.relax(ra, cols[i], offset + dists[i]) ? 1 : 0;
+            }
+            EXPECT_EQ(b.relax_batch_soa(rb, cols, dists, offset), improved_loop);
+            for (VertexId c = 0; c < 64; ++c) {
+                EXPECT_EQ(a.at(ra, c), b.at(rb, c)) << "round " << round << " col " << c;
+            }
+            const auto pa = a.take_prop(ra);
+            const auto pb = b.take_prop(rb);
+            std::vector<VertexId> sa(pa.begin(), pa.end());
+            std::vector<VertexId> sb(pb.begin(), pb.end());
+            std::sort(sa.begin(), sa.end());
+            std::sort(sb.begin(), sb.end());
+            EXPECT_EQ(sa, sb) << "round " << round;
         }
-        const Weight offset = rng.uniform(0.0, 2.0);
-        std::size_t improved_loop = 0;
-        for (const DvEntry& e : entries) {
-            improved_loop += a.relax(ra, e.column, offset + e.distance) ? 1 : 0;
-        }
-        const std::size_t improved_batch = b.relax_batch(rb, entries, offset);
-        EXPECT_EQ(improved_loop, improved_batch);
-        for (VertexId c = 0; c < 64; ++c) {
-            EXPECT_EQ(a.at(ra, c), b.at(rb, c)) << "col " << c;
-        }
-        const auto pa = a.take_prop(ra);
-        const auto pb = b.take_prop(rb);
-        std::vector<VertexId> sa(pa.begin(), pa.end());
-        std::vector<VertexId> sb(pb.begin(), pb.end());
-        std::sort(sa.begin(), sa.end());
-        std::sort(sb.begin(), sb.end());
-        EXPECT_EQ(sa, sb);
     }
 }
 
 TEST(DistanceStore, RelaxBatchHonoursMarkFlags) {
-    DistanceStore store(4);
-    const LocalId r = store.add_row(0);
-    const std::vector<DvEntry> entries{{1, 1.0}, {2, 2.0}};
-    store.relax_batch(r, entries, 0.0, /*mark_prop=*/false, /*mark_send=*/true);
-    EXPECT_FALSE(store.has_prop(r));
-    EXPECT_TRUE(store.has_send(r));
-    (void)store.take_send(r);
-    const std::vector<DvEntry> more{{3, 1.5}};
-    store.relax_batch(r, more, 0.0, /*mark_prop=*/true, /*mark_send=*/false);
-    EXPECT_TRUE(store.has_prop(r));
-    EXPECT_FALSE(store.has_send(r));
+    // Both sweeps — the AVX2 one (where the host has it) and the scalar one —
+    // record improvements only in the requested dirty sets.
+    for (const bool simd : {true, false}) {
+        SCOPED_TRACE(simd ? "simd" : "scalar");
+        DistanceStore store(4);
+        store.set_simd_enabled(simd);
+        const LocalId r = store.add_row(0);
+        const std::vector<VertexId> cols{1, 2};
+        const std::vector<Weight> dists{1.0, 2.0};
+        EXPECT_EQ(store.relax_batch_soa(r, cols, dists, 0.0, /*mark_prop=*/false,
+                                        /*mark_send=*/true),
+                  2u);
+        EXPECT_FALSE(store.has_prop(r));
+        EXPECT_TRUE(store.has_send(r));
+        (void)store.take_send(r);
+        const std::vector<VertexId> more_cols{3};
+        const std::vector<Weight> more_dists{1.5};
+        EXPECT_EQ(store.relax_batch_soa(r, more_cols, more_dists, 0.0,
+                                        /*mark_prop=*/true, /*mark_send=*/false),
+                  1u);
+        EXPECT_TRUE(store.has_prop(r));
+        EXPECT_FALSE(store.has_send(r));
+    }
 }
 
 TEST(DistanceStore, EpochWrapKeepsDirtyTrackingExact) {
@@ -308,7 +331,7 @@ TEST(DistanceStore, EpochWrapSurvivesInterleavedInvalidation) {
 }
 
 TEST(DistanceStore, RelaxBatchSoaMatchesRelaxLoop) {
-    // relax_batch_soa (the v2 ingest kernel: strictly-ascending column span
+    // relax_batch_soa (the ingest and propagate sweep: strictly-ascending column span
     // plus a parallel distance span) must match per-column relax() exactly —
     // values, improved count, and dirty-append order — with the SIMD sweep
     // both enabled and disabled.

@@ -3,7 +3,7 @@
 // indistinguishable from a from-scratch engine on the final graph —
 // bit-identical (distances AND closeness) for uniform/dyadic weights,
 // within the relaxation epsilon otherwise. The churn lattice sweeps
-// P in {2, 4, 8} x both backends x both wire formats x sync/async.
+// P in {2, 4, 8} x both backends x sync/async.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -370,38 +370,26 @@ void run_churn(const EngineConfig& config) {
 
 TEST(EngineDelete, ChurnLatticeSequential) {
     for (const std::uint32_t ranks : {2u, 4u, 8u}) {
-        for (const BoundaryWireFormat wire :
-             {BoundaryWireFormat::V1Aos, BoundaryWireFormat::V2Soa}) {
-            for (const bool rc_async : {false, true}) {
-                EngineConfig config = shrink_config(ranks);
-                config.backend = BackendKind::Sequential;
-                config.wire_format = wire;
-                config.rc_async = rc_async;
-                SCOPED_TRACE(::testing::Message()
-                             << "ranks=" << ranks << " wire="
-                             << (wire == BoundaryWireFormat::V1Aos ? "v1" : "v2")
-                             << " async=" << rc_async);
-                run_churn(config);
-            }
+        for (const bool rc_async : {false, true}) {
+            EngineConfig config = shrink_config(ranks);
+            config.backend = BackendKind::Sequential;
+            config.rc_async = rc_async;
+            SCOPED_TRACE(::testing::Message()
+                         << "ranks=" << ranks << " async=" << rc_async);
+            run_churn(config);
         }
     }
 }
 
 TEST(EngineDelete, ChurnLatticeThreaded) {
     for (const std::uint32_t ranks : {2u, 4u, 8u}) {
-        for (const BoundaryWireFormat wire :
-             {BoundaryWireFormat::V1Aos, BoundaryWireFormat::V2Soa}) {
-            for (const bool rc_async : {false, true}) {
-                EngineConfig config = shrink_config(ranks);
-                config.backend = BackendKind::Threaded;
-                config.wire_format = wire;
-                config.rc_async = rc_async;
-                SCOPED_TRACE(::testing::Message()
-                             << "ranks=" << ranks << " wire="
-                             << (wire == BoundaryWireFormat::V1Aos ? "v1" : "v2")
-                             << " async=" << rc_async);
-                run_churn(config);
-            }
+        for (const bool rc_async : {false, true}) {
+            EngineConfig config = shrink_config(ranks);
+            config.backend = BackendKind::Threaded;
+            config.rc_async = rc_async;
+            SCOPED_TRACE(::testing::Message()
+                         << "ranks=" << ranks << " async=" << rc_async);
+            run_churn(config);
         }
     }
 }

@@ -7,7 +7,7 @@
 //      distance, closeness score, simulated second and telemetry span is
 //      bit-identical between shards_per_rank = 8 (the new default) and
 //      shards_per_rank = 1 (the historical flat map), across the full
-//      P x backend x wire-format x sync/async lattice.
+//      P x backend x sync/async lattice (one wire format).
 //
 //   2. Migration correctness — migrate_shards mid-RC (partially converged
 //      state, marked rows, in-flight updates) must land the engine, at
@@ -171,14 +171,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(2u, 4u, 8u),
         ::testing::Values(BackendKind::Sequential, BackendKind::Threaded),
-        ::testing::Values(BoundaryWireFormat::V1Aos, BoundaryWireFormat::V2Soa),
+        ::testing::Values(BoundaryWireFormat::V2Soa),
         ::testing::Bool()),
     [](const ::testing::TestParamInfo<Param>& p) {
         return "r" + std::to_string(std::get<0>(p.param)) +
                (std::get<1>(p.param) == BackendKind::Threaded ? "_thr"
                                                               : "_seq") +
-               (std::get<2>(p.param) == BoundaryWireFormat::V2Soa ? "_v2"
-                                                                  : "_v1") +
+               "_v2" +
                (std::get<3>(p.param) ? "_async" : "_sync");
     });
 
@@ -325,15 +324,9 @@ TEST_P(MigrateProtocol, BogusMovesAreSkippedEntirely) {
 
 INSTANTIATE_TEST_SUITE_P(
     Wire, MigrateProtocol,
-    ::testing::Combine(::testing::Values(BoundaryWireFormat::V1Aos,
-                                         BoundaryWireFormat::V2Soa),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<BoundaryWireFormat, bool>>&
-           p) {
-        return std::string(std::get<0>(p.param) == BoundaryWireFormat::V2Soa
-                               ? "v2"
-                               : "v1") +
-               (std::get<1>(p.param) ? "_async" : "_sync");
+    ::testing::Combine(::testing::Values(BoundaryWireFormat::V2Soa), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<BoundaryWireFormat, bool>>& p) {
+        return std::string("v2") + (std::get<1>(p.param) ? "_async" : "_sync");
     });
 
 // ---------------------------------------------------------------------------

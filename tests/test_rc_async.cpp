@@ -7,8 +7,8 @@
 // propagation is deferred until a rank has everything — so distances,
 // closeness, dirty order, per-step ops, and message traffic must stay
 // bit-identical to the step-synchronous default at every step. The lattice
-// below pins that across rank counts × both execution backends × both wire
-// formats, with a mid-RC vertex-addition batch in every run. The delivery
+// below pins that across rank counts × both execution backends, with a
+// mid-RC vertex-addition batch in every run. The delivery
 // trace is built on the driver thread, so it must also be identical across
 // backends and across repeated threaded runs.
 #include <gtest/gtest.h>
@@ -93,11 +93,8 @@ RunResult run_scenario(std::uint32_t ranks, BackendKind backend,
 
 /// Everything an event-driven step may NOT change: results, work, traffic.
 /// (EXPECT_EQ on doubles is exact comparison — bit-identical, not "close".)
-/// `same_bytes=false` relaxes only the byte accounting — for comparisons
-/// across wire formats, where payload size legitimately differs.
 void expect_equivalent_modulo_timeline(const RunResult& sync,
-                                       const RunResult& async_r,
-                                       bool same_bytes = true) {
+                                       const RunResult& async_r) {
     EXPECT_EQ(sync.rc_steps, async_r.rc_steps);
     ASSERT_EQ(sync.matrix.size(), async_r.matrix.size());
     for (std::size_t v = 0; v < sync.matrix.size(); ++v) {
@@ -111,15 +108,10 @@ void expect_equivalent_modulo_timeline(const RunResult& sync,
         EXPECT_EQ(sync.steps[i].ops, async_r.steps[i].ops) << "step " << i;
         EXPECT_EQ(sync.steps[i].messages, async_r.steps[i].messages)
             << "step " << i;
-        if (same_bytes) {
-            EXPECT_EQ(sync.steps[i].bytes, async_r.steps[i].bytes)
-                << "step " << i;
-        }
+        EXPECT_EQ(sync.steps[i].bytes, async_r.steps[i].bytes) << "step " << i;
     }
     EXPECT_EQ(sync.total_messages, async_r.total_messages);
-    if (same_bytes) {
-        EXPECT_EQ(sync.total_bytes, async_r.total_bytes);
-    }
+    EXPECT_EQ(sync.total_bytes, async_r.total_bytes);
 }
 
 void expect_identical_trace(const RunResult& a, const RunResult& b) {
@@ -178,15 +170,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2u, 4u, 8u),
                        ::testing::Values(BackendKind::Sequential,
                                          BackendKind::Threaded),
-                       ::testing::Values(BoundaryWireFormat::V1Aos,
-                                         BoundaryWireFormat::V2Soa)),
+                       ::testing::Values(BoundaryWireFormat::V2Soa)),
     [](const ::testing::TestParamInfo<Param>& p) {
         std::string name = "r";
         name += std::to_string(std::get<0>(p.param));
         name += std::get<1>(p.param) == BackendKind::Threaded ? "_threaded"
                                                               : "_seq";
-        name += std::get<2>(p.param) == BoundaryWireFormat::V2Soa ? "_v2"
-                                                                  : "_v1";
+        name += "_v2";
         return name;
     });
 
@@ -464,26 +454,36 @@ TEST(RcIngest, AdaptiveResolutionRules) {
 }
 
 TEST(PriceModel, PerEntryMakesSimSecondsFormatIndependent) {
-    // The point of the per-entry price model: v1 and v2 runs still ship
-    // different wire bytes (accounting is always wire-truthful), but the
-    // priced exchange time — and with it sim_seconds — no longer depends on
-    // the encoding.
-    const Overrides per_entry{/*rc_async=*/false,
-                              CommSchedule::SerializedAllToAll,
-                              PriceModel::PerEntry};
-    const RunResult v1 = run_scenario(4, BackendKind::Sequential,
-                                      BoundaryWireFormat::V1Aos, per_entry);
-    const RunResult v2 = run_scenario(4, BackendKind::Sequential,
-                                      BoundaryWireFormat::V2Soa, per_entry);
-    EXPECT_EQ(v1.sim_seconds, v2.sim_seconds);
-    ASSERT_EQ(v1.steps.size(), v2.steps.size());
-    for (std::size_t i = 0; i < v1.steps.size(); ++i) {
-        EXPECT_EQ(v1.steps[i].exchange_seconds, v2.steps[i].exchange_seconds)
-            << "step " << i;
+    // The point of the per-entry price model: two boundary payloads with the
+    // same entries but different column encodings — one dense run, one
+    // spread of delta-varints — ship different wire bytes (accounting is
+    // always wire-truthful), but under PerEntry the priced exchange time, and
+    // with it the simulated clock, no longer depends on the encoding.
+    std::vector<DvEntry> dense;
+    std::vector<DvEntry> sparse;
+    for (VertexId i = 0; i < 64; ++i) {
+        dense.push_back({i, 1.0});
+        sparse.push_back({i * 1000, 1.0});
     }
-    EXPECT_LT(v2.total_bytes, v1.total_bytes);  // accounting stays wire-truthful
-    // And the results lattice still holds across formats under PerEntry.
-    expect_equivalent_modulo_timeline(v1, v2, /*same_bytes=*/false);
+    const auto dense_payload = encode_boundary_blocks({{0, dense}});
+    const auto sparse_payload = encode_boundary_blocks({{0, sparse}});
+    ASSERT_LT(dense_payload.size(), sparse_payload.size());
+    struct Priced {
+        double sim_seconds;
+        std::size_t bytes;
+    };
+    const auto run = [](PriceModel model, const std::vector<std::byte>& payload) {
+        Cluster cluster(2, {}, CommSchedule::SerializedAllToAll, model);
+        cluster.send(0, 1, MessageTag::BoundaryDvUpdate, payload, 64);
+        cluster.exchange();
+        return Priced{cluster.max_time(), cluster.stats().total_bytes};
+    };
+    const Priced dense_pe = run(PriceModel::PerEntry, dense_payload);
+    const Priced sparse_pe = run(PriceModel::PerEntry, sparse_payload);
+    EXPECT_EQ(dense_pe.sim_seconds, sparse_pe.sim_seconds);
+    EXPECT_LT(dense_pe.bytes, sparse_pe.bytes);
+    EXPECT_LT(run(PriceModel::PerByte, dense_payload).sim_seconds,
+              run(PriceModel::PerByte, sparse_payload).sim_seconds);
 }
 
 TEST(PriceModel, PerByteIsTheHistoricalDefault) {

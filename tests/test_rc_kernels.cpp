@@ -204,7 +204,7 @@ TEST(RcKernels, OrderDrainedColumnsMatchesSortAndClearsScratch) {
 // Post orders drains of 64 or more columns through the bitmap and smaller
 // ones with std::sort; either way every destination must receive exactly
 // the bytes encode_boundary_blocks gives for the std::sort-ed finite
-// entries, in both wire formats. Every fifth drained column is invalidated
+// entries. Every fifth drained column is invalidated
 // to +inf first, and post must drop it.
 TEST(RcKernels, PostLargeDrainsMatchSortedEncoding) {
     constexpr std::size_t n = 200;  // not a multiple of 64
@@ -213,59 +213,56 @@ TEST(RcKernels, PostLargeDrainsMatchSortedEncoding) {
     owners[1] = 1;
     owners[2] = 2;
     Rng rng(7);
-    for (const BoundaryWireFormat format :
-         {BoundaryWireFormat::V1Aos, BoundaryWireFormat::V2Soa}) {
-        for (const std::size_t k : {std::size_t{63}, std::size_t{64}, n - 1}) {
-            Cluster cluster(3);
-            LocalSubgraph sg(0, owners);
-            DistanceStore store(n);
-            for (const VertexId v : sg.local_vertices()) {
-                store.add_row(v);
+    for (const std::size_t k : {std::size_t{63}, std::size_t{64}, n - 1}) {
+        Cluster cluster(3);
+        LocalSubgraph sg(0, owners);
+        DistanceStore store(n);
+        for (const VertexId v : sg.local_vertices()) {
+            store.add_row(v);
+        }
+        sg.add_local_edge(0, 1, 1.0);
+        sg.add_local_edge(0, 2, 1.0);
+        for (LocalId r = 0; r < store.num_rows(); ++r) {
+            (void)store.take_send(r);
+        }
+        // Mark k distinct columns of row 0, all but the self column when
+        // k = n - 1, in shuffled order.
+        std::vector<VertexId> cols(n - 1);
+        std::iota(cols.begin(), cols.end(), VertexId{1});
+        rng.shuffle(cols);
+        cols.resize(k);
+        const LocalId l = sg.local_id(0);
+        std::vector<DvEntry> finite;
+        for (std::size_t i = 0; i < k; ++i) {
+            const Weight d = 1.0 + static_cast<Weight>(rng.uniform(1000)) / 8;
+            ASSERT_TRUE(store.relax(l, cols[i], d));
+            if (i % 5 == 0) {
+                store.mark_invalidated(l, cols[i]);
+            } else {
+                finite.push_back({cols[i], d});
             }
-            sg.add_local_edge(0, 1, 1.0);
-            sg.add_local_edge(0, 2, 1.0);
-            for (LocalId r = 0; r < store.num_rows(); ++r) {
-                (void)store.take_send(r);
-            }
-            // Mark k distinct columns of row 0, all but the self column when
-            // k = n - 1, in shuffled order.
-            std::vector<VertexId> cols(n - 1);
-            std::iota(cols.begin(), cols.end(), VertexId{1});
-            rng.shuffle(cols);
-            cols.resize(k);
-            const LocalId l = sg.local_id(0);
-            std::vector<DvEntry> finite;
-            for (std::size_t i = 0; i < k; ++i) {
-                const Weight d = 1.0 + static_cast<Weight>(rng.uniform(1000)) / 8;
-                ASSERT_TRUE(store.relax(l, cols[i], d));
-                if (i % 5 == 0) {
-                    store.mark_invalidated(l, cols[i]);
-                } else {
-                    finite.push_back({cols[i], d});
-                }
-            }
-            std::sort(finite.begin(), finite.end(),
-                      [](const DvEntry& a, const DvEntry& b) { return a.column < b.column; });
-            const auto expected = encode_boundary_blocks({{0, finite}}, format);
+        }
+        std::sort(finite.begin(), finite.end(),
+                  [](const DvEntry& a, const DvEntry& b) { return a.column < b.column; });
+        const auto expected = encode_boundary_blocks({{0, finite}});
 
-            RcPostProfile profile;
-            const double ops =
-                rc_post_boundary_updates(sg, store, cluster, format, &profile);
-            EXPECT_EQ(ops, static_cast<double>(k + finite.size()));
-            EXPECT_EQ(profile.entries, finite.size());
-            EXPECT_EQ(profile.messages, 2u);
-            EXPECT_EQ(profile.bytes, 2 * expected.size());
-            cluster.exchange();
-            for (const RankId dest : {RankId{1}, RankId{2}}) {
-                const auto inbox = cluster.receive(dest);
-                ASSERT_EQ(inbox.size(), 1u);
-                EXPECT_EQ(inbox[0].entries, finite.size());
-                const auto got = inbox[0].bytes();
-                EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
-                                       expected.end()))
-                    << "k=" << k << " dest=" << dest << " format="
-                    << static_cast<int>(format);
-            }
+        RcPostProfile profile;
+        const double ops =
+            rc_post_boundary_updates(sg, store, cluster, BoundaryWireFormat::V2Soa,
+                                     &profile);
+        EXPECT_EQ(ops, static_cast<double>(k + finite.size()));
+        EXPECT_EQ(profile.entries, finite.size());
+        EXPECT_EQ(profile.messages, 2u);
+        EXPECT_EQ(profile.bytes, 2 * expected.size());
+        cluster.exchange();
+        for (const RankId dest : {RankId{1}, RankId{2}}) {
+            const auto inbox = cluster.receive(dest);
+            ASSERT_EQ(inbox.size(), 1u);
+            EXPECT_EQ(inbox[0].entries, finite.size());
+            const auto got = inbox[0].bytes();
+            EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
+                                   expected.end()))
+                << "k=" << k << " dest=" << dest;
         }
     }
 }
@@ -281,46 +278,43 @@ TEST(RcKernels, FanOutMatchesPerDestinationEncoding) {
         {7, {{3, 1.0}, {4, 1.25}}},
     };
     const std::vector<std::vector<RankId>> destinations = {{1, 3}, {3}, {1, 2, 3}};
-    for (const BoundaryWireFormat format :
-         {BoundaryWireFormat::V1Aos, BoundaryWireFormat::V2Soa}) {
-        Cluster cluster(4);
-        BoundaryFanOut fan_out(4, format);
-        std::vector<std::vector<BoundaryBlock>> per_dest(4);
-        for (std::size_t b = 0; b < blocks.size(); ++b) {
-            std::vector<VertexId> cols;
-            std::vector<Weight> dists;
-            for (const DvEntry& e : blocks[b].entries) {
-                cols.push_back(e.column);
-                dists.push_back(e.distance);
-            }
-            fan_out.add(blocks[b].vertex, cols, dists, destinations[b]);
-            for (const RankId dest : destinations[b]) {
-                per_dest[dest].push_back(blocks[b]);
-            }
+    Cluster cluster(4);
+    BoundaryFanOut fan_out(4);
+    std::vector<std::vector<BoundaryBlock>> per_dest(4);
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        std::vector<VertexId> cols;
+        std::vector<Weight> dists;
+        for (const DvEntry& e : blocks[b].entries) {
+            cols.push_back(e.column);
+            dists.push_back(e.distance);
         }
-        const auto posted = fan_out.post(cluster, 0, MessageTag::ShrinkRaise);
-        EXPECT_EQ(posted.messages, 3u);
-        EXPECT_EQ(posted.entries, 3u * 2 + 1u * 1 + 2u * 3);  // entries x destinations
-        cluster.exchange();
-        std::size_t bytes = 0;
-        for (RankId dest = 1; dest < 4; ++dest) {
-            const auto inbox = cluster.receive(dest);
-            ASSERT_EQ(inbox.size(), 1u);
-            EXPECT_EQ(inbox[0].tag, MessageTag::ShrinkRaise);
-            std::size_t entries = 0;
-            for (const BoundaryBlock& block : per_dest[dest]) {
-                entries += block.entries.size();
-            }
-            EXPECT_EQ(inbox[0].entries, entries);
-            const auto expected = encode_boundary_blocks(per_dest[dest], format);
-            const auto got = inbox[0].bytes();
-            EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
-                                   expected.end()))
-                << "dest=" << dest << " format=" << static_cast<int>(format);
-            bytes += got.size();
+        fan_out.add(blocks[b].vertex, cols, dists, destinations[b]);
+        for (const RankId dest : destinations[b]) {
+            per_dest[dest].push_back(blocks[b]);
         }
-        EXPECT_EQ(posted.bytes, bytes);
     }
+    const auto posted = fan_out.post(cluster, 0, MessageTag::ShrinkRaise);
+    EXPECT_EQ(posted.messages, 3u);
+    EXPECT_EQ(posted.entries, 3u * 2 + 1u * 1 + 2u * 3);  // entries x destinations
+    cluster.exchange();
+    std::size_t bytes = 0;
+    for (RankId dest = 1; dest < 4; ++dest) {
+        const auto inbox = cluster.receive(dest);
+        ASSERT_EQ(inbox.size(), 1u);
+        EXPECT_EQ(inbox[0].tag, MessageTag::ShrinkRaise);
+        std::size_t entries = 0;
+        for (const BoundaryBlock& block : per_dest[dest]) {
+            entries += block.entries.size();
+        }
+        EXPECT_EQ(inbox[0].entries, entries);
+        const auto expected = encode_boundary_blocks(per_dest[dest]);
+        const auto got = inbox[0].bytes();
+        EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
+                               expected.end()))
+            << "dest=" << dest;
+        bytes += got.size();
+    }
+    EXPECT_EQ(posted.bytes, bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -337,14 +331,13 @@ TEST(RcKernels, FanOutMatchesPerDestinationEncoding) {
 // block-arrival order for ingest and FIFO drain order for propagate, charging
 // one op per attempt — the semantics the library's batched sweeps reproduce.
 double scalar_ingest(const LocalSubgraph& sg, DistanceStore& store,
-                     const std::vector<Message>& inbox,
-                     BoundaryWireFormat format = BoundaryWireFormat::V2Soa) {
+                     const std::vector<Message>& inbox) {
     double ops = 0;
     for (const Message& message : inbox) {
         if (message.tag != MessageTag::BoundaryDvUpdate) {
             continue;
         }
-        for (const BoundaryBlock& block : decode_boundary_blocks(message.bytes(), format)) {
+        for (const BoundaryBlock& block : decode_boundary_blocks(message.bytes())) {
             // d(local, t) <= w(local, ext) + d(ext, t) through each cut edge.
             for (const auto& [local, w] : sg.external_neighbors(block.vertex)) {
                 for (const DvEntry& entry : block.entries) {
@@ -447,10 +440,9 @@ std::vector<RankId> random_owners(std::size_t n, std::uint32_t num_ranks, Rng& r
 // Drive post/exchange/ingest/propagate until globally quiescent. The Threaded
 // mode passes parallel_grain = 1 so even these small graphs exercise the
 // parallel_for branches in both rc_ingest_updates and rc_propagate_local.
-// `format` selects the wire format for post and ingest alike; `window_bytes`
-// feeds the ingest windowing (results must be independent of both).
+// `window_bytes` feeds the ingest windowing (results must be independent of
+// it).
 RcOps run_rc_fixpoint(MiniCluster& mc, Mode mode, std::size_t threads = 1,
-                      BoundaryWireFormat format = BoundaryWireFormat::V2Soa,
                       std::size_t window_bytes = kRcIngestWindowBytes) {
     std::unique_ptr<ThreadPool> pool;
     if (mode == Mode::Threaded) {
@@ -461,8 +453,7 @@ RcOps run_rc_fixpoint(MiniCluster& mc, Mode mode, std::size_t threads = 1,
     bool converged = false;
     for (int step = 0; step < 100 && !converged; ++step) {
         for (RankId r = 0; r < num_ranks; ++r) {
-            ops.post += rc_post_boundary_updates(mc.sgs[r], mc.stores[r], mc.cluster,
-                                                 format);
+            ops.post += rc_post_boundary_updates(mc.sgs[r], mc.stores[r], mc.cluster);
         }
         if (!mc.cluster.has_pending_messages()) {
             converged = true;
@@ -473,19 +464,19 @@ RcOps run_rc_fixpoint(MiniCluster& mc, Mode mode, std::size_t threads = 1,
             const auto inbox = mc.cluster.receive(r);
             switch (mode) {
                 case Mode::Scalar:
-                    ops.ingest += scalar_ingest(mc.sgs[r], mc.stores[r], inbox, format);
+                    ops.ingest += scalar_ingest(mc.sgs[r], mc.stores[r], inbox);
                     ops.propagate += scalar_propagate(mc.sgs[r], mc.stores[r]);
                     break;
                 case Mode::Batched:
                     ops.ingest += rc_ingest_updates(mc.sgs[r], mc.stores[r], inbox,
-                                                    format, nullptr,
+                                                    BoundaryWireFormat::V2Soa, nullptr,
                                                     kRcIngestParallelGrain,
                                                     window_bytes);
                     ops.propagate += rc_propagate_local(mc.sgs[r], mc.stores[r]);
                     break;
                 case Mode::Threaded:
                     ops.ingest += rc_ingest_updates(mc.sgs[r], mc.stores[r], inbox,
-                                                    format, pool.get(),
+                                                    BoundaryWireFormat::V2Soa, pool.get(),
                                                     /*parallel_grain=*/1, window_bytes);
                     ops.propagate += rc_propagate_local(mc.sgs[r], mc.stores[r],
                                                         pool.get(), /*parallel_grain=*/1);
@@ -517,14 +508,11 @@ std::size_t matrix_mismatches(const MiniCluster& a, const MiniCluster& b) {
 
 void expect_equivalent(MiniCluster& reference, MiniCluster& candidate, Mode mode,
                        std::size_t threads, const char* what,
-                       BoundaryWireFormat ref_format = BoundaryWireFormat::V1Aos,
-                       BoundaryWireFormat cand_format = BoundaryWireFormat::V2Soa,
                        std::size_t cand_window = kRcIngestWindowBytes) {
-    // Reference: the scalar per-element kernels over the v1 wire format —
-    // the original semantics every optimized configuration must reproduce.
-    const RcOps ref = run_rc_fixpoint(reference, Mode::Scalar, 1, ref_format);
-    const RcOps got = run_rc_fixpoint(candidate, mode, threads, cand_format,
-                                      cand_window);
+    // Reference: the scalar per-element kernels — the original semantics
+    // every optimized configuration must reproduce.
+    const RcOps ref = run_rc_fixpoint(reference, Mode::Scalar);
+    const RcOps got = run_rc_fixpoint(candidate, mode, threads, cand_window);
     EXPECT_EQ(ref.post, got.post) << what;
     EXPECT_EQ(ref.ingest, got.ingest) << what;
     EXPECT_EQ(ref.propagate, got.propagate) << what;
@@ -623,83 +611,7 @@ TEST(RcKernelEquivalence, IngestDirtySetsMatchScalar) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire-format equivalence: the v2 SoA payload (and the SIMD sweeps it feeds)
-// must reproduce the v1 + scalar reference bit for bit.
-
-TEST(RcWireFormat, FormatModeLatticeMatchesScalarV1) {
-    // Every (format, mode) cell against the scalar+v1 reference, over a few
-    // seeds: identical op counts and bit-identical matrices.
-    const BoundaryWireFormat formats[] = {BoundaryWireFormat::V1Aos,
-                                          BoundaryWireFormat::V2Soa};
-    for (const std::uint64_t seed : {21u, 1234u}) {
-        for (const BoundaryWireFormat format : formats) {
-            for (const Mode mode : {Mode::Batched, Mode::Threaded}) {
-                Rng rng(seed);
-                const DynamicGraph g = rmat(8, 700, rng, {}, {0.5, 2.0});
-                const auto owners = random_owners(g.num_vertices(), 4, rng);
-                MiniCluster reference(g, owners, 4);
-                MiniCluster candidate(g, owners, 4);
-                expect_equivalent(reference, candidate, mode, 4, "format lattice",
-                                  BoundaryWireFormat::V1Aos, format);
-            }
-        }
-    }
-}
-
-TEST(RcWireFormat, ScalarKernelAgreesAcrossFormats) {
-    // The scalar reference itself must be format-independent (the canonical
-    // ascending post order makes the payload entry order identical).
-    Rng rng(808);
-    const DynamicGraph g = erdos_renyi_gnm(300, 900, rng, {0.25, 4.0});
-    const auto owners = random_owners(g.num_vertices(), 5, rng);
-    MiniCluster v1(g, owners, 5);
-    MiniCluster v2(g, owners, 5);
-    const RcOps ops1 = run_rc_fixpoint(v1, Mode::Scalar, 1, BoundaryWireFormat::V1Aos);
-    const RcOps ops2 = run_rc_fixpoint(v2, Mode::Scalar, 1, BoundaryWireFormat::V2Soa);
-    EXPECT_EQ(ops1.post, ops2.post);
-    EXPECT_EQ(ops1.ingest, ops2.ingest);
-    EXPECT_EQ(ops1.propagate, ops2.propagate);
-    EXPECT_EQ(matrix_mismatches(v1, v2), 0u);
-}
-
-TEST(RcWireFormat, DirtyAppendOrderIdenticalAcrossFormats) {
-    // Stronger than IngestDirtySetsMatchScalar: after one post/exchange/
-    // ingest round the prop and send worklists must match in *exact append
-    // order* between a v1 and a v2 ingest — the property that keeps every
-    // later drain (and therefore the whole downstream schedule) identical.
-    // Both formats deliver ascending columns and relax_batch/_soa record
-    // improvements in entry order, so the appended sequences coincide.
-    Rng rng(271828);
-    const DynamicGraph g = rmat(8, 700, rng, {}, {0.5, 2.0});
-    const auto owners = random_owners(g.num_vertices(), 4, rng);
-    MiniCluster v1(g, owners, 4);
-    MiniCluster v2(g, owners, 4);
-    for (RankId r = 0; r < 4; ++r) {
-        rc_post_boundary_updates(v1.sgs[r], v1.stores[r], v1.cluster,
-                                 BoundaryWireFormat::V1Aos);
-        rc_post_boundary_updates(v2.sgs[r], v2.stores[r], v2.cluster,
-                                 BoundaryWireFormat::V2Soa);
-    }
-    v1.cluster.exchange();
-    v2.cluster.exchange();
-    for (RankId r = 0; r < 4; ++r) {
-        rc_ingest_updates(v1.sgs[r], v1.stores[r], v1.cluster.receive(r),
-                          BoundaryWireFormat::V1Aos);
-        rc_ingest_updates(v2.sgs[r], v2.stores[r], v2.cluster.receive(r),
-                          BoundaryWireFormat::V2Soa);
-        for (LocalId l = 0; l < v1.stores[r].num_rows(); ++l) {
-            const auto p1 = v1.stores[r].take_prop(l);
-            const auto p2 = v2.stores[r].take_prop(l);
-            EXPECT_TRUE(std::equal(p1.begin(), p1.end(), p2.begin(), p2.end()))
-                << "prop order, rank " << r << " row " << l;
-            const auto s1 = v1.stores[r].take_send(l);
-            const auto s2 = v2.stores[r].take_send(l);
-            EXPECT_TRUE(std::equal(s1.begin(), s1.end(), s2.begin(), s2.end()))
-                << "send order, rank " << r << " row " << l;
-        }
-    }
-    EXPECT_EQ(matrix_mismatches(v1, v2), 0u);
-}
+// Knobs that must never change results: the ingest window and the SIMD sweep.
 
 TEST(RcWireFormat, TinyIngestWindowIsBitIdentical) {
     // A 256-byte window forces a window split at nearly every block; results
@@ -711,15 +623,14 @@ TEST(RcWireFormat, TinyIngestWindowIsBitIdentical) {
     MiniCluster reference(g, owners, 4);
     MiniCluster tiny(g, owners, 4);
     expect_equivalent(reference, tiny, Mode::Batched, 1, "tiny window",
-                      BoundaryWireFormat::V1Aos, BoundaryWireFormat::V2Soa,
                       /*cand_window=*/256);
 }
 
 TEST(RcWireFormat, SimdToggleIsBitIdentical) {
-    // With AA_ENABLE_SIMD built in and AVX2 present this pins the vector
-    // sweeps to the scalar fallback bit for bit; otherwise both runs take the
-    // scalar path and the test degenerates to determinism (still worth
-    // keeping: it guards the toggle plumbing).
+    // On an AVX2 host this pins the vector sweeps to the scalar fallback bit
+    // for bit; otherwise both runs take the scalar path and the test
+    // degenerates to determinism (still worth keeping: it guards the toggle
+    // plumbing).
     Rng rng(512);
     const DynamicGraph g = erdos_renyi_gnm(300, 900, rng, {0.25, 4.0});
     const auto owners = random_owners(g.num_vertices(), 4, rng);

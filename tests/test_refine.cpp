@@ -380,7 +380,7 @@ TEST(Bounds, CheckpointRestoreKeepsWavefront) {
 // The hard bit-identity contract: Uniform policy, or any policy with no
 // demand signal, reproduces the historical engine bit for bit — distances,
 // closeness, the simulated clock, per-step ops/messages/bytes, and the
-// telemetry span sequence — across ranks x backend x wire format x sync/async.
+// telemetry span sequence — across ranks x backend x sync/async.
 // ---------------------------------------------------------------------------
 
 struct RunResult {
@@ -499,15 +499,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2u, 4u, 8u),
                        ::testing::Values(BackendKind::Sequential,
                                          BackendKind::Threaded),
-                       ::testing::Values(BoundaryWireFormat::V1Aos,
-                                         BoundaryWireFormat::V2Soa),
+                       ::testing::Values(BoundaryWireFormat::V2Soa),
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<UniformParam>& p) {
         return "r" + std::to_string(std::get<0>(p.param)) +
                (std::get<1>(p.param) == BackendKind::Threaded ? "_threaded"
                                                               : "_seq") +
-               (std::get<2>(p.param) == BoundaryWireFormat::V2Soa ? "_v2"
-                                                                  : "_v1") +
+               "_v2" +
                (std::get<3>(p.param) ? "_async" : "_sync");
     });
 

@@ -568,82 +568,75 @@ TEST(Serve, DeltaVsFullLatticeBitIdentical) {
     // full with build_snapshot while the engine is idle: bit-identical
     // snapshots (scores, reachable, changed list, frac_unknown,
     // total_reachable, metadata) and a merged top-k equal to a full
-    // selection, across ranks × backend × wire format × sync/async RC, with
+    // selection, across ranks × backend × sync/async RC, with
     // a mid-RC addition, a deletion and a shard migration in flight.
     for (const std::uint32_t ranks : {2u, 4u, 8u}) {
         for (const BackendKind backend :
              {BackendKind::Sequential, BackendKind::Threaded}) {
-            for (const BoundaryWireFormat wire :
-                 {BoundaryWireFormat::V1Aos, BoundaryWireFormat::V2Soa}) {
-                for (const bool rc_async : {false, true}) {
-                    SCOPED_TRACE(std::string("ranks=") +
-                                 std::to_string(ranks) + " backend=" +
-                                 (backend == BackendKind::Threaded ? "thr"
-                                                                   : "seq") +
-                                 (wire == BoundaryWireFormat::V1Aos
-                                      ? " v1aos"
-                                      : " v2soa") +
-                                 (rc_async ? " async" : " sync"));
-                    Rng rng(21);
-                    EngineConfig config = serve_config(ranks);
-                    config.backend = backend;
-                    config.wire_format = wire;
-                    config.rc_async = rc_async;
-                    AnytimeEngine engine(barabasi_albert(72, 2, rng), config);
-                    engine.initialize();
-                    QueryService service(engine);
+            for (const bool rc_async : {false, true}) {
+                SCOPED_TRACE(std::string("ranks=") +
+                             std::to_string(ranks) + " backend=" +
+                             (backend == BackendKind::Threaded ? "thr"
+                                                               : "seq") +
+                             (rc_async ? " async" : " sync"));
+                Rng rng(21);
+                EngineConfig config = serve_config(ranks);
+                config.backend = backend;
+                config.rc_async = rc_async;
+                AnytimeEngine engine(barabasi_albert(72, 2, rng), config);
+                engine.initialize();
+                QueryService service(engine);
 
-                    std::shared_ptr<const ResultSnapshot> reference;
-                    std::uint64_t compared = 0;
-                    const auto check = [&](const ResultSnapshot& published) {
-                        auto rebuilt = build_snapshot(engine, published.version,
-                                                      reference.get(), false);
-                        expect_same_snapshot(published, *rebuilt);
-                        const auto top =
-                            service.topk(5, FreshnessPolicy::ServeStale);
-                        ASSERT_EQ(top.meta.status, QueryStatus::Ok);
-                        EXPECT_EQ(top.meta.version, published.version);
-                        EXPECT_EQ(top.entries, topk_from_snapshot(*rebuilt, 5));
-                        reference = std::move(rebuilt);
-                        ++compared;
-                    };
-                    check(*service.snapshot());
-                    service.set_on_publish(check);
+                std::shared_ptr<const ResultSnapshot> reference;
+                std::uint64_t compared = 0;
+                const auto check = [&](const ResultSnapshot& published) {
+                    auto rebuilt = build_snapshot(engine, published.version,
+                                                  reference.get(), false);
+                    expect_same_snapshot(published, *rebuilt);
+                    const auto top =
+                        service.topk(5, FreshnessPolicy::ServeStale);
+                    ASSERT_EQ(top.meta.status, QueryStatus::Ok);
+                    EXPECT_EQ(top.meta.version, published.version);
+                    EXPECT_EQ(top.entries, topk_from_snapshot(*rebuilt, 5));
+                    reference = std::move(rebuilt);
+                    ++compared;
+                };
+                check(*service.snapshot());
+                service.set_on_publish(check);
 
-                    engine.run_rc_steps(2);
-                    {  // mid-RC addition
-                        GrowthConfig gc;
-                        gc.num_new = 6;
-                        Rng brng(31);
-                        const auto batch =
-                            grow_batch(engine.num_vertices(), gc, brng);
-                        RoundRobinPS strategy;
-                        engine.apply_addition(batch, strategy);
-                    }
-                    engine.run_rc_steps(1);
-                    {  // deletion mid-settle
-                        const auto& nbs = engine.graph().neighbors(0);
-                        ASSERT_FALSE(nbs.empty());
-                        ShrinkBatch batch;
-                        batch.deletions.push_back({0, nbs.front().to, 0.0});
-                        engine.apply_deletion(batch);
-                    }
-                    {  // migration in flight
-                        const ShardOwnership& own = engine.shard_ownership();
-                        const ShardId s = own.shard(0);
-                        const RankId from = own.rank_of(s);
-                        const RankId to = (from + 1) % ranks;
-                        const std::vector<ShardMove> moves{{s, from, to}};
-                        engine.migrate_shards(moves);
-                    }
-                    engine.run_to_quiescence();
-                    // Quiescent republication: an empty delta, still
-                    // identical to the full rebuild.
-                    service.publish();
-                    EXPECT_EQ(compared, service.publications());
-                    EXPECT_GT(service.publication_stats().delta_publications,
-                              0u);
+                engine.run_rc_steps(2);
+                {  // mid-RC addition
+                    GrowthConfig gc;
+                    gc.num_new = 6;
+                    Rng brng(31);
+                    const auto batch =
+                        grow_batch(engine.num_vertices(), gc, brng);
+                    RoundRobinPS strategy;
+                    engine.apply_addition(batch, strategy);
                 }
+                engine.run_rc_steps(1);
+                {  // deletion mid-settle
+                    const auto& nbs = engine.graph().neighbors(0);
+                    ASSERT_FALSE(nbs.empty());
+                    ShrinkBatch batch;
+                    batch.deletions.push_back({0, nbs.front().to, 0.0});
+                    engine.apply_deletion(batch);
+                }
+                {  // migration in flight
+                    const ShardOwnership& own = engine.shard_ownership();
+                    const ShardId s = own.shard(0);
+                    const RankId from = own.rank_of(s);
+                    const RankId to = (from + 1) % ranks;
+                    const std::vector<ShardMove> moves{{s, from, to}};
+                    engine.migrate_shards(moves);
+                }
+                engine.run_to_quiescence();
+                // Quiescent republication: an empty delta, still
+                // identical to the full rebuild.
+                service.publish();
+                EXPECT_EQ(compared, service.publications());
+                EXPECT_GT(service.publication_stats().delta_publications,
+                          0u);
             }
         }
     }

@@ -1,13 +1,11 @@
-// Wire-format equivalence at the engine level.
+// SIMD-sweep equivalence at the engine level.
 //
-// The v2 SoA boundary-DV format (and its SIMD relaxation sweeps) is a pure
-// transport/kernel optimization: for a fixed seed and config, switching
-// EngineConfig::wire_format (and rc_simd) must leave every distance, the
-// closeness scores, rc ops, and the full telemetry span stream bit-identical
-// to the v1 AoS format with scalar kernels. Only the bytes-on-wire accounting
-// is allowed to change — and it must change downward. The lattice below pins
-// that across rank counts, both execution backends, and both graph
-// generators, with a mid-RC vertex-addition batch in every run.
+// The AVX2 relaxation sweeps are a pure kernel optimization: for a fixed
+// seed and config, switching EngineConfig::rc_simd must leave every
+// distance, the closeness scores, rc ops, bytes on the wire, sim_seconds and
+// the telemetry span stream bit-identical. The lattice below pins that
+// across rank counts, both execution backends, and both graph generators,
+// with a mid-RC vertex-addition batch in every run.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -38,8 +36,7 @@ struct Scenario {
     bool planted{false};  // false: Barabási–Albert, true: planted partition
 };
 
-RunResult run_scenario(const Scenario& s, BoundaryWireFormat format,
-                       bool simd) {
+RunResult run_scenario(const Scenario& s, bool simd) {
     Rng rng(555);
     DynamicGraph g = s.planted
                          ? planted_partition(70, 4, 0.2, 0.02, rng)
@@ -50,7 +47,6 @@ RunResult run_scenario(const Scenario& s, BoundaryWireFormat format,
     config.seed = 0xF0 + s.ranks;
     config.backend = s.backend;
     config.enable_metrics = true;
-    config.wire_format = format;
     config.rc_simd = simd;
 
     AnytimeEngine engine(g, config);
@@ -82,36 +78,35 @@ RunResult run_scenario(const Scenario& s, BoundaryWireFormat format,
     return result;
 }
 
-void expect_equivalent_modulo_bytes(const RunResult& v1, const RunResult& v2) {
+void expect_bit_identical(const RunResult& a, const RunResult& b) {
     // EXPECT_EQ on doubles is exact comparison — bit-identical, not "close".
-    EXPECT_EQ(v1.rc_steps, v2.rc_steps);
-    ASSERT_EQ(v1.matrix.size(), v2.matrix.size());
-    for (std::size_t v = 0; v < v1.matrix.size(); ++v) {
-        ASSERT_EQ(v1.matrix[v], v2.matrix[v]) << "row " << v;
+    EXPECT_EQ(a.rc_steps, b.rc_steps);
+    ASSERT_EQ(a.matrix.size(), b.matrix.size());
+    for (std::size_t v = 0; v < a.matrix.size(); ++v) {
+        ASSERT_EQ(a.matrix[v], b.matrix[v]) << "row " << v;
     }
-    ASSERT_EQ(v1.scores.closeness, v2.scores.closeness);
-    ASSERT_EQ(v1.scores.reachable, v2.scores.reachable);
-    // Per-step relaxation work is priced identically across formats; message
-    // counts match because the exchange fan-out is format-independent.
-    ASSERT_EQ(v1.steps.size(), v2.steps.size());
-    for (std::size_t i = 0; i < v1.steps.size(); ++i) {
-        EXPECT_EQ(v1.steps[i].step, v2.steps[i].step);
-        EXPECT_EQ(v1.steps[i].ops, v2.steps[i].ops) << "step " << i;
-        EXPECT_EQ(v1.steps[i].messages, v2.steps[i].messages) << "step " << i;
+    ASSERT_EQ(a.scores.closeness, b.scores.closeness);
+    ASSERT_EQ(a.scores.reachable, b.scores.reachable);
+    ASSERT_EQ(a.steps.size(), b.steps.size());
+    for (std::size_t i = 0; i < a.steps.size(); ++i) {
+        EXPECT_EQ(a.steps[i].step, b.steps[i].step);
+        EXPECT_EQ(a.steps[i].ops, b.steps[i].ops) << "step " << i;
+        EXPECT_EQ(a.steps[i].messages, b.steps[i].messages) << "step " << i;
+        EXPECT_EQ(a.steps[i].bytes, b.steps[i].bytes) << "step " << i;
     }
-    EXPECT_EQ(v1.total_messages, v2.total_messages);
+    EXPECT_EQ(a.total_messages, b.total_messages);
+    EXPECT_EQ(a.total_bytes, b.total_bytes);
+    EXPECT_EQ(a.sim_seconds, b.sim_seconds);
     // Telemetry spans: same names, ranks, steps, and op counts in the same
-    // order. Span *times* are excluded here — exchange duration legitimately
-    // shrinks with the payload (that is the point) — but the compute-side op
-    // totals may not move at all.
-    ASSERT_EQ(v1.spans.size(), v2.spans.size());
-    for (std::size_t i = 0; i < v1.spans.size(); ++i) {
-        const MetricSpan& a = v1.spans[i];
-        const MetricSpan& b = v2.spans[i];
-        EXPECT_EQ(a.name, b.name) << "span " << i;
-        EXPECT_EQ(a.rank, b.rank) << "span " << i;
-        EXPECT_EQ(a.step, b.step) << "span " << i;
-        EXPECT_EQ(a.ops, b.ops) << "span " << i << " (" << a.name << ")";
+    // order.
+    ASSERT_EQ(a.spans.size(), b.spans.size());
+    for (std::size_t i = 0; i < a.spans.size(); ++i) {
+        const MetricSpan& x = a.spans[i];
+        const MetricSpan& y = b.spans[i];
+        EXPECT_EQ(x.name, y.name) << "span " << i;
+        EXPECT_EQ(x.rank, y.rank) << "span " << i;
+        EXPECT_EQ(x.step, y.step) << "span " << i;
+        EXPECT_EQ(x.ops, y.ops) << "span " << i << " (" << x.name << ")";
     }
 }
 
@@ -119,37 +114,10 @@ using Param = std::tuple<std::uint32_t /*ranks*/, BackendKind, bool /*planted*/>
 
 class WireFormatEquivalence : public ::testing::TestWithParam<Param> {};
 
-TEST_P(WireFormatEquivalence, V2SimdMatchesV1ScalarBitIdentically) {
-    const auto [ranks, backend, planted] = GetParam();
-    const Scenario s{ranks, backend, planted};
-    const RunResult v1 =
-        run_scenario(s, BoundaryWireFormat::V1Aos, /*simd=*/false);
-    const RunResult v2 =
-        run_scenario(s, BoundaryWireFormat::V2Soa, /*simd=*/true);
-    expect_equivalent_modulo_bytes(v1, v2);
-    // The accounting change the formats are allowed to disagree on, in the
-    // only direction allowed: v2 ships strictly fewer bytes, so under LogP
-    // pricing the simulated clock can only improve.
-    EXPECT_LT(v2.total_bytes, v1.total_bytes);
-    EXPECT_LE(v2.sim_seconds, v1.sim_seconds);
-    for (std::size_t i = 0; i < v1.steps.size(); ++i) {
-        EXPECT_LE(v2.steps[i].bytes, v1.steps[i].bytes) << "step " << i;
-    }
-}
-
 TEST_P(WireFormatEquivalence, SimdToggleIsInvisibleUnderV2) {
-    // With the format held fixed, the SIMD sweeps must be a pure
-    // implementation detail: everything including bytes and sim_seconds is
-    // bit-identical with the kernels forced scalar.
     const auto [ranks, backend, planted] = GetParam();
     const Scenario s{ranks, backend, planted};
-    const RunResult vec =
-        run_scenario(s, BoundaryWireFormat::V2Soa, /*simd=*/true);
-    const RunResult scalar =
-        run_scenario(s, BoundaryWireFormat::V2Soa, /*simd=*/false);
-    expect_equivalent_modulo_bytes(vec, scalar);
-    EXPECT_EQ(vec.total_bytes, scalar.total_bytes);
-    EXPECT_EQ(vec.sim_seconds, scalar.sim_seconds);
+    expect_bit_identical(run_scenario(s, /*simd=*/true), run_scenario(s, /*simd=*/false));
 }
 
 INSTANTIATE_TEST_SUITE_P(

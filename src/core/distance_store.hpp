@@ -200,7 +200,7 @@ public:
     /// whose values were mutated since the previous drain (relax/invalidate/
     /// install/extract — anything that can change the row's closeness sum),
     /// then reset the set. Driver thread only, engine idle (same contract as
-    /// the boundary hook). The serve layer's delta publication reads this to
+    /// the boundary hook). The serve layer's snapshot builder reads this to
     /// re-sum only the touched rows instead of all of them. Stamps are
     /// epoch-validated like the dirty sets: a drain is O(rows) loads, the
     /// stamp array is rewritten only when the 32-bit epoch wraps.

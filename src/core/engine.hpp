@@ -350,16 +350,15 @@ public:
 
     /// Observer-only visitor over every vertex's current DV row (one call
     /// per vertex, unspecified order; the span is valid only inside the
-    /// call). Charges nothing; the serve layer's snapshot builder uses it to
-    /// avoid materializing the full matrix. Must run on the driver thread —
-    /// rows race with RC relaxation otherwise.
+    /// call). Charges nothing and avoids materializing the full matrix. Must
+    /// run on the driver thread — rows race with RC relaxation otherwise.
     void visit_rows(
         const std::function<void(VertexId, std::span<const Weight>)>& fn) const;
 
     /// Zero-copy observer of one vertex's current DV row. Driver thread
-    /// only; the span is invalidated by the next engine mutation. The delta
-    /// snapshot builder re-sums candidate rows through this instead of
-    /// copying them (distance_row) or walking all rows (visit_rows).
+    /// only; the span is invalidated by the next engine mutation. The serve
+    /// layer's snapshot builder re-sums its row set through this instead of
+    /// copying rows (distance_row).
     std::span<const Weight> row_view(VertexId v) const;
 
     /// Rows whose values may have changed since the previous call (global

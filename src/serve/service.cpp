@@ -20,29 +20,22 @@ constexpr std::array<double, 10> kStalenessWallBounds{
     1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0, 3.0};
 constexpr std::array<double, 6> kStalenessVersionBounds{0, 1, 2, 4, 8, 16};
 
-}  // namespace
-
-std::string_view freshness_policy_name(FreshnessPolicy policy) {
-    switch (policy) {
-        case FreshnessPolicy::ServeStale: return "stale";
-        case FreshnessPolicy::WaitForNextStep: return "next-step";
-        case FreshnessPolicy::WaitForQuiescence: return "quiescence";
-        case FreshnessPolicy::BoundedError: return "bounded-error";
-    }
-    return "?";
-}
-
+/// Charge one publication to `stats`: `build` produced `frozen` from
+/// `previous` (null for a first publication). Chunks compare by pointer
+/// against the predecessor (shared = same backing storage); the bytes are
+/// the values the builder actually produced, one (closeness, reachable, id)
+/// triple per changed vertex.
 void account_publication(PublicationStats& stats, const ResultSnapshot& frozen,
-                         const ResultSnapshot* previous, bool from_delta,
-                         std::size_t rows_scanned) {
+                         const ResultSnapshot* previous,
+                         const SnapshotBuild& build) {
     ++stats.publications;
-    if (from_delta) {
-        ++stats.delta_publications;
-    } else {
+    if (build.every_row) {
         ++stats.full_publications;
+    } else {
+        ++stats.delta_publications;
     }
     stats.changed_rows += frozen.changed.size();
-    stats.rows_scanned += rows_scanned;
+    stats.rows_scanned += build.rows_scanned;
     for (std::size_t c = 0; c < frozen.scores.num_chunks(); ++c) {
         const bool shared = previous != nullptr &&
                             c < previous->scores.num_chunks() &&
@@ -53,16 +46,21 @@ void account_publication(PublicationStats& stats, const ResultSnapshot& frozen,
             ++stats.chunks_copied;
         }
     }
-    // The full path materializes both n-length planes before CoW chunking;
-    // the delta path only ever holds the changed rows' values.
-    constexpr std::size_t kValueBytes = sizeof(Weight) + sizeof(std::size_t);
-    if (from_delta) {
-        stats.published_bytes +=
-            frozen.changed.size() * (kValueBytes + sizeof(VertexId));
-    } else {
-        stats.published_bytes += frozen.scores.size() * kValueBytes +
-                                 frozen.changed.size() * sizeof(VertexId);
+    stats.published_bytes += frozen.changed.size() *
+                             (sizeof(Weight) + sizeof(std::size_t) +
+                              sizeof(VertexId));
+}
+
+}  // namespace
+
+std::string_view freshness_policy_name(FreshnessPolicy policy) {
+    switch (policy) {
+        case FreshnessPolicy::ServeStale: return "stale";
+        case FreshnessPolicy::WaitForNextStep: return "next-step";
+        case FreshnessPolicy::WaitForQuiescence: return "quiescence";
+        case FreshnessPolicy::BoundedError: return "bounded-error";
     }
+    return "?";
 }
 
 QueryService::QueryService(AnytimeEngine& engine, ServeConfig config)
@@ -239,28 +237,12 @@ void QueryService::update_shard_planes(
 
 void QueryService::publish() {
     const double t0 = wall_now();
-    // The delta declines (null) without a same-n predecessor, for
-    // bounds-carrying snapshots, and when the engine reports every row
-    // changed; the full rebuild produces the identical snapshot.
-    std::shared_ptr<ResultSnapshot> built;
-    std::size_t rows_scanned = 0;
-    if (last_published_ != nullptr) {
-        if (const auto delta = build_snapshot_delta(engine_, next_version_,
-                                                    *last_published_)) {
-            built = apply_snapshot_delta(*last_published_, *delta);
-            rows_scanned = delta->rows_scanned;
-        }
-    }
-    const bool from_delta = built != nullptr;
-    if (!from_delta) {
-        built = build_snapshot(engine_, next_version_, last_published_.get(),
-                               config_.enable_bounds);
-        rows_scanned = built->scores.size();
-    }
-    built->published_wall = wall_now();
-    std::shared_ptr<const ResultSnapshot> frozen = std::move(built);
-    account_publication(stats_, *frozen, last_published_.get(), from_delta,
-                        rows_scanned);
+    SnapshotBuild build = build_snapshot(engine_, next_version_,
+                                         last_published_.get(),
+                                         config_.enable_bounds);
+    build.snapshot->published_wall = wall_now();
+    std::shared_ptr<const ResultSnapshot> frozen = std::move(build.snapshot);
+    account_publication(stats_, *frozen, last_published_.get(), build);
 
     // Shard planes first, then the global slot: a reader routed through a
     // plane may briefly observe a newer version than the global slot
@@ -314,7 +296,7 @@ void QueryService::publish() {
             {{"version", std::to_string(frozen->version)},
              {"changed", std::to_string(frozen->changed.size())},
              {"quiescent", frozen->quiescent ? "1" : "0"},
-             {"delta", from_delta ? "1" : "0"}}));
+             {"delta", build.every_row ? "0" : "1"}}));
     }
     if (on_publish_) {
         on_publish_(*frozen);

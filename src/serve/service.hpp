@@ -7,18 +7,19 @@
 // top-k closeness queries against the published snapshots — they never touch
 // engine state and never block the RC loop.
 //
-// Publication is O(changed): at every boundary the service first builds a
-// SnapshotDelta from the rows the engine touched since the last boundary
-// (AnytimeEngine::take_changed_rows) — re-summing only those rows — and
-// applies it to the predecessor's copy-on-write chunks, so a boundary that
+// Publication is O(changed): at every boundary the service calls the one
+// snapshot builder (serve/snapshot.hpp), which re-sums only the rows the
+// engine touched since the last boundary (AnytimeEngine::take_changed_rows)
+// and patches the predecessor's copy-on-write chunks, so a boundary that
 // changed c vertices costs O(c·n) row scans and copies only the chunks
-// containing them. The delta declines, and the service rebuilds the
-// snapshot in full, when there is no same-n predecessor, when snapshots
-// carry bounds, or when the engine reports every row changed. Both builds
-// are bit-identical in every field (a lattice test rebuilds every published
-// boundary in full and compares). PublicationStats counts both paths' work
-// (rows scanned, bytes published, chunks copied vs shared) so the saving is
-// measurable, not assumed.
+// containing them. The builder scans every row instead when there is no
+// same-n predecessor, when snapshots carry bounds, or when the engine
+// reports every row changed; the row set changes the cost, never the
+// result. Every published score is bit-identical to closeness_from_matrix
+// over the engine's full_distance_matrix() at the same boundary (a lattice
+// test checks every publication against it). PublicationStats counts the
+// work (rows scanned, bytes published, chunks copied vs shared) so the
+// saving is measurable, not assumed.
 //
 // Sharded reads: the service maintains one SharedSlot plane per logical
 // shard of the engine's ShardOwnership map, each holding the latest snapshot
@@ -149,12 +150,12 @@ struct TenantCounters {
     std::uint64_t slo_misses{0};
 };
 
-/// Accumulated publication work, split by path. `published_bytes` charges the
-/// full path for the planes it materializes (n score + n reachable values,
-/// plus its changed list) and the delta path only for the delta payload —
-/// the honest O(n) vs O(changed) comparison the bench's reduction bar is
-/// measured on. Chunk counters compare each published snapshot's chunk
-/// pointers against its predecessor's (shared = same backing storage).
+/// Accumulated publication work. A publication is *full* when the builder
+/// scanned every row and a *delta* when it scanned only the touched rows.
+/// `published_bytes` charges the values the builder actually produced: one
+/// closeness, reachable and vertex id per changed vertex. Chunk counters
+/// compare each published snapshot's chunk pointers against its
+/// predecessor's (shared = same backing storage).
 struct PublicationStats {
     std::uint64_t publications{0};
     std::uint64_t delta_publications{0};
@@ -167,16 +168,6 @@ struct PublicationStats {
     std::size_t chunks_shared{0};
     std::size_t published_bytes{0};
 };
-
-/// Charge one publication to `stats`: `frozen` was built from `previous`
-/// (null for a first publication) through the delta path or the full
-/// rebuild, after re-summing `rows_scanned` distance rows. QueryService
-/// charges every publication through this; a caller that rebuilds the same
-/// boundaries in full charges its chain the same way to get the
-/// whole-snapshot baseline.
-void account_publication(PublicationStats& stats, const ResultSnapshot& frozen,
-                         const ResultSnapshot* previous, bool from_delta,
-                         std::size_t rows_scanned);
 
 struct ServeConfig {
     /// K of the per-shard top-k partials; top-k queries with k <= this merge
@@ -192,8 +183,8 @@ struct ServeConfig {
     /// Capture certified closeness intervals (refine/bounds.hpp) into every
     /// snapshot. Required by the BoundedError policy and by top-k
     /// certification; costs one interval computation per row per
-    /// publication, so off by default. Every snapshot is then rebuilt in
-    /// full (the wavefront certificate tightens unchanged rows' bounds every
+    /// publication, so off by default. Every publication then scans every
+    /// row (the wavefront certificate tightens unchanged rows' bounds every
     /// step).
     bool enable_bounds{false};
 };
@@ -264,10 +255,9 @@ public:
 
     // ---- driver side (the thread stepping the engine) ---------------------
 
-    /// Build and publish a snapshot of the engine's current state — through
-    /// an O(changed) delta against the previous snapshot when applicable,
-    /// through the full rebuild otherwise (identical results). Invoked
-    /// automatically at engine boundaries through the hook; callable
+    /// Build and publish a snapshot of the engine's current state, patched
+    /// onto the previous snapshot (see build_snapshot for the row set).
+    /// Invoked automatically at engine boundaries through the hook; callable
     /// directly for an extra out-of-band publication.
     void publish();
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 
 #include "common/assert.hpp"
 #include "core/engine.hpp"
@@ -20,77 +21,60 @@ bool same_bits(Weight a, Weight b) {
 
 }  // namespace
 
-CowScores CowScores::build(const std::vector<Weight>& closeness,
-                           const std::vector<std::size_t>& reachable,
-                           const CowScores* previous,
-                           std::span<const VertexId> changed) {
-    AA_ASSERT_MSG(closeness.size() == reachable.size(),
-                  "score planes must have equal length");
-    CowScores out;
-    out.size_ = closeness.size();
-    const std::size_t num_chunks = (out.size_ + kChunkSize - 1) / kChunkSize;
-    out.chunks_.reserve(num_chunks);
-    std::size_t next_changed = 0;  // cursor into the ascending changed list
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-        const std::size_t lo = c * kChunkSize;
-        const std::size_t hi = std::min(lo + kChunkSize, out.size_);
-        while (next_changed < changed.size() &&
-               static_cast<std::size_t>(changed[next_changed]) < lo) {
-            ++next_changed;
-        }
-        const bool touched = next_changed < changed.size() &&
-                             static_cast<std::size_t>(changed[next_changed]) < hi;
-        if (!touched && previous != nullptr && c < previous->chunks_.size() &&
-            previous->chunks_[c]->closeness.size() == hi - lo) {
-            out.chunks_.push_back(previous->chunks_[c]);
-            continue;
-        }
-        auto chunk = std::make_shared<Chunk>();
-        chunk->closeness.assign(closeness.begin() + static_cast<std::ptrdiff_t>(lo),
-                                closeness.begin() + static_cast<std::ptrdiff_t>(hi));
-        chunk->reachable.assign(reachable.begin() + static_cast<std::ptrdiff_t>(lo),
-                                reachable.begin() + static_cast<std::ptrdiff_t>(hi));
-        out.chunks_.push_back(std::move(chunk));
-    }
-    return out;
-}
-
-CowScores CowScores::patch(const CowScores& previous,
+CowScores CowScores::patch(const CowScores* previous, std::size_t n,
                            std::span<const VertexId> changed,
                            std::span<const Weight> closeness,
                            std::span<const std::size_t> reachable) {
     AA_ASSERT_MSG(changed.size() == closeness.size() &&
                       changed.size() == reachable.size(),
-                  "delta planes must be parallel to the changed list");
+                  "patch values must be parallel to the changed list");
+    const std::size_t prev_n = previous != nullptr ? previous->size_ : 0;
     CowScores out;
-    out.size_ = previous.size_;
-    out.chunks_.reserve(previous.chunks_.size());
+    out.size_ = n;
+    const std::size_t num_chunks = (n + kChunkSize - 1) / kChunkSize;
+    out.chunks_.reserve(num_chunks);
     std::size_t next = 0;  // cursor into the ascending changed list
-    for (std::size_t c = 0; c < previous.chunks_.size(); ++c) {
+    for (std::size_t c = 0; c < num_chunks; ++c) {
         const std::size_t lo = c * kChunkSize;
-        const std::size_t hi = std::min(lo + kChunkSize, out.size_);
-        if (next >= changed.size() ||
-            static_cast<std::size_t>(changed[next]) >= hi) {
-            out.chunks_.push_back(previous.chunks_[c]);  // untouched: share
-            continue;
-        }
-        auto chunk = std::make_shared<Chunk>(*previous.chunks_[c]);
+        const std::size_t hi = std::min(lo + kChunkSize, n);
+        const std::size_t first = next;
         while (next < changed.size() &&
                static_cast<std::size_t>(changed[next]) < hi) {
-            const std::size_t at = static_cast<std::size_t>(changed[next]) - lo;
-            chunk->closeness[at] = closeness[next];
-            chunk->reachable[at] = reachable[next];
             ++next;
         }
+        if (first == next && previous != nullptr &&
+            c < previous->chunks_.size() &&
+            previous->chunks_[c]->closeness.size() == hi - lo) {
+            out.chunks_.push_back(previous->chunks_[c]);  // untouched: share
+            continue;
+        }
+        // Copy what the predecessor holds of [lo, hi), then overwrite.
+        const std::size_t kept = prev_n > lo ? std::min(hi, prev_n) - lo : 0;
+        auto chunk = std::make_shared<Chunk>();
+        if (kept > 0) {
+            const Chunk& from = *previous->chunks_[c];
+            const auto end = static_cast<std::ptrdiff_t>(kept);
+            chunk->closeness.assign(from.closeness.begin(),
+                                    from.closeness.begin() + end);
+            chunk->reachable.assign(from.reachable.begin(),
+                                    from.reachable.begin() + end);
+        }
+        chunk->closeness.resize(hi - lo);
+        chunk->reachable.resize(hi - lo);
+        std::size_t fresh = 0;  // overwritten positions at or past prev_n
+        for (std::size_t i = first; i < next; ++i) {
+            const std::size_t v = changed[i];
+            chunk->closeness[v - lo] = closeness[i];
+            chunk->reachable[v - lo] = reachable[i];
+            fresh += v >= prev_n ? 1 : 0;
+        }
+        AA_ASSERT_MSG(fresh == hi - lo - kept,
+                      "a vertex past the previous snapshot is not in the "
+                      "changed list");
         out.chunks_.push_back(std::move(chunk));
     }
-    AA_ASSERT_MSG(next == changed.size(),
-                  "changed vertex beyond the previous snapshot's planes");
+    AA_ASSERT_MSG(next == changed.size(), "changed vertex beyond n");
     return out;
-}
-
-CowScores CowScores::from(const ClosenessScores& scores) {
-    return build(scores.closeness, scores.reachable, nullptr, {});
 }
 
 ClosenessScores CowScores::materialize() const {
@@ -106,20 +90,33 @@ ClosenessScores CowScores::materialize() const {
     return out;
 }
 
-std::shared_ptr<ResultSnapshot> build_snapshot(const AnytimeEngine& engine,
-                                               std::uint64_t version,
-                                               const ResultSnapshot* previous,
-                                               bool with_bounds) {
+SnapshotBuild build_snapshot(AnytimeEngine& engine, std::uint64_t version,
+                             const ResultSnapshot* previous,
+                             bool with_bounds) {
+    // Drain before choosing the row set: an every-row scan must also reset
+    // the stamps (and the engine's "all rows changed" flag), or the next
+    // boundary would scan every row again.
+    AnytimeEngine::ChangedRows touched = engine.take_changed_rows();
+    const std::size_t n = engine.num_vertices();
+    const std::size_t prev_n =
+        previous != nullptr ? previous->scores.size() : 0;
+
+    SnapshotBuild out;
+    out.every_row =
+        previous == nullptr || with_bounds || n != prev_n || touched.all;
+    std::vector<VertexId>& rows = touched.rows;
+    if (out.every_row) {
+        rows.resize(n);
+        std::iota(rows.begin(), rows.end(), VertexId{0});
+    }
+    out.rows_scanned = rows.size();
+
     auto snapshot = std::make_shared<ResultSnapshot>();
     snapshot->version = version;
     snapshot->rc_step = engine.rc_steps_completed();
     snapshot->sim_seconds = engine.sim_seconds();
     snapshot->quiescent = engine.quiescent();
-
-    const std::size_t n = engine.num_vertices();
     const ClosenessVariant variant = engine.config().closeness_variant;
-    std::vector<Weight> closeness(n, 0);
-    std::vector<std::size_t> reachable(n, 0);
     const BoundsParams bounds_params =
         with_bounds ? engine.bounds_params() : BoundsParams{};
     if (with_bounds) {
@@ -129,90 +126,14 @@ std::shared_ptr<ResultSnapshot> build_snapshot(const AnytimeEngine& engine,
         snapshot->bound_exact.assign(n, 0);
     }
 
-    // One pass per row, summing in column order — the identical order
-    // closeness_from_matrix uses, so scores agree bit-for-bit with the
-    // full_distance_matrix() path for the same engine state.
-    std::size_t total_reachable = 0;
-    engine.visit_rows([&](VertexId v, std::span<const Weight> row) {
-        Weight sum = 0;
-        std::size_t reached = 0;
-        for (const Weight d : row) {
-            if (d < kInfinity) {
-                sum += d;
-                ++reached;
-            }
-        }
-        total_reachable += reached;
-        reachable[v] = reached;
-        closeness[v] = closeness_score(sum, reached, n, variant);
-        if (with_bounds) {
-            const ClosenessInterval interval =
-                row_closeness_interval(row, v, bounds_params);
-            snapshot->bound_lo[v] = interval.lo;
-            snapshot->bound_hi[v] = interval.hi;
-            snapshot->bound_exact[v] = interval.exact ? 1 : 0;
-        }
-    });
-    // unknown entries = n*n - total_reachable (every row spans n columns):
-    // the same integer the per-row (row.size - reached) accumulation yields,
-    // kept in this closed form so the delta path can maintain it exactly.
-    snapshot->total_reachable = total_reachable;
-    snapshot->frac_unknown =
-        n > 0 ? static_cast<double>(n * n - total_reachable) /
-                    (static_cast<double>(n) * static_cast<double>(n))
-              : 0.0;
-
-    if (previous == nullptr) {
-        snapshot->changed.resize(n);
-        for (std::size_t v = 0; v < n; ++v) {
-            snapshot->changed[v] = static_cast<VertexId>(v);
-        }
-    } else {
-        const std::size_t prev_n = previous->scores.size();
-        for (std::size_t v = 0; v < n; ++v) {
-            if (v >= prev_n ||
-                !same_bits(closeness[v], previous->scores.closeness(v)) ||
-                reachable[v] != previous->scores.reachable(v)) {
-                snapshot->changed.push_back(static_cast<VertexId>(v));
-            }
-        }
-    }
-    snapshot->scores =
-        CowScores::build(closeness, reachable,
-                         previous != nullptr ? &previous->scores : nullptr,
-                         snapshot->changed);
-    return snapshot;
-}
-
-std::unique_ptr<SnapshotDelta> build_snapshot_delta(AnytimeEngine& engine,
-                                                    std::uint64_t version,
-                                                    const ResultSnapshot& previous) {
-    if (previous.has_bounds) {
-        // The wavefront certificate tightens bounds of *unchanged* rows on
-        // every step, so a bounds-carrying stream has no O(changed) delta.
-        return nullptr;
-    }
-    const std::size_t n = engine.num_vertices();
-    if (n == 0 || n != previous.scores.size()) {
-        return nullptr;  // structural mismatch: the full path re-derives all
-    }
-    // Draining commits us: the stamps reset here, so from this point the
-    // delta must be produced (or the caller must fall back to a *full*
-    // build, which re-derives every row and needs no stamps).
-    AnytimeEngine::ChangedRows touched = engine.take_changed_rows();
-    if (touched.all) {
-        return nullptr;
-    }
-
-    auto delta = std::make_unique<SnapshotDelta>();
-    delta->version = version;
-    delta->rc_step = engine.rc_steps_completed();
-    delta->sim_seconds = engine.sim_seconds();
-    delta->quiescent = engine.quiescent();
-    delta->total_reachable = previous.total_reachable;
-    delta->rows_scanned = touched.rows.size();
-    const ClosenessVariant variant = engine.config().closeness_variant;
-    for (const VertexId v : touched.rows) {
+    std::size_t total_reachable =
+        out.every_row ? 0 : previous->total_reachable;
+    std::vector<Weight> closeness;
+    std::vector<std::size_t> reachable;
+    for (const VertexId v : rows) {
+        // Summed in column order — the identical order closeness_from_matrix
+        // uses, so scores agree bit-for-bit with the full_distance_matrix()
+        // path for the same engine state.
         const std::span<const Weight> row = engine.row_view(v);
         Weight sum = 0;
         std::size_t reached = 0;
@@ -223,41 +144,37 @@ std::unique_ptr<SnapshotDelta> build_snapshot_delta(AnytimeEngine& engine,
             }
         }
         const Weight score = closeness_score(sum, reached, n, variant);
-        // Touched rows whose published values kept their exact bits are
-        // filtered here, so `changed` matches the full path's bit-compare
-        // over all rows: untouched rows cannot have changed (no store
-        // mutation, same n, same column-order summation).
-        if (same_bits(score, previous.scores.closeness(v)) &&
-            reached == previous.scores.reachable(v)) {
+        if (with_bounds) {
+            const ClosenessInterval interval =
+                row_closeness_interval(row, v, bounds_params);
+            snapshot->bound_lo[v] = interval.lo;
+            snapshot->bound_hi[v] = interval.hi;
+            snapshot->bound_exact[v] = interval.exact ? 1 : 0;
+        }
+        total_reachable += reached;
+        if (!out.every_row) {
+            total_reachable -= previous->scores.reachable(v);
+        }
+        if (v < prev_n && same_bits(score, previous->scores.closeness(v)) &&
+            reached == previous->scores.reachable(v)) {
             continue;
         }
-        delta->changed.push_back(v);
-        delta->closeness.push_back(score);
-        delta->reachable.push_back(reached);
-        delta->total_reachable += reached;
-        delta->total_reachable -= previous.scores.reachable(v);
+        snapshot->changed.push_back(v);
+        closeness.push_back(score);
+        reachable.push_back(reached);
     }
-    return delta;
-}
-
-std::shared_ptr<ResultSnapshot> apply_snapshot_delta(
-    const ResultSnapshot& previous, const SnapshotDelta& delta) {
-    auto snapshot = std::make_shared<ResultSnapshot>();
-    snapshot->version = delta.version;
-    snapshot->rc_step = delta.rc_step;
-    snapshot->sim_seconds = delta.sim_seconds;
-    snapshot->quiescent = delta.quiescent;
-    snapshot->total_reachable = delta.total_reachable;
-    const std::size_t n = previous.scores.size();
-    // Same closed form (and therefore the same bits) as build_snapshot.
+    // unknown entries = n*n - total_reachable (every row spans n columns):
+    // the same integer the per-row (row.size - reached) accumulation yields.
+    snapshot->total_reachable = total_reachable;
     snapshot->frac_unknown =
-        n > 0 ? static_cast<double>(n * n - delta.total_reachable) /
+        n > 0 ? static_cast<double>(n * n - total_reachable) /
                     (static_cast<double>(n) * static_cast<double>(n))
               : 0.0;
-    snapshot->changed = delta.changed;
-    snapshot->scores = CowScores::patch(previous.scores, delta.changed,
-                                        delta.closeness, delta.reachable);
-    return snapshot;
+    snapshot->scores = CowScores::patch(
+        previous != nullptr ? &previous->scores : nullptr, n,
+        snapshot->changed, closeness, reachable);
+    out.snapshot = std::move(snapshot);
+    return out;
 }
 
 void SnapshotStore::publish(std::shared_ptr<const ResultSnapshot> snapshot) {

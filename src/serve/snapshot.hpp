@@ -31,13 +31,11 @@ namespace aa {
 
 class AnytimeEngine;
 
-/// Chunked copy-on-write score planes. Publication used to copy all n
-/// closeness values every boundary even when the changed-vertex list was
-/// tiny; CowScores shares the unchanged backing chunks with the previous
-/// snapshot instead (groundwork for full snapshot deltas, ROADMAP item 5).
-/// Chunks are immutable once built, so sharing them across snapshots is as
-/// sound as sharing the snapshots themselves; a quiescent re-publication
-/// shares every chunk and allocates only the chunk-pointer table.
+/// Chunked copy-on-write score planes. Chunks are immutable once built, so
+/// sharing them across snapshots is as sound as sharing the snapshots
+/// themselves: a snapshot copies only the chunks holding a changed vertex,
+/// and a quiescent re-publication shares every chunk and allocates only the
+/// chunk-pointer table.
 class CowScores {
 public:
     /// Vertices per chunk: small enough that test-scale graphs (a few
@@ -60,32 +58,17 @@ public:
         return chunks_[v / kChunkSize]->reachable[v % kChunkSize];
     }
 
-    /// Build from fully materialized planes, sharing each chunk with
-    /// `previous` when it has a size-compatible chunk at the same index and
-    /// no vertex in `changed` (ascending ids) falls inside the chunk's
-    /// range; chunks touched by a change (or beyond the previous snapshot)
-    /// are freshly copied.
-    static CowScores build(const std::vector<Weight>& closeness,
-                           const std::vector<std::size_t>& reachable,
-                           const CowScores* previous,
-                           std::span<const VertexId> changed);
-
-    /// Copy-on-write patch — the O(changed) publication path. Requires the
-    /// new planes to have the same vertex count as `previous`: chunks
-    /// containing a changed vertex are copied from `previous` and overwritten
-    /// at exactly the changed positions, every other chunk pointer is shared.
-    /// Produces chunk-for-chunk identical content (and the identical
-    /// share/copy pattern) to build() over the fully materialized planes, so
-    /// the delta and full publication paths are bit-indistinguishable.
-    /// `changed` ascending; `closeness`/`reachable` parallel to it.
-    static CowScores patch(const CowScores& previous,
+    /// The n-vertex successor of `previous` (null: no predecessor, an empty
+    /// one) with `changed` (ascending) overwritten by the parallel
+    /// `closeness`/`reachable` values. A chunk with no changed vertex and the
+    /// same size as the predecessor's chunk at its index is shared; every
+    /// other chunk is copied from the predecessor's prefix and overwritten at
+    /// the changed positions. Vertices at or past the predecessor's size have
+    /// no value to copy, so each must be in `changed` (assert-checked).
+    static CowScores patch(const CowScores* previous, std::size_t n,
                            std::span<const VertexId> changed,
                            std::span<const Weight> closeness,
                            std::span<const std::size_t> reachable);
-
-    /// Adopt plain planes with every chunk freshly owned (no sharing) —
-    /// test fixtures and adapters.
-    static CowScores from(const ClosenessScores& scores);
 
     /// Copy back out to plain planes.
     ClosenessScores materialize() const;
@@ -123,8 +106,8 @@ struct ResultSnapshot {
     double frac_unknown{0};
     /// Sum of reachable counts over all rows — the integer frac_unknown is
     /// derived from (unknown entries = n*n - total_reachable). Carried on
-    /// the snapshot so the delta path can maintain it exactly (add the
-    /// changed rows' reachable deltas) instead of re-scanning all rows.
+    /// the snapshot so a touched-row build can maintain it exactly (add the
+    /// re-summed rows' reachable deltas) instead of re-scanning all rows.
     std::size_t total_reachable{0};
     /// Wall-clock publication time in seconds on the publisher's clock
     /// (QueryService's epoch); responses derive their staleness bound from
@@ -150,59 +133,37 @@ struct ResultSnapshot {
     std::vector<std::uint8_t> bound_exact;
 };
 
-/// Freeze the engine's current state into a snapshot. Observer-only: reads
-/// rank state directly and charges nothing to the simulated clock. Must be
-/// called from the thread driving the engine (snapshot construction races
-/// with RC relaxation otherwise). `previous` (may be null) seeds the
-/// `changed` list and donates unchanged score chunks. `with_bounds` also
-/// captures per-vertex closeness intervals (one extra pass-free scan of the
-/// same rows; needed by the BoundedError freshness policy).
-std::shared_ptr<ResultSnapshot> build_snapshot(const AnytimeEngine& engine,
-                                               std::uint64_t version,
-                                               const ResultSnapshot* previous,
-                                               bool with_bounds = false);
-
-/// The O(changed) publication payload: everything a predecessor snapshot
-/// needs to become the next one. Only rows the engine actually mutated since
-/// `previous` are re-summed and carried; a boundary that changed c rows costs
-/// O(c * n) row scans + O(c) payload instead of O(n^2) + O(n).
-struct SnapshotDelta {
-    std::uint64_t version{0};
-    std::size_t rc_step{0};
-    double sim_seconds{0};
-    bool quiescent{false};
-    /// Vertices whose (closeness, reachable) bits differ from `previous` —
-    /// exactly the list build_snapshot would have produced (touched but
-    /// bit-unchanged rows are filtered out). Ascending.
-    std::vector<VertexId> changed;
-    /// New values, parallel to `changed`.
-    std::vector<Weight> closeness;
-    std::vector<std::size_t> reachable;
-    /// Updated ResultSnapshot::total_reachable after applying the delta.
-    std::size_t total_reachable{0};
-    /// Rows actually re-summed to produce this delta (touched rows before
-    /// the bit-unchanged filter) — the delta path's work measure.
+/// What one build_snapshot call produced and what it cost.
+struct SnapshotBuild {
+    std::shared_ptr<ResultSnapshot> snapshot;
+    /// Distance rows re-summed into closeness.
     std::size_t rows_scanned{0};
+    /// True iff the row set was every row rather than the touched rows.
+    bool every_row{false};
 };
 
-/// Build the delta from `previous` to the engine's current boundary by
-/// re-summing only the rows the engine reports as touched
-/// (AnytimeEngine::take_changed_rows — which this call drains). Returns null
-/// when a delta is not applicable and the caller must fall back to
-/// build_snapshot: no identical-n predecessor (structural changes
-/// re-normalize every score), a bounds-carrying predecessor (the wavefront
-/// certificate tightens for *unchanged* rows every step), or a conservative
-/// "all rows changed" report. Driver thread only, engine idle.
-std::unique_ptr<SnapshotDelta> build_snapshot_delta(AnytimeEngine& engine,
-                                                    std::uint64_t version,
-                                                    const ResultSnapshot& previous);
-
-/// Materialize the successor snapshot from `previous` + `delta`. Bit-identical
-/// in every field (scores, changed list, frac_unknown, metadata) to
-/// build_snapshot at the same boundary; only chunks containing changed
-/// vertices are copied. published_wall is left 0 for the caller to stamp.
-std::shared_ptr<ResultSnapshot> apply_snapshot_delta(
-    const ResultSnapshot& previous, const SnapshotDelta& delta);
+/// Freeze the engine's current state into a snapshot. Observer-only: reads
+/// rank state directly and charges nothing to the simulated clock. Driver
+/// thread only, engine idle (snapshot construction races with RC relaxation
+/// otherwise).
+///
+/// Always drains AnytimeEngine::take_changed_rows(), then re-sums a row
+/// set: every row when there is no `previous`, when `with_bounds` is set
+/// (the wavefront certificate tightens the bounds of unchanged rows every
+/// step), when the vertex count differs from `previous` (structural changes
+/// re-normalize every score) or when the engine reports every row changed;
+/// the touched rows otherwise. Rows whose (closeness, reachable) bits equal
+/// `previous` are filtered out, the rest become `changed` and patch the
+/// predecessor's copy-on-write chunks. Untouched rows cannot have changed
+/// (no store mutation, same n, same column-order summation), so the result
+/// is the same whichever row set was scanned. Draining the stamps makes this
+/// the only consumer of take_changed_rows(): `previous` must be the
+/// snapshot built by the preceding call on the same engine. `with_bounds`
+/// also captures every vertex's certified closeness interval
+/// (refine/bounds.hpp; needed by the BoundedError freshness policy).
+SnapshotBuild build_snapshot(AnytimeEngine& engine, std::uint64_t version,
+                             const ResultSnapshot* previous,
+                             bool with_bounds = false);
 
 /// Single-slot snapshot holder. One writer (the RC/driver thread) swaps
 /// snapshots in; any number of readers copy the current `shared_ptr` out.

@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/closeness.hpp"
@@ -19,6 +21,7 @@
 #include "core/quality.hpp"
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
+#include "refine/bounds.hpp"
 #include "refine/demand.hpp"
 #include "serve/service.hpp"
 #include "serve/snapshot.hpp"
@@ -169,24 +172,30 @@ TEST(Serve, TopKEqualsFullSortOfSnapshot) {
 TEST(Serve, CowScoresBuildSharesUntouchedChunks) {
     // Pin the copy-on-write memory behaviour at the chunk level: a chunk is
     // shared with the previous snapshot iff no changed vertex lands in it and
-    // its size is compatible; everything else is freshly copied.
+    // its size is compatible; everything else is copied and patched.
     const std::size_t n = CowScores::kChunkSize * 2 + 10;
+    std::vector<VertexId> all(n);
     std::vector<Weight> c1(n);
     std::vector<std::size_t> r1(n);
     for (std::size_t v = 0; v < n; ++v) {
+        all[v] = static_cast<VertexId>(v);
         c1[v] = 0.5 * static_cast<Weight>(v);
         r1[v] = v;
     }
-    const CowScores a = CowScores::build(c1, r1, nullptr, {});
+    const CowScores a = CowScores::patch(nullptr, n, all, c1, r1);
     ASSERT_EQ(a.num_chunks(), 3u);
     ASSERT_EQ(a.size(), n);
+    EXPECT_EQ(a.materialize().closeness, c1);
 
     // One change in the middle chunk: chunks 0 and 2 share, chunk 1 copies.
     auto c2 = c1;
     const VertexId touched = static_cast<VertexId>(CowScores::kChunkSize + 3);
     c2[touched] = 99;
     const std::vector<VertexId> changed{touched};
-    const CowScores b = CowScores::build(c2, r1, &a, changed);
+    const std::vector<Weight> changed_closeness{99};
+    const std::vector<std::size_t> changed_reachable{r1[touched]};
+    const CowScores b =
+        CowScores::patch(&a, n, changed, changed_closeness, changed_reachable);
     EXPECT_EQ(b.chunk(0), a.chunk(0));
     EXPECT_NE(b.chunk(1), a.chunk(1));
     EXPECT_EQ(b.chunk(2), a.chunk(2));
@@ -205,10 +214,24 @@ TEST(Serve, CowScoresBuildSharesUntouchedChunks) {
     c3.push_back(1);
     r3.push_back(2);
     const std::vector<VertexId> grew{static_cast<VertexId>(n)};
-    const CowScores c = CowScores::build(c3, r3, &b, grew);
+    const std::vector<Weight> grew_closeness{1};
+    const std::vector<std::size_t> grew_reachable{2};
+    const CowScores c =
+        CowScores::patch(&b, n + 1, grew, grew_closeness, grew_reachable);
     EXPECT_EQ(c.chunk(0), b.chunk(0));
     EXPECT_EQ(c.chunk(1), b.chunk(1));
     EXPECT_NE(c.chunk(2), b.chunk(2));
+    const ClosenessScores grown = c.materialize();
+    EXPECT_EQ(grown.closeness, c3);
+    EXPECT_EQ(grown.reachable, r3);
+
+    // Shrink back with nothing changed: the tail chunk changes size again,
+    // so it is copied from the prefix rather than shared.
+    const CowScores d = CowScores::patch(&c, n, {}, {}, {});
+    EXPECT_EQ(d.chunk(0), c.chunk(0));
+    EXPECT_EQ(d.chunk(1), c.chunk(1));
+    EXPECT_NE(d.chunk(2), c.chunk(2));
+    EXPECT_EQ(d.materialize().closeness, c2);
 }
 
 TEST(Serve, CowQuiescentRepublicationSharesEveryChunk) {
@@ -537,144 +560,285 @@ TEST(Serve, ConcurrentWaitForQuiescenceServesExactScores) {
     EXPECT_NEAR(got.closeness, exact.closeness[1], 1e-9);
 }
 
-/// Every field of a published snapshot equals the full build_snapshot
-/// rebuild of the same boundary, bit for bit (published_wall aside: the
-/// rebuild is never published).
-void expect_same_snapshot(const ResultSnapshot& got,
-                          const ResultSnapshot& want) {
-    EXPECT_EQ(got.version, want.version);
-    EXPECT_EQ(got.rc_step, want.rc_step);
-    EXPECT_EQ(got.sim_seconds, want.sim_seconds);
-    EXPECT_EQ(got.quiescent, want.quiescent);
-    EXPECT_EQ(got.frac_unknown, want.frac_unknown);
-    EXPECT_EQ(got.total_reachable, want.total_reachable);
-    EXPECT_EQ(got.changed, want.changed);
-    EXPECT_EQ(got.has_bounds, want.has_bounds);
-    EXPECT_EQ(got.bound_lo, want.bound_lo);
-    EXPECT_EQ(got.bound_hi, want.bound_hi);
-    EXPECT_EQ(got.bound_exact, want.bound_exact);
-    ASSERT_EQ(got.scores.size(), want.scores.size());
-    for (std::size_t v = 0; v < got.scores.size(); ++v) {
-        ASSERT_EQ(got.scores.closeness(v), want.scores.closeness(v))
-            << "vertex " << v;
-        ASSERT_EQ(got.scores.reachable(v), want.scores.reachable(v))
-            << "vertex " << v;
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Checks every publication of a service against references that share no
+/// code with the snapshot builder, captured with the engine idle inside the
+/// publication observer:
+///  * closeness_from_matrix over the engine's full_distance_matrix(): scores
+///    and reachable counts bit for bit, and total_reachable / frac_unknown
+///    derived from them;
+///  * the changed list, recomputed by bit-diffing the published snapshot
+///    against its published predecessor;
+///  * the chunk-share rule: a chunk is the predecessor's exactly when no
+///    changed vertex lands in it and it has the predecessor chunk's size;
+///  * with bounds, row_closeness_interval over the same matrix rows.
+/// It also tallies the counterfactual whole-snapshot chain, in which every
+/// publication scans all n rows and ships both n-length planes plus its
+/// changed list.
+struct PublicationOracle {
+    PublicationOracle(const AnytimeEngine& e, const QueryService& s,
+                      bool bounds = false)
+        : engine(e), service(s), with_bounds(bounds) {}
+
+    const AnytimeEngine& engine;
+    const QueryService& service;
+    bool with_bounds;
+
+    std::shared_ptr<const ResultSnapshot> previous;
+    std::uint64_t publications{0};
+    std::size_t changed_rows{0};
+    std::size_t chunks_copied{0};
+    std::size_t chunks_shared{0};
+    std::size_t whole_rows{0};
+    std::size_t whole_bytes{0};
+
+    void check(const ResultSnapshot& got) {
+        const std::shared_ptr<const ResultSnapshot> current = service.snapshot();
+        ASSERT_EQ(current.get(), &got);
+        const std::shared_ptr<const ResultSnapshot> held =
+            std::exchange(previous, current);
+        const ResultSnapshot* prev = held.get();
+        ++publications;
+
+        EXPECT_EQ(got.version, prev != nullptr ? prev->version + 1 : 1);
+        EXPECT_EQ(got.rc_step, engine.rc_steps_completed());
+        EXPECT_EQ(bits_of(got.sim_seconds), bits_of(engine.sim_seconds()));
+        EXPECT_EQ(got.quiescent, engine.quiescent());
+
+        const auto matrix = engine.full_distance_matrix();
+        const ClosenessScores want =
+            closeness_from_matrix(matrix, engine.config().closeness_variant);
+        const std::size_t n = matrix.size();
+        ASSERT_EQ(got.scores.size(), n);
+        const std::size_t prev_n = prev != nullptr ? prev->scores.size() : 0;
+        std::size_t total_reachable = 0;
+        std::vector<VertexId> changed;
+        for (std::size_t v = 0; v < n; ++v) {
+            ASSERT_EQ(bits_of(got.scores.closeness(v)),
+                      bits_of(want.closeness[v]))
+                << "vertex " << v;
+            ASSERT_EQ(got.scores.reachable(v), want.reachable[v])
+                << "vertex " << v;
+            total_reachable += want.reachable[v];
+            if (v >= prev_n ||
+                bits_of(want.closeness[v]) !=
+                    bits_of(prev->scores.closeness(v)) ||
+                want.reachable[v] != prev->scores.reachable(v)) {
+                changed.push_back(static_cast<VertexId>(v));
+            }
+        }
+        EXPECT_EQ(got.total_reachable, total_reachable);
+        const double frac_unknown =
+            n > 0 ? static_cast<double>(n * n - total_reachable) /
+                        (static_cast<double>(n) * static_cast<double>(n))
+                  : 0.0;
+        EXPECT_EQ(bits_of(got.frac_unknown), bits_of(frac_unknown));
+        EXPECT_EQ(got.changed, changed);
+        changed_rows += changed.size();
+
+        const std::size_t chunk = CowScores::kChunkSize;
+        ASSERT_EQ(got.scores.num_chunks(), (n + chunk - 1) / chunk);
+        for (std::size_t c = 0; c < got.scores.num_chunks(); ++c) {
+            const std::size_t lo = c * chunk;
+            const std::size_t hi = std::min(lo + chunk, n);
+            const bool untouched = std::none_of(
+                changed.begin(), changed.end(), [&](VertexId v) {
+                    return v >= lo && v < hi;
+                });
+            const bool has_prev_chunk =
+                prev != nullptr && c < prev->scores.num_chunks();
+            const bool share = untouched && has_prev_chunk &&
+                               prev->scores.chunk(c)->closeness.size() ==
+                                   hi - lo;
+            const bool shared = has_prev_chunk &&
+                                got.scores.chunk(c) == prev->scores.chunk(c);
+            EXPECT_EQ(shared, share) << "chunk " << c;
+            ++(share ? chunks_shared : chunks_copied);
+        }
+
+        EXPECT_EQ(got.has_bounds, with_bounds);
+        if (with_bounds) {
+            const BoundsParams params = engine.bounds_params();
+            ASSERT_EQ(got.bound_lo.size(), n);
+            ASSERT_EQ(got.bound_hi.size(), n);
+            ASSERT_EQ(got.bound_exact.size(), n);
+            for (std::size_t v = 0; v < n; ++v) {
+                const ClosenessInterval interval = row_closeness_interval(
+                    matrix[v], static_cast<VertexId>(v), params);
+                EXPECT_EQ(bits_of(got.bound_lo[v]), bits_of(interval.lo))
+                    << "vertex " << v;
+                EXPECT_EQ(bits_of(got.bound_hi[v]), bits_of(interval.hi))
+                    << "vertex " << v;
+                EXPECT_EQ(got.bound_exact[v], interval.exact ? 1 : 0)
+                    << "vertex " << v;
+            }
+        } else {
+            EXPECT_TRUE(got.bound_lo.empty());
+            EXPECT_TRUE(got.bound_hi.empty());
+            EXPECT_TRUE(got.bound_exact.empty());
+        }
+
+        whole_rows += n;
+        whole_bytes += n * (sizeof(Weight) + sizeof(std::size_t)) +
+                       changed.size() * sizeof(VertexId);
     }
-}
+};
 
 TEST(Serve, DeltaVsFullLatticeBitIdentical) {
-    // Every publication of the service — O(changed) deltas into sharded read
-    // planes — against a reference chain that rebuilds the same boundary in
-    // full with build_snapshot while the engine is idle: bit-identical
-    // snapshots (scores, reachable, changed list, frac_unknown,
-    // total_reachable, metadata) and a merged top-k equal to a full
-    // selection, across ranks × backend × sync/async RC, with
-    // a mid-RC addition, a deletion and a shard migration in flight.
+    // Every publication of the service — touched-row or every-row builds
+    // into sharded read planes — against the independent references of
+    // PublicationOracle, plus a merged top-k equal to a full selection of
+    // the same snapshot, across ranks × backend × sync/async RC × bounds,
+    // with a mid-RC addition, a deletion and a shard migration in flight.
     for (const std::uint32_t ranks : {2u, 4u, 8u}) {
         for (const BackendKind backend :
              {BackendKind::Sequential, BackendKind::Threaded}) {
             for (const bool rc_async : {false, true}) {
-                SCOPED_TRACE(std::string("ranks=") +
-                             std::to_string(ranks) + " backend=" +
-                             (backend == BackendKind::Threaded ? "thr"
-                                                               : "seq") +
-                             (rc_async ? " async" : " sync"));
-                Rng rng(21);
-                EngineConfig config = serve_config(ranks);
-                config.backend = backend;
-                config.rc_async = rc_async;
-                AnytimeEngine engine(barabasi_albert(72, 2, rng), config);
-                engine.initialize();
-                QueryService service(engine);
+                for (const bool with_bounds : {false, true}) {
+                    SCOPED_TRACE(std::string("ranks=") +
+                                 std::to_string(ranks) + " backend=" +
+                                 (backend == BackendKind::Threaded ? "thr"
+                                                                   : "seq") +
+                                 (rc_async ? " async" : " sync") +
+                                 (with_bounds ? " bounds" : ""));
+                    Rng rng(21);
+                    EngineConfig config = serve_config(ranks);
+                    config.backend = backend;
+                    config.rc_async = rc_async;
+                    AnytimeEngine engine(barabasi_albert(72, 2, rng), config);
+                    engine.initialize();
+                    ServeConfig sc;
+                    sc.enable_bounds = with_bounds;
+                    QueryService service(engine, sc);
 
-                std::shared_ptr<const ResultSnapshot> reference;
-                std::uint64_t compared = 0;
-                const auto check = [&](const ResultSnapshot& published) {
-                    auto rebuilt = build_snapshot(engine, published.version,
-                                                  reference.get(), false);
-                    expect_same_snapshot(published, *rebuilt);
-                    const auto top =
-                        service.topk(5, FreshnessPolicy::ServeStale);
-                    ASSERT_EQ(top.meta.status, QueryStatus::Ok);
-                    EXPECT_EQ(top.meta.version, published.version);
-                    EXPECT_EQ(top.entries, topk_from_snapshot(*rebuilt, 5));
-                    reference = std::move(rebuilt);
-                    ++compared;
-                };
-                check(*service.snapshot());
-                service.set_on_publish(check);
+                    PublicationOracle oracle(engine, service, with_bounds);
+                    const auto check = [&](const ResultSnapshot& published) {
+                        oracle.check(published);
+                        const auto top =
+                            service.topk(5, FreshnessPolicy::ServeStale);
+                        ASSERT_EQ(top.meta.status, QueryStatus::Ok);
+                        EXPECT_EQ(top.meta.version, published.version);
+                        EXPECT_EQ(top.entries,
+                                  topk_from_snapshot(published, 5));
+                    };
+                    check(*service.snapshot());
+                    service.set_on_publish(check);
 
-                engine.run_rc_steps(2);
-                {  // mid-RC addition
-                    GrowthConfig gc;
-                    gc.num_new = 6;
-                    Rng brng(31);
-                    const auto batch =
-                        grow_batch(engine.num_vertices(), gc, brng);
-                    RoundRobinPS strategy;
-                    engine.apply_addition(batch, strategy);
+                    engine.run_rc_steps(2);
+                    {  // mid-RC addition
+                        GrowthConfig gc;
+                        gc.num_new = 6;
+                        Rng brng(31);
+                        const auto batch =
+                            grow_batch(engine.num_vertices(), gc, brng);
+                        RoundRobinPS strategy;
+                        engine.apply_addition(batch, strategy);
+                    }
+                    engine.run_rc_steps(1);
+                    {  // deletion mid-settle
+                        const auto& nbs = engine.graph().neighbors(0);
+                        ASSERT_FALSE(nbs.empty());
+                        ShrinkBatch batch;
+                        batch.deletions.push_back({0, nbs.front().to, 0.0});
+                        engine.apply_deletion(batch);
+                    }
+                    {  // migration in flight
+                        const ShardOwnership& own = engine.shard_ownership();
+                        const ShardId s = own.shard(0);
+                        const RankId from = own.rank_of(s);
+                        const RankId to = (from + 1) % ranks;
+                        const std::vector<ShardMove> moves{{s, from, to}};
+                        engine.migrate_shards(moves);
+                    }
+                    engine.run_to_quiescence();
+                    // Quiescent republication: nothing changed, every chunk
+                    // shared.
+                    service.publish();
+                    const PublicationStats stats =
+                        service.publication_stats();
+                    EXPECT_EQ(oracle.publications, service.publications());
+                    EXPECT_EQ(stats.changed_rows, oracle.changed_rows);
+                    if (with_bounds) {
+                        // Bounds tighten on unchanged rows: every row, always.
+                        EXPECT_EQ(stats.full_publications, stats.publications);
+                    } else {
+                        EXPECT_GT(stats.delta_publications, 0u);
+                    }
                 }
-                engine.run_rc_steps(1);
-                {  // deletion mid-settle
-                    const auto& nbs = engine.graph().neighbors(0);
-                    ASSERT_FALSE(nbs.empty());
-                    ShrinkBatch batch;
-                    batch.deletions.push_back({0, nbs.front().to, 0.0});
-                    engine.apply_deletion(batch);
-                }
-                {  // migration in flight
-                    const ShardOwnership& own = engine.shard_ownership();
-                    const ShardId s = own.shard(0);
-                    const RankId from = own.rank_of(s);
-                    const RankId to = (from + 1) % ranks;
-                    const std::vector<ShardMove> moves{{s, from, to}};
-                    engine.migrate_shards(moves);
-                }
-                engine.run_to_quiescence();
-                // Quiescent republication: an empty delta, still
-                // identical to the full rebuild.
-                service.publish();
-                EXPECT_EQ(compared, service.publications());
-                EXPECT_GT(service.publication_stats().delta_publications,
-                          0u);
             }
         }
     }
 }
 
 TEST(Serve, PublicationStatsDeltaReduction) {
-    // The service's delta stream against a full build_snapshot rebuild of
-    // every published boundary, both charged by account_publication: the
-    // same bits and the same chunk share pattern, while the delta path scans
-    // fewer rows and ships fewer bytes once convergence localizes change.
+    // The service's publication stats against the oracle's independent
+    // tallies, and its work against the counterfactual whole-snapshot chain
+    // (n rows and both n-length planes per publication): fewer rows scanned
+    // and fewer bytes shipped once convergence localizes change.
     Rng rng(23);
     AnytimeEngine engine(barabasi_albert(300, 2, rng), serve_config(4));
     engine.initialize();
     QueryService service(engine);
 
-    PublicationStats full;
-    std::shared_ptr<const ResultSnapshot> reference;
-    const auto rebuild = [&](const ResultSnapshot& published) {
-        auto rebuilt = build_snapshot(engine, published.version, reference.get());
-        account_publication(full, *rebuilt, reference.get(), false,
-                            rebuilt->scores.size());
-        expect_same_snapshot(published, *rebuilt);
-        reference = std::move(rebuilt);
-    };
-    rebuild(*service.snapshot());
-    service.set_on_publish(rebuild);
+    PublicationOracle oracle(engine, service);
+    oracle.check(*service.snapshot());
+    service.set_on_publish(
+        [&](const ResultSnapshot& published) { oracle.check(published); });
     engine.run_to_quiescence();
-    service.publish();  // quiescent republication: an empty delta
+    service.publish();  // quiescent republication: nothing changed
 
     const PublicationStats a = service.publication_stats();
-    EXPECT_EQ(a.publications, full.publications);
+    EXPECT_EQ(a.publications, oracle.publications);
     EXPECT_GT(a.delta_publications, 0u);
-    EXPECT_EQ(full.full_publications, full.publications);
-    EXPECT_EQ(a.changed_rows, full.changed_rows);
-    EXPECT_EQ(a.chunks_copied, full.chunks_copied);
-    EXPECT_EQ(a.chunks_shared, full.chunks_shared);
-    EXPECT_LT(a.rows_scanned, full.rows_scanned);
-    EXPECT_LT(a.published_bytes, full.published_bytes);
+    EXPECT_EQ(a.delta_publications + a.full_publications, a.publications);
+    EXPECT_EQ(a.changed_rows, oracle.changed_rows);
+    EXPECT_EQ(a.chunks_copied, oracle.chunks_copied);
+    EXPECT_EQ(a.chunks_shared, oracle.chunks_shared);
+    EXPECT_EQ(a.published_bytes,
+              a.changed_rows * (sizeof(Weight) + sizeof(std::size_t) +
+                                sizeof(VertexId)));
+    EXPECT_LT(a.rows_scanned, oracle.whole_rows);
+    EXPECT_LT(a.published_bytes, oracle.whole_bytes);
+}
+
+TEST(Serve, StructuralChangeCostsOneFullPublication) {
+    // Every row is re-summed exactly once per vertex-count change: the
+    // publication right after it scans every row, and the next RC-step
+    // publication is back to the touched rows. Construction counts as the
+    // first such change.
+    Fixture f(120, 4);
+    PublicationStats stats = f.service.publication_stats();
+    ASSERT_EQ(stats.publications, 1u);
+    ASSERT_EQ(stats.full_publications, 1u);
+
+    ASSERT_EQ(f.engine.run_rc_steps(1), 1u);
+    stats = f.service.publication_stats();
+    ASSERT_EQ(stats.publications, 2u);
+    EXPECT_EQ(stats.full_publications, 1u) << "first RC-step publication";
+    EXPECT_EQ(stats.delta_publications, 1u);
+
+    RoundRobinPS strategy;
+    Rng rng(41);
+    for (std::uint64_t change = 1; change <= 3; ++change) {
+        SCOPED_TRACE("change " + std::to_string(change));
+        GrowthConfig gc;
+        gc.num_new = 5;
+        const auto batch = grow_batch(f.engine.num_vertices(), gc, rng);
+        const PublicationStats before = f.service.publication_stats();
+        f.engine.apply_addition(batch, strategy);
+        stats = f.service.publication_stats();
+        ASSERT_EQ(stats.publications, before.publications + 1);
+        EXPECT_EQ(stats.full_publications, before.full_publications + 1);
+        EXPECT_EQ(stats.full_publications, 1 + change);
+
+        ASSERT_EQ(f.engine.run_rc_steps(1), 1u);
+        const PublicationStats after = f.service.publication_stats();
+        ASSERT_EQ(after.publications, stats.publications + 1);
+        EXPECT_EQ(after.full_publications, stats.full_publications)
+            << "RC-step publication after the change";
+        EXPECT_EQ(after.delta_publications, stats.delta_publications + 1);
+    }
 }
 
 TEST(Serve, TenantAdmissionIsolation) {

@@ -12,7 +12,8 @@
 //           u64 degree, degree x (u32 neighbour, f64 weight)
 //   rows    per rank, per row in local order: n x f64
 //   marks   per rank, per row in local order: u64 k, k x u32 pending prop
-//           columns; u64 k, k x u32 pending send columns (mark order)
+//           columns; u64 k, k x u32 pending send columns (written
+//           ascending, read in any order: older writers used mark order)
 //   state   u64 rc_steps, i64 wavefront_k, 4 x u64 RNG state, P x f64 clocks
 //   mail    u64 count; per in-flight message: u8 delivered, u32 from,
 //           u32 to, u32 tag, u64 entries, u64 bytes, payload
@@ -236,10 +237,13 @@ void AnytimeEngine::save_checkpoint(std::ostream& out) const {
     }
     w.seal();
 
+    std::vector<VertexId> cols;  // reused: one row's pending columns
     for (const RankState& state : ranks_) {
         for (LocalId l = 0; l < state.store.num_rows(); ++l) {
-            w.put_array(state.store.pending_prop(l));
-            w.put_array(state.store.pending_send(l));
+            state.store.pending_prop(l, cols);
+            w.put_array(std::span<const VertexId>(cols));
+            state.store.pending_send(l, cols);
+            w.put_array(std::span<const VertexId>(cols));
         }
     }
     w.seal();

@@ -8,8 +8,8 @@
 // attributes, no global -mavx2), taken at runtime only when the CPU reports
 // AVX2 and the store's simd_enabled() toggle is on. The scalar loops
 // below remain the reference semantics; the vector paths reproduce them bit
-// for bit (same IEEE adds, same epsilon compare, improved columns recorded
-// in ascending-entry order reconstructed from the compare mask).
+// for bit (same IEEE adds, same epsilon compare, same improved columns,
+// reconstructed from the compare mask).
 #if defined(__x86_64__)
 #define AA_SIMD_X86 1
 #include <immintrin.h>
@@ -108,8 +108,10 @@ LocalId DistanceStore::append_row(VertexId self, std::vector<Weight> dist) {
     row.self = self;
     row.dist = std::move(dist);
     rows_.push_back(std::move(row));
-    prop_mark_.resize(rows_.size() * num_columns_, 0);
-    send_mark_.resize(rows_.size() * num_columns_, 0);
+    for (DirtyBits* set : {&prop_, &send_}) {
+        set->words.resize(rows_.size() * words_per_row_, 0);
+        set->pending.push_back(0);
+    }
     touch_stamp_.push_back(touch_epoch_);  // a fresh row is by definition touched
     return static_cast<LocalId>(rows_.size() - 1);
 }
@@ -117,39 +119,39 @@ LocalId DistanceStore::append_row(VertexId self, std::vector<Weight> dist) {
 bool DistanceStore::restore_pending(LocalId r, std::span<const VertexId> prop,
                                     std::span<const VertexId> send) {
     AA_ASSERT(r < rows_.size());
-    Row& row = rows_[r];
-    AA_ASSERT(row.prop.cols.empty() && row.send.cols.empty());
-    const auto restore = [this](DirtySet& set, std::uint8_t* mark,
-                                std::span<const VertexId> cols) {
+    AA_ASSERT(prop_.pending[r] == 0 && send_.pending[r] == 0);
+    const auto restore = [this, r](DirtyBits& set, std::span<const VertexId> cols) {
+        std::uint64_t* words = slice(set, r);
         for (const VertexId col : cols) {
-            if (col >= num_columns_ || mark[col] == set.epoch) {
-                return false;
+            if (col >= num_columns_ || set_bit(words, col) == 0) {
+                return false;  // out of range, or a repeated column
             }
-            mark[col] = set.epoch;
-            set.cols.push_back(col);
+            ++set.pending[r];
         }
         return true;
     };
-    return restore(row.prop, prop_mark(r), prop) && restore(row.send, send_mark(r), send);
+    return restore(prop_, prop) && restore(send_, send);
 }
 
 void DistanceStore::grow_columns(std::size_t new_count) {
     AA_ASSERT(new_count >= num_columns_);
-    const std::size_t old_count = num_columns_;
     num_columns_ = new_count;
     for (Row& row : rows_) {
         row.dist.resize(new_count, kInfinity);
     }
-    // Restride the mark arenas: each row's slice widens from old_count to
-    // new_count, new columns start unmarked.
-    if (new_count != old_count && !rows_.empty()) {
-        for (auto* arena : {&prop_mark_, &send_mark_}) {
-            std::vector<std::uint8_t> wider(rows_.size() * new_count, 0);
+    // Re-stride the bitsets only when a row's slice needs more words; within
+    // a word the new columns' bits are already clear (bits at or past the
+    // column count are never set).
+    const std::size_t old_words = words_per_row_;
+    words_per_row_ = (new_count + 63) / 64;
+    if (words_per_row_ != old_words) {
+        for (DirtyBits* set : {&prop_, &send_}) {
+            std::vector<std::uint64_t> wider(rows_.size() * words_per_row_, 0);
             for (std::size_t r = 0; r < rows_.size(); ++r) {
-                std::copy_n(arena->data() + r * old_count, old_count,
-                            wider.data() + r * new_count);
+                std::copy_n(set->words.data() + r * old_words, old_words,
+                            wider.data() + r * words_per_row_);
             }
-            *arena = std::move(wider);
+            set->words = std::move(wider);
         }
     }
 }
@@ -164,18 +166,10 @@ bool DistanceStore::relax(LocalId r, VertexId col, Weight candidate, bool mark_p
     row.dist[col] = candidate;
     touch(r);
     if (mark_prop) {
-        std::uint8_t* mark = this->prop_mark(r);
-        if (mark[col] != row.prop.epoch) {
-            mark[col] = row.prop.epoch;
-            row.prop.cols.push_back(col);
-        }
+        mark(prop_, r, col);
     }
     if (mark_send) {
-        std::uint8_t* mark = this->send_mark(r);
-        if (mark[col] != row.send.epoch) {
-            mark[col] = row.send.epoch;
-            row.send.cols.push_back(col);
-        }
+        mark(send_, r, col);
     }
     return true;
 }
@@ -241,107 +235,97 @@ std::size_t DistanceStore::relax_batch_soa(LocalId r, std::span<const VertexId> 
 
 void DistanceStore::record_improved(LocalId r, std::span<const VertexId> improved,
                                     bool mark_prop, bool mark_send) {
-    Row& row = rows_[r];
     // All batched sweeps funnel their improvements through here, so one
     // stamp covers every batch variant.
     touch(r);
     // Record dirtiness once per improved column, after the sweep.
-    if (mark_prop) {
-        std::uint8_t* mark = this->prop_mark(r);
-        const std::uint8_t epoch = row.prop.epoch;
+    const auto mark_all = [&](DirtyBits& set) {
+        std::uint64_t* words = slice(set, r);
+        std::uint32_t added = 0;
         for (const VertexId col : improved) {
-            if (mark[col] != epoch) {
-                mark[col] = epoch;
-                row.prop.cols.push_back(col);
-            }
+            added += set_bit(words, col);
         }
+        set.pending[r] += added;
+    };
+    if (mark_prop) {
+        mark_all(prop_);
     }
     if (mark_send) {
-        std::uint8_t* mark = this->send_mark(r);
-        const std::uint8_t epoch = row.send.epoch;
-        for (const VertexId col : improved) {
-            if (mark[col] != epoch) {
-                mark[col] = epoch;
-                row.send.cols.push_back(col);
-            }
+        mark_all(send_);
+    }
+}
+
+void DistanceStore::collect(const DirtyBits& set, LocalId r,
+                            std::vector<VertexId>& out) const {
+    AA_ASSERT(r < rows_.size());
+    const std::uint64_t* words = slice(set, r);
+    out.resize(set.pending[r]);
+    // The count bounds the walk: it stops at the word holding the last set
+    // column instead of scanning the whole slice.
+    VertexId* dst = out.data();
+    VertexId* const end = dst + out.size();
+    for (VertexId base = 0; dst != end; base += 64, ++words) {
+        for (std::uint64_t word = *words; word != 0; word &= word - 1) {
+            *dst++ = base + static_cast<VertexId>(std::countr_zero(word));
         }
     }
 }
 
-std::span<const VertexId> DistanceStore::drain(DirtySet& set, std::uint8_t* mark) {
-    set.cols.swap(set.drained);
-    set.cols.clear();
-    if (++set.epoch == 0) {
-        // 8-bit epoch wrapped: reset this row's slice so stale marks from the
-        // previous cycle cannot collide. Amortized O(columns / 254) per drain.
-        std::fill_n(mark, num_columns_, 0);
-        set.epoch = 1;
+void DistanceStore::drain(DirtyBits& set, LocalId r, std::vector<VertexId>& out) {
+    collect(set, r, out);
+    if (!out.empty()) {
+        // Zero exactly the words the walk read: up to the last column's.
+        std::fill_n(slice(set, r), (out.back() >> 6) + 1, std::uint64_t{0});
+        set.pending[r] = 0;
     }
-    return set.drained;
 }
 
-std::span<const VertexId> DistanceStore::take_prop(LocalId r) {
-    AA_ASSERT(r < rows_.size());
-    return drain(rows_[r].prop, prop_mark(r));
+void DistanceStore::take_prop(LocalId r, std::vector<VertexId>& out) {
+    drain(prop_, r, out);
 }
 
-std::span<const VertexId> DistanceStore::take_send(LocalId r) {
-    AA_ASSERT(r < rows_.size());
-    return drain(rows_[r].send, send_mark(r));
+void DistanceStore::take_send(LocalId r, std::vector<VertexId>& out) {
+    drain(send_, r, out);
 }
 
 bool DistanceStore::any_send_pending() const {
-    return std::any_of(rows_.begin(), rows_.end(),
-                       [](const Row& row) { return !row.send.cols.empty(); });
+    return std::any_of(send_.pending.begin(), send_.pending.end(),
+                       [](std::uint32_t count) { return count != 0; });
 }
 
 bool DistanceStore::any_prop_pending() const {
-    return std::any_of(rows_.begin(), rows_.end(),
-                       [](const Row& row) { return !row.prop.cols.empty(); });
+    return std::any_of(prop_.pending.begin(), prop_.pending.end(),
+                       [](std::uint32_t count) { return count != 0; });
 }
 
-void DistanceStore::mark_row_for_send(LocalId r) {
+void DistanceStore::mark_row_finite(DirtyBits& set, LocalId r) {
     AA_ASSERT(r < rows_.size());
-    Row& row = rows_[r];
-    std::uint8_t* mark = this->send_mark(r);
-    for (VertexId col = 0; col < num_columns_; ++col) {
-        if (row.dist[col] < kInfinity && mark[col] != row.send.epoch) {
-            mark[col] = row.send.epoch;
-            row.send.cols.push_back(col);
+    const Weight* dist = rows_[r].dist.data();
+    std::uint64_t* words = slice(set, r);
+    for (std::size_t w = 0; w < words_per_row_; ++w) {
+        const std::size_t base = w << 6;
+        const std::size_t end = std::min(base + 64, num_columns_);
+        std::uint64_t finite = 0;
+        for (std::size_t col = base; col < end; ++col) {
+            finite |= static_cast<std::uint64_t>(dist[col] < kInfinity) << (col - base);
         }
+        set.pending[r] += static_cast<std::uint32_t>(std::popcount(finite & ~words[w]));
+        words[w] |= finite;
     }
 }
 
-void DistanceStore::mark_row_for_prop(LocalId r) {
-    AA_ASSERT(r < rows_.size());
-    Row& row = rows_[r];
-    std::uint8_t* mark = this->prop_mark(r);
-    for (VertexId col = 0; col < num_columns_; ++col) {
-        if (row.dist[col] < kInfinity && mark[col] != row.prop.epoch) {
-            mark[col] = row.prop.epoch;
-            row.prop.cols.push_back(col);
-        }
-    }
-}
+void DistanceStore::mark_row_for_send(LocalId r) { mark_row_finite(send_, r); }
+
+void DistanceStore::mark_row_for_prop(LocalId r) { mark_row_finite(prop_, r); }
 
 void DistanceStore::mark_for_prop(LocalId r, VertexId col) {
     AA_ASSERT(r < rows_.size() && col < num_columns_);
-    Row& row = rows_[r];
-    std::uint8_t* mark = this->prop_mark(r);
-    if (mark[col] != row.prop.epoch) {
-        mark[col] = row.prop.epoch;
-        row.prop.cols.push_back(col);
-    }
+    mark(prop_, r, col);
 }
 
 void DistanceStore::mark_for_send(LocalId r, VertexId col) {
     AA_ASSERT(r < rows_.size() && col < num_columns_);
-    Row& row = rows_[r];
-    std::uint8_t* mark = this->send_mark(r);
-    if (mark[col] != row.send.epoch) {
-        mark[col] = row.send.epoch;
-        row.send.cols.push_back(col);
-    }
+    mark(send_, r, col);
 }
 
 void DistanceStore::mark_invalidated(LocalId r, VertexId col) {
@@ -355,9 +339,10 @@ void DistanceStore::mark_invalidated(LocalId r, VertexId col) {
 }
 
 void DistanceStore::clear_dirty(LocalId r) {
-    Row& row = rows_[r];
-    (void)drain(row.prop, prop_mark(r));
-    (void)drain(row.send, send_mark(r));
+    for (DirtyBits* set : {&prop_, &send_}) {
+        std::fill_n(slice(*set, r), words_per_row_, std::uint64_t{0});
+        set->pending[r] = 0;
+    }
 }
 
 void DistanceStore::install_row(LocalId r, std::vector<Weight> values) {
@@ -387,20 +372,19 @@ std::vector<Weight> DistanceStore::swap_remove_row(LocalId r) {
     const auto last = static_cast<LocalId>(rows_.size() - 1);
     if (r != last) {
         rows_[r] = std::move(rows_[last]);
-        // The displaced row's mark-arena slices move with it so its dirty-set
-        // epochs keep validating the right bytes.
-        std::copy_n(prop_mark_.data() + static_cast<std::size_t>(last) * num_columns_,
-                    num_columns_,
-                    prop_mark_.data() + static_cast<std::size_t>(r) * num_columns_);
-        std::copy_n(send_mark_.data() + static_cast<std::size_t>(last) * num_columns_,
-                    num_columns_,
-                    send_mark_.data() + static_cast<std::size_t>(r) * num_columns_);
-        // The displaced row's touch stamp moves with it.
+        // The displaced row's bitset slices, pending counts and touch stamp
+        // move with it.
+        for (DirtyBits* set : {&prop_, &send_}) {
+            std::copy_n(slice(*set, last), words_per_row_, slice(*set, r));
+            set->pending[r] = set->pending[last];
+        }
         touch_stamp_[r] = touch_stamp_[last];
     }
     rows_.pop_back();
-    prop_mark_.resize(rows_.size() * num_columns_);
-    send_mark_.resize(rows_.size() * num_columns_);
+    for (DirtyBits* set : {&prop_, &send_}) {
+        set->words.resize(rows_.size() * words_per_row_);
+        set->pending.pop_back();
+    }
     touch_stamp_.resize(rows_.size());
     return values;
 }

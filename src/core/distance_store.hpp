@@ -14,21 +14,20 @@
 //   * send columns  — entries changed but not yet shared with *other* ranks
 //     (the boundary-DV payload of the next RC step).
 //
-// Layout (rebuilt for the batched RC kernels):
+// Layout:
 //   * distances live in one contiguous array per row;
-//   * membership tests for the dirty sets use flat per-store mark arenas
-//     (one byte per (row, column)) with per-row epoch stamps: a column is in
-//     the set iff mark == epoch. Draining bumps the epoch instead of clearing
-//     marks, so take_prop/take_send are O(1) + buffer swap — no allocation
-//     and no per-column writes per drain (the arena is memset only when an
-//     8-bit epoch wraps, amortized O(columns/254));
-//   * each dirty set keeps two column buffers (pending / drained) that are
-//     swapped on drain, so the capacity is reused forever and the span
-//     returned by take_prop/take_send stays valid until the same row's next
-//     drain.
+//   * each dirty set is one flat bitset with a bit per (row, column). A
+//     row's slice is padded to whole 64-bit words, so distinct rows never
+//     share a word, and a per-row pending count keeps has_prop/has_send and
+//     any_*_pending O(1) per row. Marking is one word OR; draining
+//     (take_prop/take_send) walks the row's words, writes the set columns in
+//     ascending order into a caller-owned vector and zeroes the words it
+//     read, so a steady-state drain never allocates and its consumers never
+//     sort. grow_columns re-strides the bitsets only when the word count per
+//     row changes.
 //
 // Concurrency contract: distinct rows may be mutated from distinct threads
-// concurrently (all per-row state — distances, mark slices, column buffers —
+// concurrently (all per-row state — distances, bitset words, pending counts —
 // is disjoint). Concurrent mutation of the *same* row, or structural changes
 // (add_row / grow_columns / install_row / extract_row) concurrent with any
 // access, are data races.
@@ -65,7 +64,8 @@ enum class BoundaryWireFormat : std::uint8_t {
 
 class DistanceStore {
 public:
-    explicit DistanceStore(std::size_t num_columns = 0) : num_columns_(num_columns) {}
+    explicit DistanceStore(std::size_t num_columns = 0)
+        : num_columns_(num_columns), words_per_row_((num_columns + 63) / 64) {}
 
     std::size_t num_rows() const { return rows_.size(); }
     std::size_t num_columns() const { return num_columns_; }
@@ -113,34 +113,52 @@ public:
     /// check O(1) and rules out intra-batch column aliasing, which is what
     /// lets the AVX2 sweep (taken when simd_enabled() on an AVX2 host) keep
     /// exactly the scalar semantics: same IEEE adds, same epsilon compare,
-    /// improved columns recorded in ascending-entry order.
+    /// same improved columns.
     std::size_t relax_batch_soa(LocalId r, std::span<const VertexId> cols,
                                 std::span<const Weight> dists, Weight offset,
                                 bool mark_prop = true, bool mark_send = true);
 
     /// Drain the propagation worklist of row r (columns changed since last
-    /// local propagation), in mark order. Clears the set. The returned span
-    /// remains valid until row r's next take_prop (marks on *other* rows, and
-    /// new marks on r itself, do not invalidate it).
-    std::span<const VertexId> take_prop(LocalId r);
+    /// local propagation) into `out`, replacing its contents, in ascending
+    /// column order. Clears the set. `out` is the caller's reused buffer:
+    /// once its capacity covers a row, draining allocates nothing.
+    void take_prop(LocalId r, std::vector<VertexId>& out);
 
-    /// Drain the send worklist of row r. Same lifetime rules as take_prop.
-    std::span<const VertexId> take_send(LocalId r);
+    /// Drain the send worklist of row r. Same contract as take_prop.
+    void take_send(LocalId r, std::vector<VertexId>& out);
 
-    bool has_prop(LocalId r) const { return !rows_[r].prop.cols.empty(); }
-    bool has_send(LocalId r) const { return !rows_[r].send.cols.empty(); }
-
-    /// Pending (not yet drained) prop / send columns of row r, in mark order.
-    std::span<const VertexId> pending_prop(LocalId r) const {
-        AA_ASSERT(r < rows_.size());
-        return rows_[r].prop.cols;
+    /// Allocating forms of the drains, for callers with no buffer to reuse
+    /// (tests).
+    std::vector<VertexId> take_prop(LocalId r) {
+        std::vector<VertexId> out;
+        take_prop(r, out);
+        return out;
     }
-    std::span<const VertexId> pending_send(LocalId r) const {
-        AA_ASSERT(r < rows_.size());
-        return rows_[r].send.cols;
+    std::vector<VertexId> take_send(LocalId r) {
+        std::vector<VertexId> out;
+        take_send(r, out);
+        return out;
     }
 
-    /// Re-mark row r's pending columns in the given order (checkpoint
+    bool has_prop(LocalId r) const {
+        AA_ASSERT(r < rows_.size());
+        return prop_.pending[r] != 0;
+    }
+    bool has_send(LocalId r) const {
+        AA_ASSERT(r < rows_.size());
+        return send_.pending[r] != 0;
+    }
+
+    /// Pending (not yet drained) prop / send columns of row r, ascending,
+    /// written into `out` (checkpoint save). The sets are left as they are.
+    void pending_prop(LocalId r, std::vector<VertexId>& out) const {
+        collect(prop_, r, out);
+    }
+    void pending_send(LocalId r, std::vector<VertexId>& out) const {
+        collect(send_, r, out);
+    }
+
+    /// Re-mark row r's pending columns, given in any order (checkpoint
     /// restore; the row's sets must be empty). Returns false, with the sets
     /// in an unspecified state, if a column is out of range or repeats
     /// within one set.
@@ -175,7 +193,7 @@ public:
 
     /// Invalidate one entry: reset it to kInfinity *without* the min-compare
     /// (the only operation that may raise a value) and re-dirty both
-    /// worklists through the same epoch marks relax() uses. The self column
+    /// worklists through the same bitsets relax() uses. The self column
     /// is never invalidated (d(v, v) = 0 by definition).
     void mark_invalidated(LocalId r, VertexId col);
 
@@ -189,8 +207,8 @@ public:
 
     /// Remove row r entirely by swapping the last row into its slot — the
     /// DistanceStore mirror of LocalSubgraph::release (shard migration).
-    /// The displaced row keeps its dirty sets and epoch marks (its arena
-    /// slices move with it); the removed row's values are returned.
+    /// The displaced row keeps its dirty sets (its bitset slices and pending
+    /// counts move with it); the removed row's values are returned.
     std::vector<Weight> swap_remove_row(LocalId r);
 
     /// Collect (column, distance) pairs of all finite entries of row r.
@@ -202,8 +220,8 @@ public:
     /// then reset the set. Driver thread only, engine idle (same contract as
     /// the boundary hook). The serve layer's snapshot builder reads this to
     /// re-sum only the touched rows instead of all of them. Stamps are
-    /// epoch-validated like the dirty sets: a drain is O(rows) loads, the
-    /// stamp array is rewritten only when the 32-bit epoch wraps.
+    /// epoch-validated: a drain is O(rows) loads, the stamp array is
+    /// rewritten only when the 32-bit epoch wraps.
     template <typename Fn>
     void drain_touched(Fn&& fn) {
         for (std::size_t r = 0; r < rows_.size(); ++r) {
@@ -226,49 +244,67 @@ public:
     bool simd_enabled() const { return simd_enabled_; }
 
 private:
-    /// Shared tail of the batched sweeps: append each improved column to the
-    /// requested dirty sets (deduplicated through the epoch marks).
-    void record_improved(LocalId r, std::span<const VertexId> improved, bool mark_prop,
-                         bool mark_send);
-
-    /// One dirty set: pending columns + the last drained batch (buffers are
-    /// swapped on drain so capacity is never released), plus the epoch that
-    /// validates this row's slice of the shared mark arena.
-    struct DirtySet {
-        std::vector<VertexId> cols;
-        std::vector<VertexId> drained;
-        std::uint8_t epoch{1};
+    /// One dirty set over every row: bit (col & 63) of words[r *
+    /// words_per_row_ + (col >> 6)] is set iff column col of row r is in the
+    /// set, and pending[r] counts row r's set bits.
+    struct DirtyBits {
+        std::vector<std::uint64_t> words;
+        std::vector<std::uint32_t> pending;
     };
 
     struct Row {
         VertexId self{kInvalidVertex};
         std::vector<Weight> dist;
-        DirtySet prop;
-        DirtySet send;
     };
 
-    std::uint8_t* prop_mark(LocalId r) { return prop_mark_.data() + r * num_columns_; }
-    std::uint8_t* send_mark(LocalId r) { return send_mark_.data() + r * num_columns_; }
+    std::uint64_t* slice(DirtyBits& set, LocalId r) {
+        return set.words.data() + static_cast<std::size_t>(r) * words_per_row_;
+    }
+    const std::uint64_t* slice(const DirtyBits& set, LocalId r) const {
+        return set.words.data() + static_cast<std::size_t>(r) * words_per_row_;
+    }
+
+    /// Set column col's bit in one row's slice; returns 1 if it was clear.
+    static std::uint32_t set_bit(std::uint64_t* words, VertexId col) {
+        std::uint64_t& word = words[col >> 6];
+        const std::uint64_t bit = std::uint64_t{1} << (col & 63);
+        const std::uint32_t added = (word & bit) == 0 ? 1u : 0u;
+        word |= bit;
+        return added;
+    }
+
+    /// Add column col to row r's slice of `set` (idempotent).
+    void mark(DirtyBits& set, LocalId r, VertexId col) {
+        set.pending[r] += set_bit(slice(set, r), col);
+    }
+
+    /// Shared tail of the batched sweeps: mark each improved column in the
+    /// requested dirty sets.
+    void record_improved(LocalId r, std::span<const VertexId> improved, bool mark_prop,
+                         bool mark_send);
+
+    /// Mark every finite entry of row r in `set`, a word at a time.
+    void mark_row_finite(DirtyBits& set, LocalId r);
+
+    /// Write row r's set columns into `out`, ascending; drain() also clears
+    /// them.
+    void collect(const DirtyBits& set, LocalId r, std::vector<VertexId>& out) const;
+    void drain(DirtyBits& set, LocalId r, std::vector<VertexId>& out);
 
     /// Stamp row r as touched since the last drain_touched(). Row-disjoint
     /// like the rest of the per-row state: concurrent sweeps over distinct
     /// rows write distinct stamp slots.
     void touch(LocalId r) { touch_stamp_[r] = touch_epoch_; }
 
-    /// Swap/clear the set's buffers and invalidate its marks by bumping the
-    /// epoch (memset of the arena slice only on 8-bit wrap). Returns the
-    /// drained columns.
-    std::span<const VertexId> drain(DirtySet& set, std::uint8_t* mark);
-
     void clear_dirty(LocalId r);
 
     std::vector<Row> rows_;
     std::size_t num_columns_{0};
     bool simd_enabled_{true};
-    // Flat mark arenas, row-major with stride num_columns_: column c of row r
-    // is in the prop set iff prop_mark_[r * num_columns_ + c] == prop epoch.
-    std::vector<std::uint8_t> prop_mark_;
-    std::vector<std::uint8_t> send_mark_;
+    // 64-bit words per row in each dirty bitset: ceil(num_columns_ / 64).
+    std::size_t words_per_row_{0};
+    DirtyBits prop_;
+    DirtyBits send_;
     // Touched-row stamps (see drain_touched): row r was mutated since the
     // last drain iff touch_stamp_[r] == touch_epoch_.
     std::vector<std::uint32_t> touch_stamp_;

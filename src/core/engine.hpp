@@ -136,7 +136,7 @@ struct EngineConfig {
     /// How the RC kernels order per-rank work (see refine/planner.hpp).
     /// Uniform — the default — keeps the historical ascending sweeps and is
     /// bit-identical to the pre-refine engine by contract (schedule, ops,
-    /// dirty-append order, span sequence); QueryHeat / TopKPruned reorder
+    /// dirty sets, span sequence); QueryHeat / TopKPruned reorder
     /// the post and propagate worklists toward query-hot rows whenever the
     /// DemandTracker (or the top-k focus set) holds a positive signal.
     /// Reordering never changes the converged state, only which rows become
@@ -468,7 +468,7 @@ public:
 
     /// Serialize the full algorithmic state — graph, shard tables, each
     /// rank's local layout (row order and adjacency order), distance rows,
-    /// pending prop/send marks in mark order, in-flight boundary messages,
+    /// pending prop/send columns (ascending), in-flight boundary messages,
     /// per-rank simulated clocks, the step and wavefront counters and the
     /// engine RNG — as checkpoint format v2 (see ARCHITECTURE.md,
     /// "Checkpoints"). Every section is streamed straight to `out` and sealed

@@ -1,7 +1,6 @@
 #include "core/rc.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstring>
 #include <deque>
@@ -323,30 +322,6 @@ const char* boundary_payload_error(std::span<const std::byte> payload,
     return nullptr;
 }
 
-void order_drained_columns(std::vector<VertexId>& cols,
-                           std::span<std::uint64_t> col_bits) {
-    if (cols.size() < 64) {
-        std::sort(cols.begin(), cols.end());
-        return;
-    }
-    for (const VertexId col : cols) {
-        col_bits[col >> 6] |= std::uint64_t{1} << (col & 63);
-    }
-    cols.clear();
-    for (std::size_t w = 0; w < col_bits.size(); ++w) {
-        std::uint64_t word = col_bits[w];
-        if (word == 0) {
-            continue;
-        }
-        col_bits[w] = 0;
-        while (word != 0) {
-            const auto bit = static_cast<VertexId>(std::countr_zero(word));
-            cols.push_back(static_cast<VertexId>(w << 6) + bit);
-            word &= word - 1;
-        }
-    }
-}
-
 BoundaryFanOut::BoundaryFanOut(std::size_t num_ranks)
     : payloads_(num_ranks), entries_(num_ranks, 0) {}
 
@@ -393,8 +368,6 @@ double rc_post_boundary_updates(const LocalSubgraph& sg, DistanceStore& store,
     BoundaryFanOut fan_out(cluster.num_ranks());
     std::vector<VertexId> sorted_cols;  // reused: drained columns in column order
     std::vector<Weight> dists;          // reused: their finite distances
-    // Scratch bitmap for order_drained_columns (one bit per column).
-    std::vector<std::uint64_t> col_bits((store.num_columns() + 63) / 64, 0);
 
     for (std::size_t i = 0; i < sg.num_local(); ++i) {
         // A refine plan visits rows in planner priority order; the empty
@@ -404,27 +377,24 @@ double rc_post_boundary_updates(const LocalSubgraph& sg, DistanceStore& store,
         if (!store.has_send(l)) {
             continue;
         }
-        const auto cols = store.take_send(l);
+        store.take_send(l, sorted_cols);
         const auto destinations = sg.neighbor_ranks(l);
-        ops += static_cast<double>(cols.size());
+        ops += static_cast<double>(sorted_cols.size());
         if (profile != nullptr) {
             ++profile->rows_drained;
         }
         if (destinations.empty()) {
             continue;  // interior row: changes have no external audience
         }
-        // Canonicalize to ascending column order: columns within a drain are
-        // unique, so ordering cannot change any receiver outcome or the op
-        // count — it makes the block bytes a pure function of the drained
-        // set (the delta encoding requires it).
+        // The drain is ascending and duplicate-free, which makes the block
+        // bytes a pure function of the drained set (the delta encoding
+        // requires it).
         // Non-finite entries are dropped at drain time: an invalidated column
         // may sit in the send set (the deletion path re-dirties what it
         // raises), but infinity relaxes nothing remotely — raises travel as
         // explicit ShrinkRaise messages, never as boundary-DV entries. The
         // filter and the distance gather share one ascending pass over the
         // row, compacting the kept columns in place.
-        sorted_cols.assign(cols.begin(), cols.end());
-        order_drained_columns(sorted_cols, col_bits);
         const auto row = store.row(l);
         dists.clear();
         std::size_t kept = 0;
@@ -647,8 +617,6 @@ double rc_propagate_local(const LocalSubgraph& sg, DistanceStore& store,
     std::vector<std::uint8_t> improved;  // reused: per-target improvement flags
     std::vector<VertexId> sorted_cols;   // reused: drained columns in column order
     std::vector<Weight> gathered;        // reused: contiguous drained source values
-    // Scratch bitmap for order_drained_columns (one bit per column).
-    std::vector<std::uint64_t> col_bits((store.num_columns() + 63) / 64, 0);
 
     while (!worklist.empty()) {
         // Budget check *before* the pop: an exhausted call leaves every
@@ -661,20 +629,15 @@ double rc_propagate_local(const LocalSubgraph& sg, DistanceStore& store,
         const LocalId u = worklist.front();
         worklist.pop_front();
         queued[u] = 0;
-        const auto cols = store.take_prop(u);
-        if (cols.empty()) {
+        store.take_prop(u, sorted_cols);
+        if (sorted_cols.empty()) {
             continue;
         }
         if (profile != nullptr) {
             ++profile->rows_drained;
         }
-        // Order the drained columns. They are unique (epoch-deduplicated), so
-        // reordering cannot change any relaxation outcome — but a sorted
-        // sweep walks both the source and the target row forward instead of
-        // scattering, and the ordering cost is paid once per drained row yet
-        // reused across all its neighbours (see order_drained_columns).
-        sorted_cols.assign(cols.begin(), cols.end());
-        order_drained_columns(sorted_cols, col_bits);
+        // The drain is ascending, so the sweep walks both the source and the
+        // target row forward instead of scattering.
         const auto row_u = store.row(u);
         targets.clear();
         for (const Neighbor& nb : sg.neighbors(u)) {

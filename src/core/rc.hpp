@@ -87,9 +87,9 @@ struct RcPropagateProfile {
 
 /// Phase 1: drain every row's send-list and post one BoundaryDvUpdate message
 /// per neighbouring rank that shares a cut edge with the row's vertex. Each
-/// row's block is serialized once — columns canonically ordered ascending by
-/// order_drained_columns — and the encoded
-/// bytes are appended to every destination payload through BoundaryFanOut
+/// row's block is serialized once — columns in the ascending order
+/// DistanceStore::take_send drains them in — and the encoded bytes are
+/// appended to every destination payload through BoundaryFanOut
 /// (see the accounting note above). Send-lists of interior rows are drained
 /// too (they have no audience; a row that later becomes boundary is
 /// re-marked in full by the edge-addition path).
@@ -108,15 +108,6 @@ double rc_post_boundary_updates(const LocalSubgraph& sg, DistanceStore& store,
                                 BoundaryWireFormat format = BoundaryWireFormat::V2Soa,
                                 RcPostProfile* profile = nullptr,
                                 std::span<const LocalId> row_order = {});
-
-/// Order a drained row's columns ascending in place: the one column ordering
-/// the post and propagate kernels share. The columns must be unique and below
-/// 64 x col_bits.size(). Drains of 64 or more columns are ordered through
-/// `col_bits`, a caller-owned scratch bitmap of one bit per column, in
-/// O(k + columns/64): it must be all-zero on entry and is all-zero again on
-/// return. Smaller drains use std::sort, which beats the word scan there.
-void order_drained_columns(std::vector<VertexId>& cols,
-                           std::span<std::uint64_t> col_bits);
 
 /// Minimum relaxation-attempt count per payload window before the window's
 /// row groups fan out to the pool: below this, parallel_for dispatch latency

@@ -12,7 +12,7 @@
 // Ordering contract (the bit-identity discipline of PRs 4-6): when the
 // policy is Uniform, or no positive heat/focus signal exists, the planner
 // returns an *empty* plan and the kernels take their historical ascending
-// sweep — byte-identical schedule, ops, and dirty-append order to the
+// sweep — byte-identical schedule, ops, and dirty sets to the
 // pre-refine engine. Plans themselves are deterministic: rows sort by
 // (focus, heat, LocalId), so equal-signal rows keep ascending order.
 #pragma once

@@ -1,6 +1,7 @@
 // Checkpoint / restore: the anytime property turned into persistence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -530,6 +531,40 @@ TEST(Checkpoint, RejectsDirtyColumnOutOfRange) {
     poke<VertexId>(saved.bytes, at + 8, static_cast<VertexId>(saved.n + 5));
     reseal(saved.bytes, saved.marks);
     expect_rejected(saved.bytes, small_config(4), "pending marks");
+}
+
+TEST(Checkpoint, LoadsPendingMarksInAnyOrder) {
+    // The saver writes each pending-column list ascending; older savers of
+    // the same v2 format wrote them in mark order. Reverse every list, as
+    // such a file may hold it: it must load, save back to the original
+    // bytes, and resume exactly as the original does.
+    SavedCheckpoint saved = save_small(4, true);
+    const std::string original = saved.bytes;
+    std::size_t reversed = 0;
+    for (std::size_t at = saved.marks.begin; at < saved.marks.crc_at;) {
+        const auto k = static_cast<std::size_t>(peek<std::uint64_t>(saved.bytes, at));
+        at += 8;
+        if (k > 1) {
+            std::vector<VertexId> cols(k);
+            std::memcpy(cols.data(), saved.bytes.data() + at, k * sizeof(VertexId));
+            std::reverse(cols.begin(), cols.end());
+            std::memcpy(saved.bytes.data() + at, cols.data(), k * sizeof(VertexId));
+            ++reversed;
+        }
+        at += k * sizeof(VertexId);
+    }
+    ASSERT_GT(reversed, 0u) << "no pending list long enough to reorder";
+    reseal(saved.bytes, saved.marks);
+    ASSERT_NE(saved.bytes, original);
+
+    AnytimeEngine reordered = load(saved.bytes, small_config(4));
+    EXPECT_EQ(save(reordered), original);
+    AnytimeEngine reference = load(original, small_config(4));
+    reordered.run_to_quiescence();
+    reference.run_to_quiescence();
+    EXPECT_EQ(reordered.full_distance_matrix(), reference.full_distance_matrix());
+    EXPECT_EQ(reordered.sim_seconds(), reference.sim_seconds());
+    EXPECT_EQ(reordered.rc_steps_completed(), reference.rc_steps_completed());
 }
 
 TEST(Checkpoint, RejectsMessageRankOutOfRange) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -416,6 +419,141 @@ TEST(DistanceStore, EpsilonGuardsFloatNoise) {
     // churn from floating-point noise).
     EXPECT_FALSE(store.relax(r, 1, 1.0 - 1e-15));
     EXPECT_FALSE(store.has_send(r));
+}
+
+TEST(DistanceStore, DrainsAscendingWhateverTheMarkOrder) {
+    // Relaxation marks columns in whatever order it finds improvements:
+    // descending, across word boundaries, the same column twice. Every drain
+    // still comes out ascending and duplicate-free, which is the order the
+    // post and propagate kernels consume without sorting.
+    DistanceStore store(200);
+    const LocalId r = store.add_row(0);
+    (void)store.take_prop(r);
+    (void)store.take_send(r);
+    const std::vector<VertexId> order{199, 64, 3, 130, 63, 1, 128, 65, 3, 199};
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        ASSERT_TRUE(store.relax(r, order[i], 100.0 - static_cast<Weight>(i)));
+    }
+    const std::vector<VertexId> expected{1, 3, 63, 64, 65, 128, 130, 199};
+    const auto prop = store.take_prop(r);
+    EXPECT_EQ(std::vector<VertexId>(prop.begin(), prop.end()), expected);
+    const auto send = store.take_send(r);
+    EXPECT_EQ(std::vector<VertexId>(send.begin(), send.end()), expected);
+    EXPECT_FALSE(store.has_prop(r));
+    EXPECT_FALSE(store.has_send(r));
+}
+
+TEST(DistanceStore, GrowColumnsAcrossWordBoundaryKeepsMarks) {
+    // Growing n through 63 -> 64 -> 65 -> 130 keeps one 64-bit word per row,
+    // then needs a second, then a third: the re-stride must carry every
+    // row's pending marks and values to the new stride, and a row added
+    // after the growth starts clean.
+    DistanceStore store(63);
+    const LocalId a = store.add_row(0);
+    const LocalId b = store.add_row(62);
+    ASSERT_TRUE(store.relax(a, 62, 1.0));
+    ASSERT_TRUE(store.relax(b, 0, 2.0));
+    store.grow_columns(64);
+    ASSERT_TRUE(store.relax(a, 63, 3.0));
+    store.grow_columns(65);
+    ASSERT_TRUE(store.relax(a, 64, 4.0));
+    ASSERT_TRUE(store.relax(b, 63, 5.0));
+    store.grow_columns(130);
+    ASSERT_TRUE(store.relax(a, 129, 6.0));
+    ASSERT_TRUE(store.relax(b, 128, 7.0));
+    const LocalId c = store.add_row(129);
+    EXPECT_FALSE(store.has_prop(c));
+    EXPECT_FALSE(store.has_send(c));
+
+    EXPECT_EQ(store.at(a, 62), 1.0);
+    EXPECT_EQ(store.at(b, 0), 2.0);
+    EXPECT_GE(store.at(a, 128), kInfinity);
+    const std::vector<VertexId> want_a{62, 63, 64, 129};
+    const std::vector<VertexId> want_b{0, 63, 128};
+    EXPECT_EQ(store.take_prop(a), want_a);
+    EXPECT_EQ(store.take_send(a), want_a);
+    EXPECT_EQ(store.take_prop(b), want_b);
+    EXPECT_EQ(store.take_send(b), want_b);
+    EXPECT_FALSE(store.any_prop_pending());
+    EXPECT_FALSE(store.any_send_pending());
+}
+
+TEST(DistanceStore, RestorePendingAcceptsAnyOrderRejectsRepeats) {
+    // Checkpoint restore hands back pending columns in the order the file
+    // holds them: ascending from this store, mark order from older writers.
+    // Any order loads; a repeated or out-of-range column is rejected.
+    DistanceStore store(130);
+    const LocalId r = store.add_row(0);
+    const std::vector<VertexId> prop{129, 5, 64, 0};
+    const std::vector<VertexId> send{70, 3};
+    ASSERT_TRUE(store.restore_pending(r, prop, send));
+    std::vector<VertexId> out;
+    store.pending_prop(r, out);
+    EXPECT_EQ(out, (std::vector<VertexId>{0, 5, 64, 129}));
+    store.pending_send(r, out);
+    EXPECT_EQ(out, (std::vector<VertexId>{3, 70}));
+    // Reading the pending lists leaves the sets as they are.
+    EXPECT_TRUE(store.has_prop(r));
+    store.take_prop(r, out);
+    EXPECT_EQ(out, (std::vector<VertexId>{0, 5, 64, 129}));
+    store.take_send(r, out);
+    EXPECT_EQ(out, (std::vector<VertexId>{3, 70}));
+
+    const std::vector<VertexId> none;
+    const std::vector<VertexId> repeated{7, 100, 7};
+    const std::vector<VertexId> out_of_range{1, 130};
+    EXPECT_FALSE(store.restore_pending(store.add_row(1), repeated, none));
+    EXPECT_FALSE(store.restore_pending(store.add_row(2), none, repeated));
+    EXPECT_FALSE(store.restore_pending(store.add_row(3), out_of_range, none));
+    EXPECT_FALSE(store.restore_pending(store.add_row(4), none, out_of_range));
+}
+
+TEST(DistanceStore, AdjacentRowsMarkConcurrently) {
+    // The row-disjoint concurrency contract at word level. n = 100 is not a
+    // multiple of 64, so rows that were packed back to back would share a
+    // word; padded rows never do. Two threads sweep, mark and drain adjacent
+    // rows at once, and each row must see exactly its own marks (TSan
+    // reports any shared word).
+    constexpr std::size_t n = 100;
+    DistanceStore store(n);
+    const LocalId a = store.add_row(0);
+    const LocalId b = store.add_row(1);
+    std::vector<VertexId> cols(n);
+    std::iota(cols.begin(), cols.end(), VertexId{0});
+    const std::vector<Weight> zeros(n, 0.0);
+    constexpr int kRounds = 40;
+    const auto sweep = [&](LocalId r, std::size_t& wrong) {
+        std::vector<VertexId> out;
+        for (int round = 0; round < kRounds; ++round) {
+            // Every column but the zero diagonal improves by 1 each round.
+            const Weight offset = 1000.0 - round;
+            if (store.relax_batch_soa(r, cols, zeros, offset) != n - 1) {
+                ++wrong;
+            }
+            if (round + 1 == kRounds) {
+                break;  // leave the last round's marks pending
+            }
+            store.take_prop(r, out);
+            wrong += out.size() == n - 1 ? 0 : 1;
+            store.take_send(r, out);
+            wrong += out.size() == n - 1 ? 0 : 1;
+        }
+    };
+    std::size_t wrong_a = 0;
+    std::size_t wrong_b = 0;
+    std::thread ta(sweep, a, std::ref(wrong_a));
+    std::thread tb(sweep, b, std::ref(wrong_b));
+    ta.join();
+    tb.join();
+    EXPECT_EQ(wrong_a, 0u);
+    EXPECT_EQ(wrong_b, 0u);
+    const std::pair<LocalId, VertexId> rows[] = {{a, 0}, {b, 1}};
+    for (const auto& [r, self] : rows) {
+        std::vector<VertexId> want = cols;
+        want.erase(want.begin() + self);
+        EXPECT_EQ(store.take_prop(r), want) << "row " << r;
+        EXPECT_EQ(store.take_send(r), want) << "row " << r;
+    }
 }
 
 }  // namespace

@@ -170,41 +170,52 @@ TEST(RcKernels, FullCycleConverges) {
     EXPECT_FALSE(fx.store1.any_send_pending());
 }
 
-// order_drained_columns, the column ordering post and propagate share. The
-// drain sizes straddle the switch from std::sort to the scratch bitmap at 64
-// columns, the column spaces leave a partial last bitmap word, every drain of
-// two or more columns holds both extreme columns, and one bitmap serves every
-// call: it must come back all-zero each time.
+// DistanceStore::take_prop/take_send, the ascending drains the post and
+// propagate kernels consume without sorting. The drain sizes straddle one
+// 64-column word, the column spaces leave a partial last word, every drain of
+// two or more columns holds both extreme columns, marks arrive shuffled, and
+// one output buffer serves every call as in the kernels: each drain must
+// replace its contents and leave the row clean.
 TEST(RcKernels, OrderDrainedColumnsMatchesSortAndClearsScratch) {
     Rng rng(2024);
+    std::vector<VertexId> out;
     for (const std::size_t n : {std::size_t{100}, std::size_t{130}, std::size_t{2000}}) {
-        std::vector<std::uint64_t> col_bits((n + 63) / 64, 0);
         std::vector<VertexId> middle(n - 2);
         std::iota(middle.begin(), middle.end(), VertexId{1});
-        for (const std::size_t k :
-             {std::size_t{0}, std::size_t{63}, std::size_t{64}, n - 1}) {
+        for (const std::size_t k : {std::size_t{1}, std::size_t{63}, std::size_t{64},
+                                    std::size_t{65}, n - 1}) {
             rng.shuffle(middle);
-            std::vector<VertexId> cols;
-            if (k > 0) {
-                cols = {0, static_cast<VertexId>(n - 1)};
+            std::vector<VertexId> cols{static_cast<VertexId>(n - 1)};
+            if (k > 1) {
+                cols.push_back(0);
                 cols.insert(cols.end(), middle.begin(), middle.begin() + (k - 2));
                 rng.shuffle(cols);
             }
+            DistanceStore store(n);
+            const LocalId r = store.add_row(0);
+            for (const VertexId col : cols) {
+                store.mark_for_prop(r, col);
+                store.mark_for_send(r, col);
+            }
             std::vector<VertexId> expected = cols;
             std::sort(expected.begin(), expected.end());
-            order_drained_columns(cols, col_bits);
-            EXPECT_EQ(cols, expected) << "n=" << n << " k=" << k;
-            EXPECT_TRUE(std::all_of(col_bits.begin(), col_bits.end(),
-                                    [](std::uint64_t word) { return word == 0; }))
-                << "n=" << n << " k=" << k;
+            store.take_prop(r, out);
+            EXPECT_EQ(out, expected) << "n=" << n << " k=" << k;
+            store.take_send(r, out);
+            EXPECT_EQ(out, expected) << "n=" << n << " k=" << k;
+            EXPECT_FALSE(store.has_prop(r)) << "n=" << n << " k=" << k;
+            EXPECT_FALSE(store.has_send(r)) << "n=" << n << " k=" << k;
+            store.take_prop(r, out);
+            EXPECT_TRUE(out.empty()) << "n=" << n << " k=" << k;
+            store.take_send(r, out);
+            EXPECT_TRUE(out.empty()) << "n=" << n << " k=" << k;
         }
     }
 }
 
-// Post orders drains of 64 or more columns through the bitmap and smaller
-// ones with std::sort; either way every destination must receive exactly
-// the bytes encode_boundary_blocks gives for the std::sort-ed finite
-// entries. Every fifth drained column is invalidated
+// Post encodes each drain as it comes, ascending, at sizes on both sides of
+// one 64-column word; every destination must receive exactly the bytes
+// encode_boundary_blocks gives for the std::sort-ed finite entries. Every fifth drained column is invalidated
 // to +inf first, and post must drop it.
 TEST(RcKernels, PostLargeDrainsMatchSortedEncoding) {
     constexpr std::size_t n = 200;  // not a multiple of 64

@@ -10,11 +10,15 @@
 //   graphgen er      --n 2000 --edges 10000
 // Common flags: --seed S, --wmin W --wmax W (random weights), --pajek,
 //               --out PATH (default stdout).
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 
+#include "cli_parse.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/metrics.hpp"
@@ -69,25 +73,74 @@ Args parse(int argc, char** argv) {
             }
             return argv[++i];
         };
-        if (flag == "--n") args.n = std::stoul(value());
-        else if (flag == "--m") args.m = std::stoul(value());
-        else if (flag == "--edges") args.edges = std::stoul(value());
-        else if (flag == "--k") args.k = std::stoul(value());
-        else if (flag == "--scale") args.scale = std::stoul(value());
-        else if (flag == "--communities") args.communities = std::stoul(value());
-        else if (flag == "--beta") args.beta = std::stod(value());
-        else if (flag == "--pin") args.pin = std::stod(value());
-        else if (flag == "--pout") args.pout = std::stod(value());
-        else if (flag == "--a") args.rmat_params.a = std::stod(value());
-        else if (flag == "--b") args.rmat_params.b = std::stod(value());
-        else if (flag == "--c") args.rmat_params.c = std::stod(value());
-        else if (flag == "--d") args.rmat_params.d = std::stod(value());
-        else if (flag == "--seed") args.seed = std::stoull(value());
-        else if (flag == "--wmin") args.wmin = std::stod(value());
-        else if (flag == "--wmax") args.wmax = std::stod(value());
+        // A bad numeric value is an `error:` line and exit 2, never a crash.
+        const auto reject = [&](const std::string& text, const char* expected) {
+            usage((flag + " needs " + expected + ", got '" + text + "'").c_str());
+        };
+        const auto integer = [&](std::uint64_t lo, std::uint64_t hi, const char* expected) {
+            const std::string text = value();
+            std::uint64_t out = 0;
+            if (!aa::cli::parse_integer(text, lo, hi, out)) {
+                reject(text, expected);
+            }
+            return static_cast<std::size_t>(out);
+        };
+        const auto number = [&](double lo, double hi, const char* expected) {
+            const std::string text = value();
+            double out = 0;
+            if (!aa::cli::parse_number(text, lo, hi, out)) {
+                reject(text, expected);
+            }
+            return out;
+        };
+        constexpr auto kAny = std::numeric_limits<std::uint32_t>::max();
+        constexpr auto kMaxWeight = std::numeric_limits<double>::max();
+        if (flag == "--n") args.n = integer(1, kAny, "a vertex count >= 1");
+        else if (flag == "--m") args.m = integer(1, kAny, "an integer >= 1");
+        else if (flag == "--edges") args.edges = integer(0, kAny, "an edge count");
+        else if (flag == "--k") args.k = integer(1, kAny, "an integer >= 1");
+        else if (flag == "--scale") args.scale = integer(1, 30, "a scale in [1, 30]");
+        else if (flag == "--communities") {
+            args.communities = integer(1, kAny, "a community count >= 1");
+        }
+        else if (flag == "--beta") args.beta = number(0, 1, "a probability");
+        else if (flag == "--pin") args.pin = number(0, 1, "a probability");
+        else if (flag == "--pout") args.pout = number(0, 1, "a probability");
+        else if (flag == "--a") args.rmat_params.a = number(0, 1, "a probability");
+        else if (flag == "--b") args.rmat_params.b = number(0, 1, "a probability");
+        else if (flag == "--c") args.rmat_params.c = number(0, 1, "a probability");
+        else if (flag == "--d") args.rmat_params.d = number(0, 1, "a probability");
+        else if (flag == "--seed") {
+            args.seed = integer(0, std::numeric_limits<std::uint64_t>::max(),
+                                "an unsigned integer");
+        }
+        else if (flag == "--wmin") args.wmin = number(0, kMaxWeight, "a finite weight >= 0");
+        else if (flag == "--wmax") args.wmax = number(0, kMaxWeight, "a finite weight >= 0");
         else if (flag == "--pajek") args.pajek = true;
         else if (flag == "--out") args.out = value();
         else usage(("unknown flag " + flag).c_str());
+    }
+    if (args.wmin > args.wmax) {
+        usage("--wmin must not exceed --wmax");
+    }
+    // The generators assert their size preconditions; check them here so a
+    // bad combination is an error line too.
+    const std::size_t n = args.kind == "rmat" ? std::size_t{1} << args.scale : args.n;
+    const std::size_t max_edges = n * (n - 1) / 2;
+    const double rmat_total = args.rmat_params.a + args.rmat_params.b +
+                              args.rmat_params.c + args.rmat_params.d;
+    if (args.kind == "ba" && args.n < std::max<std::size_t>(args.m + 1, 2)) {
+        usage("ba needs --n > --m");
+    } else if ((args.kind == "er" || args.kind == "rmat") && args.edges > max_edges) {
+        usage("--edges exceeds the simple-graph maximum");
+    } else if (args.kind == "er" && args.n < 2) {
+        usage("er needs --n >= 2");
+    } else if (args.kind == "ws" && 2 * args.k >= args.n) {
+        usage("ws needs 2 * --k < --n");
+    } else if (args.kind == "sbm" && args.communities > args.n) {
+        usage("sbm needs --communities <= --n");
+    } else if (args.kind == "rmat" && !(std::abs(rmat_total - 1.0) < 1e-9)) {
+        usage("rmat needs --a --b --c --d summing to 1");
     }
     return args;
 }

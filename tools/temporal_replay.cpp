@@ -29,7 +29,6 @@
 // raw span stream (CSV) for the whole replay after convergence.
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -38,6 +37,7 @@
 #include <sstream>
 #include <string>
 
+#include "cli_parse.hpp"
 #include "core/baseline.hpp"
 #include "core/closeness.hpp"
 #include "core/edge_delete.hpp"
@@ -143,35 +143,6 @@ std::vector<TemporalEdge> synth_stream(std::size_t n, std::uint64_t seed) {
     return edges;
 }
 
-/// Parse all of `text` as a decimal integer in [lo, hi]. A sign, blank or
-/// trailing character fails, as does an out-of-range value.
-bool parse_integer(const std::string& text, std::uint64_t lo, std::uint64_t hi,
-                   std::uint64_t& out) {
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
-        return false;
-    }
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || *end != '\0' || value < lo || value > hi) {
-        return false;
-    }
-    out = value;
-    return true;
-}
-
-/// Parse all of `text` as a number in [lo, hi]; NaN is never in range.
-bool parse_number(const std::string& text, double lo, double hi, double& out) {
-    errno = 0;
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (text.empty() || errno != 0 || *end != '\0' || !(value >= lo && value <= hi)) {
-        return false;
-    }
-    out = value;
-    return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -207,7 +178,7 @@ int main(int argc, char** argv) {
         const auto integer = [&](std::uint64_t lo, std::uint64_t hi, const char* expected) {
             const std::string text = value();
             std::uint64_t out = 0;
-            if (!parse_integer(text, lo, hi, out)) {
+            if (!cli::parse_integer(text, lo, hi, out)) {
                 reject(text, expected);
             }
             return out;
@@ -216,7 +187,7 @@ int main(int argc, char** argv) {
         if (arg == "--windows") windows = integer(1, kAny, "an integer >= 1");
         else if (arg == "--warmup") {
             const std::string text = value();
-            if (!parse_number(text, 0.0, 1.0, warmup)) {
+            if (!cli::parse_number(text, 0.0, 1.0, warmup)) {
                 reject(text, "a fraction in [0, 1]");
             }
         }

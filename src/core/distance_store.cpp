@@ -136,7 +136,15 @@ bool DistanceStore::restore_pending(LocalId r, std::span<const VertexId> prop,
 void DistanceStore::grow_columns(std::size_t new_count) {
     AA_ASSERT(new_count >= num_columns_);
     num_columns_ = new_count;
+    // A row that must grow reserves 1/8 headroom for the next additions
+    // instead of letting resize() double it: rows are the bulk of the store,
+    // and a doubled row is mostly slack (grow's first addition would take
+    // every row from 2000 to 4000 columns of capacity).
+    const std::size_t reserve = new_count + new_count / 8;
     for (Row& row : rows_) {
+        if (row.dist.capacity() < new_count) {
+            row.dist.reserve(reserve);
+        }
         row.dist.resize(new_count, kInfinity);
     }
     // Re-stride the bitsets only when a row's slice needs more words; within
@@ -154,6 +162,17 @@ void DistanceStore::grow_columns(std::size_t new_count) {
             set->words = std::move(wider);
         }
     }
+}
+
+std::size_t DistanceStore::reserved_bytes() const {
+    std::size_t bytes = 0;
+    for (const Row& row : rows_) {
+        bytes += row.dist.capacity() * sizeof(Weight);
+    }
+    for (const DirtyBits* set : {&prop_, &send_}) {
+        bytes += set->words.capacity() * sizeof(std::uint64_t);
+    }
+    return bytes;
 }
 
 bool DistanceStore::relax(LocalId r, VertexId col, Weight candidate, bool mark_prop,

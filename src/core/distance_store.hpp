@@ -79,8 +79,14 @@ public:
     /// row straight into the vector it hands over here.
     LocalId append_row(VertexId self, std::vector<Weight> dist);
 
-    /// Grow every row (and the column space) to `new_count` columns.
+    /// Grow every row (and the column space) to `new_count` columns. A row
+    /// whose capacity falls short is reallocated with new_count / 8 columns
+    /// of headroom, so capacity stays within 9/8 of the columns in use.
     void grow_columns(std::size_t new_count);
+
+    /// Bytes the store holds reserved for its rows (distance capacity) and
+    /// its two dirty bitsets.
+    std::size_t reserved_bytes() const;
 
     std::span<const Weight> row(LocalId r) const {
         AA_ASSERT(r < rows_.size());

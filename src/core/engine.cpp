@@ -18,8 +18,8 @@ AnytimeEngine::AnytimeEngine(DynamicGraph graph, EngineConfig config)
                                          config.schedule, config.price_model)),
       backend_(make_backend(config.backend, config.num_ranks,
                             config.backend_threads)),
-      pool_(std::make_unique<ThreadPool>(config.ia_threads)),
-      inline_pool_(std::make_unique<ThreadPool>(1)),
+      pool_(std::make_unique<ThreadPool>(
+          backend_->concurrent() ? std::size_t{1} : config.ia_threads)),
       rng_(config.seed),
       metrics_(std::make_unique<MetricsRegistry>()),
       demand_(std::make_unique<DemandTracker>(graph_.num_vertices())) {
@@ -175,22 +175,11 @@ void AnytimeEngine::run_rank_phase(double& ops,
 void AnytimeEngine::settle_ranks(double& ops) {
     run_rank_phase(ops, [this](RankId r) {
         const double rank_ops =
-            rc_propagate_local(ranks_[r].sg, ranks_[r].store, kernel_pool());
+            rc_propagate_local(ranks_[r].sg, ranks_[r].store, pool_.get());
         cluster_->charge_compute(r, rank_ops);
         return rank_ops;
     });
     cluster_->barrier();
-}
-
-ThreadPool& AnytimeEngine::ia_pool() {
-    // An inline pool (no workers) touches no shared state in parallel_for, so
-    // concurrent rank closures may each drive it; the shared multi-worker pool
-    // may not be entered concurrently.
-    return backend_->concurrent() ? *inline_pool_ : *pool_;
-}
-
-ThreadPool* AnytimeEngine::kernel_pool() {
-    return backend_->concurrent() ? nullptr : pool_.get();
 }
 
 double AnytimeEngine::charge_partition_cost(std::size_t vertices, std::size_t edges) {
@@ -256,7 +245,7 @@ void AnytimeEngine::initialize() {
         IaProfile profile;
         const double ia_begin = cluster_->time(r);
         const double ops = ia_dijkstra_all(ranks_[r].sg, ranks_[r].store,
-                                           ia_pool(), mx ? &profile : nullptr);
+                                           *pool_, mx ? &profile : nullptr);
         cluster_->charge_compute(r, ops, config_.ia_threads);
         if (mx) {
             sink.push_back(stamp_span(
@@ -348,7 +337,7 @@ bool AnytimeEngine::rc_step() {
         const double t0 = cluster_->time(r);
         const double ops = rc_ingest_updates(
             ranks_[r].sg, ranks_[r].store, arrival.messages, config_.wire_format,
-            kernel_pool(), kRcIngestParallelGrain, rc_ingest_window_bytes_,
+            pool_.get(), kRcIngestParallelGrain, rc_ingest_window_bytes_,
             mx ? &profile : nullptr);
         cluster_->charge_compute(r, ops);
         if (mx) {
@@ -473,8 +462,8 @@ bool AnytimeEngine::rc_step() {
     // Phase 3: ingest each arrival, then propagate to the local fixpoint once
     // the rank has everything (deferring propagate past the last ingest is
     // what keeps the event-driven relaxation order equal to the synchronous
-    // one). The batched kernels run the row sweeps on the IA thread pool when
-    // the backend is sequential (kernel_pool()) — that accelerates host
+    // one). The batched kernels fan the row sweeps out to the intra-rank pool
+    // (multi-threaded only under the sequential backend) — that accelerates host
     // wall-clock time only; the simulated clock still prices RC
     // single-threaded per rank (the paper's model), so `threads` stays 1 in
     // charge_compute.
@@ -485,7 +474,7 @@ bool AnytimeEngine::rc_step() {
         RcPropagateProfile prop_profile;
         const double t1 = cluster_->time(r);
         const double prop_ops = rc_propagate_local(
-            ranks_[r].sg, ranks_[r].store, kernel_pool(),
+            ranks_[r].sg, ranks_[r].store, pool_.get(),
             kRcPropagateParallelGrain, mx ? &prop_profile : nullptr,
             kRcPropagateTileCols, refine_plans[r], config_.refine_budget_ops);
         cluster_->charge_compute(r, prop_ops);

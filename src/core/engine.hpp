@@ -73,6 +73,8 @@ struct EngineConfig {
     /// Number of simulated processors (the paper evaluates with 16).
     std::uint32_t num_ranks{16};
     /// Threads per rank for the IA-phase Dijkstra (the paper's OpenMP T).
+    /// The simulated clock prices IA at T-way under every backend; on the
+    /// host, T executors run it only under the sequential backend.
     std::size_t ia_threads{4};
     /// Cost model of the simulated interconnect.
     LogPParams logp{};
@@ -111,11 +113,12 @@ struct EngineConfig {
     /// disabled registry costs one branch per phase and allocates nothing.
     bool enable_metrics{false};
     /// Who executes the per-rank phase bodies (see runtime/backend.hpp):
-    /// Sequential (default, rank loops on the driver thread) or Threaded
-    /// (thread-per-rank between collectives). Results, telemetry and
+    /// Threaded (default, ranks run concurrently between collectives) or
+    /// Sequential (rank loops on the driver thread). Results, telemetry and
     /// sim_seconds() are bit-identical across backends by contract.
-    BackendKind backend{BackendKind::Sequential};
-    /// Worker threads for the threaded backend; 0 = one per rank.
+    BackendKind backend{BackendKind::Threaded};
+    /// Executors for the threaded backend, the driver thread included; 0 =
+    /// thread-per-core, min(num_ranks, hardware threads).
     std::size_t backend_threads{0};
     /// Boundary-DV wire format for the RC exchange (see
     /// BoundaryWireFormat in core/distance_store.hpp and the accounting note
@@ -533,14 +536,6 @@ private:
         return ScopedSpan(*metrics_, name, -1, static_cast<std::int64_t>(rc_steps_),
                           [this] { return sim_seconds(); });
     }
-    /// Pool the per-rank kernels may fan intra-rank work out to: the shared
-    /// IA pool under a sequential backend; an inline (no-worker) pool / null
-    /// when ranks run concurrently — ThreadPool::parallel_for must not be
-    /// entered from two ranks at once, and thread-per-rank already owns the
-    /// cores. Pricing never depends on this choice (kernels return identical
-    /// op counts with and without a pool).
-    ThreadPool& ia_pool();
-    ThreadPool* kernel_pool();
     /// Decay query heat, export the refine.demand.* gauges, then invoke
     /// boundary_hook_ if set (phase entry points call this last).
     void fire_boundary_hook();
@@ -579,8 +574,13 @@ private:
     EngineConfig config_;
     std::unique_ptr<Cluster> cluster_;
     std::unique_ptr<ExecutionBackend> backend_;
+    // Intra-rank pool the per-rank kernels (IA Dijkstra, RC row sweeps) fan
+    // out to: ia_threads executors under a sequential backend, inline (one
+    // executor, no workers) under a concurrent one — the backend already owns
+    // the cores, and an inline parallel_for touches no shared state, so
+    // concurrent rank closures may all enter it. Pricing never depends on
+    // it (kernels return identical op counts with and without a pool).
     std::unique_ptr<ThreadPool> pool_;
-    std::unique_ptr<ThreadPool> inline_pool_;  // no-worker pool, see ia_pool()
     Rng rng_;
     ShardOwnership ownership_;
     MigrationPlanner planner_;

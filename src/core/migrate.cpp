@@ -56,7 +56,7 @@ void AnytimeEngine::drain_in_flight_updates() {
         }
         const double ops = rc_ingest_updates(
             ranks_[r].sg, ranks_[r].store, inbox, config_.wire_format,
-            kernel_pool(), kRcIngestParallelGrain, rc_ingest_window_bytes_);
+            pool_.get(), kRcIngestParallelGrain, rc_ingest_window_bytes_);
         cluster_->charge_compute(r, ops);
         return ops;
     });
@@ -279,7 +279,7 @@ void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
 
         // 6d. Drain the local sweep now so the first post-migration RC step
         // already posts locally consistent boundary DVs.
-        ops += rc_propagate_local(state.sg, state.store, kernel_pool());
+        ops += rc_propagate_local(state.sg, state.store, pool_.get());
         cluster_->charge_compute(r, ops);
         return ops;
     });

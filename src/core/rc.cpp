@@ -197,14 +197,15 @@ struct RawSoaBlock {
     std::size_t dist_offset;
 };
 
-/// The structural walk. Any hostile count is bounded before columns are
+/// The structural walk, appending every block's columns to `column_arena`
+/// and its offsets to `raw`. Any hostile count is bounded before columns are
 /// materialized: `count` entries need count * 8 distance bytes later in the
 /// payload, so a block can never append more than remaining/8 columns before
-/// the exact check below rejects it — total allocation stays O(payload size).
+/// the exact check below rejects it — total allocation stays O(payload size),
+/// and a walk appends at most payload.size() / 8 columns in all.
 ParseError walk_blocks(std::span<const std::byte> payload,
                           std::vector<VertexId>& column_arena,
                           std::vector<RawSoaBlock>& raw) {
-    column_arena.clear();
     std::size_t cursor = 0;
     while (cursor < payload.size()) {
         AA_PARSE_CHECK(payload.size() - cursor >= sizeof(VertexId),
@@ -242,6 +243,22 @@ ParseError walk_blocks(std::span<const std::byte> payload,
 #undef AA_PARSE_TRY
 #undef AA_PARSE_CHECK
 
+/// The zero-copy view of one walked block: columns in `column_arena`,
+/// distances in place in `payload`.
+BoundaryBlockSoaView soa_view(std::span<const std::byte> payload,
+                              const std::vector<VertexId>& column_arena,
+                              const RawSoaBlock& block) {
+    const std::byte* dist_bytes = payload.data() + block.dist_offset;
+    // In-place f64 view: the encoder's 8-byte block quantum plus the
+    // allocator's >= 8-byte base alignment make this cast safe; asserted
+    // because a caller handing us an offset sub-span would break it.
+    AA_ASSERT((reinterpret_cast<std::uintptr_t>(dist_bytes) &
+               (alignof(Weight) - 1)) == 0);
+    return {block.vertex,
+            {column_arena.data() + block.col_start, block.count},
+            {reinterpret_cast<const Weight*>(dist_bytes), block.count}};
+}
+
 }  // namespace
 
 std::vector<std::byte> encode_boundary_blocks(const std::vector<BoundaryBlock>& blocks) {
@@ -277,20 +294,13 @@ std::vector<BoundaryBlock> decode_boundary_blocks(std::span<const std::byte> pay
 std::vector<BoundaryBlockSoaView> decode_boundary_block_soa_views(
     std::span<const std::byte> payload, std::vector<VertexId>& column_arena) {
     std::vector<RawSoaBlock> raw;
+    column_arena.clear();
     const ParseError error = walk_blocks(payload, column_arena, raw);
     AA_ASSERT_MSG(error == nullptr, error);
     std::vector<BoundaryBlockSoaView> views;
     views.reserve(raw.size());
     for (const RawSoaBlock& block : raw) {
-        const std::byte* dist_bytes = payload.data() + block.dist_offset;
-        // In-place f64 view: the encoder's 8-byte block quantum plus the
-        // allocator's >= 8-byte base alignment make this cast safe; asserted
-        // because a caller handing us an offset sub-span would break it.
-        AA_ASSERT((reinterpret_cast<std::uintptr_t>(dist_bytes) &
-                   (alignof(Weight) - 1)) == 0);
-        views.push_back({block.vertex,
-                         {column_arena.data() + block.col_start, block.count},
-                         {reinterpret_cast<const Weight*>(dist_bytes), block.count}});
+        views.push_back(soa_view(payload, column_arena, block));
     }
     return views;
 }
@@ -323,17 +333,18 @@ const char* boundary_payload_error(std::span<const std::byte> payload,
 }
 
 BoundaryFanOut::BoundaryFanOut(std::size_t num_ranks)
-    : payloads_(num_ranks), entries_(num_ranks, 0) {}
+    : routes_(num_ranks), entries_(num_ranks, 0) {}
 
 void BoundaryFanOut::add(VertexId vertex, std::span<const VertexId> cols,
                          std::span<const Weight> dists,
                          std::span<const RankId> destinations) {
-    encoder_.clear();
-    encode_block(encoder_, vertex, cols, dists);
-    const auto block_bytes = encoder_.view();
+    // Every block is a multiple of 8 bytes, so each one starts 8-aligned in
+    // the shared buffer and pads exactly as it would encoded alone.
+    const std::size_t offset = blocks_.size();
+    encode_block(blocks_, vertex, cols, dists);
+    const BlockRef block{offset, blocks_.size() - offset};
     for (const RankId dest : destinations) {
-        payloads_[dest].insert(payloads_[dest].end(), block_bytes.begin(),
-                               block_bytes.end());
+        routes_[dest].push_back(block);
         entries_[dest] += cols.size();
     }
 }
@@ -341,18 +352,32 @@ void BoundaryFanOut::add(VertexId vertex, std::span<const VertexId> cols,
 BoundaryFanOut::Posted BoundaryFanOut::post(Cluster& cluster, RankId from,
                                             MessageTag tag) {
     Posted posted;
-    for (RankId dest = 0; dest < payloads_.size(); ++dest) {
-        if (payloads_[dest].empty()) {
+    const auto encoded = blocks_.view();
+    for (RankId dest = 0; dest < routes_.size(); ++dest) {
+        if (routes_[dest].empty()) {
             continue;
         }
         AA_ASSERT_MSG(dest != from, "boundary block addressed to its own rank");
+        // Exact-size payload: reserved once at its final size, so the message
+        // that outlives this call holds no growth slack.
+        std::size_t size = 0;
+        for (const BlockRef& block : routes_[dest]) {
+            size += block.size;
+        }
+        std::vector<std::byte> payload;
+        payload.reserve(size);
+        for (const BlockRef& block : routes_[dest]) {
+            const auto bytes = encoded.subspan(block.offset, block.size);
+            payload.insert(payload.end(), bytes.begin(), bytes.end());
+        }
         ++posted.messages;
-        posted.bytes += payloads_[dest].size();
+        posted.bytes += payload.size();
         posted.entries += entries_[dest];
-        cluster.send(from, dest, tag, std::move(payloads_[dest]), entries_[dest]);
-        payloads_[dest] = {};
+        cluster.send(from, dest, tag, std::move(payload), entries_[dest]);
+        routes_[dest].clear();
         entries_[dest] = 0;
     }
+    blocks_.clear();
     return posted;
 }
 
@@ -460,20 +485,35 @@ double rc_ingest_updates(const LocalSubgraph& sg, DistanceStore& store,
                          std::size_t window_bytes, RcIngestProfile* profile) {
     // Pass 1: decode every received block in place (zero copy — distance
     // spans point into the message payloads, which outlive this call; column
-    // spans point into per-message arenas kept alive below) and flatten the
+    // spans point into one arena shared by all messages) and flatten the
     // work into (row, block, weight) pairs, one per incident cut edge, in
-    // block-arrival order.
+    // block-arrival order. Every decoded column carries an 8-byte distance
+    // in its payload, so Σ payload bytes / 8 columns is an exact bound on the
+    // arena: reserved up front, it never reallocates, and the column spans
+    // can be formed as each message is walked.
     double ops = 0;
-    std::vector<BoundaryBlockSoaView> blocks;   // blocks with a local audience
-    std::vector<std::vector<VertexId>> arenas;  // column storage, per message
+    std::size_t payload_bytes = 0;
+    for (const Message& message : inbox) {
+        if (message.tag == MessageTag::BoundaryDvUpdate) {
+            payload_bytes += message.bytes().size();
+        }
+    }
+    std::vector<VertexId> arena;
+    arena.reserve(payload_bytes / sizeof(Weight));
+    const VertexId* const arena_base = arena.data();
+    std::vector<RawSoaBlock> raw;              // one message's walked blocks
+    std::vector<BoundaryBlockSoaView> blocks;  // blocks with a local audience
     std::vector<IngestPair> pairs;
     for (const Message& message : inbox) {
         if (message.tag != MessageTag::BoundaryDvUpdate) {
             continue;
         }
-        auto& arena = arenas.emplace_back();
-        for (const BoundaryBlockSoaView& block :
-             decode_boundary_block_soa_views(message.bytes(), arena)) {
+        raw.clear();
+        const ParseError error = walk_blocks(message.bytes(), arena, raw);
+        AA_ASSERT_MSG(error == nullptr, error);
+        AA_ASSERT(arena.data() == arena_base);  // the bound held: no reallocation
+        for (const RawSoaBlock& walked : raw) {
+            const BoundaryBlockSoaView block = soa_view(message.bytes(), arena, walked);
             const auto locals = sg.external_neighbors(block.vertex);
             const std::size_t entry_count = block.cols.size();
             if (locals.empty() || entry_count == 0) {

@@ -220,10 +220,12 @@ struct BoundaryBlock {
 std::vector<std::byte> encode_boundary_blocks(const std::vector<BoundaryBlock>& blocks);
 
 /// Per-destination boundary payloads, built block by block: each block is
-/// encoded once and its bytes appended to every destination's payload (a
-/// payload is a plain concatenation of self-contained blocks), so the
-/// payload bytes equal encode_boundary_blocks
-/// over each destination's blocks in arrival order. Entry counts ride along
+/// encoded once into one shared buffer and its destinations recorded; post()
+/// then allocates every destination's payload at its exact size and copies
+/// its blocks in, in arrival order (a payload is a plain concatenation of
+/// self-contained blocks), so the payload bytes equal encode_boundary_blocks
+/// over each destination's blocks in arrival order and no posted message
+/// carries growth slack. Entry counts ride along
 /// so the cluster can price each message by decoded footprint under
 /// PriceModel::PerEntry. The post kernel and the deletion path's view and
 /// raise exchanges share it.
@@ -232,7 +234,7 @@ public:
     explicit BoundaryFanOut(std::size_t num_ranks);
 
     /// Encode one block (`cols` strictly ascending, `dists` alongside) and
-    /// append it to each destination's payload.
+    /// route it to each of `destinations`.
     void add(VertexId vertex, std::span<const VertexId> cols,
              std::span<const Weight> dists, std::span<const RankId> destinations);
 
@@ -246,9 +248,13 @@ public:
     Posted post(Cluster& cluster, RankId from, MessageTag tag);
 
 private:
-    std::vector<std::vector<std::byte>> payloads_;
+    struct BlockRef {
+        std::size_t offset;  // into blocks_
+        std::size_t size;
+    };
+    Serializer blocks_;                          // every block, encoded once
+    std::vector<std::vector<BlockRef>> routes_;  // per destination, arrival order
     std::vector<std::size_t> entries_;
-    Serializer encoder_;  // reused across blocks
 };
 
 /// Decode a boundary-update payload. The payload is validated structurally

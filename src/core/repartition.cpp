@@ -314,7 +314,7 @@ void AnytimeEngine::repartition_add(const GrowthBatch& batch) {
         }
         // Drain the local sweep now so the first post-repartition RC step
         // already sends locally consistent boundary DVs.
-        ops += rc_propagate_local(state.sg, state.store, kernel_pool());
+        ops += rc_propagate_local(state.sg, state.store, pool_.get());
         cluster_->charge_compute(r, ops);
         return ops;
     });

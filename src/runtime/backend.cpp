@@ -1,5 +1,8 @@
 #include "runtime/backend.hpp"
 
+#include <algorithm>
+#include <thread>
+
 #include "common/assert.hpp"
 
 namespace aa {
@@ -30,7 +33,7 @@ void SequentialBackend::run_ranks(std::size_t num_ranks,
     }
 }
 
-ThreadedBackend::ThreadedBackend(std::size_t workers) : pool_(workers) {}
+ThreadedBackend::ThreadedBackend(std::size_t executors) : pool_(executors) {}
 
 void ThreadedBackend::run_ranks(std::size_t num_ranks,
                                 const std::function<void(RankId)>& fn) {
@@ -41,20 +44,21 @@ void ThreadedBackend::run_ranks(std::size_t num_ranks,
                        [&fn](std::size_t r) { fn(static_cast<RankId>(r)); });
 }
 
+std::size_t default_backend_executors(std::size_t num_ranks) {
+    const std::size_t cores = std::thread::hardware_concurrency();
+    return std::clamp<std::size_t>(cores, 1, std::max<std::size_t>(num_ranks, 1));
+}
+
 std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind,
                                                std::size_t num_ranks,
-                                               std::size_t workers) {
+                                               std::size_t executors) {
     AA_ASSERT_MSG(num_ranks >= 1, "backend needs at least one rank");
     switch (kind) {
         case BackendKind::Sequential:
             return std::make_unique<SequentialBackend>();
         case BackendKind::Threaded:
-            // Thread-per-rank by default. P workers rather than P-1: the
-            // driver executes one rank chunk itself, but ThreadPool treats a
-            // worker count of 1 as "run inline", which would serialize the
-            // P=2 case if we sized it P-1.
             return std::make_unique<ThreadedBackend>(
-                workers != 0 ? workers : num_ranks);
+                executors != 0 ? executors : default_backend_executors(num_ranks));
     }
     AA_ASSERT_MSG(false, "unknown backend kind");
     return nullptr;

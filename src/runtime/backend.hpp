@@ -8,13 +8,16 @@
 // over one rank's state and hands the *execution* of those closures to a
 // pluggable backend:
 //
-//   * SequentialBackend — ascending rank order on the calling thread. This is
-//     the historical behavior and the default; results, telemetry span order
-//     and simulated-time pricing are bit-identical to the pre-backend engine.
-//   * ThreadedBackend — the closures run concurrently on a private worker
-//     pool (thread-per-rank when sized by the engine default), so real cores
-//     execute ranks in parallel between the collectives, exactly like the
-//     OpenMP/MPI deployment the paper measures.
+//   * ThreadedBackend — the default. The closures run concurrently on a
+//     private pool sized thread-per-core (min(P, hardware threads) executors,
+//     the calling thread included), so real cores execute ranks in parallel
+//     between the collectives, like the OpenMP/MPI deployment the paper
+//     measures. Each executor is a separate glibc malloc arena, so the
+//     default stops at the core count: a worker per rank on a smaller host
+//     runs no faster and strands more freed memory.
+//   * SequentialBackend — ascending rank order on the calling thread, the
+//     reference execution. Results, telemetry span order and simulated-time
+//     pricing are bit-identical to the threaded backend.
 //
 // Determinism contract: for a fixed seed and config, closeness output and
 // sim_seconds() are bit-identical across backends and thread schedules. The
@@ -54,8 +57,8 @@ namespace aa {
 
 /// Backend selector carried by EngineConfig and the tools' --backend flag.
 enum class BackendKind {
-    Sequential,  // "seq": rank loops on the driver thread (default)
-    Threaded,    // "threaded": one worker per rank between collectives
+    Sequential,  // "seq": rank loops on the driver thread
+    Threaded,    // "threaded": thread-per-core executors between collectives (default)
 };
 
 /// Canonical flag spelling ("seq" / "threaded").
@@ -72,10 +75,9 @@ public:
     /// Canonical name (matches backend_kind_name of the kind that made it).
     virtual std::string_view name() const = 0;
 
-    /// True when run_ranks may execute closures concurrently. The engine uses
-    /// this to keep the shared intra-rank ThreadPool out of the kernels in
-    /// concurrent mode (each rank then runs its kernels on its own worker;
-    /// pricing is unaffected — see AnytimeEngine::ia_pool()).
+    /// True when run_ranks may execute closures concurrently. The engine then
+    /// sizes its intra-rank ThreadPool inline, so each rank runs its kernels
+    /// on its own executor (pricing is unaffected — see AnytimeEngine::pool_).
     virtual bool concurrent() const = 0;
 
     /// Execute fn(r) once for every rank r in [0, num_ranks) and return when
@@ -96,30 +98,36 @@ public:
                    const std::function<void(RankId)>& fn) override;
 };
 
-/// Concurrent execution on a private pool. `workers` worker threads plus the
-/// calling thread execute the rank closures; the factory sizes it at P
-/// workers by default so every rank gets its own executor (thread-per-rank).
-/// With fewer workers than ranks, contiguous rank ranges share an executor —
-/// still concurrent across ranges, still deterministic by contract.
-/// `workers <= 1` degenerates to inline (sequential) execution — correct,
-/// just without parallelism, the expected situation on a single-core host.
+/// Concurrent execution on a private pool of `executors` threads, the
+/// calling thread included (see ThreadPool). With fewer executors than
+/// ranks, contiguous rank ranges share an executor — still concurrent across
+/// ranges, still deterministic by contract. `executors <= 1` degenerates to
+/// inline (sequential) execution — correct, just without parallelism, the
+/// expected situation on a single-core host.
 class ThreadedBackend final : public ExecutionBackend {
 public:
-    explicit ThreadedBackend(std::size_t workers);
+    explicit ThreadedBackend(std::size_t executors);
 
     std::string_view name() const override { return "threaded"; }
     bool concurrent() const override { return true; }
     void run_ranks(std::size_t num_ranks,
                    const std::function<void(RankId)>& fn) override;
 
+    /// Threads that execute rank closures, the calling thread included.
+    std::size_t num_executors() const { return pool_.num_threads(); }
+
 private:
     ThreadPool pool_;
 };
 
-/// Factory keyed by EngineConfig: `workers` only applies to Threaded (0 picks
-/// num_ranks, i.e. thread-per-rank).
+/// Executors a threaded backend gets for `num_ranks` ranks when none are
+/// configured: min(num_ranks, std::thread::hardware_concurrency()), at least 1.
+std::size_t default_backend_executors(std::size_t num_ranks);
+
+/// Factory keyed by EngineConfig: `executors` only applies to Threaded (0
+/// picks default_backend_executors, i.e. thread-per-core).
 std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind,
                                                std::size_t num_ranks,
-                                               std::size_t workers = 0);
+                                               std::size_t executors = 0);
 
 }  // namespace aa

@@ -8,8 +8,8 @@ namespace aa {
 
 ThreadPool::ThreadPool(std::size_t threads) {
     if (threads > 1) {
-        workers_.reserve(threads);
-        for (std::size_t i = 0; i < threads; ++i) {
+        workers_.reserve(threads - 1);
+        for (std::size_t i = 1; i < threads; ++i) {
             workers_.emplace_back([this] { worker_loop(); });
         }
     }

@@ -1,5 +1,7 @@
-// Fixed-size thread pool with a blocking parallel_for, used by the IA phase's
-// multithreaded Dijkstra (the paper uses OpenMP; std::thread keeps the build
+// Fixed-size thread pool with a blocking parallel_for. ThreadedBackend runs
+// the rank closures on one; under the sequential backend the engine's
+// intra-rank pool fans out the IA phase's multithreaded Dijkstra and the RC
+// kernels' row sweeps (the paper uses OpenMP; std::thread keeps the build
 // dependency-free). The pool is also what the LogP model's `threads` divisor
 // corresponds to: simulated IA time scales with the configured thread count
 // even on a single-core host.
@@ -17,14 +19,17 @@ namespace aa {
 
 class ThreadPool {
 public:
-    /// `threads == 0` or `1` runs tasks inline (no worker threads).
+    /// `threads` executors: threads - 1 workers plus the calling thread,
+    /// which runs a chunk of every parallel_for itself. `threads == 0` or `1`
+    /// runs tasks inline (no worker threads).
     explicit ThreadPool(std::size_t threads);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    std::size_t num_threads() const { return workers_.empty() ? 1 : workers_.size(); }
+    /// Executors, counting the calling thread.
+    std::size_t num_threads() const { return workers_.size() + 1; }
 
     /// Run fn(i) for i in [begin, end), statically chunked across the pool
     /// plus the calling thread (which executes the first chunk itself instead

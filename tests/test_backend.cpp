@@ -10,7 +10,9 @@
 // after it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -49,6 +51,26 @@ TEST(BackendBasics, FactoryProducesMatchingKinds) {
     const auto threaded = make_backend(BackendKind::Threaded, 4);
     EXPECT_EQ(threaded->name(), "threaded");
     EXPECT_TRUE(threaded->concurrent());
+}
+
+// The default engine runs threaded, thread-per-core: min(P, hardware
+// threads) executors, the driver thread included. An explicit count wins.
+TEST(BackendBasics, DefaultSizedToCores) {
+    EXPECT_EQ(EngineConfig{}.backend, BackendKind::Threaded);
+    EXPECT_EQ(EngineConfig{}.backend_threads, 0u);
+    const std::size_t cores =
+        std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+    for (const std::size_t ranks : {1u, 2u, 3u, 8u, 16u}) {
+        const std::size_t expected = std::min(ranks, cores);
+        EXPECT_EQ(default_backend_executors(ranks), expected);
+        const auto backend = make_backend(BackendKind::Threaded, ranks);
+        const auto* threaded = dynamic_cast<const ThreadedBackend*>(backend.get());
+        ASSERT_NE(threaded, nullptr);
+        EXPECT_EQ(threaded->num_executors(), expected) << "ranks=" << ranks;
+    }
+    const auto explicit_backend = make_backend(BackendKind::Threaded, 8, 3);
+    EXPECT_EQ(dynamic_cast<const ThreadedBackend&>(*explicit_backend).num_executors(),
+              3u);
 }
 
 TEST(BackendBasics, SequentialRunsRanksInAscendingOrder) {

@@ -443,6 +443,44 @@ TEST(DistanceStore, DrainsAscendingWhateverTheMarkOrder) {
     EXPECT_FALSE(store.has_send(r));
 }
 
+TEST(DistanceStore, GrowColumnsHeadroomIsBounded) {
+    // Rows that must grow reserve 1/8 headroom, never a doubling: through
+    // 2000 -> 2010 -> 2420 columns (grow's vertex-addition sizes), the
+    // reserved bytes stay within 9/8 of the distances in use plus the dirty
+    // bitsets, and every value survives.
+    constexpr std::size_t kRows = 8;
+    DistanceStore store(2000);
+    for (VertexId v = 0; v < kRows; ++v) {
+        const LocalId r = store.add_row(v);
+        for (VertexId c = 0; c < 2000; c += 7) {
+            store.relax(r, c, 1.0 + v + c / 1000.0);
+        }
+    }
+    const auto row_bytes = [&](std::size_t columns) {
+        return kRows * columns * sizeof(Weight);
+    };
+    // Fresh rows are exact, so the rest of the reserve is the bitsets.
+    const std::size_t bitset_bytes = store.reserved_bytes() - row_bytes(2000);
+    EXPECT_GE(bitset_bytes, 2 * kRows * ((2000 + 63) / 64) * sizeof(std::uint64_t));
+
+    store.grow_columns(2010);  // same word count per row: bitsets unchanged
+    EXPECT_LE(store.reserved_bytes(), row_bytes(2010) * 9 / 8 + bitset_bytes);
+    store.grow_columns(2420);  // re-strided bitsets are exact
+    const std::size_t wider_bitset_bytes =
+        2 * kRows * ((2420 + 63) / 64) * sizeof(std::uint64_t);
+    EXPECT_GE(store.reserved_bytes(), row_bytes(2420) + wider_bitset_bytes);
+    EXPECT_LE(store.reserved_bytes(), row_bytes(2420) * 9 / 8 + wider_bitset_bytes);
+
+    for (VertexId v = 0; v < kRows; ++v) {
+        for (VertexId c = 0; c < 2420; ++c) {
+            const Weight want = c == v                      ? 0.0
+                                : c < 2000 && c % 7 == 0 ? 1.0 + v + c / 1000.0
+                                                         : kInfinity;
+            ASSERT_EQ(store.at(v, c), want) << "row " << v << " col " << c;
+        }
+    }
+}
+
 TEST(DistanceStore, GrowColumnsAcrossWordBoundaryKeepsMarks) {
     // Growing n through 63 -> 64 -> 65 -> 130 keeps one 64-bit word per row,
     // then needs a second, then a third: the re-stride must carry every

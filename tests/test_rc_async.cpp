@@ -439,6 +439,7 @@ TEST(RcIngest, AdaptiveResolutionRules) {
     EXPECT_EQ(explicit_engine.rc_ingest_window_bytes_effective(), 12345u);
 
     config.rc_ingest_window_bytes = 0;
+    config.backend = BackendKind::Sequential;
     AnytimeEngine seq_engine(g, config);
     const std::size_t seq_window = seq_engine.rc_ingest_window_bytes_effective();
     EXPECT_GE(seq_window, std::size_t{4} << 20);

@@ -328,6 +328,47 @@ TEST(RcKernels, FanOutMatchesPerDestinationEncoding) {
     EXPECT_EQ(posted.bytes, bytes);
 }
 
+// post() allocates each destination's payload at its exact size: every
+// posted message holds no growth slack, and its bytes still equal
+// encode_boundary_blocks over that destination's blocks in arrival order.
+TEST(BoundaryFanOut, PostsExactSizePayloads) {
+    constexpr std::size_t kRanks = 4;
+    Rng rng(11);
+    Cluster cluster(kRanks);
+    BoundaryFanOut fan_out(kRanks);
+    std::vector<std::vector<BoundaryBlock>> per_dest(kRanks);
+    for (VertexId v = 0; v < 200; ++v) {
+        BoundaryBlock block{v, {}};
+        std::vector<VertexId> cols;
+        std::vector<Weight> dists;
+        for (VertexId c = 0; c < 300; ++c) {
+            if (rng.chance(1.0 / 3)) {
+                cols.push_back(c);
+                dists.push_back(rng.uniform(1.0, 9.0));
+                block.entries.push_back({c, dists.back()});
+            }
+        }
+        std::vector<RankId> destinations;
+        for (RankId dest = 1; dest < kRanks; ++dest) {
+            if ((v + dest) % 3 != 0) {
+                destinations.push_back(dest);
+                per_dest[dest].push_back(block);
+            }
+        }
+        fan_out.add(v, cols, dists, destinations);
+    }
+    const auto posted = fan_out.post(cluster, 0, MessageTag::BoundaryDvUpdate);
+    EXPECT_EQ(posted.messages, kRanks - 1);
+    cluster.exchange();
+    for (RankId dest = 1; dest < kRanks; ++dest) {
+        const auto inbox = cluster.receive(dest);
+        ASSERT_EQ(inbox.size(), 1u);
+        const std::vector<std::byte>& payload = *inbox[0].payload;
+        EXPECT_EQ(payload.capacity(), payload.size()) << "dest=" << dest;
+        EXPECT_EQ(payload, encode_boundary_blocks(per_dest[dest])) << "dest=" << dest;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Kernel-equivalence property tests.
 //

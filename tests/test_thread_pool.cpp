@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
 
 #include "runtime/thread_pool.hpp"
 
@@ -65,6 +70,29 @@ TEST(ThreadPool, FewerItemsThanThreads) {
     std::atomic<int> count{0};
     pool.parallel_for(0, 3, [&](std::size_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 3);
+}
+
+// ThreadPool(n) is n executors: n - 1 workers plus the calling thread. Every
+// chunk's first index waits until n distinct threads have checked in (a
+// bounded wait, so a pool with fewer executors fails instead of hanging),
+// which forces the n chunks onto n distinct threads; a pool that ran more
+// than n-way would check in more.
+TEST(ThreadPool, RunsExactlyNWay) {
+    for (std::size_t n = 1; n <= 4; ++n) {
+        ThreadPool pool(n);
+        EXPECT_EQ(pool.num_threads(), n);
+        std::mutex mutex;
+        std::condition_variable checked_in;
+        std::set<std::thread::id> ids;
+        pool.parallel_for(0, 8 * n, [&](std::size_t) {
+            std::unique_lock lock(mutex);
+            ids.insert(std::this_thread::get_id());
+            checked_in.notify_all();
+            checked_in.wait_for(lock, std::chrono::seconds(5),
+                                [&] { return ids.size() >= n; });
+        });
+        EXPECT_EQ(ids.size(), n) << "n=" << n;
+    }
 }
 
 }  // namespace

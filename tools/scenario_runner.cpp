@@ -14,7 +14,7 @@
 //   graph file <path>                 SNAP edge-list host
 //   ranks <P>      threads <T>        cluster shape (before graph)
 //   seed <S>                          RNG seed (before graph)
-//   backend seq|threaded              rank execution backend (before graph)
+//   backend seq|threaded              rank execution backend, default threaded (before graph)
 //   steps <k>                         run k RC steps
 //   add <count> rr|cutedge|repart [communities]   vertex batch
 //   edges <count>                     random new edges between old vertices
@@ -79,7 +79,7 @@ const char kHelpText[] =
     "commands (one per line, '#' comments):\n"
     "  ranks <P>      threads <T>        cluster shape (before graph)\n"
     "  seed <S>                          RNG seed (before graph)\n"
-    "  backend seq|threaded              rank execution backend (before graph)\n"
+    "  backend seq|threaded              rank execution backend, default threaded (before graph)\n"
     "  graph ba <n> <m>                  Barabasi-Albert host\n"
     "  graph er <n> <edges>              Erdos-Renyi host\n"
     "  graph file <path>                 SNAP edge-list host\n"

@@ -17,7 +17,7 @@
 // centrality report, with an optional exact verification.
 //
 //   temporal_replay edges.tsv --windows 10 --strategy cutedge --verify
-//   temporal_replay --synth 800 --backend threaded   (thread-per-rank engine)
+//   temporal_replay --synth 800 --backend seq   (ranks one after another)
 //   temporal_replay --synth 800 --windows 8        (no file: synthesize)
 //   temporal_replay --synth 800 --timeline replay.json --timeline-csv spans.csv
 //
@@ -27,6 +27,10 @@
 //
 // --timeline / --timeline-csv write the aa.timeline.v1 block (JSON) or the
 // raw span stream (CSV) for the whole replay after convergence.
+//
+// --backend seq|threaded picks the rank execution backend; the default is
+// EngineConfig's (threaded, thread-per-core). Results are bit-identical
+// either way.
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
@@ -158,7 +162,7 @@ int main(int argc, char** argv) {
     bool verify = false;
     std::string timeline_json;
     std::string timeline_csv;
-    BackendKind backend = BackendKind::Sequential;
+    BackendKind backend = EngineConfig{}.backend;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];

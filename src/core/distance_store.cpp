@@ -364,25 +364,30 @@ void DistanceStore::clear_dirty(LocalId r) {
     }
 }
 
-void DistanceStore::install_row(LocalId r, std::vector<Weight> values) {
+void DistanceStore::install_row(LocalId r, std::span<const VertexId> cols,
+                                std::span<const Weight> dists) {
     AA_ASSERT(r < rows_.size());
-    AA_ASSERT(values.size() == num_columns_);
+    AA_ASSERT(cols.size() == dists.size());
+    AA_ASSERT(cols.empty() || cols.back() < num_columns_);
     Row& row = rows_[r];
-    row.dist = std::move(values);
+    std::fill(row.dist.begin(), row.dist.end(), kInfinity);
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+        row.dist[cols[i]] = dists[i];
+    }
     touch(r);
     AA_ASSERT_MSG(row.dist[row.self] == 0, "migrated row lost its zero diagonal");
 }
 
-std::vector<Weight> DistanceStore::extract_row(LocalId r) {
-    AA_ASSERT(r < rows_.size());
-    Row& row = rows_[r];
-    std::vector<Weight> values = std::move(row.dist);
-    row.dist.assign(num_columns_, kInfinity);
-    row.dist[row.self] = 0;
+void DistanceStore::move_row_from(LocalId r, DistanceStore& from, LocalId from_row) {
+    AA_ASSERT(r < rows_.size() && from_row < from.rows_.size());
+    AA_ASSERT(from.num_columns_ == num_columns_);
+    AA_ASSERT_MSG(from.rows_[from_row].self == rows_[r].self,
+                  "row moved onto another vertex's slot");
+    rows_[r].dist.swap(from.rows_[from_row].dist);
     touch(r);
+    from.touch(from_row);
     // Dirty state is meaningless for a vacated row.
-    clear_dirty(r);
-    return values;
+    from.clear_dirty(from_row);
 }
 
 std::vector<Weight> DistanceStore::swap_remove_row(LocalId r) {
@@ -406,18 +411,6 @@ std::vector<Weight> DistanceStore::swap_remove_row(LocalId r) {
     }
     touch_stamp_.resize(rows_.size());
     return values;
-}
-
-std::vector<DvEntry> DistanceStore::finite_entries(LocalId r) const {
-    AA_ASSERT(r < rows_.size());
-    const Row& row = rows_[r];
-    std::vector<DvEntry> entries;
-    for (VertexId col = 0; col < num_columns_; ++col) {
-        if (row.dist[col] < kInfinity) {
-            entries.push_back({col, row.dist[col]});
-        }
-    }
-    return entries;
 }
 
 }  // namespace aa

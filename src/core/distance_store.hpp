@@ -29,7 +29,7 @@
 // Concurrency contract: distinct rows may be mutated from distinct threads
 // concurrently (all per-row state — distances, bitset words, pending counts —
 // is disjoint). Concurrent mutation of the *same* row, or structural changes
-// (add_row / grow_columns / install_row / extract_row) concurrent with any
+// (add_row / grow_columns / install_row / move_row_from) concurrent with any
 // access, are data races.
 #pragma once
 
@@ -203,13 +203,17 @@ public:
     /// is never invalidated (d(v, v) = 0 by definition).
     void mark_invalidated(LocalId r, VertexId col);
 
-    /// Install a full row received via migration (Repartition-S). Overwrites
-    /// (the incoming row is the authoritative state for that vertex).
-    void install_row(LocalId r, std::vector<Weight> values);
+    /// Overwrite row r with exactly the given entries, every other column
+    /// kInfinity: a migrated row, read in place from its boundary block. The
+    /// entries must include the zero diagonal; dirty sets are left as is.
+    void install_row(LocalId r, std::span<const VertexId> cols,
+                     std::span<const Weight> dists);
 
-    /// Move row r out (for migration); the row remains but is reset to
-    /// infinity. Returns the values.
-    std::vector<Weight> extract_row(LocalId r);
+    /// Move row `from_row` of `from` (same vertex, same width) into row r in
+    /// O(1): the rows trade value buffers and the source row's dirty sets are
+    /// cleared, so a fresh row r leaves the source row fresh (Repartition-S
+    /// moving a kept row out of a pre-rebuild store).
+    void move_row_from(LocalId r, DistanceStore& from, LocalId from_row);
 
     /// Remove row r entirely by swapping the last row into its slot — the
     /// DistanceStore mirror of LocalSubgraph::release (shard migration).
@@ -217,12 +221,9 @@ public:
     /// counts move with it); the removed row's values are returned.
     std::vector<Weight> swap_remove_row(LocalId r);
 
-    /// Collect (column, distance) pairs of all finite entries of row r.
-    std::vector<DvEntry> finite_entries(LocalId r) const;
-
     /// Drain the touched-row set: invoke fn(self VertexId) once for every row
     /// whose values were mutated since the previous drain (relax/invalidate/
-    /// install/extract — anything that can change the row's closeness sum),
+    /// install/move — anything that can change the row's closeness sum),
     /// then reset the set. Driver thread only, engine idle (same contract as
     /// the boundary hook). The serve layer's snapshot builder reads this to
     /// re-sum only the touched rows instead of all of them. Stamps are

@@ -24,83 +24,59 @@
 
 namespace aa {
 
-namespace {
-
-struct EdgeBroadcast {
-    VertexId from;  // the broadcast carries row(from)
-    VertexId to;    // the other endpoint of the new/changed edge
-    Weight weight;
-    std::vector<DvEntry> entries;  // finite entries of row(from)
-};
-
-std::vector<std::byte> encode_edge_broadcast(const EdgeBroadcast& b) {
-    Serializer out;
-    out.write(b.from);
-    out.write(b.to);
-    out.write(b.weight);
-    out.write_span(std::span<const DvEntry>(b.entries));
-    return out.take();
-}
-
-EdgeBroadcast decode_edge_broadcast(std::span<const std::byte> payload) {
-    Deserializer in(payload);
-    EdgeBroadcast b;
-    b.from = in.read<VertexId>();
-    b.to = in.read<VertexId>();
-    b.weight = in.read<Weight>();
-    b.entries = in.read_vector<DvEntry>();
-    return b;
-}
-
-}  // namespace
-
 double AnytimeEngine::broadcast_edge_update(VertexId from, VertexId to, Weight w) {
     const RankId r_from = ownership_.owner(from);
     const RankId r_to = ownership_.owner(to);
     double total_ops = 0;
 
-    // Tree broadcast of row(from) — paper Figure 3, line 22.
-    EdgeBroadcast b;
-    b.from = from;
-    b.to = to;
-    b.weight = w;
-    b.entries = ranks_[r_from].store.finite_entries(ranks_[r_from].sg.local_id(from));
-    cluster_->charge_compute(r_from, static_cast<double>(b.entries.size()));
-    total_ops += static_cast<double>(b.entries.size());
-    cluster_->broadcast(r_from, MessageTag::NewVertexDvRow,
-                        encode_edge_broadcast(b));
+    // Tree broadcast of row(from) — paper Figure 3, line 22: the (to, weight)
+    // header, then row(from)'s finite entries as one boundary block.
+    Serializer out;
+    out.write(to);
+    out.write(w);
+    out.pad_to(sizeof(Weight));
+    const RankState& sender = ranks_[r_from];
+    const auto entries = static_cast<double>(
+        encode_row_block(out, from, sender.store.row(sender.sg.local_id(from))));
+    cluster_->charge_compute(r_from, entries);
+    total_ops += entries;
+    // The sender reads its own copy of the bytes (read-only from here, so
+    // concurrent rank closures share it), the receivers the delivered one.
+    const std::vector<std::byte> wire = out.take();
+    cluster_->broadcast(r_from, MessageTag::NewVertexDvRow, wire);
 
-    // Apply the update at every rank. Receivers parse the wire payload; the
-    // sender applies its own copy directly (`b` is read-only from here, so
-    // concurrent rank closures may share it).
+    // Apply the update at every rank.
     run_rank_phase(total_ops, [&](RankId r) {
         RankState& state = ranks_[r];
-        const EdgeBroadcast* update = &b;
-        EdgeBroadcast decoded;
+        std::vector<Message> inbox;
+        std::span<const std::byte> payload = wire;
         if (r != r_from) {
-            const auto inbox = cluster_->receive(r);
-            AA_ASSERT(!inbox.empty());
-            decoded = decode_edge_broadcast(inbox.back().bytes());
-            update = &decoded;
+            inbox = cluster_->receive(r);
+            AA_ASSERT(inbox.size() == 1 && inbox[0].tag == MessageTag::NewVertexDvRow);
+            payload = inbox[0].bytes();
         }
+        Deserializer in(payload);
+        const auto header_to = in.read<VertexId>();
+        const auto header_w = in.read<Weight>();
+        AA_ASSERT(header_to == to && header_w == w);
+        std::vector<VertexId> arena;
+        const auto blocks = decode_boundary_block_soa_views(payload, arena, in.consumed());
+        AA_ASSERT(blocks.size() == 1 && blocks[0].vertex == from);
+        const BoundaryBlockSoaView& row = blocks[0];
+        const auto count = static_cast<double>(row.cols.size());
         double ops = 0;
         // Same-rank edge: fold row(from) through the edge into row(to)
         // directly (the cross-rank case is covered by the cut-edge ingestion
         // below, which sees the new edge in its external adjacency).
         if (r == r_to && r_from == r_to) {
-            const LocalId l_to = state.sg.local_id(to);
-            for (const DvEntry& entry : update->entries) {
-                state.store.relax(l_to, entry.column, update->weight + entry.distance);
-                ops += 1;
-            }
+            state.store.relax_batch_soa(state.sg.local_id(to), row.cols, row.dists, w);
+            ops += count;
         }
         // Any rank with a cut edge to `from` ingests the broadcast as it
         // would a boundary-DV update: d(x, t) <= w(x, from) + d(from, t).
         for (const auto& [local, edge_w] : state.sg.external_neighbors(from)) {
-            for (const DvEntry& entry : update->entries) {
-                state.store.relax(local, entry.column, edge_w + entry.distance);
-                ops += 1;
-            }
+            state.store.relax_batch_soa(local, row.cols, row.dists, edge_w);
+            ops += count;
         }
         // Every rank bridges the endpoint columns of its local rows:
         // d(x, to) <= d(x, from) + w and d(x, from) <= d(x, to) + w.
@@ -127,6 +103,7 @@ void AnytimeEngine::anywhere_add(const GrowthBatch& batch,
     AA_ASSERT(assignment.size() == batch.num_new);
     AA_ASSERT_MSG(batch.base_id == graph_.num_vertices(),
                   "batch does not follow the current vertex space");
+    drain_in_flight_updates();
 
     const std::size_t k = batch.num_new;
     const std::size_t new_n = graph_.num_vertices() + k;
@@ -197,6 +174,7 @@ void AnytimeEngine::anywhere_add(const GrowthBatch& batch,
 
 void AnytimeEngine::add_edges(std::span<const Edge> edges) {
     AA_ASSERT_MSG(initialized_, "initialize() must run before dynamic updates");
+    drain_in_flight_updates();
     double dynamic_ops = 0;
 
     for (const Edge& e : edges) {

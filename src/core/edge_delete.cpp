@@ -42,21 +42,6 @@ struct AffectedEdge {
 /// exact and the slack admits no extra suspect beyond exact ties.
 constexpr Weight kSuspectSlack = 1e-9;
 
-/// The receiving half of the cascade's row fan-out (boundary views and
-/// raises, posted through BoundaryFanOut): decode every `tag` payload in rank
-/// r's inbox in place and hand each block to fn(vertex, cols, dists).
-template <class Fn>
-void for_each_received_block(Cluster& cluster, RankId r, MessageTag tag, Fn&& fn) {
-    std::vector<VertexId> arena;  // column arena, reused across messages
-    for (const Message& m : cluster.receive(r)) {
-        AA_ASSERT(m.tag == tag);
-        for (const BoundaryBlockSoaView& block :
-             decode_boundary_block_soa_views(m.bytes(), arena)) {
-            fn(block.vertex, block.cols, block.dists);
-        }
-    }
-}
-
 }  // namespace
 
 ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
@@ -70,6 +55,7 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
 ShrinkReport AnytimeEngine::shrink_and_resettle(const ShrinkBatch& batch) {
     const std::size_t n = graph_.num_vertices();
     const auto num_ranks = cluster_->num_ranks();
+    drain_in_flight_updates();
     ShrinkReport rep;
     double dynamic_ops = 0;
     auto span = phase_span("delete");
@@ -149,33 +135,35 @@ ShrinkReport AnytimeEngine::shrink_and_resettle(const ShrinkBatch& batch) {
     }
     for (const auto& [vtx, dest] : row_requests) {
         const RankId src = ownership_.owner(vtx);
-        RankState& st = ranks_[src];
-        const auto entries = st.store.finite_entries(st.sg.local_id(vtx));
-        cluster_->charge_compute(src, static_cast<double>(entries.size()));
-        dynamic_ops += static_cast<double>(entries.size());
+        const RankState& st = ranks_[src];
         Serializer out;
-        out.write(vtx);
-        out.write_span(std::span<const DvEntry>(entries));
-        cluster_->send(src, dest, MessageTag::ShrinkEndpointRow, out.take(),
-                       entries.size());
+        const std::size_t entries =
+            encode_row_block(out, vtx, st.store.row(st.sg.local_id(vtx)));
+        cluster_->charge_compute(src, static_cast<double>(entries));
+        dynamic_ops += static_cast<double>(entries);
+        cluster_->send(src, dest, MessageTag::ShrinkEndpointRow, out.take(), entries);
     }
-    std::vector<std::unordered_map<VertexId, std::vector<Weight>>> peer_rows(
-        num_ranks);
+    // Remote endpoint rows stay in their payloads: the seed scan reads each
+    // as its block's (cols, dists) view.
+    struct EndpointRow {
+        Message message;
+        std::vector<VertexId> cols;  // the view's decoded columns
+        BoundaryBlockSoaView view;
+    };
+    std::vector<std::map<VertexId, EndpointRow>> endpoint_rows(num_ranks);
     if (!row_requests.empty()) {
         cluster_->exchange();
         for (RankId r = 0; r < num_ranks; ++r) {
-            for (const Message& m : cluster_->receive(r)) {
+            for (Message& m : cluster_->receive(r)) {
                 AA_ASSERT(m.tag == MessageTag::ShrinkEndpointRow);
-                Deserializer in(m.bytes());
-                const auto vtx = in.read<VertexId>();
-                const auto entries = in.read_vector<DvEntry>();
-                auto& dense = peer_rows[r][vtx];
-                dense.assign(n, kInfinity);
-                for (const DvEntry& e : entries) {
-                    dense[e.column] = e.distance;
-                }
-                cluster_->charge_compute(r, static_cast<double>(entries.size()));
-                dynamic_ops += static_cast<double>(entries.size());
+                EndpointRow row{std::move(m), {}, {}};
+                const auto blocks =
+                    decode_boundary_block_soa_views(row.message.bytes(), row.cols);
+                AA_ASSERT(blocks.size() == 1);
+                row.view = blocks[0];  // points at heap buffers that moves keep
+                cluster_->charge_compute(r, static_cast<double>(row.view.cols.size()));
+                dynamic_ops += static_cast<double>(row.view.cols.size());
+                endpoint_rows[r].emplace(row.view.vertex, std::move(row));
             }
         }
     }
@@ -193,23 +181,26 @@ ShrinkReport AnytimeEngine::shrink_and_resettle(const ShrinkBatch& batch) {
         RankState& st = ranks_[ru];
         const LocalId lu = st.sg.local_id(u);
         const auto row_u = st.store.row(lu);
-        std::span<const Weight> row_v;
-        if (ownership_.owner(v) == ru) {
-            row_v = st.store.row(st.sg.local_id(v));
-        } else {
-            row_v = peer_rows[ru].at(v);
-        }
-        for (VertexId t = 0; t < n; ++t) {
-            if (t == u) {
-                continue;
-            }
+        // v's entries in ascending column order: its dense local row, or the
+        // finite entries a remote row's block carries.
+        const auto seed = [&](VertexId t, Weight dv) {
             const Weight du = row_u[t];
-            const Weight dv = row_v[t];
-            if (du < kInfinity && dv < kInfinity &&
+            if (t != u && du < kInfinity && dv < kInfinity &&
                 du >= w_old + dv - kSuspectSlack) {
                 queue[ru].push_back({lu, t});
                 rank_cols[ru].insert(t);
                 ++rep.seed_suspects;
+            }
+        };
+        if (ownership_.owner(v) == ru) {
+            const auto row_v = st.store.row(st.sg.local_id(v));
+            for (VertexId t = 0; t < n; ++t) {
+                seed(t, row_v[t]);
+            }
+        } else {
+            const BoundaryBlockSoaView& row_v = endpoint_rows[ru].at(v).view;
+            for (std::size_t i = 0; i < row_v.cols.size(); ++i) {
+                seed(row_v.cols[i], row_v.dists[i]);
             }
         }
         cluster_->charge_compute(ru, static_cast<double>(n));
@@ -257,7 +248,9 @@ ShrinkReport AnytimeEngine::shrink_and_resettle(const ShrinkBatch& batch) {
             out.write_span(std::span<const VertexId>(cols_t));
             cluster_->broadcast(0, MessageTag::ShrinkAffectedColumns, out.take());
             for (RankId r = 1; r < num_ranks; ++r) {
-                (void)cluster_->receive(r);
+                for (const Message& m : cluster_->receive(r)) {
+                    AA_ASSERT(m.tag == MessageTag::ShrinkAffectedColumns);
+                }
             }
         }
 

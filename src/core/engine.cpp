@@ -195,7 +195,8 @@ double AnytimeEngine::charge_partition_cost(std::size_t vertices, std::size_t ed
     return per_rank * static_cast<double>(num_ranks());
 }
 
-void AnytimeEngine::build_rank_states() {
+void AnytimeEngine::build_rank_states(
+    const std::function<void(RankState&)>& fill_rows) {
     const std::size_t n = graph_.num_vertices();
     ranks_.clear();
     ranks_.reserve(cluster_->num_ranks());
@@ -206,6 +207,9 @@ void AnytimeEngine::build_rank_states() {
         state.store.set_simd_enabled(config_.rc_simd);
         for (const VertexId v : state.sg.local_vertices()) {
             state.store.add_row(v);
+        }
+        if (fill_rows) {
+            fill_rows(state);
         }
     }
     for (const Edge& e : graph_.edges()) {
@@ -266,7 +270,7 @@ void AnytimeEngine::initialize() {
 }
 
 bool AnytimeEngine::quiescent() const {
-    if (cluster_->has_pending_messages()) {
+    if (cluster_->has_pending_messages() || cluster_->mailboxes().has_unreceived()) {
         return false;
     }
     for (const RankState& state : ranks_) {
@@ -622,6 +626,7 @@ std::vector<Weight> AnytimeEngine::distance_row(VertexId v) const {
 Weight AnytimeEngine::query_distance(VertexId u, VertexId v) {
     AA_ASSERT_MSG(initialized_, "initialize() must run first");
     AA_ASSERT(u < ownership_.num_vertices() && v < ownership_.num_vertices());
+    drain_in_flight_updates();
     const RankId owner = ownership_.owner(u);
     const RankState& state = ranks_[owner];
     const Weight result = state.store.at(state.sg.local_id(u), v);
@@ -631,8 +636,11 @@ Weight AnytimeEngine::query_distance(VertexId u, VertexId v) {
         cluster_->send(0, owner, MessageTag::Control, std::vector<std::byte>(8));
         cluster_->send(owner, 0, MessageTag::Control, std::vector<std::byte>(16));
         cluster_->exchange();
-        (void)cluster_->receive(0);
-        (void)cluster_->receive(owner);
+        for (const RankId r : {RankId{0}, owner}) {
+            for (const Message& m : cluster_->receive(r)) {
+                AA_ASSERT(m.tag == MessageTag::Control);
+            }
+        }
     }
     cluster_->charge_compute(owner, 1);
     return result;
@@ -692,6 +700,7 @@ ClosenessScores AnytimeEngine::closeness() const {
 
 ClosenessScores AnytimeEngine::compute_closeness_distributed() {
     AA_ASSERT_MSG(initialized_, "initialize() must run first");
+    drain_in_flight_updates();
     const std::size_t n = graph_.num_vertices();
 
     // Wire triple: (vertex, closeness score, reachable count). The score is
@@ -745,6 +754,7 @@ ClosenessScores AnytimeEngine::compute_closeness_distributed() {
     }
     cluster_->exchange();
     for (const Message& message : cluster_->receive(0)) {
+        AA_ASSERT(message.tag == MessageTag::Control);
         Deserializer in(message.bytes());
         for (const ScoreEntry& entry : in.read_vector<ScoreEntry>()) {
             scores.closeness[entry.vertex] = entry.closeness;

@@ -252,8 +252,9 @@ public:
     std::size_t run_to_quiescence();
 
     /// True when no rank holds unsent/unpropagated changes and no message is
-    /// in flight: the distance vectors equal the exact APSP of the current
-    /// graph (within the relaxation epsilon; exactly, for uniform weights).
+    /// in flight, posted or waiting in an inbox: the distance vectors equal
+    /// the exact APSP of the current graph (within the relaxation epsilon;
+    /// exactly, for uniform weights).
     bool quiescent() const;
 
     // ---- dynamic updates --------------------------------------------------
@@ -514,8 +515,9 @@ private:
         distribute_edge(u, v, [&](LocalSubgraph& sg) { sg.add_local_edge(u, v, w); });
     }
     /// Rebuild every rank's sub-graph and (diagonal-only) distance rows from
-    /// ownership_ and graph_, rows in adoption order.
-    void build_rank_states();
+    /// ownership_ and graph_, rows in adoption order; fill_rows(state) runs as
+    /// soon as a rank's rows exist (Repartition-S moves its rows in there).
+    void build_rank_states(const std::function<void(RankState&)>& fill_rows = {});
     /// Run one per-rank phase body on the execution backend: fn(r) (or
     /// fn(r, sink)) is called once per rank, possibly concurrently — it must
     /// confine itself to rank-r state plus the rank-confined Cluster entry
@@ -546,9 +548,12 @@ private:
     /// Static per-shard weight (vertices + incident edges) the migration
     /// planner scales measured rank load by.
     std::vector<double> shard_static_weights() const;
-    /// Deliver and ingest any in-flight boundary messages (migration
-    /// prologue: blocks addressed under the old shard map must land before
-    /// rows move). Charged like a regular ingest phase.
+    /// Deliver and ingest any in-flight boundary messages — posted or
+    /// delivered but not yet received (a restored checkpoint can hold both) —
+    /// before a call exchanges or receives: blocks addressed under the old
+    /// shard map must land before rows move, and no other receive may drop or
+    /// misparse them. Charged like a regular ingest phase; dispatches nothing
+    /// when every box is empty.
     void drain_in_flight_updates();
     /// Every structural-update path calls this after its local re-settlement:
     /// resets the wavefront certificate to its k = 0 base case, recomputes

@@ -10,9 +10,9 @@
 //   1. Drain in-flight boundary messages. Blocks already posted were
 //      addressed under the old map; their send-lists are drained at the
 //      sender, so a block that never lands is information lost.
-//   2. Sources encode each moving shard — per vertex its adjacency, plus the
-//      finite DV entries as boundary blocks —
-//      and post it to the destination under MessageTag::ShardMigration.
+//   2. Sources encode each moving shard — a header with per vertex its
+//      adjacency, then one row block per vertex (encode_row_block) — and
+//      post it to the destination under MessageTag::ShardMigration.
 //      (Encode strictly before surgery: it reads the live rows.)
 //   3. Republish the shard map: the engine's copy and every rank's replica
 //      repoint the moved shards, priced as one Control broadcast. This must
@@ -20,8 +20,8 @@
 //      adopt_migrated() that it now is.
 //   4. Exchange delivers the payloads; then, rank-confined: destinations
 //      adopt rows (LocalSubgraph::adopt_migrated + DistanceStore::add_row +
-//      install_row in lockstep), sources release them (release +
-//      swap_remove_row on the same slot).
+//      install_row from the block's view, in lockstep), sources release them
+//      (release + swap_remove_row on the same slot).
 //   5. Conservative re-marking plus one local propagate drain restore the
 //      consistency invariants (see the mark rationale inline).
 //
@@ -45,14 +45,16 @@ namespace aa {
 void AnytimeEngine::drain_in_flight_updates() {
     if (cluster_->has_pending_messages()) {
         cluster_->exchange();
+    } else if (!cluster_->mailboxes().has_unreceived()) {
+        return;  // every box is empty: nothing to land, nothing to dispatch
     }
     // Inboxes can also hold messages delivered by earlier collectives but not
     // yet received (the async path's leftovers) — ingest those too, exactly
     // as the next RC step's phase 3 would have.
     run_rank_phase(report_.dynamic_ops, [&](RankId r) {
         const auto inbox = cluster_->receive(r);
-        if (inbox.empty()) {
-            return 0.0;
+        for (const Message& m : inbox) {
+            AA_ASSERT(m.tag == MessageTag::BoundaryDvUpdate);
         }
         const double ops = rc_ingest_updates(
             ranks_[r].sg, ranks_[r].store, inbox, config_.wire_format,
@@ -112,24 +114,21 @@ void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
         if (pm.vertices.empty()) {
             continue;  // metadata-only repoint, nothing on the wire
         }
-        RankState& src = ranks_[pm.move.from];
+        const RankState& src = ranks_[pm.move.from];
+        // Header: (shard, count, per vertex its adjacency); then one row
+        // block per vertex, in the same order.
         Serializer out;
         out.write(pm.move.shard);
         out.write(static_cast<std::uint64_t>(pm.vertices.size()));
-        std::vector<BoundaryBlock> blocks;
-        blocks.reserve(pm.vertices.size());
+        for (const VertexId v : pm.vertices) {
+            out.write(v);
+            out.write_span(src.sg.neighbors(src.sg.local_id(v)));
+        }
+        out.pad_to(sizeof(Weight));
         std::size_t entries = 0;
         for (const VertexId v : pm.vertices) {
-            const LocalId l = src.sg.local_id(v);
-            out.write(v);
-            out.write_span(src.sg.neighbors(l));
-            blocks.push_back({v, src.store.finite_entries(l)});
-            entries += blocks.back().entries.size();
+            entries += encode_row_block(out, v, src.store.row(src.sg.local_id(v)));
         }
-        // Pad so the block region starts 8-aligned within the payload — the
-        // same offsets the encoder assumed, so the distance runs stay aligned.
-        out.pad_to(8);
-        out.write_bytes(encode_boundary_blocks(blocks));
         // Post-kernel accounting: one op per serialized entry, one per row.
         const double ops =
             static_cast<double>(entries) + static_cast<double>(pm.vertices.size());
@@ -188,41 +187,36 @@ void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
 
         // 6a. Adopt arrivals first: a departure's left-behind bookkeeping may
         // reference a vertex arriving in this very batch.
+        std::vector<VertexId> arena;  // column arena, reused across payloads
         for (const Message& message : cluster_->receive(r)) {
-            if (message.tag != MessageTag::ShardMigration) {
-                continue;  // e.g. the Control publish copy — consumed here
+            if (message.tag == MessageTag::Control) {
+                continue;  // the publish copy — consumed here
             }
+            AA_ASSERT_MSG(message.tag == MessageTag::ShardMigration,
+                          "unexpected message tag in a row receive");
             const auto payload = message.bytes();
             Deserializer in(payload);
             (void)in.read<ShardId>();
-            const auto nverts = in.read<std::uint64_t>();
-            std::vector<std::pair<VertexId, std::vector<Neighbor>>> rows;
-            rows.reserve(nverts);
-            for (std::uint64_t i = 0; i < nverts; ++i) {
-                const auto v = in.read<VertexId>();
-                rows.emplace_back(v, in.read_vector<Neighbor>());
+            std::vector<std::pair<VertexId, std::vector<Neighbor>>> rows(
+                in.read<std::uint64_t>());
+            for (auto& [v, adjacency] : rows) {
+                v = in.read<VertexId>();
+                adjacency = in.read_vector<Neighbor>();
             }
-            const std::size_t header = payload.size() - in.remaining();
-            const std::size_t aligned = (header + 7) & ~std::size_t{7};
-            const auto blocks = decode_boundary_blocks(payload.subspan(aligned));
+            const auto blocks = decode_boundary_block_soa_views(payload, arena, in.consumed());
             AA_ASSERT_MSG(blocks.size() == rows.size(),
                           "migration payload row/block mismatch");
             for (std::size_t i = 0; i < rows.size(); ++i) {
-                const VertexId v = rows[i].first;
+                const auto& [v, adjacency] = rows[i];
                 AA_ASSERT(blocks[i].vertex == v);
-                const LocalId local = state.sg.adopt_migrated(v, rows[i].second);
+                const LocalId local = state.sg.adopt_migrated(v, adjacency);
                 const LocalId row = state.store.add_row(v);
                 AA_ASSERT_MSG(row == local, "sg/store slots diverged");
-                std::vector<Weight> values(state.store.num_columns(), kInfinity);
-                for (const DvEntry& e : blocks[i].entries) {
-                    values[e.column] = e.distance;
-                }
-                values[v] = 0;
-                state.store.install_row(local, std::move(values));
+                state.store.install_row(local, blocks[i].cols, blocks[i].dists);
                 // Ingest-style accounting: one op per installed entry + row.
-                ops += static_cast<double>(blocks[i].entries.size()) + 1;
+                ops += static_cast<double>(blocks[i].cols.size()) + 1;
                 arrived.push_back(v);
-                for (const auto& nb : rows[i].second) {
+                for (const auto& nb : adjacency) {
                     if (state.sg.owns(nb.to)) {
                         arrived_neighbors.push_back(nb.to);
                     }

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <numeric>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -20,104 +21,78 @@ namespace {
 constexpr std::uint8_t kColDeltaVarint = 0;
 constexpr std::uint8_t kColRunLength = 1;
 
-/// Wire size of the delta-varint encoding of a strictly ascending column
-/// array: first column absolute, then raw deltas (>= 1 by strictness).
-std::size_t delta_columns_size(std::span<const VertexId> cols) {
-    std::size_t bytes = varint_size(cols[0]);
-    for (std::size_t i = 1; i < cols.size(); ++i) {
-        bytes += varint_size(cols[i] - cols[i - 1]);
-    }
-    return bytes;
-}
-
-/// Wire size and run count of the run-length encoding: varint run count,
-/// then per maximal consecutive run a varint start gap (absolute for the
-/// first run, offset from the previous run's last column otherwise — always
-/// >= 2, since a gap of 1 would merge the runs) and a varint (run length - 1).
-/// Dense blocks — later RC rounds ship near-full rows — collapse to a few
-/// bytes total, which is what pushes the aggregate byte reduction past what
-/// per-entry deltas alone can reach (a delta is never smaller than 1
-/// byte/entry).
-struct RleSize {
-    std::size_t bytes;
-    std::size_t runs;
+/// A maximal run of consecutive columns: both column encodings are sized and
+/// written from a block's runs.
+struct ColumnRun {
+    VertexId start;
+    std::uint32_t length;
 };
 
-RleSize rle_columns_size(std::span<const VertexId> cols) {
-    std::size_t runs = 0;
-    std::size_t bytes = 0;
-    std::size_t i = 0;
-    while (i < cols.size()) {
-        std::size_t j = i + 1;
-        while (j < cols.size() && cols[j] == cols[j - 1] + 1) {
-            ++j;
-        }
-        const std::uint32_t gap =
-            runs == 0 ? cols[i] : cols[i] - cols[i - 1];  // cols[i-1] = prev run end
-        bytes += varint_size(gap) + varint_size(j - i - 1);
-        ++runs;
-        i = j;
-    }
-    return {bytes + varint_size(runs), runs};
+/// Per-thread run scratch of the encoders (rank closures encode
+/// concurrently), cleared, its capacity reused across blocks.
+std::vector<ColumnRun>& run_scratch() {
+    static thread_local std::vector<ColumnRun> runs;
+    runs.clear();
+    return runs;
 }
 
-void write_delta_columns(Serializer& out, std::span<const VertexId> cols) {
-    out.write_varint(cols[0]);
-    for (std::size_t i = 1; i < cols.size(); ++i) {
-        out.write_varint(cols[i] - cols[i - 1]);
+/// Write a block's [u32 vertex][varint count][u8 col_encoding][columns] and
+/// the zero pad that 8-aligns its distance run. Both encodings spend a varint
+/// per run on the gap to it (absolute for the first run, else from the
+/// previous run's last column — always >= 2, or the runs would merge).
+/// Delta-varints (encoding 0) then spend one byte (a delta of 1) per further
+/// column; run-length (encoding 1) spends a leading varint run count and a
+/// varint (length - 1) per run, so dense blocks — later RC rounds ship
+/// near-full rows — collapse to a few bytes. The smaller encoding wins, ties
+/// to delta-varints, so identical inputs always produce identical bytes.
+void write_block_header(Serializer& out, VertexId vertex, std::size_t count,
+                        std::span<const ColumnRun> runs) {
+    const auto gap = [&](std::size_t i) -> std::uint32_t {
+        return i == 0 ? runs[0].start
+                      : runs[i].start - runs[i - 1].start - runs[i - 1].length + 1;
+    };
+    std::size_t delta_bytes = 0;
+    std::size_t rle_bytes = varint_size(runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        delta_bytes += varint_size(gap(i)) + runs[i].length - 1;
+        rle_bytes += varint_size(gap(i)) + varint_size(runs[i].length - 1);
     }
-}
-
-void write_rle_columns(Serializer& out, std::span<const VertexId> cols,
-                       std::size_t num_runs) {
-    out.write_varint(num_runs);
-    std::size_t runs = 0;
-    std::size_t i = 0;
-    while (i < cols.size()) {
-        std::size_t j = i + 1;
-        while (j < cols.size() && cols[j] == cols[j - 1] + 1) {
-            ++j;
-        }
-        out.write_varint(runs == 0 ? cols[i] : cols[i] - cols[i - 1]);
-        out.write_varint(j - i - 1);
-        ++runs;
-        i = j;
-    }
-    AA_ASSERT(runs == num_runs);
-}
-
-/// Encode one block. `cols` must be strictly ascending (asserted); the
-/// encoder deterministically picks the smaller column encoding (tie goes to
-/// delta-varint) so identical inputs always produce identical bytes. The
-/// trailing pad keeps the block size a multiple of 8 — every block in a
-/// concatenated payload therefore starts 8-aligned and its f64 run can be
-/// read in place.
-void encode_block(Serializer& out, VertexId vertex, std::span<const VertexId> cols,
-                     std::span<const Weight> dists) {
-    AA_ASSERT(cols.size() == dists.size());
+    const bool rle = count > 0 && rle_bytes < delta_bytes;
     out.write(vertex);
-    out.write_varint(cols.size());
-    if (cols.empty()) {
-        out.write(kColDeltaVarint);
-    } else {
-        for (std::size_t i = 1; i < cols.size(); ++i) {
-            AA_ASSERT_MSG(cols[i] > cols[i - 1], "boundary block columns not ascending");
-        }
-        const std::size_t delta_bytes = delta_columns_size(cols);
-        // Probe the RLE size only when it can win: it needs at most one
-        // varint pair per run, so with r runs it beats n deltas only if the
-        // run structure is coarse. Computing both sizes is O(n) either way;
-        // keep it simple and exact.
-        const RleSize rle = rle_columns_size(cols);
-        if (rle.bytes < delta_bytes) {
-            out.write(kColRunLength);
-            write_rle_columns(out, cols, rle.runs);
+    out.write_varint(count);
+    out.write(rle ? kColRunLength : kColDeltaVarint);
+    if (rle) {
+        out.write_varint(runs.size());
+    }
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        out.write_varint(gap(i));
+        if (rle) {
+            out.write_varint(runs[i].length - 1);
         } else {
-            out.write(kColDeltaVarint);
-            write_delta_columns(out, cols);
+            for (std::uint32_t k = 1; k < runs[i].length; ++k) {
+                out.write_varint(1);
+            }
         }
     }
     out.pad_to(sizeof(Weight));
+}
+
+/// Encode one block. `cols` must be strictly ascending (asserted). The
+/// block's size is a multiple of 8 — every block in a concatenated payload
+/// therefore starts 8-aligned and its f64 run can be read in place.
+void encode_block(Serializer& out, VertexId vertex, std::span<const VertexId> cols,
+                  std::span<const Weight> dists) {
+    AA_ASSERT(cols.size() == dists.size());
+    std::vector<ColumnRun>& runs = run_scratch();
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+        AA_ASSERT_MSG(i == 0 || cols[i] > cols[i - 1],
+                      "boundary block columns not ascending");
+        if (i == 0 || cols[i] != cols[i - 1] + 1) {
+            runs.push_back({cols[i], 0});
+        }
+        ++runs.back().length;
+    }
+    write_block_header(out, vertex, cols.size(), runs);
     out.write_bytes(std::as_bytes(dists));
 }
 
@@ -178,9 +153,10 @@ ParseError decode_columns(std::span<const std::byte> payload, std::size_t& curso
         const std::uint64_t end = start + len - 1;
         AA_PARSE_CHECK(end <= std::numeric_limits<VertexId>::max(),
                        "boundary block column overflow");
-        for (std::uint64_t c = start; c <= end; ++c) {
-            out.push_back(static_cast<VertexId>(c));
-        }
+        const std::size_t at = out.size();
+        out.resize(at + len);
+        std::iota(out.begin() + static_cast<std::ptrdiff_t>(at), out.end(),
+                  static_cast<VertexId>(start));
         produced += len;
         prev_end = end;
     }
@@ -277,6 +253,31 @@ std::vector<std::byte> encode_boundary_blocks(const std::vector<BoundaryBlock>& 
     return out.take();
 }
 
+std::size_t encode_row_block(Serializer& out, VertexId vertex,
+                             std::span<const Weight> row) {
+    std::vector<ColumnRun>& runs = run_scratch();
+    std::size_t count = 0;
+    for (std::size_t col = 0; col < row.size();) {
+        const std::size_t start = col;
+        while (col < row.size() && row[col] < kInfinity) {
+            ++col;
+        }
+        if (col > start) {
+            runs.push_back({static_cast<VertexId>(start),
+                            static_cast<std::uint32_t>(col - start)});
+            count += col - start;
+        }
+        while (col < row.size() && !(row[col] < kInfinity)) {
+            ++col;
+        }
+    }
+    write_block_header(out, vertex, count, runs);
+    for (const ColumnRun& run : runs) {
+        out.write_bytes(std::as_bytes(row.subspan(run.start, run.length)));
+    }
+    return count;
+}
+
 std::vector<BoundaryBlock> decode_boundary_blocks(std::span<const std::byte> payload) {
     std::vector<BoundaryBlock> blocks;
     std::vector<VertexId> arena;
@@ -292,9 +293,17 @@ std::vector<BoundaryBlock> decode_boundary_blocks(std::span<const std::byte> pay
 }
 
 std::vector<BoundaryBlockSoaView> decode_boundary_block_soa_views(
-    std::span<const std::byte> payload, std::vector<VertexId>& column_arena) {
+    std::span<const std::byte> payload, std::vector<VertexId>& column_arena,
+    std::size_t header_end) {
+    const std::size_t start = (header_end + sizeof(Weight) - 1) & ~(sizeof(Weight) - 1);
+    AA_ASSERT_MSG(start <= payload.size(), "row payload header padding truncated");
+    for (std::size_t i = header_end; i < start; ++i) {
+        AA_ASSERT_MSG(payload[i] == std::byte{0}, "row payload header padding corrupt");
+    }
+    payload = payload.subspan(start);
     std::vector<RawSoaBlock> raw;
     column_arena.clear();
+    column_arena.reserve(payload.size() / sizeof(Weight));  // the walk's bound
     const ParseError error = walk_blocks(payload, column_arena, raw);
     AA_ASSERT_MSG(error == nullptr, error);
     std::vector<BoundaryBlockSoaView> views;

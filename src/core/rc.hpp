@@ -219,6 +219,14 @@ struct BoundaryBlock {
 };
 std::vector<std::byte> encode_boundary_blocks(const std::vector<BoundaryBlock>& blocks);
 
+/// Append one block of a dense DV row's finite entries, byte-equal to
+/// encode_boundary_blocks over them: the encoder of every row-carrying
+/// message. One pass finds the row's runs of finite entries; the column
+/// encoding is picked from the runs and each run's distances are copied
+/// straight from the row. `out` must be 8-aligned where the block starts.
+/// Returns the number of entries written.
+std::size_t encode_row_block(Serializer& out, VertexId vertex, std::span<const Weight> row);
+
 /// Per-destination boundary payloads, built block by block: each block is
 /// encoded once into one shared buffer and its destinations recorded; post()
 /// then allocates every destination's payload at its exact size and copies
@@ -273,14 +281,34 @@ std::vector<BoundaryBlock> decode_boundary_blocks(std::span<const std::byte> pay
 /// materialized). Views are valid while both the payload bytes and the arena
 /// remain alive and the arena is not mutated. Same validation contract as
 /// decode_boundary_blocks; a hostile payload can never force an allocation
-/// larger than O(payload size).
+/// larger than O(payload size). This is the reader of every row-carrying
+/// payload: a typed header ending at `header_end` — (to, weight) for an edge
+/// broadcast, (shard, count, adjacency) for a shard migration, none for the
+/// rest — then zero padding to the next multiple of 8 (asserted), then the
+/// blocks, so every distance run stays 8-aligned in place.
 struct BoundaryBlockSoaView {
     VertexId vertex;
     std::span<const VertexId> cols;
     std::span<const Weight> dists;
 };
 std::vector<BoundaryBlockSoaView> decode_boundary_block_soa_views(
-    std::span<const std::byte> payload, std::vector<VertexId>& column_arena);
+    std::span<const std::byte> payload, std::vector<VertexId>& column_arena,
+    std::size_t header_end = 0);
+
+/// The receiving half of the header-less row messages: drain rank r's inbox
+/// — every message must carry `tag` — decode each payload in place and hand
+/// each block to fn(vertex, cols, dists).
+template <class Fn>
+void for_each_received_block(Cluster& cluster, RankId r, MessageTag tag, Fn&& fn) {
+    std::vector<VertexId> arena;  // column arena, reused across messages
+    for (const Message& m : cluster.receive(r)) {
+        AA_ASSERT_MSG(m.tag == tag, "unexpected message tag in a row receive");
+        for (const BoundaryBlockSoaView& block :
+             decode_boundary_block_soa_views(m.bytes(), arena)) {
+            fn(block.vertex, block.cols, block.dists);
+        }
+    }
+}
 
 /// Non-aborting check of a boundary-update payload that comes from outside
 /// the process (a checkpoint's in-flight messages): the decoders' structural

@@ -7,7 +7,6 @@
 // Repartition-S from a restart), seed the batch edges through the anywhere
 // broadcasts, and let the subsequent RC steps converge the rest.
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/assert.hpp"
 #include "core/engine.hpp"
@@ -16,17 +15,6 @@
 #include "runtime/message.hpp"
 
 namespace aa {
-
-namespace {
-
-/// Wire format for migrated rows: repeated [global vertex][row values].
-void encode_migrated_row(Serializer& out, VertexId vertex,
-                         std::span<const Weight> values) {
-    out.write(vertex);
-    out.write_span(values);
-}
-
-}  // namespace
 
 std::vector<RankId> AnytimeEngine::repartition_owners(std::size_t old_n) {
     const std::size_t new_n = graph_.num_vertices();
@@ -129,6 +117,7 @@ void AnytimeEngine::repartition_add(const GrowthBatch& batch) {
     AA_ASSERT_MSG(initialized_, "initialize() must run before dynamic updates");
     AA_ASSERT_MSG(batch.base_id == graph_.num_vertices(),
                   "batch does not follow the current vertex space");
+    drain_in_flight_updates();
 
     const std::size_t old_n = graph_.num_vertices();
     const std::size_t new_n = old_n + batch.num_new;
@@ -170,11 +159,10 @@ void AnytimeEngine::repartition_add(const GrowthBatch& batch) {
         }
     }
 
-    // ---- 3. Widen every row, then migrate rows whose owner changed. ----
-    // Rows this rank keeps (or receives), keyed by global vertex. Rows with
-    // pending (unpropagated/unsent) changes lose that dirty state in the
-    // rebuild, so they must be re-marked like moved rows.
-    std::vector<std::unordered_map<VertexId, std::vector<Weight>>> retained(num_ranks);
+    // ---- 3. Widen every row, then ship the rows whose owner changed as
+    //          boundary blocks. Rows with pending (unpropagated/unsent)
+    //          changes lose that dirty state in the rebuild, so they must be
+    //          re-marked like moved rows. ----
     std::vector<std::uint8_t> had_pending(new_n, 0);
     {
         auto span = phase_span("repartition.migrate");
@@ -186,25 +174,22 @@ void AnytimeEngine::repartition_add(const GrowthBatch& batch) {
             dynamic_ops += ops;
         }
 
+        std::vector<Serializer> outgoing(num_ranks);
         for (RankId r = 0; r < num_ranks; ++r) {
-            RankState& state = ranks_[r];
-            std::vector<Serializer> outgoing(num_ranks);
+            const RankState& state = ranks_[r];
             for (LocalId l = 0; l < state.sg.num_local(); ++l) {
                 const VertexId g = state.sg.global_id(l);
                 const RankId dest = new_owners[g];
                 had_pending[g] =
                     state.store.has_prop(l) || state.store.has_send(l) ? 1 : 0;
-                auto values = state.store.extract_row(l);
-                if (dest == r) {
-                    retained[r].emplace(g, std::move(values));
-                } else {
-                    encode_migrated_row(outgoing[dest], g, values);
-                    cluster_->charge_compute(r, static_cast<double>(values.size()));
-                    dynamic_ops += static_cast<double>(values.size());
+                if (dest != r) {  // one pass over the row's new_n columns
+                    encode_row_block(outgoing[dest], g, state.store.row(l));
+                    cluster_->charge_compute(r, static_cast<double>(new_n));
+                    dynamic_ops += static_cast<double>(new_n);
                 }
             }
             for (RankId dest = 0; dest < num_ranks; ++dest) {
-                if (dest != r && outgoing[dest].size() > 0) {
+                if (outgoing[dest].size() > 0) {
                     cluster_->send(r, dest, MessageTag::MigratedRows,
                                    outgoing[dest].take());
                 }
@@ -212,49 +197,48 @@ void AnytimeEngine::repartition_add(const GrowthBatch& batch) {
         }
         // The migration uses the same personalized all-to-all as an RC step.
         cluster_->exchange();
-        for (RankId r = 0; r < num_ranks; ++r) {
-            for (const Message& message : cluster_->receive(r)) {
-                if (message.tag != MessageTag::MigratedRows) {
-                    continue;
-                }
-                Deserializer in(message.bytes());
-                while (!in.exhausted()) {
-                    const auto vertex = in.read<VertexId>();
-                    auto values = in.read_vector<Weight>();
-                    cluster_->charge_compute(r, static_cast<double>(values.size()));
-                    dynamic_ops += static_cast<double>(values.size());
-                    retained[r].emplace(vertex, std::move(values));
-                }
-            }
-        }
     }
 
-    // ---- 4. Rebuild rank state under the new ownership. ----
+    // ---- 4. Rebuild rank state under the new ownership. Kept rows move out
+    //          of the old states; migrated rows install from the received
+    //          payloads; new vertices keep their near-empty (diagonal-only)
+    //          rows and are seeded through the edge broadcasts below. ----
     {
         auto span = phase_span("repartition.rebuild");
         // A repartition re-deals the logical shards from scratch: the fresh
         // assignment defines the new shard layout (owner resolution is
         // identical for any shards_per_rank, so this does not perturb
         // bit-identity).
+        std::vector<RankState> old_ranks = std::move(ranks_);
         ownership_ = ShardOwnership::from_partition(new_owners, num_ranks,
                                                     config_.shards_per_rank);
         planner_.reset();
-        build_rank_states();
-        // Install retained/migrated rows; new vertices keep their near-empty
-        // (diagonal-only) rows and are seeded through the edge broadcasts
-        // below.
-        for (RankId r = 0; r < num_ranks; ++r) {
-            RankState& state = ranks_[r];
+        build_rank_states([&](RankState& state) {
+            const RankId r = state.sg.rank();
+            RankState& old = old_ranks[r];
+            std::size_t owed = 0;  // existing rows a payload must still bring
             for (LocalId l = 0; l < state.sg.num_local(); ++l) {
                 const VertexId g = state.sg.global_id(l);
-                const auto it = retained[r].find(g);
-                if (it != retained[r].end()) {
-                    state.store.install_row(l, std::move(it->second));
+                if (g < old_n && old.sg.owns(g)) {
+                    state.store.move_row_from(l, old.store, old.sg.local_id(g));
                 } else {
-                    AA_ASSERT_MSG(g >= old_n, "existing vertex lost its row");
+                    owed += g < old_n ? 1 : 0;
                 }
             }
-        }
+            for_each_received_block(
+                *cluster_, r, MessageTag::MigratedRows,
+                [&](VertexId vertex, std::span<const VertexId> cols,
+                    std::span<const Weight> dists) {
+                    state.store.install_row(state.sg.local_id(vertex), cols, dists);
+                    --owed;
+                    cluster_->charge_compute(r, static_cast<double>(new_n));
+                    dynamic_ops += static_cast<double>(new_n);
+                });
+            AA_ASSERT_MSG(owed == 0, "existing vertex lost its row");
+            // Every row the old state still holds was shipped or replaced:
+            // free it before the next rank's rows are allocated.
+            old = RankState();
+        });
     }
 
     // ---- 5. Seed the batch through the anywhere edge broadcasts (the same

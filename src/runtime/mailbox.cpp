@@ -20,6 +20,11 @@ bool MailboxSystem::has_pending() const {
                        [](const auto& box) { return !box.empty(); });
 }
 
+bool MailboxSystem::has_unreceived() const {
+    return std::any_of(inboxes_.begin(), inboxes_.end(),
+                       [](const auto& box) { return !box.empty(); });
+}
+
 std::size_t MailboxSystem::deliver(
     const std::vector<std::pair<RankId, RankId>>& schedule) {
     std::size_t bytes = 0;

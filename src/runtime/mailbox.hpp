@@ -28,6 +28,9 @@ public:
     /// True if any rank has a buffered outgoing message.
     bool has_pending() const;
 
+    /// True if any rank's inbox holds a delivered message it has not taken.
+    bool has_unreceived() const;
+
     /// Move all outbox messages into receiver inboxes, ordered by the given
     /// (from, to) schedule; pairs without a pending message are skipped.
     /// Messages not covered by the schedule remain buffered. Returns the

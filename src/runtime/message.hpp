@@ -22,7 +22,9 @@ namespace aa {
 /// Application-level tag identifying what a payload contains.
 enum class MessageTag : std::uint32_t {
     BoundaryDvUpdate = 1,   // RC step: changed boundary distance-vector entries
-    NewVertexDvRow = 2,     // vertex addition: broadcast DV row of a new vertex
+    // Edge broadcast: header (to, weight), then the *existing* endpoint's DV
+    // row — for vertex additions, add_edges and weight decreases alike.
+    NewVertexDvRow = 2,
     MigratedRows = 3,       // Repartition-S: DV rows moving to a new owner
     Control = 4,            // small control messages (counts, convergence votes)
     // Fully-dynamic shrink path (core/edge_delete.cpp):
@@ -161,6 +163,7 @@ public:
     }
 
     bool exhausted() const { return cursor_ == data_.size(); }
+    std::size_t consumed() const { return cursor_; }
     std::size_t remaining() const { return data_.size() - cursor_; }
 
 private:
@@ -191,16 +194,6 @@ inline const char* try_read_varint_u32(std::span<const std::byte> data,
         }
     }
     return "varint overlong";
-}
-
-/// try_read_varint_u32 for trusted (in-process) payloads: a malformed
-/// varint dies on the AA_ASSERT contract check with the same message.
-inline std::uint32_t read_varint_u32(std::span<const std::byte> data,
-                                     std::size_t& cursor) {
-    std::uint32_t value = 0;
-    const char* error = try_read_varint_u32(data, cursor, value);
-    AA_ASSERT_MSG(error == nullptr, error);
-    return value;
 }
 
 /// Wire size of a value under the LEB128 encoding above.

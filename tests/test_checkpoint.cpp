@@ -305,6 +305,174 @@ TEST(Checkpoint, ExactResumeAfterDeletion) {
     expect_exact_resume_everywhere(SavePoint::AfterDeletion);
 }
 
+// ---- in-flight mail ---------------------------------------------------------
+//
+// A checkpoint carries in-flight boundary blocks, so a restored engine can
+// hold mail: here one block delivered to rank 0's inbox and one posted
+// toward it. quiescent() must see either kind, and every call that
+// exchanges or receives must land the mail first — ingest it, never drop it,
+// never parse it as its own message — and stay exact at quiescence.
+
+/// Send `u`'s current row to rank 0 as a boundary block over a cut edge
+/// {u, v} with v on rank 0; `deliver` exchanges it into rank 0's inbox.
+void mail_block_to_rank0(AnytimeEngine& engine, bool deliver) {
+    for (const Edge& e : engine.graph().edges()) {
+        for (const auto& [u, v] : {std::pair{e.u, e.v}, std::pair{e.v, e.u}}) {
+            const RankId from = engine.shard_ownership().owner(u);
+            if (from == 0 || engine.shard_ownership().owner(v) != 0) {
+                continue;
+            }
+            BoundaryBlock block{u, {}};
+            const std::vector<Weight> row = engine.distance_row(u);
+            for (VertexId c = 0; c < row.size(); ++c) {
+                if (row[c] < kInfinity) {
+                    block.entries.push_back({c, row[c]});
+                }
+            }
+            const std::size_t entries = block.entries.size();
+            engine.cluster().send(from, 0, MessageTag::BoundaryDvUpdate,
+                                  encode_boundary_blocks({block}), entries);
+            if (deliver) {
+                engine.cluster().exchange();
+            }
+            return;
+        }
+    }
+    FAIL() << "no cut edge into rank 0";
+}
+
+/// A converged engine, saved with a delivered and a posted block, restored.
+AnytimeEngine restored_with_mail(const DynamicGraph& g, const EngineConfig& config) {
+    AnytimeEngine engine(g, config);
+    engine.initialize();
+    engine.run_to_quiescence();
+    mail_block_to_rank0(engine, true);
+    EXPECT_FALSE(engine.quiescent()) << "a delivered block is still in flight";
+    mail_block_to_rank0(engine, false);
+    AnytimeEngine restored = load(save(engine), config);
+    EXPECT_FALSE(restored.quiescent());
+    return restored;
+}
+
+/// Run `call` on a restored engine holding mail, in both exchange modes;
+/// `call` returns the graph the engine must then hold exactly.
+template <class Call>
+void expect_mail_lands(Call&& call) {
+    for (const bool async : {false, true}) {
+        SCOPED_TRACE(async ? "async" : "sync");
+        EngineConfig config = small_config(4);
+        config.rc_async = async;
+        Rng rng(31);
+        const DynamicGraph g = barabasi_albert(50, 2, rng, WeightRange{1.0, 4.0});
+        AnytimeEngine engine = restored_with_mail(g, config);
+        const DynamicGraph expected = call(engine, g);
+        EXPECT_FALSE(engine.cluster().has_pending_messages());
+        EXPECT_FALSE(engine.cluster().mailboxes().has_unreceived());
+        engine.run_to_quiescence();
+        EXPECT_TRUE(engine.quiescent());
+        const auto exact = exact_apsp(expected);
+        const auto matrix = engine.full_distance_matrix();
+        ASSERT_EQ(matrix.size(), exact.size());
+        for (std::size_t v = 0; v < exact.size(); ++v) {
+            for (std::size_t t = 0; t < exact.size(); ++t) {
+                if (exact[v][t] < kInfinity) {
+                    ASSERT_NEAR(matrix[v][t], exact[v][t], 1e-9) << v << "," << t;
+                } else {
+                    ASSERT_GE(matrix[v][t], kInfinity) << v << "," << t;
+                }
+            }
+        }
+    }
+}
+
+TEST(Checkpoint, InFlightMailAddEdges) {
+    expect_mail_lands([](AnytimeEngine& engine, const DynamicGraph& g) {
+        DynamicGraph expected = g;
+        std::vector<Edge> added;
+        for (VertexId u = 0; u < g.num_vertices() && added.size() < 3; u += 5) {
+            const VertexId v = static_cast<VertexId>(g.num_vertices() - 1 - u);
+            if (u < v && !g.has_edge(u, v)) {
+                added.push_back({u, v, 1.5});
+                expected.add_edge(u, v, 1.5);
+            }
+        }
+        engine.add_edges(added);
+        return expected;
+    });
+}
+
+TEST(Checkpoint, InFlightMailVertexAdditions) {
+    RoundRobinPS round_robin;
+    CutEdgePS cut_edge;
+    RepartitionS repartition;
+    for (VertexAdditionStrategy* strategy :
+         std::initializer_list<VertexAdditionStrategy*>{&round_robin, &cut_edge,
+                                                        &repartition}) {
+        SCOPED_TRACE(std::string(strategy->name()));
+        expect_mail_lands([&](AnytimeEngine& engine, const DynamicGraph& g) {
+            GrowthConfig gc;
+            gc.num_new = 5;
+            gc.weights = WeightRange{1.0, 4.0};
+            Rng batch_rng(32);
+            const GrowthBatch batch = grow_batch(g.num_vertices(), gc, batch_rng);
+            engine.apply_addition(batch, *strategy);
+            return apply_batch(g, batch);
+        });
+    }
+}
+
+TEST(Checkpoint, InFlightMailDeletionAndWeightChanges) {
+    expect_mail_lands([](AnytimeEngine& engine, const DynamicGraph& g) {
+        DynamicGraph expected = g;
+        const std::vector<Edge> edges = g.edges();
+        ShrinkBatch shrink;
+        shrink.deletions = {edges[4], edges[21]};
+        shrink.reweights = {Edge{edges[30].u, edges[30].v, edges[30].weight + 2.0}};
+        for (const Edge& e : shrink.deletions) {
+            expected.remove_edge(e.u, e.v);
+        }
+        expected.set_edge_weight(edges[30].u, edges[30].v, edges[30].weight + 2.0);
+        engine.apply_deletion(shrink);
+        // A decrease rides the edge broadcast after the cascade.
+        EXPECT_TRUE(engine.decrease_edge_weight(edges[9].u, edges[9].v, 0.5));
+        expected.set_edge_weight(edges[9].u, edges[9].v, 0.5);
+        return expected;
+    });
+}
+
+TEST(Checkpoint, InFlightMailShardMigration) {
+    expect_mail_lands([](AnytimeEngine& engine, const DynamicGraph& g) {
+        const ShardOwnership& ownership = engine.shard_ownership();
+        for (ShardId s = 0; s < ownership.num_shards(); ++s) {
+            if (ownership.rank_of(s) == 1 && !ownership.shard_vertices(s).empty()) {
+                const std::vector<ShardMove> moves{{s, 1, 3}};
+                engine.migrate_shards(moves);
+                break;
+            }
+        }
+        return g;
+    });
+}
+
+TEST(Checkpoint, InFlightMailClosenessAndQuery) {
+    expect_mail_lands([](AnytimeEngine& engine, const DynamicGraph& g) {
+        const ClosenessScores distributed = engine.compute_closeness_distributed();
+        const ClosenessScores observer = engine.closeness();
+        EXPECT_EQ(distributed.closeness, observer.closeness);
+        EXPECT_EQ(distributed.reachable, observer.reachable);
+        return g;
+    });
+    expect_mail_lands([](AnytimeEngine& engine, const DynamicGraph& g) {
+        VertexId u = 0;
+        while (engine.shard_ownership().owner(u) == 0) {
+            ++u;  // a remote owner: the query is a priced round trip
+        }
+        const Weight d = engine.query_distance(u, 0);
+        EXPECT_EQ(d, engine.distance_row(u)[0]);
+        return g;
+    });
+}
+
 // ---- rejection ------------------------------------------------------------
 
 TEST(Checkpoint, RejectsGarbage) {

@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "core/distance_store.hpp"
+#include "core/rc.hpp"
 
 namespace aa {
 namespace {
@@ -95,25 +96,41 @@ TEST(DistanceStore, MarkRowForPropCollectsFinite) {
 }
 
 TEST(DistanceStore, ExtractAndInstallRow) {
+    // A kept row moves out of one store into a fresh slot of another
+    // (Repartition-S's rebuild); a row that arrives over the wire installs
+    // from its block's view (shard migration, Repartition-S).
     DistanceStore store(3);
     const LocalId r = store.add_row(1);
     store.relax(r, 0, 4.0);
-    auto values = store.extract_row(r);
-    EXPECT_EQ(values[0], 4.0);
-    EXPECT_EQ(values[1], 0.0);
-    // Extracted row resets to fresh state.
+    DistanceStore rebuilt(3);
+    const LocalId slot = rebuilt.add_row(1);
+    rebuilt.move_row_from(slot, store, r);
+    EXPECT_EQ(rebuilt.at(slot, 0), 4.0);
+    EXPECT_EQ(rebuilt.at(slot, 1), 0.0);
+    // The vacated row resets to fresh state.
     EXPECT_GE(store.at(r, 0), kInfinity);
     EXPECT_EQ(store.at(r, 1), 0.0);
     EXPECT_FALSE(store.has_send(r));
-    store.install_row(r, std::move(values));
+    const std::vector<VertexId> cols{0, 1};
+    const std::vector<Weight> dists{4.0, 0.0};
+    store.relax(r, 2, 6.0);
+    store.install_row(r, cols, dists);
     EXPECT_EQ(store.at(r, 0), 4.0);
+    EXPECT_EQ(store.at(r, 1), 0.0);
+    EXPECT_GE(store.at(r, 2), kInfinity);  // columns absent from the view
 }
 
 TEST(DistanceStore, FiniteEntries) {
+    // A row's finite entries travel as one row block.
     DistanceStore store(4);
     const LocalId r = store.add_row(3);
     store.relax(r, 1, 2.5);
-    const auto entries = store.finite_entries(r);
+    Serializer out;
+    EXPECT_EQ(encode_row_block(out, 3, store.row(r)), 2u);
+    const auto blocks = decode_boundary_blocks(out.view());
+    ASSERT_EQ(blocks.size(), 1u);
+    EXPECT_EQ(blocks[0].vertex, 3u);
+    const auto& entries = blocks[0].entries;
     ASSERT_EQ(entries.size(), 2u);
     EXPECT_EQ(entries[0].column, 1u);
     EXPECT_EQ(entries[0].distance, 2.5);

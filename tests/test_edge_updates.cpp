@@ -4,6 +4,7 @@
 
 #include "core/closeness.hpp"
 #include "core/engine.hpp"
+#include "core/rc.hpp"
 #include "graph/generators.hpp"
 
 namespace aa {
@@ -106,6 +107,49 @@ TEST(EdgeAdd, DuplicatesSkipped) {
     engine.run_to_quiescence();
     expect_exact(engine, g);  // unchanged
     EXPECT_EQ(engine.report().edge_additions, 0u);
+}
+
+TEST(EdgeAdd, BroadcastIsOneRowBlock) {
+    // Each endpoint's row is tree-broadcast to the other P - 1 ranks as a
+    // (to, weight) header padded to 16 bytes plus one row block.
+    constexpr std::uint32_t kRanks = 4;
+    Rng rng(7);
+    const DynamicGraph g = barabasi_albert(40, 2, rng, WeightRange{1.0, 3.0});
+    AnytimeEngine engine(g, small_config(kRanks));
+    engine.initialize();
+    engine.run_to_quiescence();
+    Edge e{0, 0, 1.25};
+    for (VertexId v = 1; v < g.num_vertices() && e.v == 0; ++v) {
+        if (!g.has_edge(0, v)) {
+            e.v = v;
+        }
+    }
+    ASSERT_NE(e.v, 0u);
+    // A block's size depends only on its finite columns, and both rows stay
+    // fully finite (the graph is connected), so they can be priced up front.
+    const auto block_bytes = [&](VertexId x) {
+        Serializer out;
+        EXPECT_EQ(encode_row_block(out, x, engine.distance_row(x)), g.num_vertices());
+        return out.size();
+    };
+    const std::size_t row_u = block_bytes(e.u);
+    const std::size_t row_v = block_bytes(e.v);
+    constexpr std::size_t kMessageHeader = 16;
+    constexpr std::size_t kBroadcastHeader = 16;  // u32 to + f64 weight, padded
+    const ClusterStats before = engine.cluster().stats();
+    engine.add_edges({&e, 1});
+    const ClusterStats after = engine.cluster().stats();
+    EXPECT_EQ(after.total_messages - before.total_messages, 2 * (kRanks - 1));
+    EXPECT_EQ(after.total_bytes - before.total_bytes,
+              (kRanks - 1) * (kMessageHeader + kBroadcastHeader + row_u) +
+                  (kRanks - 1) * (kMessageHeader + kBroadcastHeader + row_v));
+    // A dense row is one run: its columns cost a few bytes in all.
+    EXPECT_LE(row_u, 16 + g.num_vertices() * sizeof(Weight));
+
+    engine.run_to_quiescence();
+    DynamicGraph expected = g;
+    expected.add_edge(e.u, e.v, e.weight);
+    expect_exact(engine, expected);
 }
 
 TEST(WeightDecrease, UpdatesShortestPaths) {

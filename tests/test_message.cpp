@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/distance_store.hpp"
 #include "core/rc.hpp"
 #include "runtime/message.hpp"
@@ -91,6 +94,91 @@ TEST(BoundaryBlocks, RoundTrip) {
 
 TEST(BoundaryBlocks, EmptyPayload) {
     EXPECT_TRUE(decode_boundary_blocks({}).empty());
+}
+
+/// The AoS form of a row's finite entries, for the block encoder.
+BoundaryBlock finite_block(VertexId vertex, const std::vector<Weight>& row) {
+    BoundaryBlock block{vertex, {}};
+    for (VertexId c = 0; c < row.size(); ++c) {
+        if (row[c] < kInfinity) {
+            block.entries.push_back({c, row[c]});
+        }
+    }
+    return block;
+}
+
+TEST(BoundaryBlocks, RowEncoderMatchesBlockEncoder) {
+    const std::size_t n = 700;  // columns past 127 and 16383 need 2-3 byte varints
+    std::vector<std::pair<VertexId, std::vector<Weight>>> rows;
+    // Dense: one run, run-length wins.
+    std::vector<Weight> dense(n);
+    for (std::size_t c = 0; c < n; ++c) {
+        dense[c] = 0.5 * static_cast<double>(c) + 1.0;
+    }
+    dense[3] = 0;
+    rows.emplace_back(3, dense);
+    // Infinity gaps of every width, at the row's ends too.
+    std::vector<Weight> gaps = dense;
+    for (std::size_t c = 0; c < n; ++c) {
+        if (c < 2 || c % 97 < c % 7 || (c > 300 && c < 450) || c + 1 == n) {
+            gaps[c] = kInfinity;
+        }
+    }
+    rows.emplace_back(3, gaps);
+    // Isolated finite entries: runs of one, delta-varints win.
+    std::vector<Weight> scattered(n, kInfinity);
+    for (std::size_t c = 5; c < n; c += 3) {
+        scattered[c] = 2.0;
+    }
+    rows.emplace_back(5, scattered);
+    // Diagonal-only: a fresh row (a vertex that reaches nothing yet).
+    std::vector<Weight> diagonal(n, kInfinity);
+    diagonal[n - 2] = 0;
+    rows.emplace_back(static_cast<VertexId>(n - 2), diagonal);
+
+    Serializer all;  // every row, concatenated
+    std::vector<BoundaryBlock> blocks;
+    for (const auto& [vertex, row] : rows) {
+        const BoundaryBlock block = finite_block(vertex, row);
+        Serializer one;
+        EXPECT_EQ(encode_row_block(one, vertex, row), block.entries.size());
+        EXPECT_EQ(one.take(), encode_boundary_blocks({block})) << "vertex " << vertex;
+        encode_row_block(all, vertex, row);
+        blocks.push_back(block);
+    }
+    EXPECT_EQ(all.take(), encode_boundary_blocks(blocks));
+}
+
+TEST(BoundaryBlocks, RowPayloadHeaderThenBlocks) {
+    // A typed header, the zero pad to 8, then row blocks read in place.
+    std::vector<Weight> row(40, kInfinity);
+    row[2] = 0;
+    row[9] = 1.5;
+    row[10] = 2.5;
+    Serializer out;
+    out.write(VertexId{17});
+    out.write(Weight{0.25});
+    out.pad_to(sizeof(Weight));
+    EXPECT_EQ(out.size(), 16u);
+    encode_row_block(out, 2, row);
+    encode_row_block(out, 2, row);
+    const auto payload = out.take();
+
+    Deserializer in(payload);
+    EXPECT_EQ(in.read<VertexId>(), 17u);
+    EXPECT_EQ(in.read<Weight>(), 0.25);
+    std::vector<VertexId> arena;
+    const auto blocks = decode_boundary_block_soa_views(payload, arena, in.consumed());
+    ASSERT_EQ(blocks.size(), 2u);
+    for (const BoundaryBlockSoaView& block : blocks) {
+        EXPECT_EQ(block.vertex, 2u);
+        EXPECT_EQ(std::vector<VertexId>(block.cols.begin(), block.cols.end()),
+                  (std::vector<VertexId>{2, 9, 10}));
+        EXPECT_EQ(std::vector<Weight>(block.dists.begin(), block.dists.end()),
+                  (std::vector<Weight>{0, 1.5, 2.5}));
+        // In place: the distances point into the payload.
+        EXPECT_GE(reinterpret_cast<const std::byte*>(block.dists.data()), payload.data());
+    }
 }
 
 }  // namespace

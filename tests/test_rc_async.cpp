@@ -386,10 +386,10 @@ void expect_golden(const GoldenRun& got, const GoldenRun& want) {
 
 // The two modes share the matrix (bit-identical results) and differ in the
 // timeline; both backends must reproduce their mode's values exactly.
-constexpr GoldenRun kSyncGolden{0x1.71473f58c38b2p-5, 9, 0xc447188a360b5f80,
-                                0xcda422cdf0d777ff, 0x25c6c15bdd5f34c4};
-constexpr GoldenRun kAsyncGolden{0x1.712a978ae752ap-5, 9, 0x6e317c48541a3458,
-                                 0xcda422cdf0d777ff, 0x908735c15725fcdf};
+constexpr GoldenRun kSyncGolden{0x1.6e8dda256ba28p-5, 9, 0x069f2a255fe661fe,
+                                0xcda422cdf0d777ff, 0xdf516aeacbff601e};
+constexpr GoldenRun kAsyncGolden{0x1.6e7132578f6ap-5, 9, 0xc2c7c162641965c7,
+                                 0xcda422cdf0d777ff, 0xdd415207ab07fec9};
 
 TEST(RcStepGolden, SyncSequential) {
     expect_golden(run_golden(false, BackendKind::Sequential), kSyncGolden);

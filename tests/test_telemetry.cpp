@@ -535,11 +535,11 @@ void expect_telemetry_golden(const TelemetryGoldenRun& got,
 // checkpoint became an exact restore (no resweep after the load); the
 // restored clock is pinned independently against the uninterrupted saver.
 constexpr TelemetryGoldenRun kSyncTelemetryGolden{
-    0x1.4f6ap+16,          0x1.60a8p+14,       0x1.649cd165ff7d3p-6,
-    0x1.b2766564ea0f8p-8, 0x1547cfa22326651a, 0x7c578d348391d5a8};
+    0x1.4f6ap+16,          0x1.60a8p+14,       0x1.5c920d5f215efp-6,
+    0x1.ab9711f194462p-8, 0x1547cfa22326651a, 0x2944ee8b0ee0616a};
 constexpr TelemetryGoldenRun kAsyncTelemetryGolden{
-    0x1.4f6ap+16,          0x1.60a8p+14,       0x1.6453b1c8917f4p-6,
-    0x1.b1e46f2dc0ad4p-8, 0x1547cfa22326651a, 0x207f8fff0c27d6a9};
+    0x1.4f6ap+16,          0x1.60a8p+14,       0x1.5c48edc1b360fp-6,
+    0x1.ab051bba6ae3ep-8, 0x1547cfa22326651a, 0xb9c36ac39f0161e1};
 
 TEST(TelemetryGolden, EveryUpdatePathSyncSequential) {
     expect_telemetry_golden(run_telemetry_golden(false, BackendKind::Sequential),

@@ -408,7 +408,7 @@ AnytimeEngine AnytimeEngine::load_checkpoint(std::istream& in, EngineConfig conf
     for (RankId r = 0; r < num_ranks; ++r) {
         LocalSubgraph& sg = ranks[r].sg;
         sg = LocalSubgraph(r, ShardOwnership{});
-        sg.reset_ownership(ownership);
+        sg.set_ownership(ownership);
         const std::size_t rows = reader.count(sizeof(VertexId) + 8, "rank row");
         for (std::size_t i = 0; i < rows; ++i) {
             const auto v = reader.get<VertexId>();

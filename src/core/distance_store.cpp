@@ -357,13 +357,6 @@ void DistanceStore::mark_invalidated(LocalId r, VertexId col) {
     mark_for_send(r, col);
 }
 
-void DistanceStore::clear_dirty(LocalId r) {
-    for (DirtyBits* set : {&prop_, &send_}) {
-        std::fill_n(slice(*set, r), words_per_row_, std::uint64_t{0});
-        set->pending[r] = 0;
-    }
-}
-
 void DistanceStore::install_row(LocalId r, std::span<const VertexId> cols,
                                 std::span<const Weight> dists) {
     AA_ASSERT(r < rows_.size());
@@ -378,21 +371,13 @@ void DistanceStore::install_row(LocalId r, std::span<const VertexId> cols,
     AA_ASSERT_MSG(row.dist[row.self] == 0, "migrated row lost its zero diagonal");
 }
 
-void DistanceStore::move_row_from(LocalId r, DistanceStore& from, LocalId from_row) {
-    AA_ASSERT(r < rows_.size() && from_row < from.rows_.size());
-    AA_ASSERT(from.num_columns_ == num_columns_);
-    AA_ASSERT_MSG(from.rows_[from_row].self == rows_[r].self,
-                  "row moved onto another vertex's slot");
-    rows_[r].dist.swap(from.rows_[from_row].dist);
-    touch(r);
-    from.touch(from_row);
-    // Dirty state is meaningless for a vacated row.
-    from.clear_dirty(from_row);
+void DistanceStore::free_row(LocalId r) {
+    AA_ASSERT(r < rows_.size());
+    std::vector<Weight>().swap(rows_[r].dist);
 }
 
-std::vector<Weight> DistanceStore::swap_remove_row(LocalId r) {
+void DistanceStore::swap_remove_row(LocalId r) {
     AA_ASSERT(r < rows_.size());
-    std::vector<Weight> values = std::move(rows_[r].dist);
     const auto last = static_cast<LocalId>(rows_.size() - 1);
     if (r != last) {
         rows_[r] = std::move(rows_[last]);
@@ -410,7 +395,6 @@ std::vector<Weight> DistanceStore::swap_remove_row(LocalId r) {
         set->pending.pop_back();
     }
     touch_stamp_.resize(rows_.size());
-    return values;
 }
 
 }  // namespace aa

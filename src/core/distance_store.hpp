@@ -29,7 +29,7 @@
 // Concurrency contract: distinct rows may be mutated from distinct threads
 // concurrently (all per-row state — distances, bitset words, pending counts —
 // is disjoint). Concurrent mutation of the *same* row, or structural changes
-// (add_row / grow_columns / install_row / move_row_from) concurrent with any
+// (add_row / grow_columns / install_row / swap_remove_row) concurrent with any
 // access, are data races.
 #pragma once
 
@@ -182,8 +182,8 @@ public:
     void mark_row_for_send(LocalId r);
 
     /// Mark every finite entry of row r for local propagation — used after
-    /// Repartition-S rebuilds rank state: newly co-located rows have never
-    /// been relaxed against each other, so a full local sweep is owed.
+    /// a row move: newly co-located rows have never been relaxed against
+    /// each other, so a full local sweep is owed.
     void mark_row_for_prop(LocalId r);
 
     /// Mark a single (finite) entry for local propagation without touching
@@ -209,17 +209,17 @@ public:
     void install_row(LocalId r, std::span<const VertexId> cols,
                      std::span<const Weight> dists);
 
-    /// Move row `from_row` of `from` (same vertex, same width) into row r in
-    /// O(1): the rows trade value buffers and the source row's dirty sets are
-    /// cleared, so a fresh row r leaves the source row fresh (Repartition-S
-    /// moving a kept row out of a pre-rebuild store).
-    void move_row_from(LocalId r, DistanceStore& from, LocalId from_row);
+    /// Free row r's values once they have been shipped (the row move's
+    /// sources, right after encoding, so the rows arriving next reuse the
+    /// memory). Until swap_remove_row(r) removes the slot, the row must not
+    /// be read or written.
+    void free_row(LocalId r);
 
     /// Remove row r entirely by swapping the last row into its slot — the
-    /// DistanceStore mirror of LocalSubgraph::release (shard migration).
-    /// The displaced row keeps its dirty sets (its bitset slices and pending
-    /// counts move with it); the removed row's values are returned.
-    std::vector<Weight> swap_remove_row(LocalId r);
+    /// DistanceStore mirror of LocalSubgraph::release (the row move). The
+    /// displaced row keeps its dirty sets (its bitset slices and pending
+    /// counts move with it).
+    void swap_remove_row(LocalId r);
 
     /// Drain the touched-row set: invoke fn(self VertexId) once for every row
     /// whose values were mutated since the previous drain (relax/invalidate/
@@ -302,8 +302,6 @@ private:
     /// like the rest of the per-row state: concurrent sweeps over distinct
     /// rows write distinct stamp slots.
     void touch(LocalId r) { touch_stamp_[r] = touch_epoch_; }
-
-    void clear_dirty(LocalId r);
 
     std::vector<Row> rows_;
     std::size_t num_columns_{0};

@@ -1,6 +1,8 @@
 // Anywhere dynamic updates built on the edge-addition algorithm of the
 // authors' prior work [9]:
-//   * AnytimeEngine::anywhere_add      — vertex additions (paper Figure 3),
+//   * AnytimeEngine::anywhere_add      — vertex additions (paper Figure 3;
+//                                        integrate_batch is its body, which
+//                                        Repartition-S shares),
 //   * AnytimeEngine::add_edges         — edge additions between existing
 //                                        vertices ("new relationship
 //                                        formations", [9]).
@@ -104,15 +106,36 @@ void AnytimeEngine::anywhere_add(const GrowthBatch& batch,
     AA_ASSERT_MSG(batch.base_id == graph_.num_vertices(),
                   "batch does not follow the current vertex space");
     drain_in_flight_updates();
+    const std::vector<Edge> inserted = grow_graph(batch);
+    report_.dynamic_ops += integrate_batch(batch, inserted, assignment);
+    note_structural_change();
+}
 
+std::vector<Edge> AnytimeEngine::grow_graph(const GrowthBatch& batch) {
+    graph_.add_vertices(batch.num_new);
+    std::vector<Edge> inserted;
+    for (const Edge& e : batch.edges) {
+        const VertexId lo = std::min(e.u, e.v);
+        const VertexId hi = std::max(e.u, e.v);
+        AA_ASSERT_MSG(hi >= batch.base_id, "batch edge touches no new vertex");
+        if (graph_.add_edge(lo, hi, e.weight)) {
+            inserted.push_back({lo, hi, e.weight});
+        }
+    }
+    return inserted;
+}
+
+double AnytimeEngine::integrate_batch(const GrowthBatch& batch,
+                                      std::span<const Edge> inserted,
+                                      std::span<const RankId> assignment) {
     const std::size_t k = batch.num_new;
-    const std::size_t new_n = graph_.num_vertices() + k;
+    const std::size_t new_n = graph_.num_vertices();
+    AA_ASSERT(assignment.size() == k && batch.base_id + k == new_n);
     double dynamic_ops = 0;
 
     // ---- 1. Structural extension (Figure 3, lines 11-18). ----
     {
         auto span = phase_span("add.extend");
-        graph_.add_vertices(k);
         ownership_.extend(assignment);
         run_rank_phase(dynamic_ops, [&](RankId r) {
             RankState& state = ranks_[r];
@@ -145,15 +168,9 @@ void AnytimeEngine::anywhere_add(const GrowthBatch& batch,
     {
         auto span = phase_span("add.broadcast");
         const double ops_before_edges = dynamic_ops;
-        for (const Edge& e : batch.edges) {
-            const VertexId lo = std::min(e.u, e.v);
-            const VertexId hi = std::max(e.u, e.v);
-            AA_ASSERT_MSG(hi >= batch.base_id, "batch edge touches no new vertex");
-            if (!graph_.add_edge(lo, hi, e.weight)) {
-                continue;  // duplicate within the batch
-            }
-            distribute_edge(lo, hi, e.weight);
-            dynamic_ops += broadcast_edge_update(lo, hi, e.weight);
+        for (const Edge& e : inserted) {
+            distribute_edge(e.u, e.v, e.weight);
+            dynamic_ops += broadcast_edge_update(e.u, e.v, e.weight);
         }
         span.add(dynamic_ops - ops_before_edges);
         if (span) {
@@ -168,8 +185,7 @@ void AnytimeEngine::anywhere_add(const GrowthBatch& batch,
         settle_ranks(dynamic_ops);
         span.add(dynamic_ops - ops_before_prop);
     }
-    report_.dynamic_ops += dynamic_ops;
-    note_structural_change();
+    return dynamic_ops;
 }
 
 void AnytimeEngine::add_edges(std::span<const Edge> edges) {

@@ -195,8 +195,7 @@ double AnytimeEngine::charge_partition_cost(std::size_t vertices, std::size_t ed
     return per_rank * static_cast<double>(num_ranks());
 }
 
-void AnytimeEngine::build_rank_states(
-    const std::function<void(RankState&)>& fill_rows) {
+void AnytimeEngine::build_rank_states() {
     const std::size_t n = graph_.num_vertices();
     ranks_.clear();
     ranks_.reserve(cluster_->num_ranks());
@@ -207,9 +206,6 @@ void AnytimeEngine::build_rank_states(
         state.store.set_simd_enabled(config_.rc_simd);
         for (const VertexId v : state.sg.local_vertices()) {
             state.store.add_row(v);
-        }
-        if (fill_rows) {
-            fill_rows(state);
         }
     }
     for (const Edge& e : graph_.edges()) {

@@ -269,8 +269,9 @@ public:
     /// new vertex). RoundRobin-PS / CutEdge-PS call this.
     void anywhere_add(const GrowthBatch& batch, const std::vector<RankId>& assignment);
 
-    /// Repartition-S: integrate the batch structurally, repartition the whole
-    /// grown graph, migrate DV rows to their new owners, seed new rows.
+    /// Repartition-S: repartition the whole grown graph, move the existing
+    /// DV rows to their new owners through the shard-migration protocol,
+    /// then integrate the batch as anywhere_add does.
     void repartition_add(const GrowthBatch& batch);
 
     /// Anywhere edge additions between *existing* vertices (the authors'
@@ -297,7 +298,7 @@ public:
 
     // ---- incremental shard migration ---------------------------------------
 
-    /// Apply the given shard moves through the migration protocol
+    /// Apply the given shard moves through the engine's row move
     /// (core/migrate.cpp): drain in-flight boundary messages, ship each
     /// moving shard's DV rows + adjacency over the wire (boundary-block
     /// encoding), republish the shard map, splice the rows out
@@ -514,10 +515,9 @@ private:
     void distribute_edge(VertexId u, VertexId v, Weight w) {
         distribute_edge(u, v, [&](LocalSubgraph& sg) { sg.add_local_edge(u, v, w); });
     }
-    /// Rebuild every rank's sub-graph and (diagonal-only) distance rows from
-    /// ownership_ and graph_, rows in adoption order; fill_rows(state) runs as
-    /// soon as a rank's rows exist (Repartition-S moves its rows in there).
-    void build_rank_states(const std::function<void(RankState&)>& fill_rows = {});
+    /// Build every rank's sub-graph and (diagonal-only) distance rows from
+    /// ownership_ and graph_, rows in adoption order.
+    void build_rank_states();
     /// Run one per-rank phase body on the execution backend: fn(r) (or
     /// fn(r, sink)) is called once per rank, possibly concurrently — it must
     /// confine itself to rank-r state plus the rank-confined Cluster entry
@@ -574,6 +574,24 @@ private:
     /// Broadcast row(from) and apply the new/changed edge {from, to, w}
     /// everywhere it can bind immediately. Returns the ops charged.
     double broadcast_edge_update(VertexId from, VertexId to, Weight w);
+    /// The engine's one row move (core/migrate.cpp): make `target` (over the
+    /// current vertices) the ownership map, shipping every row whose owner
+    /// changes with its adjacency, splicing it out of / into the rank states
+    /// in place, re-marking what the move invalidates and draining the local
+    /// sweep. Shard migration and Repartition-S both call it. Returns the
+    /// ops charged.
+    double move_rows(ShardOwnership target);
+    /// Add a vertex batch's vertices and edges to graph_; returns the
+    /// inserted edges as (lower, higher) pairs in batch order (a batch edge
+    /// repeated as u v or v u is inserted once).
+    std::vector<Edge> grow_graph(const GrowthBatch& batch);
+    /// The anywhere integration of a batch already in graph_ (paper Figure 3,
+    /// shared by every vertex-addition strategy): extend the ownership by the
+    /// new vertices' owners (`assignment[i]` for the i-th), add their
+    /// diagonal rows, distribute and broadcast each inserted edge, settle.
+    /// Returns the ops charged.
+    double integrate_batch(const GrowthBatch& batch, std::span<const Edge> inserted,
+                           std::span<const RankId> assignment);
 
     DynamicGraph graph_;  // ground-truth mirror of the distributed graph
     EngineConfig config_;

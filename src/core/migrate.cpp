@@ -1,36 +1,39 @@
-// AnytimeEngine::migrate_shards — incremental shard migration.
-//
-// Moving a shard is the surgical counterpart of Repartition-S's wholesale
-// rebuild: repoint one logical shard in the (replicated) shard map, ship its
-// DV rows and adjacency to the new owner over the wire, and splice the rows
-// out of / into the two rank states in place. Everything else — every other
-// row, every other rank — keeps its state, marks and worklists untouched.
+// The engine's one row move: AnytimeEngine::move_rows, and its two callers'
+// shared protocol. Shard migration (migrate_shards, below) repoints shards;
+// Repartition-S (core/repartition.cpp) installs a fresh partition. Both hand
+// the target ownership map to move_rows, which ships every row whose owner
+// changes, with its adjacency, over the wire and splices the rows out of /
+// into the rank states in place. Every other row keeps its state, marks and
+// worklists untouched.
 //
 // Protocol (order is load-bearing):
 //   1. Drain in-flight boundary messages. Blocks already posted were
 //      addressed under the old map; their send-lists are drained at the
 //      sender, so a block that never lands is information lost.
-//   2. Sources encode each moving shard — a header with per vertex its
-//      adjacency, then one row block per vertex (encode_row_block) — and
-//      post it to the destination under MessageTag::ShardMigration.
-//      (Encode strictly before surgery: it reads the live rows.)
-//   3. Republish the shard map: the engine's copy and every rank's replica
-//      repoint the moved shards, priced as one Control broadcast. This must
+//   2. Sources encode the moving rows, one message per (source, destination)
+//      pair under MessageTag::ShardMigration: a header with the row count and
+//      per vertex its adjacency, then one row block per vertex
+//      (encode_row_block). Encode strictly before surgery: it reads the live
+//      rows, whose values it then frees (DistanceStore::free_row).
+//   3. Exchange: the payloads are priced and delivered like any all-to-all.
+//   4. Publish the map, priced as one Control broadcast carrying its delta;
+//      the engine's copy and every rank's replica are replaced. This must
 //      precede the surgery — release() asserts the vertex is no longer owned,
 //      adopt_migrated() that it now is.
-//   4. Exchange delivers the payloads; then, rank-confined: destinations
-//      adopt rows (LocalSubgraph::adopt_migrated + DistanceStore::add_row +
-//      install_row from the block's view, in lockstep), sources release them
-//      (release + swap_remove_row on the same slot).
-//   5. Conservative re-marking plus one local propagate drain restore the
+//   5. Rank-confined surgery: destinations adopt rows
+//      (LocalSubgraph::adopt_migrated + DistanceStore::add_row + install_row
+//      from the block's view, in lockstep), sources release them (release +
+//      swap_remove_row on the same slot).
+//   6. Conservative re-marking plus one local propagate drain restore the
 //      consistency invariants (see the mark rationale inline).
 //
 // Correctness: a moved row carries every contribution it ever relaxed in, so
 // unmoved rows owe it nothing that the marks below don't re-send; relaxation
 // is monotone, so the conservative extra marks only re-attempt relaxations
-// that cannot change converged values. At quiescence the state is
-// bit-identical to a from-scratch engine on the final assignment (pinned by
-// the Migrate tests).
+// that cannot change converged values; pending marks of unmoved rows survive
+// the surgery. At quiescence the state is bit-identical to a from-scratch
+// engine on the final assignment (pinned by the Migrate and Repartition
+// tests).
 #include <algorithm>
 #include <utility>
 #include <vector>
@@ -64,103 +67,96 @@ void AnytimeEngine::drain_in_flight_updates() {
     });
 }
 
-void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
-    AA_ASSERT_MSG(initialized_, "initialize() must run before migration");
+double AnytimeEngine::move_rows(ShardOwnership target) {
+    AA_ASSERT(target.num_vertices() == ownership_.num_vertices());
     const auto num_ranks = static_cast<RankId>(ranks_.size());
-
-    // Validate sequentially against a scratch map: unknown shards, stale
-    // `from` ranks, self-moves and repeated shards are skipped as no-ops.
-    std::vector<ShardMove> applied;
-    {
-        std::vector<RankId> map = ownership_.shard_map();
-        std::vector<std::uint8_t> seen(map.size(), 0);
-        for (const ShardMove& m : moves) {
-            if (m.shard >= map.size() || m.to >= num_ranks ||
-                seen[m.shard] != 0 || map[m.shard] != m.from ||
-                m.from == m.to) {
-                continue;
-            }
-            seen[m.shard] = 1;
-            map[m.shard] = m.to;
-            applied.push_back(m);
-        }
-    }
-    if (applied.empty()) {
-        return;
-    }
-
-    auto span = phase_span("migrate");
+    const auto n = static_cast<double>(ownership_.num_vertices());
     double dynamic_ops = 0;
-    const auto n = static_cast<double>(graph_.num_vertices());
 
     // ---- 1. Land every in-flight block under the old map. ----
     drain_in_flight_updates();
 
-    // ---- 2. Snapshot each moving shard's vertex set (old map). ----
-    struct PlannedMove {
-        ShardMove move;
-        std::vector<VertexId> vertices;
+    // The moving vertices per (from, to) pair, ascending.
+    std::vector<std::vector<VertexId>> moving(std::size_t{num_ranks} * num_ranks);
+    const auto pair = [num_ranks](RankId from, RankId to) {
+        return std::size_t{from} * num_ranks + to;
     };
-    std::vector<PlannedMove> planned;
-    planned.reserve(applied.size());
-    std::size_t moved_rows = 0;
-    for (const ShardMove& m : applied) {
-        planned.push_back({m, ownership_.shard_vertices(m.shard)});
-        moved_rows += planned.back().vertices.size();
+    for (VertexId v = 0; v < target.num_vertices(); ++v) {
+        const RankId from = ownership_.owner(v);
+        const RankId to = target.owner(v);
+        if (from != to) {
+            moving[pair(from, to)].push_back(v);
+        }
     }
 
-    // ---- 3. Sources encode & post the moving rows. ----
-    for (const PlannedMove& pm : planned) {
-        if (pm.vertices.empty()) {
-            continue;  // metadata-only repoint, nothing on the wire
+    // ---- 2. Sources encode & post the moving rows, then free them: the
+    //          payload carries the values from here on. Encoding runs on the
+    //          driver so that the payloads and the freed rows come from one
+    //          heap the arrivals can reuse (encoding inside rank closures
+    //          raised the grow workload's peak RSS by a quarter). ----
+    for (RankId r = 0; r < num_ranks; ++r) {
+        RankState& src = ranks_[r];
+        for (RankId to = 0; to < num_ranks; ++to) {
+            const std::vector<VertexId>& vertices = moving[pair(r, to)];
+            if (vertices.empty()) {
+                continue;
+            }
+            // Header: (count, per vertex its adjacency); then one row block
+            // per vertex, in the same order.
+            Serializer out;
+            out.write(static_cast<std::uint64_t>(vertices.size()));
+            for (const VertexId v : vertices) {
+                out.write(v);
+                out.write_span(src.sg.neighbors(src.sg.local_id(v)));
+            }
+            out.pad_to(sizeof(Weight));
+            std::size_t entries = 0;
+            for (const VertexId v : vertices) {
+                entries += encode_row_block(out, v, src.store.row(src.sg.local_id(v)));
+            }
+            // Post-kernel accounting: one op per serialized entry, one per row.
+            const double ops =
+                static_cast<double>(entries) + static_cast<double>(vertices.size());
+            cluster_->charge_compute(r, ops);
+            dynamic_ops += ops;
+            cluster_->send(r, to, MessageTag::ShardMigration, out.take(), entries);
+            for (const VertexId v : vertices) {
+                src.store.free_row(src.sg.local_id(v));
+            }
         }
-        const RankState& src = ranks_[pm.move.from];
-        // Header: (shard, count, per vertex its adjacency); then one row
-        // block per vertex, in the same order.
-        Serializer out;
-        out.write(pm.move.shard);
-        out.write(static_cast<std::uint64_t>(pm.vertices.size()));
-        for (const VertexId v : pm.vertices) {
-            out.write(v);
-            out.write_span(src.sg.neighbors(src.sg.local_id(v)));
-        }
-        out.pad_to(sizeof(Weight));
-        std::size_t entries = 0;
-        for (const VertexId v : pm.vertices) {
-            entries += encode_row_block(out, v, src.store.row(src.sg.local_id(v)));
-        }
-        // Post-kernel accounting: one op per serialized entry, one per row.
-        const double ops =
-            static_cast<double>(entries) + static_cast<double>(pm.vertices.size());
-        cluster_->charge_compute(pm.move.from, ops);
-        dynamic_ops += ops;
-        cluster_->send(pm.move.from, pm.move.to, MessageTag::ShardMigration,
-                       out.take(), entries);
     }
 
-    // ---- 4. Republish the shard map before any surgery. ----
+    // ---- 3. Price and deliver the payloads. ----
+    cluster_->exchange();
+
+    // ---- 4. Publish the map before any surgery: a Control broadcast of its
+    //          delta — (shard, from, to) per repointed or new shard, (vertex,
+    //          shard) per vertex that changes shard. ----
     {
-        // Price the publish as one small control broadcast (shard, from, to
-        // per move); the map repointing itself is O(moves) on each rank.
         Serializer control;
-        for (const PlannedMove& pm : planned) {
-            control.write(pm.move.shard);
-            control.write(pm.move.from);
-            control.write(pm.move.to);
+        for (ShardId s = 0; s < target.num_shards(); ++s) {
+            const RankId from =
+                s < ownership_.num_shards() ? ownership_.rank_of(s) : num_ranks;
+            if (from != target.rank_of(s)) {
+                control.write(s);
+                control.write(from);
+                control.write(target.rank_of(s));
+            }
+        }
+        for (VertexId v = 0; v < target.num_vertices(); ++v) {
+            if (ownership_.shard(v) != target.shard(v)) {
+                control.write(v);
+                control.write(target.shard(v));
+            }
         }
         cluster_->broadcast(0, MessageTag::Control, control.take());
     }
-    for (const PlannedMove& pm : planned) {
-        ownership_.set_shard_rank(pm.move.shard, pm.move.to);
-        for (RankId r = 0; r < num_ranks; ++r) {
-            ranks_[r].sg.set_shard_rank(pm.move.shard, pm.move.to);
-        }
+    ownership_ = std::move(target);
+    for (RankState& state : ranks_) {
+        state.sg.set_ownership(ownership_);
     }
 
-    // ---- 5. Deliver the payloads. ----
-    cluster_->exchange();
-
-    // ---- 6. Surgery + conservative re-marking, rank-confined. ----
+    // ---- 5. Surgery + conservative re-marking, rank-confined. ----
     run_rank_phase(dynamic_ops, [&, this](RankId r) {
         RankState& state = ranks_[r];
         double ops = 0;
@@ -172,11 +168,8 @@ void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
         std::vector<VertexId> left_behind;       // local neighbors of departures
 
         // Departures' left-behind neighbors, read before the rows go.
-        for (const PlannedMove& pm : planned) {
-            if (pm.move.from != r) {
-                continue;
-            }
-            for (const VertexId v : pm.vertices) {
+        for (RankId to = 0; to < num_ranks; ++to) {
+            for (const VertexId v : moving[pair(r, to)]) {
                 for (const Neighbor& nb : state.sg.neighbors(state.sg.local_id(v))) {
                     if (state.sg.owns(nb.to)) {  // stays here (new map)
                         left_behind.push_back(nb.to);
@@ -185,8 +178,8 @@ void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
             }
         }
 
-        // 6a. Adopt arrivals first: a departure's left-behind bookkeeping may
-        // reference a vertex arriving in this very batch.
+        // 5a. Adopt arrivals first: a departure's left-behind bookkeeping may
+        // reference a vertex arriving in this very move.
         std::vector<VertexId> arena;  // column arena, reused across payloads
         for (const Message& message : cluster_->receive(r)) {
             if (message.tag == MessageTag::Control) {
@@ -196,7 +189,6 @@ void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
                           "unexpected message tag in a row receive");
             const auto payload = message.bytes();
             Deserializer in(payload);
-            (void)in.read<ShardId>();
             std::vector<std::pair<VertexId, std::vector<Neighbor>>> rows(
                 in.read<std::uint64_t>());
             for (auto& [v, adjacency] : rows) {
@@ -224,19 +216,16 @@ void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
             }
         }
 
-        // 6b. Release departures, mirroring each swap in the store.
-        for (const PlannedMove& pm : planned) {
-            if (pm.move.from != r) {
-                continue;
-            }
-            for (const VertexId v : pm.vertices) {
+        // 5b. Release departures, mirroring each swap in the store.
+        for (RankId to = 0; to < num_ranks; ++to) {
+            for (const VertexId v : moving[pair(r, to)]) {
                 const LocalId slot = state.sg.release(v);
-                (void)state.store.swap_remove_row(slot);
+                state.store.swap_remove_row(slot);
                 ops += 1;
             }
         }
 
-        // 6c. Conservative marks (sorted + deduped: deterministic order, one
+        // 5c. Conservative marks (sorted + deduped: deterministic order, one
         // full-row mark each). Rationale:
         //   * arrived rows must propagate into their new co-located neighbors
         //     and announce themselves to their (new) neighboring ranks;
@@ -246,6 +235,10 @@ void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
         //   * a departure's left-behind neighbors may hold changed entries
         //     still marked for *prop* toward the departed row — that edge
         //     just became a cut edge, so only a (full) send reaches it now.
+        // A row whose co-location did not change keeps its marks as they
+        // were: its neighbours' rows, wherever they now live, carry every
+        // contribution it sent, and its own sends resolve their destination
+        // ranks under the new map when they are posted.
         const auto dedupe = [](std::vector<VertexId>& ids) {
             std::sort(ids.begin(), ids.end());
             ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
@@ -271,23 +264,52 @@ void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
             ops += n;
         }
 
-        // 6d. Drain the local sweep now so the first post-migration RC step
+        // 6. Drain the local sweep now so the first RC step after the move
         // already posts locally consistent boundary DVs.
         ops += rc_propagate_local(state.sg, state.store, pool_.get());
         cluster_->charge_compute(r, ops);
         return ops;
     });
     cluster_->barrier();
-
-    report_.shard_migrations += applied.size();
-    report_.migrated_rows += moved_rows;
-    report_.dynamic_ops += dynamic_ops;
     // The move reshuffles load attribution; let the EWMA re-learn before the
     // planner proposes another move.
     planner_.reset();
+    return dynamic_ops;
+}
+
+void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
+    AA_ASSERT_MSG(initialized_, "initialize() must run before migration");
+    const auto num_ranks = static_cast<RankId>(ranks_.size());
+
+    // Validate sequentially against the target map: unknown shards, stale
+    // `from` ranks, self-moves and repeated shards are skipped as no-ops.
+    ShardOwnership target = ownership_;
+    std::vector<std::uint8_t> seen(target.num_shards(), 0);
+    std::size_t applied = 0;
+    std::size_t moved_rows = 0;
+    for (const ShardMove& m : moves) {
+        if (m.shard >= target.num_shards() || m.to >= num_ranks ||
+            seen[m.shard] != 0 || target.rank_of(m.shard) != m.from ||
+            m.from == m.to) {
+            continue;
+        }
+        seen[m.shard] = 1;
+        target.set_shard_rank(m.shard, m.to);
+        ++applied;
+        moved_rows += target.shard_vertices(m.shard).size();
+    }
+    if (applied == 0) {
+        return;
+    }
+
+    auto span = phase_span("migrate");
+    const double dynamic_ops = move_rows(std::move(target));
+    report_.shard_migrations += applied;
+    report_.migrated_rows += moved_rows;
+    report_.dynamic_ops += dynamic_ops;
     note_structural_change();
     if (span) {
-        span.attr("moves", std::to_string(applied.size()));
+        span.attr("moves", std::to_string(applied));
         span.attr("rows", std::to_string(moved_rows));
     }
     span.add(dynamic_ops);

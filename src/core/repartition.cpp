@@ -1,18 +1,17 @@
 // AnytimeEngine::repartition_add — the Repartition-S strategy (paper
 // §IV.C.1.b).
 //
-// Integrate the batch structurally, repartition the *whole* grown graph with
-// the multilevel partitioner, migrate existing DV rows to their new owners
-// (reusing the anytime partial results — this is what separates
-// Repartition-S from a restart), seed the batch edges through the anywhere
-// broadcasts, and let the subsequent RC steps converge the rest.
+// Repartition the *whole* grown graph with the multilevel partitioner (or
+// adaptively, see RepartitionMode), move the existing DV rows to their new
+// owners through the engine's one row move (core/migrate.cpp) — reusing the
+// anytime partial results is what separates Repartition-S from a restart —
+// then integrate the batch through the anywhere body every strategy shares,
+// and let the subsequent RC steps converge the rest.
 #include <algorithm>
 
 #include "common/assert.hpp"
 #include "core/engine.hpp"
-#include "core/rc.hpp"
 #include "partition/refine.hpp"
-#include "runtime/message.hpp"
 
 namespace aa {
 
@@ -117,38 +116,17 @@ void AnytimeEngine::repartition_add(const GrowthBatch& batch) {
     AA_ASSERT_MSG(initialized_, "initialize() must run before dynamic updates");
     AA_ASSERT_MSG(batch.base_id == graph_.num_vertices(),
                   "batch does not follow the current vertex space");
-    drain_in_flight_updates();
-
     const std::size_t old_n = graph_.num_vertices();
-    const std::size_t new_n = old_n + batch.num_new;
-    const auto num_ranks = cluster_->num_ranks();
-    double dynamic_ops = 0;
+    const std::vector<Edge> inserted = grow_graph(batch);
 
-    // ---- 1. Integrate the batch into the global structure. A batch edge
-    //          repeated (as u v or v u) is inserted, and seeded, once. ----
-    graph_.add_vertices(batch.num_new);
-    std::vector<Edge> inserted;
-    for (const Edge& e : batch.edges) {
-        if (graph_.add_edge(e.u, e.v, e.weight)) {
-            inserted.push_back({std::min(e.u, e.v), std::max(e.u, e.v), e.weight});
-        }
-    }
-
-    // ---- 2. Repartition the grown graph. Which existing vertices actually
-    //          change owner drives both migration and the consistency
-    //          re-marking below. ----
+    // ---- 1. Repartition the grown graph. ----
     std::vector<RankId> new_owners;
-    std::vector<std::uint8_t> moved(new_n, 0);
     {
         auto span = phase_span("repartition.partition");
         new_owners = repartition_owners(old_n);
         std::size_t moved_existing = 0;
         for (VertexId v = 0; v < old_n; ++v) {
-            moved[v] = new_owners[v] != ownership_.owner(v) ? 1 : 0;
-            moved_existing += moved[v];
-        }
-        for (VertexId v = static_cast<VertexId>(old_n); v < new_n; ++v) {
-            moved[v] = 1;  // new vertices count as moved everywhere
+            moved_existing += new_owners[v] != ownership_.owner(v) ? 1 : 0;
         }
         last_moved_vertices_ = moved_existing;
         if (span) {
@@ -159,151 +137,25 @@ void AnytimeEngine::repartition_add(const GrowthBatch& batch) {
         }
     }
 
-    // ---- 3. Widen every row, then ship the rows whose owner changed as
-    //          boundary blocks. Rows with pending (unpropagated/unsent)
-    //          changes lose that dirty state in the rebuild, so they must be
-    //          re-marked like moved rows. ----
-    std::vector<std::uint8_t> had_pending(new_n, 0);
+    // ---- 2. Move the existing rows whose owner changed (the paper's
+    //          "migrate the partial results"). A repartition re-deals the
+    //          logical shards: the fresh assignment defines the new shard
+    //          layout, which resolves every owner identically for any
+    //          shards_per_rank. The move drains in-flight mail first. ----
+    const std::span<const RankId> owners(new_owners);
     {
         auto span = phase_span("repartition.migrate");
-        for (RankId r = 0; r < num_ranks; ++r) {
-            const double ops = static_cast<double>(ranks_[r].store.num_rows()) +
-                               static_cast<double>(batch.num_new);
-            ranks_[r].store.grow_columns(new_n);
-            cluster_->charge_compute(r, ops);
-            dynamic_ops += ops;
-        }
-
-        std::vector<Serializer> outgoing(num_ranks);
-        for (RankId r = 0; r < num_ranks; ++r) {
-            const RankState& state = ranks_[r];
-            for (LocalId l = 0; l < state.sg.num_local(); ++l) {
-                const VertexId g = state.sg.global_id(l);
-                const RankId dest = new_owners[g];
-                had_pending[g] =
-                    state.store.has_prop(l) || state.store.has_send(l) ? 1 : 0;
-                if (dest != r) {  // one pass over the row's new_n columns
-                    encode_row_block(outgoing[dest], g, state.store.row(l));
-                    cluster_->charge_compute(r, static_cast<double>(new_n));
-                    dynamic_ops += static_cast<double>(new_n);
-                }
-            }
-            for (RankId dest = 0; dest < num_ranks; ++dest) {
-                if (outgoing[dest].size() > 0) {
-                    cluster_->send(r, dest, MessageTag::MigratedRows,
-                                   outgoing[dest].take());
-                }
-            }
-        }
-        // The migration uses the same personalized all-to-all as an RC step.
-        cluster_->exchange();
+        const double ops = move_rows(ShardOwnership::from_partition(
+            owners.first(old_n), cluster_->num_ranks(), config_.shards_per_rank));
+        report_.dynamic_ops += ops;
+        span.add(ops);
     }
 
-    // ---- 4. Rebuild rank state under the new ownership. Kept rows move out
-    //          of the old states; migrated rows install from the received
-    //          payloads; new vertices keep their near-empty (diagonal-only)
-    //          rows and are seeded through the edge broadcasts below. ----
-    {
-        auto span = phase_span("repartition.rebuild");
-        // A repartition re-deals the logical shards from scratch: the fresh
-        // assignment defines the new shard layout (owner resolution is
-        // identical for any shards_per_rank, so this does not perturb
-        // bit-identity).
-        std::vector<RankState> old_ranks = std::move(ranks_);
-        ownership_ = ShardOwnership::from_partition(new_owners, num_ranks,
-                                                    config_.shards_per_rank);
-        planner_.reset();
-        build_rank_states([&](RankState& state) {
-            const RankId r = state.sg.rank();
-            RankState& old = old_ranks[r];
-            std::size_t owed = 0;  // existing rows a payload must still bring
-            for (LocalId l = 0; l < state.sg.num_local(); ++l) {
-                const VertexId g = state.sg.global_id(l);
-                if (g < old_n && old.sg.owns(g)) {
-                    state.store.move_row_from(l, old.store, old.sg.local_id(g));
-                } else {
-                    owed += g < old_n ? 1 : 0;
-                }
-            }
-            for_each_received_block(
-                *cluster_, r, MessageTag::MigratedRows,
-                [&](VertexId vertex, std::span<const VertexId> cols,
-                    std::span<const Weight> dists) {
-                    state.store.install_row(state.sg.local_id(vertex), cols, dists);
-                    --owed;
-                    cluster_->charge_compute(r, static_cast<double>(new_n));
-                    dynamic_ops += static_cast<double>(new_n);
-                });
-            AA_ASSERT_MSG(owed == 0, "existing vertex lost its row");
-            // Every row the old state still holds was shipped or replaced:
-            // free it before the next rank's rows are allocated.
-            old = RankState();
-        });
-    }
-
-    // ---- 5. Seed the batch through the anywhere edge broadcasts (the same
-    //          primitive as anywhere_add): each batch edge folds the lower
+    // ---- 3. Integrate the batch on the new partition exactly as
+    //          anywhere_add does: each batch edge folds the existing
     //          endpoint's row through the cut edges and bridges the endpoint
-    //          columns of every local row. A local SSSP from only the new
-    //          vertices is NOT sound here: its paths route through old local
-    //          vertices whose rows never learn the new columns, leaving
-    //          estimates that no owner row witnesses — and the fully-dynamic
-    //          deletion cascade (edge_delete.cpp) finds stale entries by
-    //          walking exactly those owner-row witnesses. The broadcasts
-    //          preserve the invariant; through-partition shortcuts the SSSP
-    //          would have found arrive with the next RC exchanges. ----
-    {
-        auto span = phase_span("repartition.seed");
-        const double ops_before_seed = dynamic_ops;
-        for (const Edge& e : inserted) {
-            dynamic_ops += broadcast_edge_update(e.u, e.v, e.weight);
-        }
-        span.add(dynamic_ops - ops_before_seed);
-    }
-
-    // ---- 6. Re-establish consistency marks — but only where the move
-    //          actually changed relationships. A row is affected iff it
-    //          moved or one of its neighbours moved: only then can it be
-    //          newly co-located with rows it has never relaxed against, or
-    //          face a neighbouring rank that lacks its DV. Unaffected rows
-    //          keep both properties from before the repartition. This (plus
-    //          the relabeling above) keeps Repartition-S's fixed cost at the
-    //          true repartition delta; what remains is the paper's
-    //          "additional RC steps" cost. ----
-    auto span = phase_span("repartition.remark");
-    run_rank_phase(dynamic_ops, [&](RankId r) {
-        // `moved` and `had_pending` are read-only from here, shared across
-        // the concurrent rank closures.
-        RankState& state = ranks_[r];
-        double ops = 0;
-        for (LocalId l = 0; l < state.sg.num_local(); ++l) {
-            const VertexId g = state.sg.global_id(l);
-            bool affected = moved[g] != 0 || had_pending[g] != 0;
-            for (const Neighbor& nb : state.sg.neighbors(l)) {
-                if (affected) {
-                    break;
-                }
-                affected = moved[nb.to] != 0;
-            }
-            ops += static_cast<double>(state.sg.neighbors(l).size());
-            if (!affected) {
-                continue;
-            }
-            state.store.mark_row_for_prop(l);
-            ops += static_cast<double>(new_n);
-            if (state.sg.is_boundary(l)) {
-                state.store.mark_row_for_send(l);
-                ops += static_cast<double>(new_n);
-            }
-        }
-        // Drain the local sweep now so the first post-repartition RC step
-        // already sends locally consistent boundary DVs.
-        ops += rc_propagate_local(state.sg, state.store, pool_.get());
-        cluster_->charge_compute(r, ops);
-        return ops;
-    });
-    cluster_->barrier();
-    report_.dynamic_ops += dynamic_ops;
+    //          columns of every local row. ----
+    report_.dynamic_ops += integrate_batch(batch, inserted, owners.subspan(old_n));
     note_structural_change();
 }
 

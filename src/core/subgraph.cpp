@@ -233,17 +233,4 @@ std::vector<RankId> LocalSubgraph::neighbor_ranks(LocalId local) const {
     return ranks;
 }
 
-void LocalSubgraph::reset_ownership(ShardOwnership ownership) {
-    ownership_ = std::move(ownership);
-    locals_.clear();
-    index_.clear();
-    adjacency_.clear();
-    external_adj_.clear();
-}
-
-void LocalSubgraph::reset_ownership(std::vector<RankId> owners) {
-    reset_ownership(
-        ShardOwnership::from_partition(owners, rank_count(owners, rank_), 1));
-}
-
 }  // namespace aa

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -74,10 +75,12 @@ public:
     /// Adopt ownership of an (already registered) global vertex.
     LocalId adopt(VertexId global);
 
-    /// Repoint shard `s` in this rank's replica of the shard map (migration
-    /// publish). Pure metadata: local rows are moved separately via
-    /// release()/adopt_migrated().
-    void set_shard_rank(ShardId s, RankId rank) { ownership_.set_shard_rank(s, rank); }
+    /// Replace this rank's replica of the shard map, keeping the rows (the
+    /// row move's publish, checkpoint load). Pure metadata: rows whose owner
+    /// changed are moved separately via release()/adopt_migrated(), and
+    /// ownership-derived state (is_boundary, the cut-edge reverse index) is
+    /// only consistent again once they have been.
+    void set_ownership(ShardOwnership ownership) { ownership_ = std::move(ownership); }
 
     /// Migration, outbound side: drop the (formerly owned, now remote) vertex
     /// from the local structures. The shard map must already point its shard
@@ -120,13 +123,6 @@ public:
 
     /// All external boundary vertices (B_p) currently adjacent to this rank.
     std::vector<VertexId> external_boundary() const;
-
-    /// Replace the ownership map wholesale (Repartition-S). The caller must
-    /// rebuild locals/adjacency afterwards via adopt()/add_local_edge().
-    void reset_ownership(ShardOwnership ownership);
-
-    /// Flat-map convenience overload (tests): one shard per rank.
-    void reset_ownership(std::vector<RankId> owners);
 
 private:
     RankId rank_{0};

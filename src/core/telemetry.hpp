@@ -22,9 +22,9 @@
 // "rc.exchange.rank" children / "rc.ingest" (or "rc.ingest.early" for an
 // event-driven arrival) / "rc.propagate", "add" events (with strategy,
 // moved-vertex count and new-cut-edge attributes) with their nested
-// "add.extend" / "add.broadcast" / "add.propagate" or "repartition.partition"
-// / ".migrate" / ".rebuild" / ".seed" / ".remark" sub-phases, and "delete"
-// and "migrate" events. All times are simulated seconds. The CSV exporter emits just
+// "add.extend" / "add.broadcast" / "add.propagate" sub-phases (Repartition-S
+// opens "repartition.partition" / "repartition.migrate" before them), and
+// "delete" and "migrate" events. All times are simulated seconds. The CSV exporter emits just
 // the span stream (common/metrics.hpp's lossless span CSV).
 #pragma once
 

@@ -201,9 +201,10 @@ double Cluster::broadcast(RankId from, MessageTag tag,
         message.to = to;
         message.tag = tag;
         message.payload = shared;  // zero-copy fan-out of immutable bytes
-        mailboxes_.post(std::move(message));
+        // Straight to the inbox: posted mail stays for the exchange that
+        // prices it.
+        mailboxes_.deliver_direct(std::move(message));
     }
-    mailboxes_.deliver_all();
 
     rank_stats_[from].messages_sent += num_ranks_ - 1;
     rank_stats_[from].bytes_sent += bytes * (num_ranks_ - 1);

@@ -123,7 +123,9 @@ public:
 
     /// Tree broadcast from `from` to all other ranks (the paper's new-vertex
     /// DV row broadcast): delivers immediately, priced as ceil(log2 P)
-    /// pipelined rounds, and synchronizes clocks (it is a collective).
+    /// pipelined rounds, and synchronizes clocks (it is a collective). It
+    /// delivers only its own messages: mail posted before it stays in the
+    /// outboxes for the next exchange, which prices it.
     double broadcast(RankId from, MessageTag tag, std::vector<std::byte> payload);
 
     /// Drain rank r's inbox. Rank-confined: safe from concurrent callers for

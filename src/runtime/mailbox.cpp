@@ -93,14 +93,18 @@ const std::vector<Message>& MailboxSystem::peek_inbox(RankId r) const {
     return inboxes_[r];
 }
 
-void MailboxSystem::restore(Message message, bool delivered) {
-    if (!delivered) {
-        post(std::move(message));
-        return;
-    }
+void MailboxSystem::deliver_direct(Message message) {
     AA_ASSERT(message.from < num_ranks() && message.to < num_ranks());
     AA_ASSERT_MSG(message.from != message.to, "self-sends are a logic error");
     inboxes_[message.to].push_back(std::move(message));
+}
+
+void MailboxSystem::restore(Message message, bool delivered) {
+    if (delivered) {
+        deliver_direct(std::move(message));
+    } else {
+        post(std::move(message));
+    }
 }
 
 }  // namespace aa

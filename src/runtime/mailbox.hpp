@@ -6,8 +6,8 @@
 // Concurrency contract: post(message) touches only outboxes_[message.from]
 // and take_inbox(r) only inboxes_[r], so distinct ranks may post/drain
 // concurrently (the ThreadedBackend compute phase). Everything that crosses
-// boxes — deliver / deliver_all / has_pending / peek_* / restore — is
-// driver-only and must not overlap any rank-side call.
+// boxes — deliver / deliver_all / deliver_direct / has_pending / peek_* /
+// restore — is driver-only and must not overlap any rank-side call.
 #pragma once
 
 #include <vector>
@@ -56,6 +56,12 @@ public:
 
     const std::vector<Message>& peek_outbox(RankId r) const;
     const std::vector<Message>& peek_inbox(RankId r) const;
+
+    /// Append a message straight to its receiver's inbox, past the outboxes:
+    /// a collective that prices its own delivery (Cluster::broadcast), so
+    /// mail posted earlier stays buffered for the exchange that prices it.
+    /// Driver-only.
+    void deliver_direct(Message message);
 
     /// Put a checkpointed message back where it was: appended to its
     /// sender's outbox, or (`delivered`) to its receiver's inbox. Driver-only.

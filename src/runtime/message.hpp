@@ -25,15 +25,16 @@ enum class MessageTag : std::uint32_t {
     // Edge broadcast: header (to, weight), then the *existing* endpoint's DV
     // row — for vertex additions, add_edges and weight decreases alike.
     NewVertexDvRow = 2,
-    MigratedRows = 3,       // Repartition-S: DV rows moving to a new owner
+    // 3 is retired (Repartition-S's own row message; rows now move as
+    // ShardMigration) and not reused.
     Control = 4,            // small control messages (counts, convergence votes)
     // Fully-dynamic shrink path (core/edge_delete.cpp):
     ShrinkEndpointRow = 5,      // pre-cascade DV row of a deleted edge's endpoint
     ShrinkAffectedColumns = 6,  // gather/broadcast of the affected-column union
     ShrinkBoundaryView = 7,     // boundary rows restricted to affected columns
     ShrinkRaise = 8,            // invalidated (vertex, column, old value) raises
-    // Incremental shard migration (core/migrate.cpp):
-    ShardMigration = 9,  // one shard's DV rows + adjacency moving to a new rank
+    // The row move (core/migrate.cpp) of shard migration and Repartition-S:
+    ShardMigration = 9,  // DV rows + adjacency moving from one rank to another
 };
 
 struct Message {

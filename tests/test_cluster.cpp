@@ -65,6 +65,26 @@ TEST(Cluster, BroadcastReachesEveryoneElse) {
     }
 }
 
+TEST(Cluster, BroadcastLeavesPostedMailForTheExchange) {
+    // A broadcast delivers its own copies only: mail posted before it is
+    // delivered — and priced — by the next exchange.
+    Cluster cluster(4);
+    cluster.send(1, 3, MessageTag::Control, bytes(4096));
+    cluster.broadcast(0, MessageTag::Control, bytes(8));
+    const auto inbox = cluster.receive(3);
+    ASSERT_EQ(inbox.size(), 1u);
+    EXPECT_EQ(inbox[0].from, 0u);
+    EXPECT_TRUE(cluster.has_pending_messages());
+    const double before = cluster.stats().comm_seconds;
+    const double duration = cluster.exchange();
+    EXPECT_GT(duration, 0.0);
+    EXPECT_EQ(cluster.stats().comm_seconds, before + duration);
+    const auto delivered = cluster.receive(3);
+    ASSERT_EQ(delivered.size(), 1u);
+    EXPECT_EQ(delivered[0].from, 1u);
+    EXPECT_EQ(delivered[0].bytes().size(), 4096u);
+}
+
 TEST(Cluster, BroadcastOnSingleRankIsFree) {
     Cluster cluster(1);
     EXPECT_EQ(cluster.broadcast(0, MessageTag::Control, bytes(1024)), 0.0);

@@ -96,21 +96,10 @@ TEST(DistanceStore, MarkRowForPropCollectsFinite) {
 }
 
 TEST(DistanceStore, ExtractAndInstallRow) {
-    // A kept row moves out of one store into a fresh slot of another
-    // (Repartition-S's rebuild); a row that arrives over the wire installs
-    // from its block's view (shard migration, Repartition-S).
+    // A row that arrives over the wire (the row move of shard migration and
+    // Repartition-S) installs from its block's view.
     DistanceStore store(3);
     const LocalId r = store.add_row(1);
-    store.relax(r, 0, 4.0);
-    DistanceStore rebuilt(3);
-    const LocalId slot = rebuilt.add_row(1);
-    rebuilt.move_row_from(slot, store, r);
-    EXPECT_EQ(rebuilt.at(slot, 0), 4.0);
-    EXPECT_EQ(rebuilt.at(slot, 1), 0.0);
-    // The vacated row resets to fresh state.
-    EXPECT_GE(store.at(r, 0), kInfinity);
-    EXPECT_EQ(store.at(r, 1), 0.0);
-    EXPECT_FALSE(store.has_send(r));
     const std::vector<VertexId> cols{0, 1};
     const std::vector<Weight> dists{4.0, 0.0};
     store.relax(r, 2, 6.0);

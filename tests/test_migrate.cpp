@@ -25,6 +25,7 @@
 #include "core/engine.hpp"
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
+#include "runtime/alltoall.hpp"
 
 namespace aa {
 namespace {
@@ -328,6 +329,49 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::tuple<BoundaryWireFormat, bool>>& p) {
         return std::string("v2") + (std::get<1>(p.param) ? "_async" : "_sync");
     });
+
+TEST(Migrate, PayloadIsPricedByTheExchange) {
+    // The moved rows cross the wire in one all-to-all exchange, priced like
+    // any other; the map publish is a separate Control broadcast. So the
+    // move's simulated communication time is exactly the two together.
+    Rng rng(3);
+    const DynamicGraph g = barabasi_albert(64, 2, rng);
+    EngineConfig config;
+    config.num_ranks = 4;
+    config.seed = 21;
+    AnytimeEngine engine(g, config);
+    engine.initialize();
+    engine.run_to_quiescence();
+    const ShardId moving = populated_shard_of(engine.shard_ownership(), 1);
+    ASSERT_NE(moving, kInvalidShard);
+
+    const Cluster& cluster = engine.cluster();
+    const ClusterStats before = cluster.stats();
+    const RankStats source_before = cluster.rank_stats(1);
+    const RankStats publisher_before = cluster.rank_stats(0);
+    const RankStats destination_before = cluster.rank_stats(3);
+    const std::vector<ShardMove> moves{{moving, 1, 3}};
+    engine.migrate_shards(moves);
+    const ClusterStats after = cluster.stats();
+
+    const std::size_t payload = cluster.rank_stats(1).bytes_sent - source_before.bytes_sent;
+    EXPECT_EQ(cluster.rank_stats(1).messages_sent, source_before.messages_sent + 1);
+    ASSERT_GT(payload, 0u);
+    EXPECT_EQ(after.exchanges, before.exchanges + 1);
+    EXPECT_EQ(after.broadcasts, before.broadcasts + 1);
+
+    std::vector<std::size_t> pair_bytes(16, 0);
+    pair_bytes[1 * 4 + 3] = payload;
+    const double exchange = exchange_duration(pair_bytes, 4, config.logp, config.schedule);
+    // The broadcast sends P-1 copies of its payload plus a 16-byte header.
+    const std::size_t published =
+        (cluster.rank_stats(0).bytes_sent - publisher_before.bytes_sent) / 3;
+    EXPECT_EQ(cluster.rank_stats(3).bytes_received - destination_before.bytes_received,
+              payload + published);
+    const double broadcast = 2 * config.logp.message_time(published);
+    EXPECT_GT(exchange, 0.0);
+    EXPECT_DOUBLE_EQ(after.comm_seconds - before.comm_seconds, exchange + broadcast);
+}
 
 // ---------------------------------------------------------------------------
 // 3. Telemetry-driven auto migration.

@@ -386,10 +386,10 @@ void expect_golden(const GoldenRun& got, const GoldenRun& want) {
 
 // The two modes share the matrix (bit-identical results) and differ in the
 // timeline; both backends must reproduce their mode's values exactly.
-constexpr GoldenRun kSyncGolden{0x1.6e8dda256ba28p-5, 9, 0x069f2a255fe661fe,
-                                0xcda422cdf0d777ff, 0xdf516aeacbff601e};
-constexpr GoldenRun kAsyncGolden{0x1.6e7132578f6ap-5, 9, 0xc2c7c162641965c7,
-                                 0xcda422cdf0d777ff, 0xdd415207ab07fec9};
+constexpr GoldenRun kSyncGolden{0x1.6f2822aa59775p-5, 9, 0x69f837406b9412cb,
+                                0xcda422cdf0d777ff, 0xa98eaf17a3343863};
+constexpr GoldenRun kAsyncGolden{0x1.6f0b7adc7d3edp-5, 9, 0xee255acc733a3e87,
+                                 0xcda422cdf0d777ff, 0x9a720d637afca9e2};
 
 TEST(RcStepGolden, SyncSequential) {
     expect_golden(run_golden(false, BackendKind::Sequential), kSyncGolden);

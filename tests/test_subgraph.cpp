@@ -66,15 +66,33 @@ TEST(LocalSubgraph, ExtendOwnershipAdoptsNewVertices) {
     EXPECT_EQ(sg.global_id(3), 6u);
 }
 
-TEST(LocalSubgraph, ResetOwnershipClearsState) {
+TEST(LocalSubgraph, SetOwnershipKeepsRows) {
+    // Rank 0 holds {0, 2} with edges 0-1 (cut) and 0-2. The new map moves 1
+    // here and 2 away: the replica changes, the rows stay until the move's
+    // release()/adopt_migrated() splice them.
     LocalSubgraph sg(0, owners4());
     sg.add_local_edge(0, 1, 1.0);
-    sg.reset_ownership({1, 1, 1, 0});
-    EXPECT_EQ(sg.num_local(), 0u);  // caller must re-adopt
-    EXPECT_TRUE(sg.external_neighbors(1).empty());
-    sg.adopt(3);
-    EXPECT_EQ(sg.num_local(), 1u);
-    EXPECT_EQ(sg.local_id(3), 0u);
+    sg.add_local_edge(0, 2, 2.0);
+    sg.set_ownership(ShardOwnership::from_partition(
+        std::vector<RankId>{0, 0, 1, 1}, 2, 1));
+    EXPECT_EQ(sg.num_local(), 2u);
+    EXPECT_EQ(sg.global_id(1), 2u);
+    EXPECT_TRUE(sg.owns(1));
+    EXPECT_FALSE(sg.owns(2));
+
+    const std::vector<Neighbor> adjacency{{0, 1.0}};
+    const LocalId arrived = sg.adopt_migrated(1, adjacency);
+    EXPECT_EQ(sg.release(2), 1u);  // the arrival swaps into the vacated slot
+    EXPECT_EQ(sg.num_local(), 2u);
+    EXPECT_EQ(sg.local_id(1), 1u);
+    EXPECT_NE(arrived, sg.local_id(1));
+    EXPECT_TRUE(sg.external_neighbors(1).empty());  // 0-1 is internal now
+    const auto ext = sg.external_neighbors(2);      // 0-2 became a cut edge
+    ASSERT_EQ(ext.size(), 1u);
+    EXPECT_EQ(ext[0].first, sg.local_id(0));
+    EXPECT_EQ(ext[0].second, 2.0);
+    EXPECT_TRUE(sg.is_boundary(sg.local_id(0)));
+    EXPECT_FALSE(sg.is_boundary(sg.local_id(1)));
 }
 
 TEST(LocalSubgraph, ExternalBoundarySorted) {

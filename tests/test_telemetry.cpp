@@ -535,11 +535,11 @@ void expect_telemetry_golden(const TelemetryGoldenRun& got,
 // checkpoint became an exact restore (no resweep after the load); the
 // restored clock is pinned independently against the uninterrupted saver.
 constexpr TelemetryGoldenRun kSyncTelemetryGolden{
-    0x1.4f6ap+16,          0x1.60a8p+14,       0x1.5c920d5f215efp-6,
-    0x1.ab9711f194462p-8, 0x1547cfa22326651a, 0x2944ee8b0ee0616a};
+    0x1.3646p+16,          0x1.e58p+12,        0x1.5da8a9befa1ddp-6,
+    0x1.a876dd2efb153p-8, 0x1547cfa22326651a, 0x56ddabbc479822ed};
 constexpr TelemetryGoldenRun kAsyncTelemetryGolden{
-    0x1.4f6ap+16,          0x1.60a8p+14,       0x1.5c48edc1b360fp-6,
-    0x1.ab051bba6ae3ep-8, 0x1547cfa22326651a, 0xb9c36ac39f0161e1};
+    0x1.3646p+16,          0x1.e58p+12,        0x1.5d650f2cdf761p-6,
+    0x1.a80525e52aefep-8, 0x1547cfa22326651a, 0x6c8f20b74575627f};
 
 TEST(TelemetryGolden, EveryUpdatePathSyncSequential) {
     expect_telemetry_golden(run_telemetry_golden(false, BackendKind::Sequential),

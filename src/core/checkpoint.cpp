@@ -1,11 +1,11 @@
-// Checkpoint format v2: exact, streamed, checksummed engine persistence.
+// Checkpoint format v3: exact, streamed, checksummed engine persistence.
 //
 // A checkpoint is a sequence of sections, each streamed straight to (or
 // from) the caller's stream and sealed with the CRC32C of its own bytes.
 // Integers and doubles are stored in host little-endian byte order.
 //
-//   header  u64 magic, u32 version (2), u32 ranks, u32 shards_per_rank,
-//           u8 closeness variant, u8 wire format
+//   header  u64 magic, u32 version (3), u32 ranks, u32 shards_per_rank,
+//           u8 closeness variant
 //   graph   u64 n; per vertex: u64 degree, degree x (u32 neighbour, f64 weight)
 //   shards  u64 n, n x u32 shard_of; u64 S, S x u32 shard_map
 //   layout  per rank: u64 rows; per row in local order: u32 vertex,
@@ -13,10 +13,13 @@
 //   rows    per rank, per row in local order: n x f64
 //   marks   per rank, per row in local order: u64 k, k x u32 pending prop
 //           columns; u64 k, k x u32 pending send columns (written
-//           ascending, read in any order: older writers used mark order)
+//           ascending, read in any order)
 //   state   u64 rc_steps, i64 wavefront_k, 4 x u64 RNG state, P x f64 clocks
-//   mail    u64 count; per in-flight message: u8 delivered, u32 from,
-//           u32 to, u32 tag, u64 entries, u64 bytes, payload
+//   mail    u64 count; per in-flight boundary-DV update (the only message
+//           kind alive between engine calls): u8 delivered, u32 from,
+//           u32 to, u64 bytes, payload
+//
+// v1 and v2 files are rejected by version.
 //
 // Every length is checked against the bytes left in the stream before
 // anything is sized by it, and every value is validated before an engine
@@ -44,7 +47,7 @@ static_assert(std::endian::native == std::endian::little,
               "checkpoints store host byte order, which must be little-endian");
 
 constexpr std::uint64_t kCheckpointMagic = 0xAA00C4EC4901DEAD;
-constexpr std::uint32_t kCheckpointVersion = 2;
+constexpr std::uint32_t kCheckpointVersion = 3;
 
 [[noreturn]] void reject(const std::string& what) {
     throw CheckpointError("checkpoint rejected: " + what);
@@ -166,8 +169,8 @@ void put_adjacency(SectionWriter& w, std::span<const Neighbor> adjacency) {
 /// Bytes of one stored adjacency entry (u32 neighbour + f64 weight).
 constexpr std::size_t kNeighborBytes = sizeof(VertexId) + sizeof(Weight);
 
-/// u8 delivered + u32 from/to/tag + u64 entries + u64 payload length.
-constexpr std::size_t kMessageHeaderBytes = 1 + 3 * sizeof(std::uint32_t) + 2 * 8;
+/// u8 delivered + u32 from/to + u64 payload length.
+constexpr std::size_t kMessageHeaderBytes = 1 + 2 * sizeof(std::uint32_t) + 8;
 
 }  // namespace
 
@@ -200,7 +203,6 @@ void AnytimeEngine::save_checkpoint(std::ostream& out) const {
     w.put(static_cast<std::uint32_t>(num_ranks));
     w.put(config_.shards_per_rank);
     w.put(static_cast<std::uint8_t>(config_.closeness_variant));
-    w.put(static_cast<std::uint8_t>(config_.wire_format));
     w.seal();
 
     // Adjacency lists in their own order (not an edge list): vertex
@@ -263,8 +265,6 @@ void AnytimeEngine::save_checkpoint(std::ostream& out) const {
         w.put(delivered);
         w.put(m->from);
         w.put(m->to);
-        w.put(static_cast<std::uint32_t>(m->tag));
-        w.put(static_cast<std::uint64_t>(m->entries));
         w.put_array(m->bytes());
     }
     w.seal();
@@ -290,7 +290,6 @@ AnytimeEngine AnytimeEngine::load_checkpoint(std::istream& in, EngineConfig conf
     const auto saved_ranks = reader.get<std::uint32_t>();
     const auto shards_per_rank = reader.get<std::uint32_t>();
     const auto variant = reader.get<std::uint8_t>();
-    const auto wire = reader.get<std::uint8_t>();
     reader.check_seal("header");
     if (saved_ranks != num_ranks) {
         reject("saved with rank count " + str(saved_ranks) +
@@ -303,10 +302,6 @@ AnytimeEngine AnytimeEngine::load_checkpoint(std::istream& in, EngineConfig conf
     if (variant != static_cast<std::uint8_t>(config.closeness_variant)) {
         reject("saved with closeness variant " + str(variant) + ", configured " +
                str(static_cast<std::uint8_t>(config.closeness_variant)));
-    }
-    if (wire != static_cast<std::uint8_t>(config.wire_format)) {
-        reject("saved with wire format " + str(wire) + ", configured " +
-               str(static_cast<std::uint8_t>(config.wire_format)));
     }
 
     // ---- graph. Every vertex owns a row of n doubles further on, which
@@ -527,26 +522,16 @@ AnytimeEngine AnytimeEngine::load_checkpoint(std::istream& in, EngineConfig conf
         Message& m = item.message;
         m.from = reader.get<RankId>();
         m.to = reader.get<RankId>();
-        const auto tag = reader.get<std::uint32_t>();
-        const auto entries = reader.get<std::uint64_t>();
         reader.get_array(payload, "payload byte");
         if (delivered > 1 || m.from >= num_ranks || m.to >= num_ranks || m.from == m.to) {
             reject("in-flight message " + str(m.from) + " -> " + str(m.to) +
                    " names an unknown rank or stage");
-        }
-        if (tag != static_cast<std::uint32_t>(MessageTag::BoundaryDvUpdate)) {
-            reject("in-flight message has tag " + str(tag) +
-                   "; only boundary-DV updates survive between engine calls");
-        }
-        if (entries > payload.size()) {
-            reject("in-flight message declares more entries than payload bytes");
         }
         if (const char* error = boundary_payload_error(payload, n)) {
             reject(std::string("in-flight message payload: ") + error);
         }
         item.delivered = delivered != 0;
         m.tag = MessageTag::BoundaryDvUpdate;
-        m.entries = static_cast<std::size_t>(entries);
         m.payload = Message::share(std::move(payload));
         payload = {};
     }

@@ -43,7 +43,7 @@
 
 namespace aa {
 
-/// One serialized DV entry on the wire.
+/// One (column, distance) DV entry.
 struct DvEntry {
     VertexId column;
     Weight distance;
@@ -51,9 +51,8 @@ struct DvEntry {
 static_assert(std::is_trivially_copyable_v<DvEntry>);
 
 /// Layout of the boundary-DV payload blocks exchanged in the RC step (see
-/// core/rc.hpp for the encoder/decoders and the byte-accounting contract).
-/// One layout remains; the enumerator keeps its value because checkpoints
-/// record it in their header.
+/// core/rc.hpp for the encoders, the decoder and the byte-accounting
+/// contract). One layout remains; EngineConfig::wire_format names it.
 enum class BoundaryWireFormat : std::uint8_t {
     /// Struct-of-arrays: [u32 vertex][varint count][columns: delta-varint or
     /// run-length, ascending][zero pad to 8][count x aligned f64]. Columns

@@ -141,7 +141,7 @@ ShrinkReport AnytimeEngine::shrink_and_resettle(const ShrinkBatch& batch) {
             encode_row_block(out, vtx, st.store.row(st.sg.local_id(vtx)));
         cluster_->charge_compute(src, static_cast<double>(entries));
         dynamic_ops += static_cast<double>(entries);
-        cluster_->send(src, dest, MessageTag::ShrinkEndpointRow, out.take(), entries);
+        cluster_->send(src, dest, MessageTag::ShrinkEndpointRow, out.take());
     }
     // Remote endpoint rows stay in their payloads: the seed scan reads each
     // as its block's (cols, dists) view.

@@ -81,10 +81,8 @@ struct EngineConfig {
     /// RC-step communication schedule.
     CommSchedule schedule{CommSchedule::SerializedAllToAll};
     /// Bandwidth price model for the simulated interconnect (see PriceModel
-    /// in runtime/logp.hpp). PerByte — the default, bit-identical to the
-    /// historical behaviour — charges the serialized wire size; PerEntry
-    /// charges boundary messages by decoded entry footprint so sim_seconds
-    /// stops depending on the wire encoding.
+    /// in runtime/logp.hpp). PerByte, the only value, charges every message
+    /// its serialized wire size.
     PriceModel price_model{PriceModel::PerByte};
     /// Event-driven RC exchange (relax-on-arrival): boundary messages become
     /// timestamped delivery events (see runtime/event_loop.hpp) scheduled
@@ -121,8 +119,8 @@ struct EngineConfig {
     /// thread-per-core, min(num_ranks, hardware threads).
     std::size_t backend_threads{0};
     /// Boundary-DV wire format for the RC exchange (see
-    /// BoundaryWireFormat in core/distance_store.hpp and the accounting note
-    /// in core/rc.hpp). V2Soa is the only format; checkpoints record it.
+    /// BoundaryWireFormat in core/distance_store.hpp and the block format in
+    /// core/rc.hpp). V2Soa is the only format.
     BoundaryWireFormat wire_format{BoundaryWireFormat::V2Soa};
     /// Payload-window size for the RC ingest kernel (see rc.hpp). Windowing
     /// never changes results — a 256-byte window and a 128 MB window produce
@@ -475,7 +473,7 @@ public:
     /// rank's local layout (row order and adjacency order), distance rows,
     /// pending prop/send columns (ascending), in-flight boundary messages,
     /// per-rank simulated clocks, the step and wavefront counters and the
-    /// engine RNG — as checkpoint format v2 (see ARCHITECTURE.md,
+    /// engine RNG — as checkpoint format v3 (see ARCHITECTURE.md,
     /// "Checkpoints"). Every section is streamed straight to `out` and sealed
     /// with a CRC32C. The anytime property turned into persistence: an
     /// interrupted analysis can resume later or on another machine. Throws
@@ -483,16 +481,17 @@ public:
     /// boundary-DV update is in flight.
     void save_checkpoint(std::ostream& out) const;
 
-    /// Rebuild an engine from a v2 checkpoint, exactly: the restored engine
+    /// Rebuild an engine from a v3 checkpoint, exactly: the restored engine
     /// continues the saved schedule step for step — a quiescent save loads
     /// quiescent and takes zero RC steps, a mid-RC save finishes with the
     /// same distances, ops and sim_seconds() as the uninterrupted engine.
     /// Run history (step history, telemetry, query heat, migration-planner
     /// load) starts empty. `in` must be seekable (its size bounds every
     /// length before anything is allocated). Throws CheckpointError naming
-    /// the defect on bad magic or version, a config mismatch (rank count,
-    /// shards_per_rank, closeness variant, wire format), a CRC failure, a
-    /// truncation, any semantically invalid value, or trailing bytes.
+    /// the defect on bad magic or version (v1 and v2 files included), a
+    /// config mismatch (rank count, shards_per_rank, closeness variant), a
+    /// CRC failure, a truncation, any semantically invalid value, or
+    /// trailing bytes.
     static AnytimeEngine load_checkpoint(std::istream& in, EngineConfig config);
 
 private:

@@ -119,7 +119,7 @@ double AnytimeEngine::move_rows(ShardOwnership target) {
                 static_cast<double>(entries) + static_cast<double>(vertices.size());
             cluster_->charge_compute(r, ops);
             dynamic_ops += ops;
-            cluster_->send(r, to, MessageTag::ShardMigration, out.take(), entries);
+            cluster_->send(r, to, MessageTag::ShardMigration, out.take());
             for (const VertexId v : vertices) {
                 src.store.free_row(src.sg.local_id(v));
             }

@@ -97,8 +97,9 @@ void encode_block(Serializer& out, VertexId vertex, std::span<const VertexId> co
 }
 
 /// Structural parse result of a boundary payload: nullptr on success, else
-/// the greppable failure message (see rc.hpp). The decoders for in-process
-/// payloads assert on it; boundary_payload_error() hands it to the caller.
+/// the greppable failure message (see rc.hpp). The view decoder asserts on
+/// it for in-process payloads; boundary_payload_error() hands it to the
+/// caller.
 using ParseError = const char*;
 
 #define AA_PARSE_CHECK(cond, message) \
@@ -237,22 +238,6 @@ BoundaryBlockSoaView soa_view(std::span<const std::byte> payload,
 
 }  // namespace
 
-std::vector<std::byte> encode_boundary_blocks(const std::vector<BoundaryBlock>& blocks) {
-    Serializer out;
-    std::vector<VertexId> cols;
-    std::vector<Weight> dists;
-    for (const BoundaryBlock& block : blocks) {
-        cols.clear();
-        dists.clear();
-        for (const DvEntry& entry : block.entries) {
-            cols.push_back(entry.column);
-            dists.push_back(entry.distance);
-        }
-        encode_block(out, block.vertex, cols, dists);
-    }
-    return out.take();
-}
-
 std::size_t encode_row_block(Serializer& out, VertexId vertex,
                              std::span<const Weight> row) {
     std::vector<ColumnRun>& runs = run_scratch();
@@ -276,20 +261,6 @@ std::size_t encode_row_block(Serializer& out, VertexId vertex,
         out.write_bytes(std::as_bytes(row.subspan(run.start, run.length)));
     }
     return count;
-}
-
-std::vector<BoundaryBlock> decode_boundary_blocks(std::span<const std::byte> payload) {
-    std::vector<BoundaryBlock> blocks;
-    std::vector<VertexId> arena;
-    for (const BoundaryBlockSoaView& view : decode_boundary_block_soa_views(payload, arena)) {
-        BoundaryBlock& block = blocks.emplace_back();
-        block.vertex = view.vertex;
-        block.entries.reserve(view.cols.size());
-        for (std::size_t i = 0; i < view.cols.size(); ++i) {
-            block.entries.push_back({view.cols[i], view.dists[i]});
-        }
-    }
-    return blocks;
 }
 
 std::vector<BoundaryBlockSoaView> decode_boundary_block_soa_views(
@@ -341,8 +312,7 @@ const char* boundary_payload_error(std::span<const std::byte> payload,
     return nullptr;
 }
 
-BoundaryFanOut::BoundaryFanOut(std::size_t num_ranks)
-    : routes_(num_ranks), entries_(num_ranks, 0) {}
+BoundaryFanOut::BoundaryFanOut(std::size_t num_ranks) : routes_(num_ranks) {}
 
 void BoundaryFanOut::add(VertexId vertex, std::span<const VertexId> cols,
                          std::span<const Weight> dists,
@@ -354,8 +324,8 @@ void BoundaryFanOut::add(VertexId vertex, std::span<const VertexId> cols,
     const BlockRef block{offset, blocks_.size() - offset};
     for (const RankId dest : destinations) {
         routes_[dest].push_back(block);
-        entries_[dest] += cols.size();
     }
+    entries_ += cols.size() * destinations.size();
 }
 
 BoundaryFanOut::Posted BoundaryFanOut::post(Cluster& cluster, RankId from,
@@ -381,11 +351,11 @@ BoundaryFanOut::Posted BoundaryFanOut::post(Cluster& cluster, RankId from,
         }
         ++posted.messages;
         posted.bytes += payload.size();
-        posted.entries += entries_[dest];
-        cluster.send(from, dest, tag, std::move(payload), entries_[dest]);
+        cluster.send(from, dest, tag, std::move(payload));
         routes_[dest].clear();
-        entries_[dest] = 0;
     }
+    posted.entries = entries_;
+    entries_ = 0;
     blocks_.clear();
     return posted;
 }

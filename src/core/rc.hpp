@@ -201,7 +201,7 @@ double rc_propagate_local(const LocalSubgraph& sg, DistanceStore& store,
                           std::span<const LocalId> seed_order = {},
                           double max_ops = 0);
 
-/// Serialize the payload of one boundary update: repeated blocks of
+/// The boundary block, the one wire format of every row-carrying payload:
 ///   [u32 vertex][varint count][u8 col_encoding][columns]
 ///   [zero pad to 8][count x f64], where the columns are either
 ///   delta-varints (encoding 0: first column absolute, then raw deltas >= 1)
@@ -210,33 +210,22 @@ double rc_propagate_local(const LocalSubgraph& sg, DistanceStore& store,
 ///   smaller per block (ties -> deltas). Every block's total size is a
 ///   multiple of 8, so concatenated blocks keep each distance run 8-aligned
 ///   — the property that lets receivers view it in place as an aligned f64
-///   span.
-/// Each block's entries must be sorted by strictly ascending column
-/// (asserted); rc_post_boundary_updates canonicalizes to that order.
-struct BoundaryBlock {
-    VertexId vertex;
-    std::vector<DvEntry> entries;
-};
-std::vector<std::byte> encode_boundary_blocks(const std::vector<BoundaryBlock>& blocks);
-
-/// Append one block of a dense DV row's finite entries, byte-equal to
-/// encode_boundary_blocks over them: the encoder of every row-carrying
-/// message. One pass finds the row's runs of finite entries; the column
-/// encoding is picked from the runs and each run's distances are copied
-/// straight from the row. `out` must be 8-aligned where the block starts.
-/// Returns the number of entries written.
+///   span. A block's columns are strictly ascending.
+///
+/// Append one block of a dense DV row's finite entries: the encoder of every
+/// row-carrying message. One pass finds the row's runs of finite entries;
+/// the column encoding is picked from the runs and each run's distances are
+/// copied straight from the row — byte-equal to BoundaryFanOut's block of
+/// the same (column, distance) entries. `out` must be 8-aligned where the
+/// block starts. Returns the number of entries written.
 std::size_t encode_row_block(Serializer& out, VertexId vertex, std::span<const Weight> row);
 
 /// Per-destination boundary payloads, built block by block: each block is
 /// encoded once into one shared buffer and its destinations recorded; post()
 /// then allocates every destination's payload at its exact size and copies
 /// its blocks in, in arrival order (a payload is a plain concatenation of
-/// self-contained blocks), so the payload bytes equal encode_boundary_blocks
-/// over each destination's blocks in arrival order and no posted message
-/// carries growth slack. Entry counts ride along
-/// so the cluster can price each message by decoded footprint under
-/// PriceModel::PerEntry. The post kernel and the deletion path's view and
-/// raise exchanges share it.
+/// self-contained blocks), so no posted message carries growth slack. The
+/// post kernel and the deletion path's view and raise exchanges share it.
 class BoundaryFanOut {
 public:
     explicit BoundaryFanOut(std::size_t num_ranks);
@@ -249,7 +238,7 @@ public:
     struct Posted {
         std::size_t messages{0};
         std::size_t bytes{0};
-        std::size_t entries{0};  // summed over destinations
+        std::size_t entries{0};  // block entries x destinations
     };
     /// Send one `tag` message per non-empty payload from rank `from`, in
     /// ascending destination order, and start over empty.
@@ -262,25 +251,22 @@ private:
     };
     Serializer blocks_;                          // every block, encoded once
     std::vector<std::vector<BlockRef>> routes_;  // per destination, arrival order
-    std::vector<std::size_t> entries_;
+    std::size_t entries_{0};                     // Posted::entries so far
 };
 
-/// Decode a boundary-update payload. The payload is validated structurally
-/// before anything proportional to a declared count is allocated; malformed
-/// payloads (truncated headers or varints, overlong varints, unknown column
-/// encodings, non-monotone or overflowing column deltas, run lengths that
-/// disagree with the entry count, nonzero padding, entry counts past the
-/// payload end — overflow-safely) fail an AA_ASSERT contract check.
-std::vector<BoundaryBlock> decode_boundary_blocks(std::span<const std::byte> payload);
-
-/// Zero-copy variant: per block, a strictly-ascending column span and the
-/// aligned in-place f64 distance span — exactly the shape
-/// DistanceStore::relax_batch_soa consumes. The distance spans point into
-/// `payload`; the column spans point into `column_arena`, which the call
-/// clears and refills (varint columns are the one piece that must be
-/// materialized). Views are valid while both the payload bytes and the arena
-/// remain alive and the arena is not mutated. Same validation contract as
-/// decode_boundary_blocks; a hostile payload can never force an allocation
+/// Decode a boundary-update payload in place: per block, a strictly
+/// ascending column span and the aligned in-place f64 distance span —
+/// exactly the shape DistanceStore::relax_batch_soa consumes. The distance
+/// spans point into `payload`; the column spans point into `column_arena`,
+/// which the call clears and refills (varint columns are the one piece that
+/// must be materialized). Views are valid while both the payload bytes and
+/// the arena remain alive and the arena is not mutated. The payload is
+/// validated structurally before anything proportional to a declared count
+/// is allocated; malformed payloads (truncated headers or varints, overlong
+/// varints, unknown column encodings, non-monotone or overflowing column
+/// deltas, run lengths that disagree with the entry count, nonzero padding,
+/// entry counts past the payload end — overflow-safely) fail an AA_ASSERT
+/// contract check, so a hostile payload can never force an allocation
 /// larger than O(payload size). This is the reader of every row-carrying
 /// payload: a typed header ending at `header_end` — (to, weight) for an edge
 /// broadcast, (shard, count, adjacency) for a shard migration, none for the
@@ -311,10 +297,10 @@ void for_each_received_block(Cluster& cluster, RankId r, MessageTag tag, Fn&& fn
 }
 
 /// Non-aborting check of a boundary-update payload that comes from outside
-/// the process (a checkpoint's in-flight messages): the decoders' structural
-/// validation, plus every block vertex and column below `num_columns` and
-/// every distance >= 0 or +inf. Returns nullptr if the RC ingest kernel can
-/// consume the payload, else the failure message.
+/// the process (a checkpoint's in-flight messages): the view decoder's
+/// structural validation, plus every block vertex and column below
+/// `num_columns` and every distance >= 0 or +inf. Returns nullptr if the RC
+/// ingest kernel can consume the payload, else the failure message.
 const char* boundary_payload_error(std::span<const std::byte> payload,
                                    std::size_t num_columns);
 

@@ -94,14 +94,13 @@ double exchange_duration(const std::vector<std::size_t>& bytes_matrix,
     return 0;
 }
 
-std::vector<std::size_t> per_pair_bytes(const std::vector<const Message*>& messages,
+std::vector<std::size_t> per_pair_bytes(std::span<const Message> messages,
                                         std::uint32_t num_ranks) {
     std::vector<std::size_t> matrix(static_cast<std::size_t>(num_ranks) * num_ranks,
                                     0);
-    for (const Message* message : messages) {
-        AA_ASSERT(message != nullptr);
-        matrix[static_cast<std::size_t>(message->from) * num_ranks + message->to] +=
-            message->size_bytes();
+    for (const Message& message : messages) {
+        matrix[static_cast<std::size_t>(message.from) * num_ranks + message.to] +=
+            message.size_bytes();
     }
     return matrix;
 }
@@ -174,22 +173,6 @@ void schedule_arrivals(std::vector<InFlightMessage>& messages,
             return;
         }
     }
-}
-
-std::vector<RankTraffic> per_rank_traffic(const std::vector<std::size_t>& per_pair_bytes,
-                                          std::uint32_t num_ranks) {
-    AA_ASSERT(per_pair_bytes.size() ==
-              static_cast<std::size_t>(num_ranks) * num_ranks);
-    std::vector<RankTraffic> traffic(num_ranks);
-    for (RankId i = 0; i < num_ranks; ++i) {
-        for (RankId j = 0; j < num_ranks; ++j) {
-            const std::size_t bytes =
-                per_pair_bytes[static_cast<std::size_t>(i) * num_ranks + j];
-            traffic[i].bytes_out += bytes;
-            traffic[j].bytes_in += bytes;
-        }
-    }
-    return traffic;
 }
 
 }  // namespace aa

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,24 +48,13 @@ double exchange_duration(const std::vector<std::size_t>& per_pair_bytes,
                          std::uint32_t num_ranks, const LogPParams& params,
                          CommSchedule schedule);
 
-/// Helper: bucket messages into a per-pair byte matrix (P*P, row = sender).
-std::vector<std::size_t> per_pair_bytes(const std::vector<const Message*>& messages,
+/// Bucket messages' wire bytes into a per-pair byte matrix (P*P, row =
+/// sender): what exchange_duration prices.
+std::vector<std::size_t> per_pair_bytes(std::span<const Message> messages,
                                         std::uint32_t num_ranks);
 
-/// Per-rank traffic of one exchange, reduced from the per-pair byte matrix:
-/// bytes_out = row sum (rank as sender), bytes_in = column sum (rank as
-/// receiver). Feeds the cluster's per-rank accounting and the telemetry
-/// exporters.
-struct RankTraffic {
-    std::size_t bytes_out{0};
-    std::size_t bytes_in{0};
-};
-std::vector<RankTraffic> per_rank_traffic(const std::vector<std::size_t>& per_pair_bytes,
-                                          std::uint32_t num_ranks);
-
 /// One message of an event-driven exchange, before and after scheduling.
-/// `bytes` is the *priced* size (wire bytes or per-entry footprint, per the
-/// cluster's PriceModel); `arrive` is filled in by schedule_arrivals.
+/// `bytes` is its wire size; `arrive` is filled in by schedule_arrivals.
 struct InFlightMessage {
     RankId from{0};
     RankId to{0};

@@ -11,11 +11,10 @@
 namespace aa {
 
 Cluster::Cluster(std::uint32_t num_ranks, LogPParams params, CommSchedule schedule,
-                 PriceModel price_model)
+                 PriceModel /*price_model*/)
     : num_ranks_(num_ranks),
       params_(params),
       schedule_(schedule),
-      price_model_(price_model),
       mailboxes_(num_ranks),
       clocks_(num_ranks),
       rank_stats_(num_ranks) {
@@ -29,23 +28,12 @@ void Cluster::charge_compute(RankId r, double ops, std::size_t threads) {
     rank_stats_[r].compute_seconds += params_.compute_time(ops, threads);
 }
 
-std::size_t Cluster::priced_bytes(const Message& message) const {
-    if (price_model_ == PriceModel::PerEntry && message.entries > 0) {
-        // Decoded footprint: the 16-byte message header plus one DvEntry
-        // (u32 column + f64 distance, padded to 16 bytes) per decoded entry —
-        // what the receiver materializes regardless of wire encoding.
-        return 16 + message.entries * 16;
-    }
-    return message.size_bytes();
-}
-
 void Cluster::send(RankId from, RankId to, MessageTag tag,
-                   std::vector<std::byte> payload, std::size_t entries) {
+                   std::vector<std::byte> payload) {
     Message message;
     message.from = from;
     message.to = to;
     message.tag = tag;
-    message.entries = entries;
     message.payload = Message::share(std::move(payload));
     // Only rank-confined writes (the sender's stats slot and outbox): the
     // cluster-wide totals are derived in stats() so concurrent senders never
@@ -71,45 +59,28 @@ void Cluster::record_exchange_metrics(std::size_t bytes, double seconds) {
     metrics_->add(metrics_->counter("exchange.count"), 1);
 }
 
+std::vector<Message> Cluster::drain(std::size_t& bytes) {
+    std::vector<Message> drained =
+        mailboxes_.drain_outboxes(all_to_all_pairs(num_ranks_));
+    // The all-to-all covers every (i, j) pair, so nothing should remain.
+    AA_ASSERT(!mailboxes_.has_pending());
+    for (const Message& m : drained) {
+        rank_stats_[m.to].messages_received += 1;
+        rank_stats_[m.to].bytes_received += m.size_bytes();
+        bytes += m.size_bytes();
+    }
+    return drained;
+}
+
 double Cluster::exchange() {
-    // Price the pending traffic. `matrix` holds wire bytes (the accounting
-    // truth); under a non-default price model a second matrix feeds the
-    // duration computation so pricing never leaks into the byte bookkeeping.
-    std::vector<std::size_t> matrix(
-        static_cast<std::size_t>(num_ranks_) * num_ranks_, 0);
-    const bool reprice = price_model_ != PriceModel::PerByte;
-    std::vector<std::size_t> priced;
-    if (reprice) {
-        priced.assign(matrix.size(), 0);
-    }
-    bool any = false;
-    for (RankId r = 0; r < num_ranks_; ++r) {
-        for (const Message& m : mailboxes_.peek_outbox(r)) {
-            const std::size_t slot =
-                static_cast<std::size_t>(m.from) * num_ranks_ + m.to;
-            matrix[slot] += m.size_bytes();
-            if (reprice) {
-                priced[slot] += priced_bytes(m);
-            }
-            // Delivery is certain once priced, so the receiver's accounting
-            // advances here (see RankStats).
-            rank_stats_[m.to].messages_received += 1;
-            rank_stats_[m.to].bytes_received += m.size_bytes();
-            any = true;
-        }
-    }
-    double duration = 0;
     std::size_t exchanged_bytes = 0;
-    if (any) {
-        for (const RankTraffic& t : per_rank_traffic(matrix, num_ranks_)) {
-            exchanged_bytes += t.bytes_out;
-        }
-        duration = exchange_duration(reprice ? priced : matrix, num_ranks_,
-                                     params_, schedule_);
-        mailboxes_.deliver(all_to_all_pairs(num_ranks_));
-        // Safety: the all-to-all covers every (i, j) pair, so nothing should
-        // remain buffered.
-        AA_ASSERT(!mailboxes_.has_pending());
+    std::vector<Message> drained = drain(exchanged_bytes);
+    // An empty matrix prices to 0 under every schedule.
+    const double duration = exchange_duration(per_pair_bytes(drained, num_ranks_),
+                                              num_ranks_, params_, schedule_);
+    // Drain order is each receiver's canonical arrival order.
+    for (Message& m : drained) {
+        mailboxes_.deliver_direct(std::move(m));
     }
     // Barrier semantics: everyone leaves the exchange at the same instant.
     const double start = max_time();
@@ -123,10 +94,8 @@ double Cluster::exchange() {
 }
 
 std::vector<DeliveryEvent> Cluster::pipelined_exchange() {
-    std::vector<Message> drained =
-        mailboxes_.drain_outboxes(all_to_all_pairs(num_ranks_));
-    // The all-to-all covers every (i, j) pair, so nothing should remain.
-    AA_ASSERT(!mailboxes_.has_pending());
+    std::size_t exchanged_bytes = 0;
+    std::vector<Message> drained = drain(exchanged_bytes);
 
     std::vector<double> ready(num_ranks_);
     for (RankId r = 0; r < num_ranks_; ++r) {
@@ -135,15 +104,8 @@ std::vector<DeliveryEvent> Cluster::pipelined_exchange() {
 
     std::vector<InFlightMessage> inflight;
     inflight.reserve(drained.size());
-    std::size_t exchanged_bytes = 0;
     for (const Message& m : drained) {
-        // Delivery is certain once scheduled, so the receiver's accounting
-        // advances here — wire bytes, like the collective path: the price
-        // model changes simulated time, never the byte bookkeeping.
-        rank_stats_[m.to].messages_received += 1;
-        rank_stats_[m.to].bytes_received += m.size_bytes();
-        exchanged_bytes += m.size_bytes();
-        inflight.push_back(InFlightMessage{m.from, m.to, priced_bytes(m), 0});
+        inflight.push_back(InFlightMessage{m.from, m.to, m.size_bytes(), 0});
     }
     schedule_arrivals(inflight, num_ranks_, ready, params_, schedule_);
 

@@ -7,7 +7,10 @@
 //
 // The engine executes real work (actual Dijkstra runs, actual DV relaxations,
 // actual serialized payloads); the cluster merely *prices* it, so simulated
-// time faithfully tracks the executed operation and byte counts.
+// time faithfully tracks the executed operation and byte counts. Every
+// message is priced by its wire bytes (Message::size_bytes), and mail leaves
+// an outbox only through MailboxSystem::drain_outboxes and enters an inbox
+// only through MailboxSystem::deliver_direct.
 //
 // Concurrency contract (what lets a ThreadedBackend run ranks in parallel):
 //   * rank-confined entry points — charge_compute(r, ...), send(from=r, ...)
@@ -65,6 +68,8 @@ struct ClusterStats {
 
 class Cluster {
 public:
+    /// `PriceModel` has one value (wire bytes); the parameter stays for
+    /// callers that pass EngineConfig::price_model through.
     explicit Cluster(std::uint32_t num_ranks, LogPParams params = {},
                      CommSchedule schedule = CommSchedule::SerializedAllToAll,
                      PriceModel price_model = PriceModel::PerByte);
@@ -72,15 +77,6 @@ public:
     std::uint32_t num_ranks() const { return num_ranks_; }
     const LogPParams& params() const { return params_; }
     CommSchedule schedule() const { return schedule_; }
-    PriceModel price_model() const { return price_model_; }
-
-    /// Bytes the bandwidth term charges for one message: the wire size under
-    /// PriceModel::PerByte, the decoded entry footprint (16-byte header +
-    /// entries x sizeof(DvEntry)) under PerEntry for messages that declare an
-    /// entry count, the wire size otherwise. Traffic *accounting* (RankStats,
-    /// ClusterStats, metrics histograms) always records wire bytes — the
-    /// price model changes simulated time, never the byte bookkeeping.
-    std::size_t priced_bytes(const Message& message) const;
 
     /// Charge `ops` abstract operations to rank r's clock, spread over
     /// `threads` threads (the paper's multithreaded IA model). Rank-confined:
@@ -90,31 +86,28 @@ public:
     /// Post a message; it is delivered (and priced) at the next exchange()
     /// or pipelined_exchange(). Rank-confined by `from`: safe from concurrent
     /// callers for distinct senders (per-sender outboxes, per-sender stats
-    /// slots, no global accumulation). `entries` is the decoded DV-entry
-    /// count of a boundary payload, used only by PriceModel::PerEntry.
-    void send(RankId from, RankId to, MessageTag tag, std::vector<std::byte> payload,
-              std::size_t entries = 0);
+    /// slots, no global accumulation).
+    void send(RankId from, RankId to, MessageTag tag, std::vector<std::byte> payload);
 
     /// True if any message is waiting to be exchanged.
     bool has_pending_messages() const { return mailboxes_.has_pending(); }
 
-    /// Collective exchange: price all pending messages under the schedule,
-    /// deliver them, and synchronize every clock to (max clock + duration).
-    /// Returns the exchange duration.
+    /// Collective exchange: drain all pending messages in canonical
+    /// all-to-all order, price their wire bytes under the schedule, append
+    /// each to its receiver's inbox in drain order, and synchronize every
+    /// clock to (max clock + duration). Returns the exchange duration.
     double exchange();
 
-    /// Event-driven exchange (driver-only): drain every outbox in canonical
-    /// all-to-all order, price each message under the price model, and
-    /// compute its deterministic arrival time with senders departing at
-    /// their *own* clocks (no entry barrier — see schedule_arrivals). The
-    /// returned events are in canonical order with monotone `seq`; messages
-    /// are NOT placed in inboxes — the caller owns delivery, advancing each
+    /// Event-driven exchange (driver-only): the same drain, then each
+    /// message's deterministic arrival time with senders departing at their
+    /// *own* clocks (no entry barrier — see schedule_arrivals). The returned
+    /// events are in canonical order with monotone `seq`; messages are NOT
+    /// placed in inboxes — the caller owns delivery, advancing each
     /// receiver's clock with advance_rank_to(to, event.time) before handing
-    /// it the payload. Receiver-side traffic accounting advances here (wire
-    /// bytes — delivery is certain once scheduled); comm_seconds accumulates
-    /// the exchange makespan (last arrival minus earliest sender departure)
-    /// and the exchange.* metrics record the same wire-byte totals as the
-    /// collective path. Clocks are left untouched.
+    /// it the payload. comm_seconds accumulates the exchange makespan (last
+    /// arrival minus earliest sender departure) and the exchange.* metrics
+    /// record the same wire-byte totals as the collective path. Clocks are
+    /// left untouched.
     std::vector<DeliveryEvent> pipelined_exchange();
 
     /// Advance rank r's clock to at least `t` (event delivery: the receiver
@@ -181,6 +174,12 @@ public:
     void reset();
 
 private:
+    /// The drain both exchanges share: take every outbox's mail in canonical
+    /// all-to-all order (pair order of all_to_all_pairs, post order within a
+    /// pair) and advance the receivers' accounting — delivery is certain
+    /// once priced (see RankStats). Adds the drained wire bytes to `bytes`.
+    std::vector<Message> drain(std::size_t& bytes);
+
     /// Feed one exchange (either kind) into the attached registry's
     /// exchange.bytes / exchange.seconds histograms and exchange.count.
     void record_exchange_metrics(std::size_t bytes, double seconds);
@@ -188,7 +187,6 @@ private:
     std::uint32_t num_ranks_;
     LogPParams params_;
     CommSchedule schedule_;
-    PriceModel price_model_;
     MailboxSystem mailboxes_;
     std::vector<SimClock> clocks_;
     std::vector<RankStats> rank_stats_;

@@ -14,22 +14,12 @@
 
 namespace aa {
 
-/// What the bandwidth term of the cost model charges a message for.
-///
-/// PerByte prices exactly the bytes the serializer put on the wire — the
-/// historical behaviour, and the right model when the experiment is about
-/// transport (schedule ablations). PerEntry prices a boundary-DV message by
-/// its *decoded* entry footprint (16-byte header + entries x
-/// sizeof(DvEntry)) regardless of how cleverly the payload was encoded, so
-/// encoding wins (the varint/RLE columns) stay out of algorithmic
-/// `sim_seconds`: a run's simulated time depends only on how many entries
-/// its schedule ships, which is what lets an experiment attribute a speedup
-/// to the algorithm rather than the encoder.
-/// Non-boundary messages (control, broadcasts, migrations) carry no entry
-/// count and are priced by wire bytes under both models.
+/// What the bandwidth term of the cost model charges a message for: the
+/// bytes the serializer put on the wire, payload plus the 16-byte header
+/// (Message::size_bytes), for every message kind. One value; the enum and
+/// EngineConfig::price_model stay because callers name them.
 enum class PriceModel : std::uint8_t {
     PerByte = 1,
-    PerEntry = 2,
 };
 
 struct LogPParams {

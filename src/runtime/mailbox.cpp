@@ -25,39 +25,6 @@ bool MailboxSystem::has_unreceived() const {
                        [](const auto& box) { return !box.empty(); });
 }
 
-std::size_t MailboxSystem::deliver(
-    const std::vector<std::pair<RankId, RankId>>& schedule) {
-    std::size_t bytes = 0;
-    for (const auto& [from, to] : schedule) {
-        AA_ASSERT(from < num_ranks() && to < num_ranks());
-        auto& outbox = outboxes_[from];
-        // Deliver every pending message for this (from, to) pair, preserving
-        // post order.
-        for (auto it = outbox.begin(); it != outbox.end();) {
-            if (it->to == to) {
-                bytes += it->size_bytes();
-                inboxes_[to].push_back(std::move(*it));
-                it = outbox.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    }
-    return bytes;
-}
-
-std::size_t MailboxSystem::deliver_all() {
-    std::size_t bytes = 0;
-    for (auto& outbox : outboxes_) {
-        for (auto& message : outbox) {
-            bytes += message.size_bytes();
-            inboxes_[message.to].push_back(std::move(message));
-        }
-        outbox.clear();
-    }
-    return bytes;
-}
-
 std::vector<Message> MailboxSystem::drain_outboxes(
     const std::vector<std::pair<RankId, RankId>>& schedule) {
     std::vector<Message> drained;

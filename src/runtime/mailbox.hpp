@@ -1,13 +1,15 @@
 // Per-rank outbox/inbox pairs. Messages posted during a superstep are
 // buffered in the sender's outbox and only become visible in receivers'
 // inboxes after the cluster runs its exchange — mirroring a BSP-style
-// communication phase.
+// communication phase. Mail leaves the outboxes through one routine
+// (drain_outboxes) and enters the inboxes through one (deliver_direct); the
+// cluster prices everything in between.
 //
 // Concurrency contract: post(message) touches only outboxes_[message.from]
 // and take_inbox(r) only inboxes_[r], so distinct ranks may post/drain
 // concurrently (the ThreadedBackend compute phase). Everything that crosses
-// boxes — deliver / deliver_all / deliver_direct / has_pending / peek_* /
-// restore — is driver-only and must not overlap any rank-side call.
+// boxes — drain_outboxes / deliver_direct / has_pending / peek_* / restore —
+// is driver-only and must not overlap any rank-side call.
 #pragma once
 
 #include <vector>
@@ -31,23 +33,12 @@ public:
     /// True if any rank's inbox holds a delivered message it has not taken.
     bool has_unreceived() const;
 
-    /// Move all outbox messages into receiver inboxes, ordered by the given
-    /// (from, to) schedule; pairs without a pending message are skipped.
-    /// Messages not covered by the schedule remain buffered. Returns the
-    /// delivered messages' total payload bytes.
-    std::size_t deliver(const std::vector<std::pair<RankId, RankId>>& schedule);
-
-    /// Deliver everything (arbitrary but deterministic order).
-    std::size_t deliver_all();
-
-    /// Drain every outbox *without* delivering: the messages are returned in
-    /// the canonical all-to-all order — pair (from, to) order of the given
-    /// schedule, post order within a pair — which is exactly the inbox order
-    /// deliver() would have produced per receiver. The event-driven exchange
-    /// uses this to take custody of the in-flight messages and hand each to
-    /// its receiver at its own simulated arrival time instead of at a
-    /// collective barrier. Messages not covered by the schedule remain
-    /// buffered. Driver-only, like deliver().
+    /// Take the outboxes' mail in the order of the given (from, to) schedule
+    /// — pair order, post order within a pair; pairs without pending mail are
+    /// skipped and messages the schedule does not cover remain buffered. The
+    /// collective exchange appends the result to the inboxes in this order;
+    /// the event-driven one hands each message to its receiver at its own
+    /// simulated arrival time. Driver-only.
     std::vector<Message> drain_outboxes(
         const std::vector<std::pair<RankId, RankId>>& schedule);
 
@@ -57,10 +48,10 @@ public:
     const std::vector<Message>& peek_outbox(RankId r) const;
     const std::vector<Message>& peek_inbox(RankId r) const;
 
-    /// Append a message straight to its receiver's inbox, past the outboxes:
-    /// a collective that prices its own delivery (Cluster::broadcast), so
-    /// mail posted earlier stays buffered for the exchange that prices it.
-    /// Driver-only.
+    /// Append a message to its receiver's inbox: how an exchange delivers
+    /// drained mail, and how a collective that prices its own delivery
+    /// (Cluster::broadcast) bypasses the outboxes, so mail posted earlier
+    /// stays buffered for the exchange that prices it. Driver-only.
     void deliver_direct(Message message);
 
     /// Put a checkpointed message back where it was: appended to its

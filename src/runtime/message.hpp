@@ -41,14 +41,6 @@ struct Message {
     RankId from{0};
     RankId to{0};
     MessageTag tag{MessageTag::Control};
-    /// Decoded DV-entry count carried by a BoundaryDvUpdate payload (0 for
-    /// everything else). Pure pricing metadata: under PriceModel::PerEntry
-    /// the cluster charges the bandwidth term for `entries * sizeof(DvEntry)`
-    /// instead of the encoded payload size, so the simulated time of an
-    /// exchange is independent of the wire encoding. Senders that don't set
-    /// it fall back to wire-byte pricing (entries == 0 is never charged as
-    /// "free": the per-chunk latency/overhead terms always apply).
-    std::size_t entries{0};
     /// Immutable payload. Shared so that a tree broadcast can hand the same
     /// bytes to P-1 receivers without physical copies (receivers only read;
     /// the LogP model still charges every logical transmission).

@@ -116,7 +116,7 @@ TEST(PerPairBytes, BucketsBySenderReceiver) {
     c.from = 1;
     c.to = 0;
     c.payload = Message::share(std::vector<std::byte>(10));
-    const auto matrix = per_pair_bytes({&a, &b, &c}, 2);
+    const auto matrix = per_pair_bytes(std::vector<Message>{a, b, c}, 2);
     EXPECT_EQ(matrix[0 * 2 + 1], 100u + 16 + 50 + 16);
     EXPECT_EQ(matrix[1 * 2 + 0], 10u + 16);
     EXPECT_EQ(matrix[0], 0u);

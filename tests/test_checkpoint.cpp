@@ -185,16 +185,9 @@ void inject_boundary_block(AnytimeEngine& engine, bool deliver) {
         if (from == to) {
             continue;
         }
-        BoundaryBlock block{e.u, {}};
-        const std::vector<Weight> row = engine.distance_row(e.u);
-        for (VertexId c = 0; c < row.size(); ++c) {
-            if (row[c] < kInfinity) {
-                block.entries.push_back({c, row[c]});
-            }
-        }
-        const std::size_t entries = block.entries.size();
-        engine.cluster().send(from, to, MessageTag::BoundaryDvUpdate,
-                              encode_boundary_blocks({block}), entries);
+        Serializer out;
+        encode_row_block(out, e.u, engine.distance_row(e.u));
+        engine.cluster().send(from, to, MessageTag::BoundaryDvUpdate, out.take());
         if (deliver) {
             engine.cluster().exchange();
         }
@@ -322,16 +315,9 @@ void mail_block_to_rank0(AnytimeEngine& engine, bool deliver) {
             if (from == 0 || engine.shard_ownership().owner(v) != 0) {
                 continue;
             }
-            BoundaryBlock block{u, {}};
-            const std::vector<Weight> row = engine.distance_row(u);
-            for (VertexId c = 0; c < row.size(); ++c) {
-                if (row[c] < kInfinity) {
-                    block.entries.push_back({c, row[c]});
-                }
-            }
-            const std::size_t entries = block.entries.size();
-            engine.cluster().send(from, 0, MessageTag::BoundaryDvUpdate,
-                                  encode_boundary_blocks({block}), entries);
+            Serializer out;
+            encode_row_block(out, u, engine.distance_row(u));
+            engine.cluster().send(from, 0, MessageTag::BoundaryDvUpdate, out.take());
             if (deliver) {
                 engine.cluster().exchange();
             }
@@ -515,7 +501,7 @@ void reseal(std::string& bytes, const Section& section) {
 }
 
 /// A saved checkpoint of a small engine with every section located by
-/// walking the v2 layout (see src/core/checkpoint.cpp): header, graph,
+/// walking the v3 layout (see src/core/checkpoint.cpp): header, graph,
 /// shards, layout, rows, marks, state, mail.
 struct SavedCheckpoint {
     std::string bytes;
@@ -536,7 +522,7 @@ SavedCheckpoint locate_sections(std::string bytes, std::size_t ranks) {
         at += 8 + peek<std::uint64_t>(b, at) * (sizeof(VertexId) + sizeof(Weight));
     };
     saved.header.begin = at;
-    at += 8 + 3 * 4 + 2;
+    at += 8 + 3 * 4 + 1;
     close(saved.header);
 
     saved.graph.begin = at;
@@ -581,11 +567,11 @@ SavedCheckpoint locate_sections(std::string bytes, std::size_t ranks) {
     const auto messages = peek<std::uint64_t>(b, at);
     at += 8;
     for (std::uint64_t i = 0; i < messages; ++i) {
-        at += 1 + 3 * 4 + 8;
+        at += 1 + 2 * 4;
         at += 8 + peek<std::uint64_t>(b, at);
     }
     close(saved.mail);
-    EXPECT_EQ(at, b.size()) << "the section walk disagrees with the v2 layout";
+    EXPECT_EQ(at, b.size()) << "the section walk disagrees with the v3 layout";
     return saved;
 }
 
@@ -618,14 +604,17 @@ TEST(Checkpoint, RejectsConfigFingerprintMismatch) {
     EngineConfig variant = small_config(4);
     variant.closeness_variant = ClosenessVariant::Raw;
     expect_rejected(saved.bytes, variant, "closeness variant");
-    // The header's last byte is the wire format. Only V2Soa (2) exists, so a
-    // file claiming the retired v1 id must not load, even with a valid CRC.
-    const std::size_t wire_at = saved.header.crc_at - 1;
-    ASSERT_EQ(peek<std::uint8_t>(saved.bytes, wire_at),
-              static_cast<std::uint8_t>(BoundaryWireFormat::V2Soa));
-    poke<std::uint8_t>(saved.bytes, wire_at, 1);
+}
+
+TEST(Checkpoint, RejectsRetiredV2) {
+    // v2 carried a wire-format byte and a tag and entry count per in-flight
+    // message; a file claiming it must not load, even with a valid CRC.
+    SavedCheckpoint saved = save_small(4, true);
+    const std::size_t version_at = saved.header.begin + 8;  // after the magic
+    ASSERT_EQ(peek<std::uint32_t>(saved.bytes, version_at), 3u);
+    poke<std::uint32_t>(saved.bytes, version_at, 2);
     reseal(saved.bytes, saved.header);
-    expect_rejected(saved.bytes, small_config(4), "wire format");
+    expect_rejected(saved.bytes, small_config(4), "unsupported format version 2");
 }
 
 TEST(Checkpoint, RejectsShardMapRankOutOfRange) {
@@ -702,10 +691,9 @@ TEST(Checkpoint, RejectsDirtyColumnOutOfRange) {
 }
 
 TEST(Checkpoint, LoadsPendingMarksInAnyOrder) {
-    // The saver writes each pending-column list ascending; older savers of
-    // the same v2 format wrote them in mark order. Reverse every list, as
-    // such a file may hold it: it must load, save back to the original
-    // bytes, and resume exactly as the original does.
+    // The saver writes each pending-column list ascending; the loader
+    // accepts any order. Reverse every list: the file must load, save back
+    // to the original bytes, and resume exactly as the original does.
     SavedCheckpoint saved = save_small(4, true);
     const std::string original = saved.bytes;
     std::size_t reversed = 0;
@@ -747,7 +735,7 @@ TEST(Checkpoint, RejectsMalformedMessagePayload) {
     // The payload is what the next RC step's ingest kernel decodes, so it is
     // validated like any other input: here its block names a vertex >= n.
     SavedCheckpoint saved = save_small(4, true);
-    const std::size_t payload_at = saved.mail.begin + 8 + 1 + 3 * 4 + 8 + 8;
+    const std::size_t payload_at = saved.mail.begin + 8 + 1 + 2 * 4 + 8;
     poke<VertexId>(saved.bytes, payload_at, 1000000);
     reseal(saved.bytes, saved.mail);
     expect_rejected(saved.bytes, small_config(4), "boundary block vertex out of range");

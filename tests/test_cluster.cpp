@@ -129,31 +129,20 @@ TEST(Cluster, SerializedScheduleCostsMoreThanParallel) {
               run(CommSchedule::ParallelRounds));
 }
 
-TEST(Cluster, PricedBytesFollowsThePriceModel) {
-    // PerEntry prices a message that declares an entry count by its decoded
-    // footprint, 16 + 16 x entries; PerByte, and any message without a count,
-    // pays its wire bytes (payload plus the 16-byte header). Traffic
-    // accounting records wire bytes either way.
-    Message boundary;
-    boundary.tag = MessageTag::BoundaryDvUpdate;
-    boundary.entries = 10;
-    boundary.payload = Message::share(bytes(40));
-    Message control;
-    control.payload = Message::share(bytes(40));
-
-    Cluster per_byte(2);
-    Cluster per_entry(2, {}, CommSchedule::SerializedAllToAll, PriceModel::PerEntry);
-    const std::size_t wire = boundary.size_bytes();
-    EXPECT_EQ(wire, 16u + 40u);
-    EXPECT_EQ(per_byte.priced_bytes(boundary), wire);
-    EXPECT_EQ(per_byte.priced_bytes(control), wire);
-    EXPECT_EQ(per_entry.priced_bytes(boundary), 16u + 16u * 10);
-    EXPECT_EQ(per_entry.priced_bytes(control), wire);
-
-    per_byte.send(0, 1, MessageTag::BoundaryDvUpdate, bytes(40), 10);
-    per_entry.send(0, 1, MessageTag::BoundaryDvUpdate, bytes(40), 10);
-    EXPECT_LT(per_byte.exchange(), per_entry.exchange());
-    for (const Cluster* cluster : {&per_byte, &per_entry}) {
+TEST(Cluster, ExchangePricesWireBytes) {
+    // Every message, whatever its tag, pays its wire bytes (payload plus the
+    // 16-byte header) on both exchanges, and the accounting records the
+    // same bytes.
+    const std::size_t wire = 16 + 40;
+    Cluster collective(2);
+    collective.send(0, 1, MessageTag::BoundaryDvUpdate, bytes(40));
+    EXPECT_EQ(collective.exchange(), collective.params().message_time(wire));
+    Cluster pipelined(2);
+    pipelined.send(0, 1, MessageTag::BoundaryDvUpdate, bytes(40));
+    const auto events = pipelined.pipelined_exchange();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].time, pipelined.params().message_time(wire));
+    for (const Cluster* cluster : {&collective, &pipelined}) {
         EXPECT_EQ(cluster->rank_stats(0).bytes_sent, wire);
         EXPECT_EQ(cluster->rank_stats(1).bytes_received, wire);
         EXPECT_EQ(cluster->stats().total_bytes, wire);

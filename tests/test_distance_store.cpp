@@ -116,15 +116,15 @@ TEST(DistanceStore, FiniteEntries) {
     store.relax(r, 1, 2.5);
     Serializer out;
     EXPECT_EQ(encode_row_block(out, 3, store.row(r)), 2u);
-    const auto blocks = decode_boundary_blocks(out.view());
+    const auto payload = out.take();
+    std::vector<VertexId> arena;
+    const auto blocks = decode_boundary_block_soa_views(payload, arena);
     ASSERT_EQ(blocks.size(), 1u);
     EXPECT_EQ(blocks[0].vertex, 3u);
-    const auto& entries = blocks[0].entries;
-    ASSERT_EQ(entries.size(), 2u);
-    EXPECT_EQ(entries[0].column, 1u);
-    EXPECT_EQ(entries[0].distance, 2.5);
-    EXPECT_EQ(entries[1].column, 3u);
-    EXPECT_EQ(entries[1].distance, 0.0);
+    EXPECT_EQ(std::vector<VertexId>(blocks[0].cols.begin(), blocks[0].cols.end()),
+              (std::vector<VertexId>{1, 3}));
+    EXPECT_EQ(std::vector<Weight>(blocks[0].dists.begin(), blocks[0].dists.end()),
+              (std::vector<Weight>{2.5, 0.0}));
 }
 
 TEST(DistanceStore, PendingQueries) {

@@ -15,6 +15,17 @@ Message make(RankId from, RankId to, std::size_t bytes = 8) {
     return m;
 }
 
+/// What an exchange does with the mailboxes: drain the outboxes in the
+/// schedule's order and append each message to its receiver's inbox.
+std::vector<Message> exchange_mail(
+    MailboxSystem& mail, const std::vector<std::pair<RankId, RankId>>& schedule) {
+    std::vector<Message> drained = mail.drain_outboxes(schedule);
+    for (const Message& m : drained) {
+        mail.deliver_direct(m);
+    }
+    return drained;
+}
+
 TEST(Mailbox, PostAndDeliverAll) {
     MailboxSystem mail(3);
     EXPECT_FALSE(mail.has_pending());
@@ -22,8 +33,10 @@ TEST(Mailbox, PostAndDeliverAll) {
     mail.post(make(0, 2));
     mail.post(make(2, 1));
     EXPECT_TRUE(mail.has_pending());
-    mail.deliver_all();
+    EXPECT_FALSE(mail.has_unreceived());
+    EXPECT_EQ(exchange_mail(mail, all_to_all_pairs(3)).size(), 3u);
     EXPECT_FALSE(mail.has_pending());
+    EXPECT_TRUE(mail.has_unreceived());
     EXPECT_EQ(mail.take_inbox(1).size(), 2u);
     EXPECT_EQ(mail.take_inbox(2).size(), 1u);
     EXPECT_TRUE(mail.take_inbox(0).empty());
@@ -32,7 +45,7 @@ TEST(Mailbox, PostAndDeliverAll) {
 TEST(Mailbox, TakeInboxDrains) {
     MailboxSystem mail(2);
     mail.post(make(0, 1));
-    mail.deliver_all();
+    exchange_mail(mail, all_to_all_pairs(2));
     EXPECT_EQ(mail.take_inbox(1).size(), 1u);
     EXPECT_TRUE(mail.take_inbox(1).empty());
 }
@@ -46,8 +59,15 @@ TEST(Mailbox, ScheduledDeliveryCoversAllPairs) {
             }
         }
     }
-    mail.deliver(all_to_all_pairs(4));
+    const auto pairs = all_to_all_pairs(4);
+    const std::vector<Message> drained = exchange_mail(mail, pairs);
     EXPECT_FALSE(mail.has_pending());
+    // The drain follows the schedule: one message per pair, in pair order.
+    ASSERT_EQ(drained.size(), pairs.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        EXPECT_EQ(drained[i].from, pairs[i].first);
+        EXPECT_EQ(drained[i].to, pairs[i].second);
+    }
     for (RankId r = 0; r < 4; ++r) {
         EXPECT_EQ(mail.take_inbox(r).size(), 3u);
     }
@@ -57,7 +77,7 @@ TEST(Mailbox, PartialScheduleLeavesRest) {
     MailboxSystem mail(3);
     mail.post(make(0, 1));
     mail.post(make(0, 2));
-    mail.deliver({{0, 1}});
+    exchange_mail(mail, {{0, 1}});
     EXPECT_TRUE(mail.has_pending());  // 0 -> 2 still buffered
     EXPECT_EQ(mail.take_inbox(1).size(), 1u);
     EXPECT_TRUE(mail.take_inbox(2).empty());
@@ -71,7 +91,7 @@ TEST(Mailbox, PreservesPostOrderPerPair) {
         m.payload = Message::share(std::move(data));
         mail.post(std::move(m));
     }
-    mail.deliver_all();
+    exchange_mail(mail, all_to_all_pairs(2));
     const auto inbox = mail.take_inbox(1);
     ASSERT_EQ(inbox.size(), 5u);
     for (int i = 0; i < 5; ++i) {
@@ -80,10 +100,13 @@ TEST(Mailbox, PreservesPostOrderPerPair) {
 }
 
 TEST(Mailbox, DeliverReportsBytes) {
+    // Drained mail keeps its wire size (payload + 16-byte header) — what the
+    // exchange prices and counts.
     MailboxSystem mail(2);
     mail.post(make(0, 1, 100));
-    const std::size_t bytes = mail.deliver_all();
-    EXPECT_EQ(bytes, 116u);  // payload + 16-byte header
+    const auto drained = mail.drain_outboxes(all_to_all_pairs(2));
+    ASSERT_EQ(drained.size(), 1u);
+    EXPECT_EQ(drained[0].size_bytes(), 116u);
 }
 
 }  // namespace

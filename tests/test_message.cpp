@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <utility>
 #include <vector>
 
 #include "core/distance_store.hpp"
 #include "core/rc.hpp"
+#include "runtime/cluster.hpp"
 #include "runtime/message.hpp"
 
 namespace aa {
@@ -77,37 +79,37 @@ TEST(Message, EmptyPayloadIsSafe) {
 }
 
 TEST(BoundaryBlocks, RoundTrip) {
-    std::vector<BoundaryBlock> blocks;
-    blocks.push_back({7, {{1, 2.0}, {3, 4.5}}});
-    blocks.push_back({9, {{0, 1.0}}});
-    blocks.push_back({11, {}});
-    const auto payload = encode_boundary_blocks(blocks);
-    const auto back = decode_boundary_blocks(payload);
+    std::vector<Weight> row(12, kInfinity);
+    Serializer out;
+    row[1] = 2.0;
+    row[3] = 4.5;
+    EXPECT_EQ(encode_row_block(out, 7, row), 2u);
+    row.assign(12, kInfinity);
+    row[0] = 1.0;
+    EXPECT_EQ(encode_row_block(out, 9, row), 1u);
+    row.assign(12, kInfinity);
+    EXPECT_EQ(encode_row_block(out, 11, row), 0u);
+    const auto payload = out.take();
+    std::vector<VertexId> arena;
+    const auto back = decode_boundary_block_soa_views(payload, arena);
     ASSERT_EQ(back.size(), 3u);
     EXPECT_EQ(back[0].vertex, 7u);
-    ASSERT_EQ(back[0].entries.size(), 2u);
-    EXPECT_EQ(back[0].entries[1].column, 3u);
-    EXPECT_EQ(back[0].entries[1].distance, 4.5);
+    ASSERT_EQ(back[0].cols.size(), 2u);
+    EXPECT_EQ(back[0].cols[1], 3u);
+    EXPECT_EQ(back[0].dists[1], 4.5);
     EXPECT_EQ(back[1].vertex, 9u);
-    EXPECT_TRUE(back[2].entries.empty());
+    EXPECT_TRUE(back[2].cols.empty());
 }
 
 TEST(BoundaryBlocks, EmptyPayload) {
-    EXPECT_TRUE(decode_boundary_blocks({}).empty());
-}
-
-/// The AoS form of a row's finite entries, for the block encoder.
-BoundaryBlock finite_block(VertexId vertex, const std::vector<Weight>& row) {
-    BoundaryBlock block{vertex, {}};
-    for (VertexId c = 0; c < row.size(); ++c) {
-        if (row[c] < kInfinity) {
-            block.entries.push_back({c, row[c]});
-        }
-    }
-    return block;
+    std::vector<VertexId> arena;
+    EXPECT_TRUE(decode_boundary_block_soa_views({}, arena).empty());
 }
 
 TEST(BoundaryBlocks, RowEncoderMatchesBlockEncoder) {
+    // encode_row_block writes a dense row's finite entries; BoundaryFanOut
+    // encodes explicit (column, distance) lists. Both must give the same
+    // bytes for the same entries.
     const std::size_t n = 700;  // columns past 127 and 16383 need 2-3 byte varints
     std::vector<std::pair<VertexId, std::vector<Weight>>> rows;
     // Dense: one run, run-length wins.
@@ -136,17 +138,36 @@ TEST(BoundaryBlocks, RowEncoderMatchesBlockEncoder) {
     diagonal[n - 2] = 0;
     rows.emplace_back(static_cast<VertexId>(n - 2), diagonal);
 
+    // Each row alone, then every row in one payload: rank 0 sends to rank 1
+    // through the fan-out.
+    const auto fan_out_payload = [](const auto& blocks) {
+        Cluster cluster(2);
+        BoundaryFanOut fan_out(2);
+        const std::array<RankId, 1> to{1};
+        for (const auto& [vertex, row] : blocks) {
+            std::vector<VertexId> cols;
+            std::vector<Weight> dists;
+            for (VertexId c = 0; c < row.size(); ++c) {
+                if (row[c] < kInfinity) {
+                    cols.push_back(c);
+                    dists.push_back(row[c]);
+                }
+            }
+            fan_out.add(vertex, cols, dists, to);
+        }
+        fan_out.post(cluster, 0, MessageTag::BoundaryDvUpdate);
+        cluster.exchange();
+        return *cluster.receive(1).at(0).payload;
+    };
     Serializer all;  // every row, concatenated
-    std::vector<BoundaryBlock> blocks;
     for (const auto& [vertex, row] : rows) {
-        const BoundaryBlock block = finite_block(vertex, row);
         Serializer one;
-        EXPECT_EQ(encode_row_block(one, vertex, row), block.entries.size());
-        EXPECT_EQ(one.take(), encode_boundary_blocks({block})) << "vertex " << vertex;
+        encode_row_block(one, vertex, row);
+        EXPECT_EQ(one.take(), fan_out_payload(std::vector{std::pair{vertex, row}}))
+            << "vertex " << vertex;
         encode_row_block(all, vertex, row);
-        blocks.push_back(block);
     }
-    EXPECT_EQ(all.take(), encode_boundary_blocks(blocks));
+    EXPECT_EQ(all.take(), fan_out_payload(rows));
 }
 
 TEST(BoundaryBlocks, RowPayloadHeaderThenBlocks) {

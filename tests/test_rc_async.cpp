@@ -307,16 +307,9 @@ GoldenRun run_golden(bool rc_async, BackendKind backend) {
         if (from == to) {
             continue;
         }
-        BoundaryBlock block{e.u, {}};
-        const std::vector<Weight> row = engine.distance_row(e.u);
-        for (VertexId c = 0; c < row.size(); ++c) {
-            if (row[c] < kInfinity) {
-                block.entries.push_back({c, row[c]});
-            }
-        }
-        const std::size_t entries = block.entries.size();
-        engine.cluster().send(from, to, MessageTag::BoundaryDvUpdate,
-                              encode_boundary_blocks({block}), entries);
+        Serializer out;
+        encode_row_block(out, e.u, engine.distance_row(e.u));
+        engine.cluster().send(from, to, MessageTag::BoundaryDvUpdate, out.take());
         engine.cluster().exchange();
         break;
     }
@@ -454,39 +447,6 @@ TEST(RcIngest, AdaptiveResolutionRules) {
     EXPECT_EQ(thr_window, adaptive_rc_ingest_window_bytes(4));
 }
 
-TEST(PriceModel, PerEntryMakesSimSecondsFormatIndependent) {
-    // The point of the per-entry price model: two boundary payloads with the
-    // same entries but different column encodings — one dense run, one
-    // spread of delta-varints — ship different wire bytes (accounting is
-    // always wire-truthful), but under PerEntry the priced exchange time, and
-    // with it the simulated clock, no longer depends on the encoding.
-    std::vector<DvEntry> dense;
-    std::vector<DvEntry> sparse;
-    for (VertexId i = 0; i < 64; ++i) {
-        dense.push_back({i, 1.0});
-        sparse.push_back({i * 1000, 1.0});
-    }
-    const auto dense_payload = encode_boundary_blocks({{0, dense}});
-    const auto sparse_payload = encode_boundary_blocks({{0, sparse}});
-    ASSERT_LT(dense_payload.size(), sparse_payload.size());
-    struct Priced {
-        double sim_seconds;
-        std::size_t bytes;
-    };
-    const auto run = [](PriceModel model, const std::vector<std::byte>& payload) {
-        Cluster cluster(2, {}, CommSchedule::SerializedAllToAll, model);
-        cluster.send(0, 1, MessageTag::BoundaryDvUpdate, payload, 64);
-        cluster.exchange();
-        return Priced{cluster.max_time(), cluster.stats().total_bytes};
-    };
-    const Priced dense_pe = run(PriceModel::PerEntry, dense_payload);
-    const Priced sparse_pe = run(PriceModel::PerEntry, sparse_payload);
-    EXPECT_EQ(dense_pe.sim_seconds, sparse_pe.sim_seconds);
-    EXPECT_LT(dense_pe.bytes, sparse_pe.bytes);
-    EXPECT_LT(run(PriceModel::PerByte, dense_payload).sim_seconds,
-              run(PriceModel::PerByte, sparse_payload).sim_seconds);
-}
-
 TEST(PriceModel, PerByteIsTheHistoricalDefault) {
     const Overrides defaulted{};
     Overrides explicit_per_byte{};
@@ -497,21 +457,6 @@ TEST(PriceModel, PerByteIsTheHistoricalDefault) {
                                      BoundaryWireFormat::V2Soa, explicit_per_byte);
     expect_equivalent_modulo_timeline(a, b);
     EXPECT_EQ(a.sim_seconds, b.sim_seconds);
-}
-
-TEST(PriceModel, PerEntryAsyncStillBitIdenticalToSync) {
-    // Price model and event-driven exchange compose: under PerEntry the
-    // async run must still reach the sync run's exact fixpoint.
-    Overrides sync_pe{/*rc_async=*/false, CommSchedule::SerializedAllToAll,
-                      PriceModel::PerEntry};
-    Overrides async_pe{/*rc_async=*/true, CommSchedule::SerializedAllToAll,
-                       PriceModel::PerEntry};
-    const RunResult s = run_scenario(4, BackendKind::Sequential,
-                                     BoundaryWireFormat::V2Soa, sync_pe);
-    const RunResult a = run_scenario(4, BackendKind::Sequential,
-                                     BoundaryWireFormat::V2Soa, async_pe);
-    expect_equivalent_modulo_timeline(s, a);
-    EXPECT_LE(a.sim_seconds, s.sim_seconds * (1 + 1e-12));
 }
 
 TEST(CommSchedule, PipelinedSyncMatchesSerializedResults) {

@@ -60,7 +60,8 @@ TEST(RcKernels, PostSendsOnlyToNeighborRanks) {
     const auto inbox1 = fx.cluster.receive(1);
     ASSERT_EQ(inbox1.size(), 1u);
     EXPECT_EQ(inbox1[0].tag, MessageTag::BoundaryDvUpdate);
-    const auto blocks = decode_boundary_blocks(inbox1[0].bytes());
+    std::vector<VertexId> arena;
+    const auto blocks = decode_boundary_block_soa_views(inbox1[0].bytes(), arena);
     // Interior row 0's changes are drained but not shipped.
     ASSERT_EQ(blocks.size(), 1u);
     EXPECT_EQ(blocks[0].vertex, 1u);
@@ -213,10 +214,22 @@ TEST(RcKernels, OrderDrainedColumnsMatchesSortAndClearsScratch) {
     }
 }
 
+/// Append the block of `entries` (strictly ascending, finite) as
+/// encode_row_block writes it from a dense row of `n` columns: the
+/// independent oracle for the bytes the block encoder must produce.
+void append_row_block(Serializer& out, VertexId vertex, std::span<const DvEntry> entries,
+                      std::size_t n) {
+    std::vector<Weight> row(n, kInfinity);
+    for (const DvEntry& e : entries) {
+        row[e.column] = e.distance;
+    }
+    ASSERT_EQ(encode_row_block(out, vertex, row), entries.size());
+}
+
 // Post encodes each drain as it comes, ascending, at sizes on both sides of
-// one 64-column word; every destination must receive exactly the bytes
-// encode_boundary_blocks gives for the std::sort-ed finite entries. Every fifth drained column is invalidated
-// to +inf first, and post must drop it.
+// one 64-column word; every destination must receive exactly the row block
+// of the std::sort-ed finite entries. Every fifth drained column is
+// invalidated to +inf first, and post must drop it.
 TEST(RcKernels, PostLargeDrainsMatchSortedEncoding) {
     constexpr std::size_t n = 200;  // not a multiple of 64
     // Vertex 0 (rank 0) has cut edges to vertex 1 (rank 1) and 2 (rank 2).
@@ -255,7 +268,9 @@ TEST(RcKernels, PostLargeDrainsMatchSortedEncoding) {
         }
         std::sort(finite.begin(), finite.end(),
                   [](const DvEntry& a, const DvEntry& b) { return a.column < b.column; });
-        const auto expected = encode_boundary_blocks({{0, finite}});
+        Serializer oracle;
+        append_row_block(oracle, 0, finite, n);
+        const auto expected = oracle.take();
 
         RcPostProfile profile;
         const double ops =
@@ -269,7 +284,6 @@ TEST(RcKernels, PostLargeDrainsMatchSortedEncoding) {
         for (const RankId dest : {RankId{1}, RankId{2}}) {
             const auto inbox = cluster.receive(dest);
             ASSERT_EQ(inbox.size(), 1u);
-            EXPECT_EQ(inbox[0].entries, finite.size());
             const auto got = inbox[0].bytes();
             EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
                                    expected.end()))
@@ -279,11 +293,12 @@ TEST(RcKernels, PostLargeDrainsMatchSortedEncoding) {
 }
 
 // BoundaryFanOut encodes each block once and appends it to every
-// destination: each payload must equal encode_boundary_blocks over that
-// destination's blocks in arrival order, and post() must send one message
-// per non-empty payload with the destination's entry count.
+// destination: each payload must equal the row blocks of that destination's
+// blocks in arrival order, and post() must send one message per non-empty
+// payload and count entries x destinations.
 TEST(RcKernels, FanOutMatchesPerDestinationEncoding) {
-    const std::vector<BoundaryBlock> blocks = {
+    constexpr std::size_t n = 10;
+    const std::vector<std::pair<VertexId, std::vector<DvEntry>>> blocks = {
         {5, {{1, 0.5}, {2, 1.5}, {9, 2.0}}},
         {6, {{0, 3.0}}},
         {7, {{3, 1.0}, {4, 1.25}}},
@@ -291,17 +306,18 @@ TEST(RcKernels, FanOutMatchesPerDestinationEncoding) {
     const std::vector<std::vector<RankId>> destinations = {{1, 3}, {3}, {1, 2, 3}};
     Cluster cluster(4);
     BoundaryFanOut fan_out(4);
-    std::vector<std::vector<BoundaryBlock>> per_dest(4);
+    std::vector<Serializer> per_dest(4);  // the oracle payload per destination
     for (std::size_t b = 0; b < blocks.size(); ++b) {
+        const auto& [vertex, entries] = blocks[b];
         std::vector<VertexId> cols;
         std::vector<Weight> dists;
-        for (const DvEntry& e : blocks[b].entries) {
+        for (const DvEntry& e : entries) {
             cols.push_back(e.column);
             dists.push_back(e.distance);
         }
-        fan_out.add(blocks[b].vertex, cols, dists, destinations[b]);
+        fan_out.add(vertex, cols, dists, destinations[b]);
         for (const RankId dest : destinations[b]) {
-            per_dest[dest].push_back(blocks[b]);
+            append_row_block(per_dest[dest], vertex, entries, n);
         }
     }
     const auto posted = fan_out.post(cluster, 0, MessageTag::ShrinkRaise);
@@ -313,12 +329,7 @@ TEST(RcKernels, FanOutMatchesPerDestinationEncoding) {
         const auto inbox = cluster.receive(dest);
         ASSERT_EQ(inbox.size(), 1u);
         EXPECT_EQ(inbox[0].tag, MessageTag::ShrinkRaise);
-        std::size_t entries = 0;
-        for (const BoundaryBlock& block : per_dest[dest]) {
-            entries += block.entries.size();
-        }
-        EXPECT_EQ(inbox[0].entries, entries);
-        const auto expected = encode_boundary_blocks(per_dest[dest]);
+        const auto expected = per_dest[dest].take();
         const auto got = inbox[0].bytes();
         EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
                                expected.end()))
@@ -329,30 +340,31 @@ TEST(RcKernels, FanOutMatchesPerDestinationEncoding) {
 }
 
 // post() allocates each destination's payload at its exact size: every
-// posted message holds no growth slack, and its bytes still equal
-// encode_boundary_blocks over that destination's blocks in arrival order.
+// posted message holds no growth slack, and its bytes still equal the row
+// blocks of that destination's blocks in arrival order.
 TEST(BoundaryFanOut, PostsExactSizePayloads) {
     constexpr std::size_t kRanks = 4;
+    constexpr std::size_t n = 300;
     Rng rng(11);
     Cluster cluster(kRanks);
     BoundaryFanOut fan_out(kRanks);
-    std::vector<std::vector<BoundaryBlock>> per_dest(kRanks);
+    std::vector<Serializer> per_dest(kRanks);  // the oracle payload per destination
     for (VertexId v = 0; v < 200; ++v) {
-        BoundaryBlock block{v, {}};
+        std::vector<DvEntry> entries;
         std::vector<VertexId> cols;
         std::vector<Weight> dists;
-        for (VertexId c = 0; c < 300; ++c) {
+        for (VertexId c = 0; c < n; ++c) {
             if (rng.chance(1.0 / 3)) {
                 cols.push_back(c);
                 dists.push_back(rng.uniform(1.0, 9.0));
-                block.entries.push_back({c, dists.back()});
+                entries.push_back({c, dists.back()});
             }
         }
         std::vector<RankId> destinations;
         for (RankId dest = 1; dest < kRanks; ++dest) {
             if ((v + dest) % 3 != 0) {
                 destinations.push_back(dest);
-                per_dest[dest].push_back(block);
+                append_row_block(per_dest[dest], v, entries, n);
             }
         }
         fan_out.add(v, cols, dists, destinations);
@@ -365,7 +377,7 @@ TEST(BoundaryFanOut, PostsExactSizePayloads) {
         ASSERT_EQ(inbox.size(), 1u);
         const std::vector<std::byte>& payload = *inbox[0].payload;
         EXPECT_EQ(payload.capacity(), payload.size()) << "dest=" << dest;
-        EXPECT_EQ(payload, encode_boundary_blocks(per_dest[dest])) << "dest=" << dest;
+        EXPECT_EQ(payload, per_dest[dest].take()) << "dest=" << dest;
     }
 }
 
@@ -385,15 +397,17 @@ TEST(BoundaryFanOut, PostsExactSizePayloads) {
 double scalar_ingest(const LocalSubgraph& sg, DistanceStore& store,
                      const std::vector<Message>& inbox) {
     double ops = 0;
+    std::vector<VertexId> arena;
     for (const Message& message : inbox) {
         if (message.tag != MessageTag::BoundaryDvUpdate) {
             continue;
         }
-        for (const BoundaryBlock& block : decode_boundary_blocks(message.bytes())) {
+        for (const BoundaryBlockSoaView& block :
+             decode_boundary_block_soa_views(message.bytes(), arena)) {
             // d(local, t) <= w(local, ext) + d(ext, t) through each cut edge.
             for (const auto& [local, w] : sg.external_neighbors(block.vertex)) {
-                for (const DvEntry& entry : block.entries) {
-                    store.relax(local, entry.column, w + entry.distance);
+                for (std::size_t i = 0; i < block.cols.size(); ++i) {
+                    store.relax(local, block.cols[i], w + block.dists[i]);
                     ops += 1;
                 }
             }

@@ -85,7 +85,7 @@ std::vector<PendingMarks> pending_marks(const AnytimeEngine& engine) {
     const auto u64 = [&] { return read(std::uint64_t{}); };
     constexpr std::size_t kCrc = sizeof(std::uint32_t);
     constexpr std::size_t kHalfEdge = sizeof(VertexId) + sizeof(Weight);
-    at += 8 + 3 * 4 + 2 + kCrc;  // header
+    at += 8 + 3 * 4 + 1 + kCrc;  // header
     const std::uint64_t n = u64();
     for (std::uint64_t v = 0; v < n; ++v) {
         const std::uint64_t degree = u64();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <string>
 #include <utility>
@@ -10,6 +11,7 @@
 
 #include "common/rng.hpp"
 #include "core/rc.hpp"
+#include "runtime/cluster.hpp"
 #include "runtime/message.hpp"
 
 namespace aa {
@@ -19,6 +21,53 @@ namespace v2 {
 constexpr std::uint8_t kDelta = 0;    // delta-varint column encoding tag
 constexpr std::uint8_t kRunLen = 1;   // run-length column encoding tag
 }  // namespace v2
+
+/// One block as its (column, distance) entries, columns strictly ascending.
+struct Block {
+    VertexId vertex{0};
+    std::vector<DvEntry> entries;
+};
+
+/// The payload the library's block encoder gives `blocks`: each added to a
+/// BoundaryFanOut bound for rank 1 and posted from rank 0 of a two-rank
+/// cluster.
+std::vector<std::byte> encode_blocks(const std::vector<Block>& blocks) {
+    Cluster cluster(2);
+    BoundaryFanOut fan_out(2);
+    const std::array<RankId, 1> to{1};
+    std::vector<VertexId> cols;
+    std::vector<Weight> dists;
+    for (const Block& block : blocks) {
+        cols.clear();
+        dists.clear();
+        for (const DvEntry& entry : block.entries) {
+            cols.push_back(entry.column);
+            dists.push_back(entry.distance);
+        }
+        fan_out.add(block.vertex, cols, dists, to);
+    }
+    if (fan_out.post(cluster, 0, MessageTag::BoundaryDvUpdate).messages == 0) {
+        return {};
+    }
+    cluster.exchange();
+    return *cluster.receive(1).at(0).payload;
+}
+
+/// Run the in-place view decoder over `payload` behind a typed header of
+/// `header_end` bytes, for the death tests.
+void decode(std::span<const std::byte> payload, std::size_t header_end = 0) {
+    std::vector<VertexId> arena;
+    (void)decode_boundary_block_soa_views(payload, arena, header_end);
+}
+
+/// A row message's typed header (edge broadcast, shard migration): the
+/// blocks follow it.
+constexpr std::size_t kHeaderBytes = sizeof(std::uint64_t);
+Serializer after_header() {
+    Serializer out;
+    out.write(std::uint64_t{0x5A5A5A5A5A5A5A5A});
+    return out;
+}
 
 class SerializerFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -72,12 +121,12 @@ TEST_P(SerializerFuzz, MixedScalarsRoundTrip) {
 /// affected-column set (dense runs where a whole region was invalidated,
 /// gaps where entries survived) and distances carry the finite pre-raise
 /// values.
-std::vector<BoundaryBlock> raise_blocks(std::uint64_t seed) {
+std::vector<Block> raise_blocks(std::uint64_t seed) {
     Rng rng(seed);
-    std::vector<BoundaryBlock> blocks;
+    std::vector<Block> blocks;
     const std::size_t block_count = 1 + rng.uniform(8);
     for (std::size_t b = 0; b < block_count; ++b) {
-        BoundaryBlock block;
+        Block block;
         block.vertex = static_cast<VertexId>(rng.uniform(1u << 20));
         // Walk a sorted universe of affected columns, keeping ~half: long
         // kept stretches exercise RLE, skipped stretches the delta path.
@@ -94,20 +143,9 @@ std::vector<BoundaryBlock> raise_blocks(std::uint64_t seed) {
     return blocks;
 }
 
-/// Round-trip `blocks` through the encoder and both decoders: the copying
-/// decoder and the zero-copy SoA views must reproduce every entry.
-void expect_round_trip(const std::vector<BoundaryBlock>& blocks) {
-    const auto payload = encode_boundary_blocks(blocks);
-    const auto back = decode_boundary_blocks(payload);
-    ASSERT_EQ(back.size(), blocks.size());
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-        EXPECT_EQ(back[b].vertex, blocks[b].vertex);
-        ASSERT_EQ(back[b].entries.size(), blocks[b].entries.size());
-        for (std::size_t e = 0; e < blocks[b].entries.size(); ++e) {
-            EXPECT_EQ(back[b].entries[e].column, blocks[b].entries[e].column);
-            EXPECT_EQ(back[b].entries[e].distance, blocks[b].entries[e].distance);
-        }
-    }
+/// Expect the view decoder to read `payload` back as exactly `blocks`.
+void expect_decodes_to(std::span<const std::byte> payload,
+                       const std::vector<Block>& blocks) {
     std::vector<VertexId> arena;
     const auto views = decode_boundary_block_soa_views(payload, arena);
     ASSERT_EQ(views.size(), blocks.size());
@@ -120,6 +158,13 @@ void expect_round_trip(const std::vector<BoundaryBlock>& blocks) {
             EXPECT_EQ(views[b].dists[e], blocks[b].entries[e].distance);
         }
     }
+}
+
+/// Round-trip `blocks` through the encoder and the in-place view decoder,
+/// which must reproduce every entry.
+void expect_round_trip(const std::vector<Block>& blocks) {
+    const auto payload = encode_blocks(blocks);
+    expect_decodes_to(payload, blocks);
     // Every block occupies a multiple of 8 bytes (that is what keeps the f64
     // runs aligned under concatenation), so the whole payload must too.
     EXPECT_EQ(payload.size() % sizeof(Weight), 0u);
@@ -130,10 +175,10 @@ TEST_P(SerializerFuzz, BoundaryBlocksRoundTripV2) {
     // kernel sorts). Mix dense consecutive runs with sparse gaps so both
     // column encodings (run-length and delta-varint) get exercised.
     Rng rng(GetParam() ^ 0x50A2);
-    std::vector<BoundaryBlock> blocks;
+    std::vector<Block> blocks;
     const std::size_t block_count = rng.uniform(16);
     for (std::size_t b = 0; b < block_count; ++b) {
-        BoundaryBlock block;
+        Block block;
         block.vertex = static_cast<VertexId>(rng.uniform(1u << 20));
         const std::size_t entries = rng.uniform(40);
         VertexId col = static_cast<VertexId>(rng.uniform(1u << 16));
@@ -153,7 +198,7 @@ TEST_P(SerializerFuzz, BoundaryBlocksRoundTripV2) {
 
 /// Hand-encode one block with a forced column encoding; the library encoder
 /// picks the smaller of the two itself. Returns the column section's size.
-std::size_t encode_forced(Serializer& out, const BoundaryBlock& block,
+std::size_t encode_forced(Serializer& out, const Block& block,
                           std::uint8_t encoding) {
     out.write(block.vertex);
     out.write_varint(block.entries.size());
@@ -194,11 +239,11 @@ TEST_P(SerializerFuzz, RaiseBlocksAgreeAcrossFormats) {
     // deltas), so on its own it would exercise each format only where that
     // one wins. Raise-shaped blocks mix long runs with gaps, so both formats
     // win somewhere.
-    const std::vector<BoundaryBlock> blocks = raise_blocks(GetParam() ^ 0x5A15E);
+    const std::vector<Block> blocks = raise_blocks(GetParam() ^ 0x5A15E);
     Serializer delta;
     Serializer rle;
     Serializer smaller;
-    for (const BoundaryBlock& block : blocks) {
+    for (const Block& block : blocks) {
         Serializer one_delta;
         Serializer one_rle;
         const std::size_t delta_bytes = encode_forced(one_delta, block, v2::kDelta);
@@ -207,20 +252,11 @@ TEST_P(SerializerFuzz, RaiseBlocksAgreeAcrossFormats) {
         rle.write_bytes(one_rle.view());
         smaller.write_bytes(rle_bytes < delta_bytes ? one_rle.view() : one_delta.view());
     }
-    const auto encoded = encode_boundary_blocks(blocks);
+    const auto encoded = encode_blocks(blocks);
     const auto expected = smaller.take();
     EXPECT_TRUE(std::equal(encoded.begin(), encoded.end(), expected.begin(), expected.end()));
     for (const auto& payload : {delta.take(), rle.take()}) {
-        const auto back = decode_boundary_blocks(payload);
-        ASSERT_EQ(back.size(), blocks.size());
-        for (std::size_t b = 0; b < blocks.size(); ++b) {
-            EXPECT_EQ(back[b].vertex, blocks[b].vertex);
-            ASSERT_EQ(back[b].entries.size(), blocks[b].entries.size());
-            for (std::size_t i = 0; i < blocks[b].entries.size(); ++i) {
-                EXPECT_EQ(back[b].entries[i].column, blocks[b].entries[i].column);
-                EXPECT_EQ(back[b].entries[i].distance, blocks[b].entries[i].distance);
-            }
-        }
+        expect_decodes_to(payload, blocks);
     }
 }
 
@@ -228,16 +264,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SerializerFuzz,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u,
                                            55u, 89u));
 
-// Malformed-payload cases: decode_boundary_blocks validates the structure
-// before allocating anything, so a hostile length prefix must die on the
-// contract check instead of attempting a huge allocation.
+// Malformed-payload cases: the view decoder validates the structure before
+// allocating anything, so a hostile length prefix must die on the contract
+// check instead of attempting a huge allocation (or an in-place f64 view
+// reaching past the payload).
 
 TEST(BoundaryBlockValidation, OversizedEntryCountDies) {
     Serializer out;
     out.write(VertexId{7});
     out.write_varint(0xFFFFFFFFull);  // the largest count, with nothing behind it
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload), "entry count exceeds payload");
+    EXPECT_DEATH(decode(payload), "entry count exceeds payload");
 }
 
 TEST(BoundaryBlockValidation, OverflowWrappingEntryCountDies) {
@@ -252,7 +289,7 @@ TEST(BoundaryBlockValidation, OverflowWrappingEntryCountDies) {
     out.pad_to(sizeof(Weight));
     out.write(1.5);
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload), "varint overlong");
+    EXPECT_DEATH(decode(payload), "varint overlong");
 }
 
 TEST(BoundaryBlockValidation, DeclaredCountPastPayloadEndDies) {
@@ -271,7 +308,7 @@ TEST(BoundaryBlockValidation, DeclaredCountPastPayloadEndDies) {
     out.write(1.5);
     out.write(2.5);
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload), "entry count exceeds payload");
+    EXPECT_DEATH(decode(payload), "entry count exceeds payload");
 }
 
 TEST(BoundaryBlockValidation, TruncatedHeaderDies) {
@@ -281,69 +318,32 @@ TEST(BoundaryBlockValidation, TruncatedHeaderDies) {
     out.write(VertexId{7});
     out.write_varint(0);
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload), "header truncated");
+    EXPECT_DEATH(decode(payload), "header truncated");
 }
 
 TEST(BoundaryBlockValidation, TrailingGarbageAfterValidBlockDies) {
-    std::vector<BoundaryBlock> blocks(1);
-    blocks[0].vertex = 9;
-    blocks[0].entries.push_back({4, 2.5});
-    auto payload = encode_boundary_blocks(blocks);
+    auto payload = encode_blocks({{9, {{4, 2.5}}}});
     payload.resize(payload.size() + 3);  // 3 stray bytes: not even a vertex
-    EXPECT_DEATH((void)decode_boundary_blocks(payload), "header truncated");
+    EXPECT_DEATH(decode(payload), "header truncated");
 }
 
-// The zero-copy decoder shares the validation pass with the copying one; the
-// same hostile prefixes must die there too.
+// A row message (edge broadcast, shard migration) carries its blocks behind a
+// typed header; the same hostile prefixes must die there too.
 
 TEST(BoundaryBlockValidation, ViewDecoderOversizedEntryCountDies) {
-    Serializer out;
+    Serializer out = after_header();
     out.write(VertexId{7});
     out.write_varint(0xFFFFFFFFull);
     const auto payload = out.take();
-    std::vector<VertexId> arena;
-    EXPECT_DEATH((void)decode_boundary_block_soa_views(payload, arena),
-                 "entry count exceeds payload");
+    EXPECT_DEATH(decode(payload, kHeaderBytes), "entry count exceeds payload");
 }
 
 TEST(BoundaryBlockValidation, ViewDecoderTruncatedHeaderDies) {
-    Serializer out;
+    Serializer out = after_header();
     out.write(VertexId{7});
     out.write_varint(0);
     const auto payload = out.take();
-    std::vector<VertexId> arena;
-    EXPECT_DEATH((void)decode_boundary_block_soa_views(payload, arena),
-                 "header truncated");
-}
-
-TEST(BoundaryBlockValidation, ViewDecoderMatchesCopyingDecoder) {
-    Rng rng(99);
-    std::vector<BoundaryBlock> blocks(4);
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-        blocks[b].vertex = static_cast<VertexId>(100 + b);
-        std::vector<VertexId> cols(rng.uniform(50));
-        for (VertexId& col : cols) {
-            col = static_cast<VertexId>(rng.uniform(1000));
-        }
-        std::sort(cols.begin(), cols.end());
-        cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-        for (const VertexId col : cols) {
-            blocks[b].entries.push_back({col, rng.uniform(0.1, 9.0)});
-        }
-    }
-    const auto payload = encode_boundary_blocks(blocks);
-    const auto copies = decode_boundary_blocks(payload);
-    std::vector<VertexId> arena;
-    const auto views = decode_boundary_block_soa_views(payload, arena);
-    ASSERT_EQ(copies.size(), views.size());
-    for (std::size_t b = 0; b < copies.size(); ++b) {
-        EXPECT_EQ(copies[b].vertex, views[b].vertex);
-        ASSERT_EQ(copies[b].entries.size(), views[b].cols.size());
-        for (std::size_t i = 0; i < copies[b].entries.size(); ++i) {
-            EXPECT_EQ(copies[b].entries[i].column, views[b].cols[i]);
-            EXPECT_EQ(copies[b].entries[i].distance, views[b].dists[i]);
-        }
-    }
+    EXPECT_DEATH(decode(payload, kHeaderBytes), "header truncated");
 }
 
 // Hostile payloads. The decoder walks [u32 vertex][varint count]
@@ -356,7 +356,7 @@ TEST(BoundaryBlockV2Validation, TruncatedCountVarintDies) {
     out.write(VertexId{7});
     out.write(std::uint8_t{0x80});  // continuation bit set, stream ends
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload),
+    EXPECT_DEATH(decode(payload),
                  "varint truncated");
 }
 
@@ -370,7 +370,7 @@ TEST(BoundaryBlockV2Validation, OverlongCountVarintDies) {
     }
     out.write(std::uint8_t{0x01});
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload),
+    EXPECT_DEATH(decode(payload),
                  "varint overlong");
 }
 
@@ -382,7 +382,7 @@ TEST(BoundaryBlockV2Validation, DeclaredCountPastPayloadEndDies) {
     out.write(VertexId{3});
     out.write_varint(std::uint64_t{1} << 28);
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload),
+    EXPECT_DEATH(decode(payload),
                  "entry count exceeds payload");
 }
 
@@ -400,7 +400,7 @@ TEST(BoundaryBlockV2Validation, NonMonotoneColumnDeltaDies) {
     out.write(1.5);
     out.write(2.5);
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload),
+    EXPECT_DEATH(decode(payload),
                  "non-monotone column delta");
 }
 
@@ -419,7 +419,7 @@ TEST(BoundaryBlockV2Validation, RunLengthSumMismatchDies) {
     out.write(2.0);
     out.write(3.0);
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload),
+    EXPECT_DEATH(decode(payload),
                  "run length mismatch");
 }
 
@@ -433,7 +433,7 @@ TEST(BoundaryBlockV2Validation, ZeroRunCountDies) {
     out.write(1.0);
     out.write(2.0);
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload),
+    EXPECT_DEATH(decode(payload),
                  "run count invalid");
 }
 
@@ -446,7 +446,7 @@ TEST(BoundaryBlockV2Validation, UnknownColumnEncodingDies) {
     out.pad_to(sizeof(Weight));
     out.write(1.0);
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload),
+    EXPECT_DEATH(decode(payload),
                  "unknown column encoding");
 }
 
@@ -462,7 +462,7 @@ TEST(BoundaryBlockV2Validation, NonZeroPaddingByteDies) {
     out.write(1.0);
     const auto payload = out.take();
     ASSERT_EQ(payload.size() % sizeof(Weight), 0u);
-    EXPECT_DEATH((void)decode_boundary_blocks(payload),
+    EXPECT_DEATH(decode(payload),
                  "padding corrupt");
 }
 
@@ -479,13 +479,13 @@ TEST(BoundaryBlockV2Validation, PayloadEndingInsidePaddingDies) {
     out.write(std::uint8_t{0});       // stops short of the 16-byte boundary
     out.write(std::uint8_t{0});
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload),
+    EXPECT_DEATH(decode(payload),
                  "padding truncated");
 }
 
 TEST(BoundaryBlockV2Validation, TruncatedHeaderDies) {
     const std::vector<std::byte> payload(sizeof(VertexId) - 1);
-    EXPECT_DEATH((void)decode_boundary_blocks(payload),
+    EXPECT_DEATH(decode(payload),
                  "header truncated");
 }
 
@@ -507,7 +507,7 @@ TEST(BoundaryBlockV2Validation, InflatedRunLengthOnRaiseColumnsDies) {
     out.write(1.0);
     out.write(2.0);
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload),
+    EXPECT_DEATH(decode(payload),
                  "run length mismatch");
 }
 
@@ -527,7 +527,7 @@ TEST(BoundaryBlockV2Validation, ColumnVarintCorruptionCannotEatValueRun) {
         out.write(std::uint8_t{0x80});
     }
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload),
+    EXPECT_DEATH(decode(payload),
                  "varint overlong");
 
     Serializer short_out;
@@ -537,7 +537,7 @@ TEST(BoundaryBlockV2Validation, ColumnVarintCorruptionCannotEatValueRun) {
     short_out.write_varint(4);
     short_out.write(std::uint8_t{0x80});  // stream ends mid-varint
     const auto short_payload = short_out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(short_payload),
+    EXPECT_DEATH(decode(short_payload),
                  "entry count exceeds payload");
 }
 
@@ -553,53 +553,48 @@ TEST(BoundaryBlockV2Validation, TruncatedPreRaiseValueRunDies) {
     out.pad_to(sizeof(Weight));
     out.write(1.0);               // second value missing
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload),
+    EXPECT_DEATH(decode(payload),
                  "entry count exceeds payload");
 }
 
 TEST(BoundaryBlockV2Validation, TrailingGarbageAfterValidBlockDies) {
     // Five stray zero bytes after a valid block parse as a vertex and a zero
     // count, then run out before the column-encoding byte.
-    std::vector<BoundaryBlock> blocks(1);
-    blocks[0].vertex = 9;
-    blocks[0].entries.push_back({4, 2.5});
-    auto payload = encode_boundary_blocks(blocks);
+    auto payload = encode_blocks({{9, {{4, 2.5}}}});
     payload.resize(payload.size() + 5);
-    EXPECT_DEATH((void)decode_boundary_blocks(payload), "header truncated");
+    EXPECT_DEATH(decode(payload), "header truncated");
 }
 
 TEST(BoundaryBlockV2Validation, SoaViewDecoderRejectsTheSamePayloads) {
-    // The SoA-view decoder is the same validation pass; spot-check the two
-    // highest-risk cases (hostile count, truncated varint) through it.
-    std::vector<VertexId> arena;
+    // Behind a row message's typed header the walk is the same validation
+    // pass; spot-check the two highest-risk cases (hostile count, truncated
+    // varint) there.
     {
-        Serializer out;
+        Serializer out = after_header();
         out.write(VertexId{3});
         out.write_varint(std::uint64_t{1} << 28);
         const auto payload = out.take();
-        EXPECT_DEATH((void)decode_boundary_block_soa_views(payload, arena),
-                     "entry count exceeds payload");
+        EXPECT_DEATH(decode(payload, kHeaderBytes), "entry count exceeds payload");
     }
     {
-        Serializer out;
+        Serializer out = after_header();
         out.write(VertexId{7});
         out.write(std::uint8_t{0x80});
         const auto payload = out.take();
-        EXPECT_DEATH((void)decode_boundary_block_soa_views(payload, arena),
-                     "varint truncated");
+        EXPECT_DEATH(decode(payload, kHeaderBytes), "varint truncated");
     }
 }
 
 TEST(BoundaryPayloadError, ReportsWhatTheDecodersDieOn) {
     // The non-aborting check used for payloads from outside the process
-    // (checkpointed in-flight messages): the decoders' structural verdicts
+    // (checkpointed in-flight messages): the view decoder's structural verdicts
     // as a message, plus range and sign checks against the column count.
     const auto error = [](const std::vector<std::byte>& payload) -> std::string {
         const char* message = boundary_payload_error(payload, 10);
         return message == nullptr ? "" : message;
     };
     const auto block = [](VertexId vertex, VertexId col, Weight d) {
-        return encode_boundary_blocks({{vertex, {{1, 0.5}, {col, d}}}});
+        return encode_blocks({{vertex, {{1, 0.5}, {col, d}}}});
     };
     EXPECT_EQ(error(block(3, 7, 2.0)), "");
     EXPECT_EQ(error(block(3, 7, kInfinity)), "");

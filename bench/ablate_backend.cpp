@@ -1,16 +1,16 @@
-// Execution-backend ablation: the full engine (IA + RC steps + a mid-RC
-// vertex-addition batch) under the sequential driver-loop backend vs the
-// default thread-per-core ThreadedBackend (min(P, hardware threads)
-// executors), measuring host wall-clock per RC step.
+// Rank-executor ablation: the full engine (IA + RC steps + a mid-RC
+// vertex-addition batch) on one executor (ranks in ascending order on the
+// driver thread) vs the default thread-per-core pool (min(P, hardware
+// threads) executors), measuring host wall-clock per RC step.
 // Both runs execute the identical simulated schedule, so the bench also
 // cross-checks that sim-time and the distance matrices are bit-identical —
 // any wall-clock difference is pure execution, never different work.
 //
 // Emits a JSON report (--out, default BENCH_backend.json) recorded in the
 // repository root; build with the `bench` preset (-O3) for quotable numbers.
-// The report records host_hardware_concurrency: on a single-core host the
-// threaded backend cannot run ranks in parallel, so seq/threaded parity is
-// the expected outcome there (flagged via "single_core_parity").
+// The report records host_hardware_concurrency and build_type: on a
+// single-core host the default pool has one executor too, so seq/threaded
+// parity is the expected outcome there (flagged via "single_core_parity").
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -21,7 +21,6 @@
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
 #include "harness.hpp"
-#include "runtime/backend.hpp"
 
 namespace aa {
 namespace {
@@ -75,9 +74,11 @@ struct BackendRun {
     double sim_seconds{0};
     std::size_t rc_steps{0};
     double checksum{0};
+    std::size_t executors{0};
 };
 
-BackendRun run_backend(const DynamicGraph& g, BackendKind backend,
+/// `backend_threads` as in EngineConfig: 1 = one executor, 0 = the default.
+BackendRun run_backend(const DynamicGraph& g, std::size_t backend_threads,
                        std::size_t max_steps, std::uint64_t seed) {
     using Clock = std::chrono::steady_clock;
     const auto secs = [](Clock::time_point a, Clock::time_point b) {
@@ -86,13 +87,14 @@ BackendRun run_backend(const DynamicGraph& g, BackendKind backend,
 
     EngineConfig config;
     config.num_ranks = 8;
-    config.ia_threads = 1;  // intra-rank pool off: isolate rank-level parallelism
+    config.ia_threads = 1;
     config.seed = seed;
-    config.backend = backend;
+    config.backend_threads = backend_threads;
 
     BackendRun run;
     const auto t_start = Clock::now();
     AnytimeEngine engine(g, config);
+    run.executors = engine.num_executors();
     engine.initialize();
     run.init_seconds = secs(t_start, Clock::now());
 
@@ -168,24 +170,22 @@ int main(int argc, char** argv) {
                                            graph_rng, WeightRange{1.0, 3.0});
     const unsigned hw_threads = bench::host_hardware_concurrency();
     const bool single_core_parity = hw_threads < 2;
-    std::printf("backend ablation: n=%zu edges=%zu ranks=8 steps<=%zu "
-                "host_hw_concurrency=%u threaded_executors=%zu\n",
-                g.num_vertices(), g.num_edges(), opt.steps, hw_threads,
-                default_backend_executors(8));
+    std::printf("rank-executor ablation: n=%zu edges=%zu ranks=8 steps<=%zu "
+                "host_hw_concurrency=%u\n",
+                g.num_vertices(), g.num_edges(), opt.steps, hw_threads);
     if (single_core_parity) {
-        std::printf("   note: single hardware thread — the threaded backend "
-                    "cannot run ranks in parallel here; seq/threaded parity "
-                    "is the expected result\n");
+        std::printf("   note: single hardware thread — the default pool has "
+                    "one executor too; seq/threaded parity is the expected "
+                    "result\n");
     }
 
     // Warm-up pass (unmeasured) so page-cache/allocator state is identical
     // for both measured runs.
-    (void)run_backend(g, BackendKind::Sequential, opt.steps, opt.seed);
+    (void)run_backend(g, 1, opt.steps, opt.seed);
 
-    const BackendRun seq =
-        run_backend(g, BackendKind::Sequential, opt.steps, opt.seed);
-    const BackendRun threaded =
-        run_backend(g, BackendKind::Threaded, opt.steps, opt.seed);
+    const BackendRun seq = run_backend(g, 1, opt.steps, opt.seed);
+    const BackendRun threaded = run_backend(g, 0, opt.steps, opt.seed);
+    std::printf("   threaded_executors=%zu\n", threaded.executors);
     for (const auto& [name, run] :
          {std::pair<const char*, const BackendRun&>{"seq", seq},
           {"threaded", threaded}}) {
@@ -200,10 +200,10 @@ int main(int argc, char** argv) {
     }
 
     // The determinism contract, enforced where the numbers are minted: both
-    // backends must have executed the identical simulated schedule.
+    // executor counts must have executed the identical simulated schedule.
     if (seq.sim_seconds != threaded.sim_seconds ||
         seq.checksum != threaded.checksum || seq.rc_steps != threaded.rc_steps) {
-        std::fprintf(stderr, "BACKEND MISMATCH: seq and threaded diverged "
+        std::fprintf(stderr, "EXECUTOR MISMATCH: seq and threaded diverged "
                              "(sim %.9f vs %.9f, checksum %.6f vs %.6f)\n",
                      seq.sim_seconds, threaded.sim_seconds, seq.checksum,
                      threaded.checksum);
@@ -226,16 +226,17 @@ int main(int argc, char** argv) {
             (single_core_parity ? "true" : "false") + ",\n";
     json += "  \"note\": \"";
     json += single_core_parity
-                ? "host has a single hardware thread: the threaded backend "
-                  "cannot execute ranks concurrently, so seq/threaded "
-                  "wall-clock parity is expected and acceptable; results are "
-                  "bit-identical by contract"
-                : "threaded backend runs thread-per-core (min(ranks, hardware "
+                ? "host has a single hardware thread: the default pool has "
+                  "one executor too, so seq/threaded wall-clock parity is "
+                  "expected and acceptable; results are bit-identical by "
+                  "contract"
+                : "seq runs the ranks on one executor in ascending order; "
+                  "threaded runs them thread-per-core (min(ranks, hardware "
                   "threads) executors, the driver included) between "
                   "collectives; results are bit-identical by contract";
     json += "\",\n";
     json += "  \"threaded_executors\": " +
-            std::to_string(default_backend_executors(8)) + ",\n";
+            std::to_string(threaded.executors) + ",\n";
     char buf[128];
     std::snprintf(buf, sizeof(buf), "  \"speedup_threaded\": %.3f,\n", speedup);
     json += buf;

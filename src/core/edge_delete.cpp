@@ -4,9 +4,9 @@
 // every per-rank scan to the simulated clock, ships real serialized messages
 // between rank address spaces, and hands the re-settlement to the unchanged
 // RC worklists. The cascade itself runs rank-by-rank on the driver thread
-// (like the collectives), so it is deterministic and backend-independent;
-// only the final propagate sweep runs as a backend phase, exactly like
-// edge addition's step 3.
+// (like the collectives), so it is deterministic and independent of the
+// executor count; only the final propagate sweep runs as a rank phase,
+// exactly like edge addition's step 3.
 #include <algorithm>
 #include <cmath>
 #include <deque>

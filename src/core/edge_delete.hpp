@@ -20,7 +20,7 @@
 //      prop/send worklists (a finite neighbour of an invalidated entry owes
 //      it a relaxation; a finite cut-edge endpoint owes the invalidating rank
 //      a resend), after which the unchanged RC machinery — sync or rc_async,
-//      either backend — reconverges by monotone decrease.
+//      any executor count — reconverges by monotone decrease.
 //
 // Over-invalidation is harmless (re-settlement relearns it); the design only
 // has to avoid *under*-invalidation, which the support inequality guarantees

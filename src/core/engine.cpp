@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
 
 #include "common/assert.hpp"
 #include "core/ia.hpp"
@@ -16,22 +17,21 @@ AnytimeEngine::AnytimeEngine(DynamicGraph graph, EngineConfig config)
       config_(config),
       cluster_(std::make_unique<Cluster>(config.num_ranks, config.logp,
                                          config.schedule, config.price_model)),
-      backend_(make_backend(config.backend, config.num_ranks,
-                            config.backend_threads)),
-      pool_(std::make_unique<ThreadPool>(
-          backend_->concurrent() ? std::size_t{1} : config.ia_threads)),
+      // More executors than ranks would only idle: parallel_for cuts at
+      // most P chunks.
+      executors_(std::make_unique<ThreadPool>(std::clamp<std::size_t>(
+          config.backend_threads != 0 ? config.backend_threads
+                                      : std::thread::hardware_concurrency(),
+          1, std::max<std::uint32_t>(config.num_ranks, 1)))),
       rng_(config.seed),
       metrics_(std::make_unique<MetricsRegistry>()),
       demand_(std::make_unique<DemandTracker>(graph_.num_vertices())) {
     AA_ASSERT_MSG(config_.num_ranks >= 1, "need at least one rank");
     // Resolve the ingest window once: the 0 sentinel adapts to the host LLC
-    // shared by however many ranks ingest concurrently (all of them under a
-    // concurrent backend). An explicit configured value always wins.
-    rc_ingest_window_bytes_ =
-        config_.rc_ingest_window_bytes != 0
-            ? config_.rc_ingest_window_bytes
-            : adaptive_rc_ingest_window_bytes(
-                  backend_->concurrent() ? config_.num_ranks : 1);
+    // shared by the ranks' ingest phases. An explicit value always wins.
+    rc_ingest_window_bytes_ = config_.rc_ingest_window_bytes != 0
+                                  ? config_.rc_ingest_window_bytes
+                                  : adaptive_rc_ingest_window_bytes(config_.num_ranks);
     if (config_.enable_metrics) {
         metrics_->enable();
     }
@@ -67,36 +67,17 @@ void AnytimeEngine::fire_boundary_hook() {
     }
 }
 
-void AnytimeEngine::set_refine_focus(const std::vector<VertexId>& focus) {
-    refine_focus_mask_.assign(graph_.num_vertices(), 0);
-    refine_focus_any_ = false;
-    for (const VertexId v : focus) {
-        if (v < refine_focus_mask_.size()) {
-            refine_focus_mask_[v] = 1;
-            refine_focus_any_ = true;
-        }
-    }
-}
-
 std::vector<std::vector<LocalId>> AnytimeEngine::plan_refine_orders() {
     std::vector<std::vector<LocalId>> plans(ranks_.size());
     if (config_.refine_policy == RefinePolicy::Uniform) {
         return plans;  // contract: empty plans = the historical schedule
     }
     std::vector<double> heat;
-    const bool any_heat = demand_->snapshot(heat);
-    const bool use_focus = config_.refine_policy == RefinePolicy::TopKPruned &&
-                           refine_focus_any_;
-    if (!any_heat && !use_focus) {
+    if (!demand_->snapshot(heat)) {
         return plans;  // no demand signal: bit-identical to Uniform
     }
-    const std::span<const double> heat_span =
-        any_heat ? std::span<const double>(heat) : std::span<const double>{};
-    const std::span<const std::uint8_t> focus_span =
-        use_focus ? std::span<const std::uint8_t>(refine_focus_mask_)
-                  : std::span<const std::uint8_t>{};
     for (RankId r = 0; r < ranks_.size(); ++r) {
-        plans[r] = plan_rank_order(ranks_[r].sg, heat_span, focus_span);
+        plans[r] = plan_rank_order(ranks_[r].sg, heat);
     }
     return plans;
 }
@@ -117,9 +98,6 @@ void AnytimeEngine::note_structural_change() {
     wavefront_k_ = 0;
     refresh_weight_extremes();
     demand_->resize(graph_.num_vertices());
-    if (refine_focus_mask_.size() != graph_.num_vertices()) {
-        refine_focus_mask_.resize(graph_.num_vertices(), 0);
-    }
     // Structural changes move rows wholesale (add/swap/extract/replace) and
     // change n, which re-normalizes every closeness score under the
     // corrected variant — so the next take_changed_rows() must answer "all".
@@ -148,15 +126,17 @@ ClosenessInterval AnytimeEngine::closeness_interval(VertexId v) const {
 void AnytimeEngine::run_rank_phase(
     double& ops,
     const std::function<double(RankId, std::vector<MetricSpan>&)>& fn) {
-    // Per-rank results, folded in ascending rank order after the backend's
-    // barrier: the accumulator and the registry see the exact sequence the
-    // sequential loop would have produced, regardless of completion order.
+    // Per-rank results, folded in ascending rank order after the
+    // parallel_for's barrier: the accumulator and the registry see the exact
+    // sequence one executor would have produced, whatever the completion
+    // order.
     struct RankResult {
         double ops{0};
         std::vector<MetricSpan> spans;
     };
     std::vector<RankResult> results(ranks_.size());
-    backend_->run_ranks(ranks_.size(), [&fn, &results](RankId r) {
+    executors_->parallel_for(0, ranks_.size(), [&fn, &results](std::size_t i) {
+        const auto r = static_cast<RankId>(i);
         results[r].ops = fn(r, results[r].spans);
     });
     for (RankResult& result : results) {
@@ -175,7 +155,7 @@ void AnytimeEngine::run_rank_phase(double& ops,
 void AnytimeEngine::settle_ranks(double& ops) {
     run_rank_phase(ops, [this](RankId r) {
         const double rank_ops =
-            rc_propagate_local(ranks_[r].sg, ranks_[r].store, pool_.get());
+            rc_propagate_local(ranks_[r].sg, ranks_[r].store);
         cluster_->charge_compute(r, rank_ops);
         return rank_ops;
     });
@@ -240,12 +220,14 @@ void AnytimeEngine::initialize() {
     }
     build_rank_states();
 
-    // ---- IA: per-rank multithreaded Dijkstra. ----
+    // ---- IA: per-rank Dijkstra, priced ia_threads-way (the paper's OpenMP
+    // T); on the host each rank runs its sources on its own executor. ----
     run_rank_phase(report_.ia_ops, [&](RankId r, std::vector<MetricSpan>& sink) {
         IaProfile profile;
         const double ia_begin = cluster_->time(r);
+        ThreadPool inline_pool(1);
         const double ops = ia_dijkstra_all(ranks_[r].sg, ranks_[r].store,
-                                           *pool_, mx ? &profile : nullptr);
+                                           inline_pool, mx ? &profile : nullptr);
         cluster_->charge_compute(r, ops, config_.ia_threads);
         if (mx) {
             sink.push_back(stamp_span(
@@ -319,8 +301,8 @@ bool AnytimeEngine::rc_step() {
     }
 
     // Refine plans for this step: per-rank sweep orders from the query-heat
-    // and top-k focus signals (all empty under Uniform / no demand — the
-    // kernels then take their historical ascending sweeps, bit-identically).
+    // signal (all empty under Uniform / no demand — the kernels then take
+    // their historical ascending sweeps, bit-identically).
     // Planned once on the driver thread so the post and propagate phases
     // below order work consistently.
     const std::vector<std::vector<LocalId>> refine_plans = plan_refine_orders();
@@ -337,7 +319,7 @@ bool AnytimeEngine::rc_step() {
         const double t0 = cluster_->time(r);
         const double ops = rc_ingest_updates(
             ranks_[r].sg, ranks_[r].store, arrival.messages, config_.wire_format,
-            pool_.get(), kRcIngestParallelGrain, rc_ingest_window_bytes_,
+            nullptr, kRcIngestParallelGrain, rc_ingest_window_bytes_,
             mx ? &profile : nullptr);
         cluster_->charge_compute(r, ops);
         if (mx) {
@@ -462,11 +444,8 @@ bool AnytimeEngine::rc_step() {
     // Phase 3: ingest each arrival, then propagate to the local fixpoint once
     // the rank has everything (deferring propagate past the last ingest is
     // what keeps the event-driven relaxation order equal to the synchronous
-    // one). The batched kernels fan the row sweeps out to the intra-rank pool
-    // (multi-threaded only under the sequential backend) — that accelerates host
-    // wall-clock time only; the simulated clock still prices RC
-    // single-threaded per rank (the paper's model), so `threads` stays 1 in
-    // charge_compute.
+    // one). The simulated clock prices RC single-threaded per rank (the
+    // paper's model), so `threads` stays 1 in charge_compute.
     run_rank_phase(stats.ops, [&](RankId r, std::vector<MetricSpan>& sink) {
         for (const Arrival& arrival : arrivals[r]) {
             phase3_ops[r] += ingest(r, arrival, sink);
@@ -474,7 +453,7 @@ bool AnytimeEngine::rc_step() {
         RcPropagateProfile prop_profile;
         const double t1 = cluster_->time(r);
         const double prop_ops = rc_propagate_local(
-            ranks_[r].sg, ranks_[r].store, pool_.get(),
+            ranks_[r].sg, ranks_[r].store, nullptr,
             kRcPropagateParallelGrain, mx ? &prop_profile : nullptr,
             kRcPropagateTileCols, refine_plans[r], config_.refine_budget_ops);
         cluster_->charge_compute(r, prop_ops);

@@ -12,6 +12,33 @@
 // LogP model, so `sim_seconds()` plays the role of the paper's measured wall
 // time. See DESIGN.md §2.
 //
+// Rank executors. Between collectives each simulated processor touches only
+// its own sub-graph, DistanceStore rows, clock and outbox, so every per-rank
+// phase (IA Dijkstra, RC post/ingest/propagate, addition extend/propagate,
+// the row move, every update's local re-settle) is a closure over one rank's
+// state, run as one ThreadPool::parallel_for over [0, P) on the engine's pool of
+// EngineConfig::backend_threads executors (thread-per-core by default, so
+// real cores run ranks in parallel like the paper's MPI deployment). One
+// executor runs the ranks in ascending order on the driver thread. Each
+// executor is a separate glibc malloc arena, so the default stops at the
+// core count. The parallel_for is a barrier: every closure's writes are
+// visible to the driver when it returns; collectives (exchange, broadcast,
+// barrier, the event-driven delivery loop) stay on the driver thread.
+//
+// Determinism contract: for a fixed seed and config, closeness output and
+// sim_seconds() are bit-identical for every executor count and thread
+// schedule. The engine earns that by construction —
+//   * rank closures only mutate rank-confined state (see the concurrency
+//     contracts on Cluster, MailboxSystem and DistanceStore);
+//   * cross-rank floating-point accumulations (report ops, step stats) are
+//     reduced from per-rank slots in ascending rank order after the barrier;
+//   * telemetry spans are buffered per rank inside the closure and merged in
+//     rank order at the barrier (MetricsRegistry is single-writer);
+//   * simulated-time pricing is per-rank clock arithmetic, unaffected by who
+//     advances the clock or when.
+// tests/test_backend.cpp enforces it over graphs x P x schedules x executor
+// counts, including mid-RC addition and deletion batches.
+//
 // Typical use:
 //   AnytimeEngine engine(graph, config);
 //   engine.initialize();                  // DD + IA
@@ -42,7 +69,6 @@
 #include "refine/bounds.hpp"
 #include "refine/demand.hpp"
 #include "refine/planner.hpp"
-#include "runtime/backend.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/thread_pool.hpp"
 #include "shard/migration.hpp"
@@ -73,8 +99,8 @@ struct EngineConfig {
     /// Number of simulated processors (the paper evaluates with 16).
     std::uint32_t num_ranks{16};
     /// Threads per rank for the IA-phase Dijkstra (the paper's OpenMP T).
-    /// The simulated clock prices IA at T-way under every backend; on the
-    /// host, T executors run it only under the sequential backend.
+    /// The simulated clock prices IA at T-way; on the host each rank runs
+    /// its Dijkstra sources on its own executor (see backend_threads).
     std::size_t ia_threads{4};
     /// Cost model of the simulated interconnect.
     LogPParams logp{};
@@ -94,7 +120,7 @@ struct EngineConfig {
     /// bit-identical to the step-synchronous default at every step — each
     /// receiver ingests in the canonical per-receiver message order, so only
     /// the simulated timeline (sim_seconds, span bounds) changes. Ingest runs
-    /// in the rank closures, so the threaded backend parallelizes it.
+    /// in the rank closures, so the rank executors parallelize it.
     bool rc_async{false};
     /// DD / Repartition-S partitioner parameters.
     MultilevelConfig partition{};
@@ -110,13 +136,11 @@ struct EngineConfig {
     /// common/metrics.hpp and core/telemetry.hpp). Off by default: a
     /// disabled registry costs one branch per phase and allocates nothing.
     bool enable_metrics{false};
-    /// Who executes the per-rank phase bodies (see runtime/backend.hpp):
-    /// Threaded (default, ranks run concurrently between collectives) or
-    /// Sequential (rank loops on the driver thread). Results, telemetry and
-    /// sim_seconds() are bit-identical across backends by contract.
-    BackendKind backend{BackendKind::Threaded};
-    /// Executors for the threaded backend, the driver thread included; 0 =
-    /// thread-per-core, min(num_ranks, hardware threads).
+    /// Rank executors: the threads that run the per-rank phase bodies, the
+    /// driver thread included; 0 (the default) = thread-per-core. The count
+    /// is clamped to [1, num_ranks]. One executor runs the ranks in ascending
+    /// order on the driver thread. Results, telemetry and sim_seconds() are
+    /// bit-identical for every count by contract (see AnytimeEngine).
     std::size_t backend_threads{0};
     /// Boundary-DV wire format for the RC exchange (see
     /// BoundaryWireFormat in core/distance_store.hpp and the block format in
@@ -125,9 +149,8 @@ struct EngineConfig {
     /// Payload-window size for the RC ingest kernel (see rc.hpp). Windowing
     /// never changes results — a 256-byte window and a 128 MB window produce
     /// bit-identical state — only cache behaviour. 0 (the default) resolves
-    /// adaptively at engine construction: the host LLC divided by the number
-    /// of ranks that ingest concurrently (all of them under the threaded
-    /// backend, one under the sequential), clamped to [4 MiB, 128 MiB] — see
+    /// adaptively at engine construction: the host LLC divided by the rank
+    /// count, clamped to [4 MiB, 128 MiB] — see
     /// adaptive_rc_ingest_window_bytes. An explicit value always wins.
     std::size_t rc_ingest_window_bytes{0};
     /// Allow the explicit SIMD relaxation sweeps (effective only on x86-64
@@ -137,9 +160,9 @@ struct EngineConfig {
     /// How the RC kernels order per-rank work (see refine/planner.hpp).
     /// Uniform — the default — keeps the historical ascending sweeps and is
     /// bit-identical to the pre-refine engine by contract (schedule, ops,
-    /// dirty sets, span sequence); QueryHeat / TopKPruned reorder
-    /// the post and propagate worklists toward query-hot rows whenever the
-    /// DemandTracker (or the top-k focus set) holds a positive signal.
+    /// dirty sets, span sequence); QueryHeat reorders the post and
+    /// propagate worklists toward query-hot rows whenever the DemandTracker
+    /// holds a positive signal.
     /// Reordering never changes the converged state, only which rows become
     /// exact first.
     RefinePolicy refine_policy{RefinePolicy::Uniform};
@@ -199,7 +222,7 @@ struct EngineReport {
 
 /// One delivery event of an event-driven RC step, recorded in the (time,
 /// source, seq) total order (see runtime/event_loop.hpp). The trace is what
-/// the determinism tests compare across backends and across repeated
+/// the determinism tests compare across executor counts and across repeated
 /// threaded runs: identical traces mean the whole relax-on-arrival schedule
 /// replayed identically.
 struct DeliveryTraceEntry {
@@ -324,8 +347,9 @@ public:
     double sim_seconds() const;
     const Cluster& cluster() const;
     Cluster& cluster();
-    /// The execution backend running the per-rank phase bodies.
-    const ExecutionBackend& backend() const { return *backend_; }
+    /// Rank executors running the per-rank phase bodies, the driver thread
+    /// included (EngineConfig::backend_threads, resolved and clamped).
+    std::size_t num_executors() const { return executors_->num_threads(); }
     const DynamicGraph& graph() const { return graph_; }
     /// The flat vertex -> rank map, materialized from the shard indirection
     /// (partition evaluation, placement strategies).
@@ -384,8 +408,8 @@ public:
     /// decrease_edge_weight that changed a weight). Runs on the calling
     /// thread with the engine idle between phases; the hook must only
     /// observe the algorithmic state (query state, build snapshots) — never
-    /// mutate it. Refinement *hints* (demand().record, set_refine_focus) are
-    /// the one sanctioned exception: they steer the schedule, not the answer.
+    /// mutate it. Refinement *hints* (demand().record) are the one
+    /// sanctioned exception: they steer the schedule, not the answer.
     void set_boundary_hook(std::function<void(AnytimeEngine&)> hook);
 
     // ---- demand-driven refinement ------------------------------------------
@@ -408,11 +432,6 @@ public:
     void set_migrate_imbalance_threshold(double threshold) {
         config_.migrate_imbalance_threshold = threshold;
     }
-
-    /// Replace the top-k focus set (the serve layer's uncertain top-k
-    /// candidates). Only consulted under RefinePolicy::TopKPruned; focus
-    /// rows order ahead of plain heat. Out-of-range ids are ignored.
-    void set_refine_focus(const std::vector<VertexId>& focus);
 
     /// Completed RC steps since the last structural base case (-1 before
     /// initialize(); a checkpoint restore keeps the saved value) — the k of
@@ -444,7 +463,7 @@ public:
 
     /// Delivery events of event-driven RC steps, per step in the (time,
     /// source, seq) event order (empty unless EngineConfig::rc_async). Built
-    /// on the driver thread, so it is identical across backends.
+    /// on the driver thread, so it is identical for every executor count.
     const std::vector<DeliveryTraceEntry>& delivery_trace() const {
         return delivery_trace_;
     }
@@ -517,13 +536,13 @@ private:
     /// Build every rank's sub-graph and (diagonal-only) distance rows from
     /// ownership_ and graph_, rows in adoption order.
     void build_rank_states();
-    /// Run one per-rank phase body on the execution backend: fn(r) (or
+    /// Run one per-rank phase body on the rank executors: fn(r) (or
     /// fn(r, sink)) is called once per rank, possibly concurrently — it must
     /// confine itself to rank-r state plus the rank-confined Cluster entry
     /// points — and returns rank r's ops. After the barrier the ops are added
     /// to `ops` and the spans pushed into `sink` are merged into the registry,
     /// both in ascending rank order, so totals and telemetry are identical
-    /// across backends.
+    /// for every executor count.
     void run_rank_phase(
         double& ops,
         const std::function<double(RankId, std::vector<MetricSpan>&)>& fn);
@@ -542,7 +561,7 @@ private:
     void fire_boundary_hook();
     /// Per-rank refine sweep orders for the starting RC step (empty vectors
     /// = the historical ascending order). Runs on the driver thread before
-    /// the post phase; deterministic given the heat/focus state.
+    /// the post phase; deterministic given the heat state.
     std::vector<std::vector<LocalId>> plan_refine_orders();
     /// Static per-shard weight (vertices + incident edges) the migration
     /// planner scales measured rank load by.
@@ -556,7 +575,7 @@ private:
     void drain_in_flight_updates();
     /// Every structural-update path calls this after its local re-settlement:
     /// resets the wavefront certificate to its k = 0 base case, recomputes
-    /// the live w_min/w_max, and grows demand/focus state to the new vertex
+    /// the live w_min/w_max, and grows the demand state to the new vertex
     /// count.
     void note_structural_change();
     /// Recompute w_min_/w_max_ from the live graph.
@@ -595,14 +614,9 @@ private:
     DynamicGraph graph_;  // ground-truth mirror of the distributed graph
     EngineConfig config_;
     std::unique_ptr<Cluster> cluster_;
-    std::unique_ptr<ExecutionBackend> backend_;
-    // Intra-rank pool the per-rank kernels (IA Dijkstra, RC row sweeps) fan
-    // out to: ia_threads executors under a sequential backend, inline (one
-    // executor, no workers) under a concurrent one — the backend already owns
-    // the cores, and an inline parallel_for touches no shared state, so
-    // concurrent rank closures may all enter it. Pricing never depends on
-    // it (kernels return identical op counts with and without a pool).
-    std::unique_ptr<ThreadPool> pool_;
+    // The rank executors (see backend_threads): every per-rank phase runs
+    // as one parallel_for over [0, P). unique_ptr keeps the engine movable.
+    std::unique_ptr<ThreadPool> executors_;
     Rng rng_;
     ShardOwnership ownership_;
     MigrationPlanner planner_;
@@ -619,8 +633,6 @@ private:
     // unique_ptr because DemandTracker (SharedSlot member) is neither
     // copyable nor movable, and the engine keeps its defaulted moves.
     std::unique_ptr<DemandTracker> demand_;
-    std::vector<std::uint8_t> refine_focus_mask_;  // 0/1 per global vertex
-    bool refine_focus_any_{false};
     /// Wavefront certificate counter (see wavefront_steps()).
     std::int64_t wavefront_k_{-1};
     /// Conservative changed-rows answer (see take_changed_rows): true from

@@ -61,7 +61,7 @@ void AnytimeEngine::drain_in_flight_updates() {
         }
         const double ops = rc_ingest_updates(
             ranks_[r].sg, ranks_[r].store, inbox, config_.wire_format,
-            pool_.get(), kRcIngestParallelGrain, rc_ingest_window_bytes_);
+            nullptr, kRcIngestParallelGrain, rc_ingest_window_bytes_);
         cluster_->charge_compute(r, ops);
         return ops;
     });
@@ -266,7 +266,7 @@ double AnytimeEngine::move_rows(ShardOwnership target) {
 
         // 6. Drain the local sweep now so the first RC step after the move
         // already posts locally consistent boundary DVs.
-        ops += rc_propagate_local(state.sg, state.store, pool_.get());
+        ops += rc_propagate_local(state.sg, state.store);
         cluster_->charge_compute(r, ops);
         return ops;
     });

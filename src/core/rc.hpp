@@ -124,7 +124,7 @@ inline constexpr std::size_t kRcIngestWindowBytes = std::size_t{128} << 20;
 
 /// Adaptive resolution of the window size for EngineConfig's 0 sentinel: the
 /// host's last-level cache size divided by the number of ranks whose ingest
-/// phases share it (a ThreadedBackend runs them concurrently), clamped to
+/// phases share it (the rank executors run them concurrently), clamped to
 /// [4 MiB, 128 MiB]. Falls back to the L2 size, then to 32 MiB, when the host
 /// does not report an LLC. Windowing never changes results, so the adaptive
 /// choice only moves the cache sweet spot — an explicit config value always

@@ -10,11 +10,11 @@
 // what makes hot rows reach exactness earlier under a per-step budget.
 //
 // Ordering contract (the bit-identity discipline of PRs 4-6): when the
-// policy is Uniform, or no positive heat/focus signal exists, the planner
+// policy is Uniform, or no positive heat signal exists, the planner
 // returns an *empty* plan and the kernels take their historical ascending
 // sweep — byte-identical schedule, ops, and dirty sets to the
 // pre-refine engine. Plans themselves are deterministic: rows sort by
-// (focus, heat, LocalId), so equal-signal rows keep ascending order.
+// (heat, LocalId), so equal-heat rows keep ascending order.
 #pragma once
 
 #include <cstdint>
@@ -35,12 +35,9 @@ enum class RefinePolicy : std::uint8_t {
     /// Rows hot in the DemandTracker (plus their smeared neighborhoods)
     /// sweep first.
     QueryHeat,
-    /// Like QueryHeat, but the serve layer's uncertain top-k candidates are
-    /// injected as focus rows ahead of plain heat.
-    TopKPruned,
 };
 
-/// Canonical lower-case name ("uniform" / "heat" / "topk").
+/// Canonical lower-case name ("uniform" / "heat").
 std::string_view refine_policy_name(RefinePolicy policy);
 
 /// Parse a canonical name; returns false on unknown values.
@@ -49,15 +46,13 @@ bool parse_refine_policy(std::string_view name, RefinePolicy& out);
 /// Demand-priority sweep order for one rank, or empty when no positive
 /// signal exists (callers must then use the historical ascending order).
 ///
-/// `heat` is the global per-vertex heat snapshot (may be empty), and
-/// `focus` an optional 0/1 mask of top-k focus vertices (may be empty).
+/// `heat` is the global per-vertex heat snapshot (may be empty).
 /// A row's priority folds in a decayed multi-hop smear of its neighborhood —
 /// a hot row's missing columns arrive along drain chains several hops away,
 /// so rows between the wave and a hot destination inherit a proximity
 /// gradient (halved per hop, carried across rank boundaries by the global
 /// heat snapshot).
 std::vector<LocalId> plan_rank_order(const LocalSubgraph& sg,
-                                     std::span<const double> heat,
-                                     std::span<const std::uint8_t> focus);
+                                     std::span<const double> heat);
 
 }  // namespace aa

@@ -12,7 +12,8 @@
 // an outbox only through MailboxSystem::drain_outboxes and enters an inbox
 // only through MailboxSystem::deliver_direct.
 //
-// Concurrency contract (what lets a ThreadedBackend run ranks in parallel):
+// Concurrency contract (what lets the engine's rank executors run ranks in
+// parallel):
 //   * rank-confined entry points — charge_compute(r, ...), send(from=r, ...)
 //     and receive(r) touch only rank r's clock, stats slot, outbox or inbox.
 //     They may be called concurrently from distinct ranks' threads; calling
@@ -24,8 +25,9 @@
 //     restore_clocks(), mailboxes(), restore_message(), reset(),
 //     has_pending_messages(), time()/max_time(),
 //     rank_stats()/stats() and set_metrics() must run on the driver thread
-//     while no rank closure is in flight (between the backend's barriers).
-// ExecutionBackend::run_ranks provides the happens-before edges at both ends.
+//     while no rank closure is in flight (between rank phases).
+// The rank phase's ThreadPool::parallel_for provides the happens-before
+// edges at both ends.
 #pragma once
 
 #include <cstdint>

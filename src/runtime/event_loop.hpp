@@ -15,15 +15,15 @@
 // sequence number break every tie deterministically; sequence numbers are
 // assigned by the driver in canonical drain order, so the full pop sequence
 // is a pure function of the simulated state. This is what makes async runs
-// reproducible across backends and across repeated ThreadedBackend runs.
+// reproducible across executor counts and across repeated threaded runs.
 //
 // Timestamps are contract-checked at push: a NaN or negative time would
 // silently corrupt the heap order (NaN compares false with everything), so
 // hostile timestamps die on AA_ASSERT instead of reordering the simulation.
 //
-// The queue is driver-only: the engine pops it between the backend's rank
-// phases to build the delivery trace; the rank closures ingest each
-// receiver's messages in canonical (seq) order (see runtime/backend.hpp).
+// The queue is driver-only: the engine pops it between rank phases to build
+// the delivery trace; the rank closures ingest each receiver's messages in
+// canonical (seq) order (see the rank executors in core/engine.hpp).
 #pragma once
 
 #include <cstdint>

@@ -7,9 +7,9 @@
 //
 // Concurrency contract: post(message) touches only outboxes_[message.from]
 // and take_inbox(r) only inboxes_[r], so distinct ranks may post/drain
-// concurrently (the ThreadedBackend compute phase). Everything that crosses
-// boxes — drain_outboxes / deliver_direct / has_pending / peek_* / restore —
-// is driver-only and must not overlap any rank-side call.
+// concurrently (a rank phase on the engine's executors). Everything that
+// crosses boxes — drain_outboxes / deliver_direct / has_pending / peek_* /
+// restore — is driver-only and must not overlap any rank-side call.
 #pragma once
 
 #include <vector>

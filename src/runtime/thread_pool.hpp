@@ -1,10 +1,11 @@
-// Fixed-size thread pool with a blocking parallel_for. ThreadedBackend runs
-// the rank closures on one; under the sequential backend the engine's
-// intra-rank pool fans out the IA phase's multithreaded Dijkstra and the RC
-// kernels' row sweeps (the paper uses OpenMP; std::thread keeps the build
-// dependency-free). The pool is also what the LogP model's `threads` divisor
-// corresponds to: simulated IA time scales with the configured thread count
-// even on a single-core host.
+// Fixed-size thread pool with a blocking parallel_for (the paper uses OpenMP;
+// std::thread keeps the build dependency-free). The engine runs every rank
+// phase on one, its rank executors (see core/engine.hpp). The IA and RC
+// kernels also accept a pool for fan-out within one rank; the engine hands
+// them none (or a one-executor inline pool), since its ranks already occupy
+// the cores, while kernel tests and benches size one larger. Pricing never
+// depends on a pool: the LogP model's `threads` divisor prices IA at the
+// configured EngineConfig::ia_threads whoever runs it.
 #pragma once
 
 #include <condition_variable>

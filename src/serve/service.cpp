@@ -204,9 +204,9 @@ void QueryService::update_shard_planes(
     }
     // A plane none of whose members changed keeps its members' exact score
     // bits, so its ranking carries over; the rest re-select their exact
-    // top-2K (the TopKPruned focus reads that deeper prefix). Every view is
-    // built before the first store: a merged top-k read needs all planes on
-    // one snapshot, so the window in which they disagree is the stores alone.
+    // top-K. Every view is built before the first store: a merged top-k read
+    // needs all planes on one snapshot, so the window in which they disagree
+    // is the stores alone.
     const std::size_t served = config_.topk_maintained;
     std::size_t reselected = 0;
     std::vector<std::shared_ptr<const ShardView>> views;
@@ -214,13 +214,12 @@ void QueryService::update_shard_planes(
     for (std::size_t s = 0; s < num_planes; ++s) {
         std::vector<TopKEntry>& ranked = shard_ranked_[s];
         if (dirty[s] != 0) {
-            ranked = topk_from_subset(*frozen, shard_members_[s], 2 * served);
+            ranked = topk_from_subset(*frozen, shard_members_[s], served);
             ++reselected;
         }
         auto view = std::make_shared<ShardView>();
         view->snapshot = frozen;
-        view->topk.assign(ranked.begin(),
-                          ranked.begin() + std::min(served, ranked.size()));
+        view->topk = ranked;
         views.push_back(std::move(view));
     }
     for (std::size_t s = 0; s < num_planes; ++s) {
@@ -253,32 +252,6 @@ void QueryService::publish() {
     ++next_version_;
     last_published_ = frozen;
     publications_.fetch_add(1, std::memory_order_relaxed);
-
-    if (engine_.refine_policy() == RefinePolicy::TopKPruned) {
-        // Steer refinement at the vertices that decide the top-k answer: each
-        // plane's exact top-2K prefix plus, when bounds are available, every
-        // outsider whose upper bound still reaches into them. A scheduling
-        // hint only — the focus never changes what converges.
-        std::vector<VertexId> focus;
-        double weakest_lo = kInfinity;
-        for (const std::vector<TopKEntry>& ranked : shard_ranked_) {
-            for (const TopKEntry& e : ranked) {
-                focus.push_back(e.vertex);
-                if (frozen->has_bounds && e.vertex < frozen->bound_lo.size()) {
-                    weakest_lo =
-                        std::min(weakest_lo, frozen->bound_lo[e.vertex]);
-                }
-            }
-        }
-        if (frozen->has_bounds && !focus.empty()) {
-            for (std::size_t v = 0; v < frozen->bound_hi.size(); ++v) {
-                if (frozen->bound_hi[v] > weakest_lo) {
-                    focus.push_back(static_cast<VertexId>(v));
-                }
-            }
-        }
-        engine_.set_refine_focus(focus);
-    }
 
     {
         // Empty critical section: pairs the publication with the waiters'

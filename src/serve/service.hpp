@@ -412,8 +412,8 @@ private:
     std::shared_ptr<const ResultSnapshot> last_published_;
     /// Per-plane members (ascending), index num_shards = the pseudo-shard
     /// for vertices beyond the ownership map; rebuilt when the vertex count
-    /// changes. shard_ranked_[s] is plane s's exact top-2K (its served
-    /// partial is the K-prefix).
+    /// changes. shard_ranked_[s] is plane s's exact top-K, the partial
+    /// its view serves.
     std::vector<std::vector<VertexId>> shard_members_;
     std::vector<std::vector<TopKEntry>> shard_ranked_;
     std::size_t shard_table_n_{0};

@@ -1,13 +1,13 @@
-// ExecutionBackend contract tests.
+// Rank-executor contract tests.
 //
 // The load-bearing property is the determinism contract from
-// runtime/backend.hpp: for a fixed seed and config, the threaded backend must
-// reproduce the sequential backend *bit-identically* — every distance, every
-// closeness score, the simulated clock, and the telemetry span stream — no
-// matter how the OS schedules the rank threads. The lattice below exercises
-// it across rank counts and both communication schedules, with a mid-RC
-// vertex-addition batch in every run and, in half of the runs, a shrink batch
-// after it.
+// core/engine.hpp: for a fixed seed and config, the default thread-per-core
+// executors must reproduce one executor (ranks in ascending order on the
+// driver thread) *bit-identically* — every distance, every closeness score,
+// the simulated clock, and the telemetry span stream — no matter how the OS
+// schedules the rank threads. The lattice below exercises it across rank
+// counts and both communication schedules, with a mid-RC vertex-addition
+// batch in every run and, in half of the runs, a shrink batch after it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,77 +19,71 @@
 #include "core/engine.hpp"
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
-#include "runtime/backend.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace aa {
 namespace {
 
-TEST(BackendBasics, NamesRoundTripThroughParse) {
-    EXPECT_EQ(backend_kind_name(BackendKind::Sequential), "seq");
-    EXPECT_EQ(backend_kind_name(BackendKind::Threaded), "threaded");
-    for (const BackendKind kind :
-         {BackendKind::Sequential, BackendKind::Threaded}) {
-        BackendKind parsed{};
-        ASSERT_TRUE(parse_backend_kind(backend_kind_name(kind), parsed));
-        EXPECT_EQ(parsed, kind);
-    }
-}
-
-TEST(BackendBasics, ParseRejectsUnknownSpellingsUntouched) {
-    BackendKind kind = BackendKind::Threaded;
-    EXPECT_FALSE(parse_backend_kind("sequential", kind));
-    EXPECT_FALSE(parse_backend_kind("Threaded", kind));
-    EXPECT_FALSE(parse_backend_kind("", kind));
-    EXPECT_FALSE(parse_backend_kind("threads", kind));
-    EXPECT_EQ(kind, BackendKind::Threaded);  // left untouched on failure
-}
-
-TEST(BackendBasics, FactoryProducesMatchingKinds) {
-    const auto seq = make_backend(BackendKind::Sequential, 4);
-    EXPECT_EQ(seq->name(), "seq");
-    EXPECT_FALSE(seq->concurrent());
-    const auto threaded = make_backend(BackendKind::Threaded, 4);
-    EXPECT_EQ(threaded->name(), "threaded");
-    EXPECT_TRUE(threaded->concurrent());
-}
-
-// The default engine runs threaded, thread-per-core: min(P, hardware
-// threads) executors, the driver thread included. An explicit count wins.
+// The default engine runs thread-per-core: min(P, hardware threads)
+// executors, the driver thread included. An explicit count wins, clamped to
+// [1, P]: more executors than ranks would never get a chunk.
 TEST(BackendBasics, DefaultSizedToCores) {
-    EXPECT_EQ(EngineConfig{}.backend, BackendKind::Threaded);
     EXPECT_EQ(EngineConfig{}.backend_threads, 0u);
     const std::size_t cores =
         std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-    for (const std::size_t ranks : {1u, 2u, 3u, 8u, 16u}) {
-        const std::size_t expected = std::min(ranks, cores);
-        EXPECT_EQ(default_backend_executors(ranks), expected);
-        const auto backend = make_backend(BackendKind::Threaded, ranks);
-        const auto* threaded = dynamic_cast<const ThreadedBackend*>(backend.get());
-        ASSERT_NE(threaded, nullptr);
-        EXPECT_EQ(threaded->num_executors(), expected) << "ranks=" << ranks;
+    Rng rng(5);
+    const DynamicGraph g = barabasi_albert(32, 2, rng);
+    for (const std::uint32_t ranks : {1u, 2u, 3u, 8u, 16u}) {
+        EngineConfig config;
+        config.num_ranks = ranks;
+        EXPECT_EQ(AnytimeEngine(g, config).num_executors(),
+                  std::min<std::size_t>(ranks, cores))
+            << "ranks=" << ranks;
     }
-    const auto explicit_backend = make_backend(BackendKind::Threaded, 8, 3);
-    EXPECT_EQ(dynamic_cast<const ThreadedBackend&>(*explicit_backend).num_executors(),
-              3u);
+    EngineConfig config;
+    config.num_ranks = 8;
+    config.backend_threads = 3;
+    EXPECT_EQ(AnytimeEngine(g, config).num_executors(), 3u);
+    config.backend_threads = 1;
+    EXPECT_EQ(AnytimeEngine(g, config).num_executors(), 1u);
 }
 
+TEST(BackendBasics, ExecutorsClampedToRanks) {
+    EngineConfig config;
+    config.num_ranks = 2;
+    config.backend_threads = 5;
+    Rng rng(6);
+    AnytimeEngine engine(barabasi_albert(24, 2, rng), config);
+    EXPECT_EQ(engine.num_executors(), 2u);
+    engine.initialize();
+    engine.run_to_quiescence();
+    EXPECT_TRUE(engine.quiescent());
+}
+
+// One executor is the reference order: a pool of one runs [0, P) inline, in
+// ascending order, on the calling thread.
 TEST(BackendBasics, SequentialRunsRanksInAscendingOrder) {
-    SequentialBackend backend;
-    std::vector<RankId> order;
-    backend.run_ranks(5, [&](RankId r) { order.push_back(r); });
-    EXPECT_EQ(order, (std::vector<RankId>{0, 1, 2, 3, 4}));
+    ThreadPool executors(1);
+    ASSERT_EQ(executors.num_threads(), 1u);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    executors.parallel_for(0, 5, [&](std::size_t r) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(r);
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(BackendBasics, ThreadedRunsEveryRankExactlyOnceWithBarrier) {
-    ThreadedBackend backend(4);
+    ThreadPool executors(4);
     for (int round = 0; round < 50; ++round) {
         std::vector<int> hits(8, 0);
         std::atomic<int> total{0};
-        backend.run_ranks(hits.size(), [&](RankId r) {
+        executors.parallel_for(0, hits.size(), [&](std::size_t r) {
             hits[r] += 1;  // distinct slots: racy only if a rank ran twice
             total.fetch_add(1, std::memory_order_relaxed);
         });
-        // Barrier semantics: all writes are visible after run_ranks returns.
+        // Barrier semantics: all writes are visible after parallel_for returns.
         EXPECT_EQ(total.load(), 8);
         for (const int h : hits) {
             EXPECT_EQ(h, 1);
@@ -98,7 +92,7 @@ TEST(BackendBasics, ThreadedRunsEveryRankExactlyOnceWithBarrier) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism lattice: seq vs threaded, bit for bit.
+// Determinism lattice: one executor vs the default, bit for bit.
 // ---------------------------------------------------------------------------
 
 struct RunResult {
@@ -115,9 +109,10 @@ enum class Updates {
     AdditionsThenShrink  // the same batch, then edge/vertex deletions and reweights
 };
 
-RunResult run_scenario(BackendKind backend, std::uint32_t ranks,
-                       CommSchedule schedule, Updates updates,
-                       std::size_t backend_threads = 0) {
+// `backend_threads` as in EngineConfig: 1 = one executor, 0 = the
+// thread-per-core default.
+RunResult run_scenario(std::size_t backend_threads, std::uint32_t ranks,
+                       CommSchedule schedule, Updates updates) {
     Rng rng(987);
     DynamicGraph g = barabasi_albert(72, 2, rng, WeightRange{1.0, 3.0});
 
@@ -126,7 +121,6 @@ RunResult run_scenario(BackendKind backend, std::uint32_t ranks,
     config.ia_threads = 2;
     config.schedule = schedule;
     config.seed = 0xBACC01 + ranks;
-    config.backend = backend;
     config.backend_threads = backend_threads;
     config.enable_metrics = true;
 
@@ -135,7 +129,7 @@ RunResult run_scenario(BackendKind backend, std::uint32_t ranks,
     engine.run_rc_steps(2);
 
     // Mid-RC addition batch: the dynamic-update loops (extend, broadcast
-    // apply, propagate) all run on the backend too.
+    // apply, propagate) all run on the rank executors too.
     GrowthConfig gc;
     gc.num_new = 5;
     gc.communities = 2;
@@ -148,7 +142,7 @@ RunResult run_scenario(BackendKind backend, std::uint32_t ranks,
 
     if (updates == Updates::AdditionsThenShrink) {
         // The invalidate/re-settle cascade and the decrease broadcast run on
-        // the backend as well.
+        // the rank executors as well.
         engine.run_rc_steps(1);
         const std::vector<Edge> edges = engine.graph().edges();
         ShrinkBatch shrink;
@@ -204,20 +198,15 @@ class BackendDeterminism : public ::testing::TestWithParam<Param> {};
 
 TEST_P(BackendDeterminism, ThreadedMatchesSequentialBitIdentically) {
     const auto [ranks, schedule, updates] = GetParam();
-    const RunResult seq =
-        run_scenario(BackendKind::Sequential, ranks, schedule, updates);
-    const RunResult threaded =
-        run_scenario(BackendKind::Threaded, ranks, schedule, updates);
+    const RunResult seq = run_scenario(1, ranks, schedule, updates);
+    const RunResult threaded = run_scenario(0, ranks, schedule, updates);
     expect_bit_identical(seq, threaded);
 }
 
 TEST_P(BackendDeterminism, ThreadedWithFewerWorkersThanRanksStillMatches) {
     const auto [ranks, schedule, updates] = GetParam();
-    const RunResult seq =
-        run_scenario(BackendKind::Sequential, ranks, schedule, updates);
-    const RunResult threaded = run_scenario(BackendKind::Threaded, ranks,
-                                            schedule, updates,
-                                            /*backend_threads=*/2);
+    const RunResult seq = run_scenario(1, ranks, schedule, updates);
+    const RunResult threaded = run_scenario(2, ranks, schedule, updates);
     expect_bit_identical(seq, threaded);
 }
 
@@ -240,7 +229,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Repartition-S moves whole rows between ranks; its seed and re-mark loops
-// run on the backend, so pin that path separately (RoundRobinPS above never
+// run on the rank executors, so pin that path separately (RoundRobinPS above never
 // exercises it).
 TEST(BackendDeterminismRepartition, ThreadedMatchesSequentialBitIdentically) {
     for (const CommSchedule schedule :
@@ -248,13 +237,12 @@ TEST(BackendDeterminismRepartition, ThreadedMatchesSequentialBitIdentically) {
         Rng rng(321);
         DynamicGraph g = planted_partition(60, 4, 0.2, 0.02, rng);
         RunResult results[2];
-        for (const BackendKind backend :
-             {BackendKind::Sequential, BackendKind::Threaded}) {
+        for (const std::size_t backend_threads : {1u, 0u}) {
             EngineConfig config;
             config.num_ranks = 4;
             config.schedule = schedule;
             config.seed = 0xC0FFEE;
-            config.backend = backend;
+            config.backend_threads = backend_threads;
             config.enable_metrics = true;
             AnytimeEngine engine(g, config);
             engine.initialize();
@@ -269,8 +257,7 @@ TEST(BackendDeterminismRepartition, ThreadedMatchesSequentialBitIdentically) {
             RepartitionS strategy;
             engine.apply_addition(batch, strategy);
             engine.run_to_quiescence();
-            RunResult& result =
-                results[backend == BackendKind::Threaded ? 1 : 0];
+            RunResult& result = results[backend_threads == 0 ? 1 : 0];
             result.matrix = engine.full_distance_matrix();
             result.scores = engine.closeness();
             result.sim_seconds = engine.sim_seconds();

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "executors.hpp"
 #include "common/crc32c.hpp"
 #include "core/baseline.hpp"
 #include "core/closeness.hpp"
@@ -227,9 +228,9 @@ AnytimeEngine drive_to(SavePoint point, const EngineConfig& config) {
     return engine;
 }
 
-void expect_exact_resume(SavePoint point, BackendKind backend, bool async) {
+void expect_exact_resume(SavePoint point, Executors executors, bool async) {
     EngineConfig config = small_config(4);
-    config.backend = backend;
+    config.backend_threads = executor_count(executors);
     config.rc_async = async;
     AnytimeEngine engine = drive_to(point, config);
     ASSERT_FALSE(engine.quiescent());
@@ -278,12 +279,12 @@ void expect_exact_resume(SavePoint point, BackendKind backend, bool async) {
 }
 
 void expect_exact_resume_everywhere(SavePoint point) {
-    for (const BackendKind backend : {BackendKind::Sequential, BackendKind::Threaded}) {
+    for (const Executors executors : {Executors::Sequential, Executors::Threaded}) {
         for (const bool async : {false, true}) {
             SCOPED_TRACE(::testing::Message()
-                         << (backend == BackendKind::Threaded ? "threaded" : "sequential")
+                         << (executors == Executors::Threaded ? "threaded" : "sequential")
                          << (async ? " async" : " sync"));
-            expect_exact_resume(point, backend, async);
+            expect_exact_resume(point, executors, async);
         }
     }
 }

@@ -3,7 +3,7 @@
 // indistinguishable from a from-scratch engine on the final graph —
 // bit-identical (distances AND closeness) for uniform/dyadic weights,
 // within the relaxation epsilon otherwise. The churn lattice sweeps
-// P in {2, 4, 8} x both backends x sync/async.
+// P in {2, 4, 8} x both executor counts x sync/async.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -372,7 +372,7 @@ TEST(EngineDelete, ChurnLatticeSequential) {
     for (const std::uint32_t ranks : {2u, 4u, 8u}) {
         for (const bool rc_async : {false, true}) {
             EngineConfig config = shrink_config(ranks);
-            config.backend = BackendKind::Sequential;
+            config.backend_threads = 1;
             config.rc_async = rc_async;
             SCOPED_TRACE(::testing::Message()
                          << "ranks=" << ranks << " async=" << rc_async);
@@ -385,7 +385,7 @@ TEST(EngineDelete, ChurnLatticeThreaded) {
     for (const std::uint32_t ranks : {2u, 4u, 8u}) {
         for (const bool rc_async : {false, true}) {
             EngineConfig config = shrink_config(ranks);
-            config.backend = BackendKind::Threaded;
+            config.backend_threads = 0;
             config.rc_async = rc_async;
             SCOPED_TRACE(::testing::Message()
                          << "ranks=" << ranks << " async=" << rc_async);

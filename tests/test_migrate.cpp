@@ -7,7 +7,7 @@
 //      distance, closeness score, simulated second and telemetry span is
 //      bit-identical between shards_per_rank = 8 (the new default) and
 //      shards_per_rank = 1 (the historical flat map), across the full
-//      P x backend x sync/async lattice (one wire format).
+//      P x executors x sync/async lattice (one wire format).
 //
 //   2. Migration correctness — migrate_shards mid-RC (partially converged
 //      state, marked rows, in-flight updates) must land the engine, at
@@ -21,6 +21,7 @@
 #include <tuple>
 #include <vector>
 
+#include "executors.hpp"
 #include "core/baseline.hpp"
 #include "core/engine.hpp"
 #include "core/strategies.hpp"
@@ -95,7 +96,7 @@ struct RunResult {
     std::vector<MetricSpan> spans;
 };
 
-RunResult run_scenario(std::uint32_t ranks, BackendKind backend,
+RunResult run_scenario(std::uint32_t ranks, Executors executors,
                        BoundaryWireFormat wire, bool rc_async,
                        std::uint32_t shards_per_rank) {
     Rng rng(987);
@@ -105,7 +106,7 @@ RunResult run_scenario(std::uint32_t ranks, BackendKind backend,
     config.num_ranks = ranks;
     config.ia_threads = 2;
     config.seed = 0x54A2D + ranks;
-    config.backend = backend;
+    config.backend_threads = executor_count(executors);
     config.wire_format = wire;
     config.rc_async = rc_async;
     config.shards_per_rank = shards_per_rank;
@@ -155,15 +156,15 @@ void expect_bit_identical(const RunResult& a, const RunResult& b) {
     }
 }
 
-using Param = std::tuple<std::uint32_t /*ranks*/, BackendKind,
+using Param = std::tuple<std::uint32_t /*ranks*/, Executors,
                          BoundaryWireFormat, bool /*rc_async*/>;
 
 class MigrateIdentityLattice : public ::testing::TestWithParam<Param> {};
 
 TEST_P(MigrateIdentityLattice, ShardedMapMatchesFlatMapBitIdentically) {
-    const auto [ranks, backend, wire, rc_async] = GetParam();
-    const RunResult sharded = run_scenario(ranks, backend, wire, rc_async, 8);
-    const RunResult flat = run_scenario(ranks, backend, wire, rc_async, 1);
+    const auto [ranks, executors, wire, rc_async] = GetParam();
+    const RunResult sharded = run_scenario(ranks, executors, wire, rc_async, 8);
+    const RunResult flat = run_scenario(ranks, executors, wire, rc_async, 1);
     expect_bit_identical(sharded, flat);
 }
 
@@ -171,13 +172,13 @@ INSTANTIATE_TEST_SUITE_P(
     Lattice, MigrateIdentityLattice,
     ::testing::Combine(
         ::testing::Values(2u, 4u, 8u),
-        ::testing::Values(BackendKind::Sequential, BackendKind::Threaded),
+        ::testing::Values(Executors::Sequential, Executors::Threaded),
         ::testing::Values(BoundaryWireFormat::V2Soa),
         ::testing::Bool()),
     [](const ::testing::TestParamInfo<Param>& p) {
         return "r" + std::to_string(std::get<0>(p.param)) +
-               (std::get<1>(p.param) == BackendKind::Threaded ? "_thr"
-                                                              : "_seq") +
+               (std::get<1>(p.param) == Executors::Threaded ? "_thr"
+                                                            : "_seq") +
                "_v2" +
                (std::get<3>(p.param) ? "_async" : "_sync");
     });

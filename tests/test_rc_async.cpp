@@ -7,10 +7,10 @@
 // propagation is deferred until a rank has everything — so distances,
 // closeness, dirty order, per-step ops, and message traffic must stay
 // bit-identical to the step-synchronous default at every step. The lattice
-// below pins that across rank counts × both execution backends, with a
-// mid-RC vertex-addition batch in every run. The delivery
-// trace is built on the driver thread, so it must also be identical across
-// backends and across repeated threaded runs.
+// below pins that across rank counts × both executor counts, with a
+// mid-RC vertex-addition batch in every run. The delivery trace is built on
+// the driver thread, so it must also be identical across executor counts and
+// across repeated threaded runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,11 +19,11 @@
 #include <type_traits>
 #include <vector>
 
+#include "executors.hpp"
 #include "core/engine.hpp"
 #include "core/rc.hpp"
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
-#include "runtime/backend.hpp"
 
 namespace aa {
 namespace {
@@ -46,7 +46,7 @@ struct Overrides {
     std::size_t ingest_window{0};
 };
 
-RunResult run_scenario(std::uint32_t ranks, BackendKind backend,
+RunResult run_scenario(std::uint32_t ranks, Executors executors,
                        BoundaryWireFormat format, const Overrides& o) {
     Rng rng(555);
     DynamicGraph g = barabasi_albert(80, 2, rng, WeightRange{1.0, 4.0});
@@ -54,7 +54,7 @@ RunResult run_scenario(std::uint32_t ranks, BackendKind backend,
     EngineConfig config;
     config.num_ranks = ranks;
     config.seed = 0xF0 + ranks;
-    config.backend = backend;
+    config.backend_threads = executor_count(executors);
     config.enable_metrics = true;
     config.wire_format = format;
     config.rc_async = o.rc_async;
@@ -129,16 +129,16 @@ void expect_identical_trace(const RunResult& a, const RunResult& b) {
 }
 
 using Param =
-    std::tuple<std::uint32_t /*ranks*/, BackendKind, BoundaryWireFormat>;
+    std::tuple<std::uint32_t /*ranks*/, Executors, BoundaryWireFormat>;
 
 class RcAsyncEquivalence : public ::testing::TestWithParam<Param> {};
 
 TEST_P(RcAsyncEquivalence, AsyncMatchesSyncModuloTimeline) {
-    const auto [ranks, backend, format] = GetParam();
+    const auto [ranks, executors, format] = GetParam();
     const RunResult sync =
-        run_scenario(ranks, backend, format, {/*rc_async=*/false});
+        run_scenario(ranks, executors, format, {/*rc_async=*/false});
     const RunResult async_r =
-        run_scenario(ranks, backend, format, {/*rc_async=*/true});
+        run_scenario(ranks, executors, format, {/*rc_async=*/true});
     expect_equivalent_modulo_timeline(sync, async_r);
     // The sync run never produces delivery events; the async run produces one
     // per RC-exchanged message (dynamic-update broadcasts stay collective, so
@@ -156,11 +156,11 @@ TEST_P(RcAsyncEquivalence, PipelinedScheduleSameFixpoint) {
     // only — the canonical ingest order keeps the fixpoint (and all work
     // accounting) bit-identical; the pipelined wire can only be faster than
     // the serialized one.
-    const auto [ranks, backend, format] = GetParam();
+    const auto [ranks, executors, format] = GetParam();
     Overrides serialized{/*rc_async=*/true, CommSchedule::SerializedAllToAll};
     Overrides pipelined{/*rc_async=*/true, CommSchedule::Pipelined};
-    const RunResult a = run_scenario(ranks, backend, format, serialized);
-    const RunResult b = run_scenario(ranks, backend, format, pipelined);
+    const RunResult a = run_scenario(ranks, executors, format, serialized);
+    const RunResult b = run_scenario(ranks, executors, format, pipelined);
     expect_equivalent_modulo_timeline(a, b);
     EXPECT_LE(b.sim_seconds, a.sim_seconds * (1 + 1e-12));
 }
@@ -168,29 +168,28 @@ TEST_P(RcAsyncEquivalence, PipelinedScheduleSameFixpoint) {
 INSTANTIATE_TEST_SUITE_P(
     Lattice, RcAsyncEquivalence,
     ::testing::Combine(::testing::Values(2u, 4u, 8u),
-                       ::testing::Values(BackendKind::Sequential,
-                                         BackendKind::Threaded),
+                       ::testing::Values(Executors::Sequential, Executors::Threaded),
                        ::testing::Values(BoundaryWireFormat::V2Soa)),
     [](const ::testing::TestParamInfo<Param>& p) {
         std::string name = "r";
         name += std::to_string(std::get<0>(p.param));
-        name += std::get<1>(p.param) == BackendKind::Threaded ? "_threaded"
-                                                              : "_seq";
+        name += std::get<1>(p.param) == Executors::Threaded ? "_threaded"
+                                                            : "_seq";
         name += "_v2";
         return name;
     });
 
 TEST(RcAsyncDeterminism, ThreadedRunsReplayIdentically) {
-    // Same seed, same config, two fresh engines on the threaded backend: the
+    // Same seed, same config, two fresh engines on the default executors: the
     // delivery traces (event pop order with timestamps) must match event for
     // event, and so must every result. Ingest runs in the rank closures on
     // concurrent workers, but each receiver walks its own arrivals in
     // canonical order and the trace is built on the driver, so worker
     // scheduling cannot perturb either.
     const Overrides async_pipelined{/*rc_async=*/true, CommSchedule::Pipelined};
-    const RunResult a = run_scenario(8, BackendKind::Threaded,
+    const RunResult a = run_scenario(8, Executors::Threaded,
                                      BoundaryWireFormat::V2Soa, async_pipelined);
-    const RunResult b = run_scenario(8, BackendKind::Threaded,
+    const RunResult b = run_scenario(8, Executors::Threaded,
                                      BoundaryWireFormat::V2Soa, async_pipelined);
     expect_identical_trace(a, b);
     expect_equivalent_modulo_timeline(a, b);
@@ -200,9 +199,9 @@ TEST(RcAsyncDeterminism, ThreadedRunsReplayIdentically) {
 
 TEST(RcAsyncDeterminism, BackendsShareOneTrace) {
     const Overrides async_pipelined{/*rc_async=*/true, CommSchedule::Pipelined};
-    const RunResult seq = run_scenario(4, BackendKind::Sequential,
+    const RunResult seq = run_scenario(4, Executors::Sequential,
                                        BoundaryWireFormat::V2Soa, async_pipelined);
-    const RunResult thr = run_scenario(4, BackendKind::Threaded,
+    const RunResult thr = run_scenario(4, Executors::Threaded,
                                        BoundaryWireFormat::V2Soa, async_pipelined);
     expect_identical_trace(seq, thr);
     expect_equivalent_modulo_timeline(seq, thr);
@@ -211,7 +210,7 @@ TEST(RcAsyncDeterminism, BackendsShareOneTrace) {
 
 TEST(RcAsyncDeterminism, TraceIsInEventOrderPerStep) {
     const Overrides async_serialized{/*rc_async=*/true};
-    const RunResult r = run_scenario(4, BackendKind::Sequential,
+    const RunResult r = run_scenario(4, Executors::Sequential,
                                      BoundaryWireFormat::V2Soa, async_serialized);
     ASSERT_FALSE(r.trace.empty());
     for (std::size_t i = 1; i < r.trace.size(); ++i) {
@@ -275,13 +274,13 @@ struct GoldenRun {
     std::uint64_t spans_hash{0};   // see the section comment
 };
 
-GoldenRun run_golden(bool rc_async, BackendKind backend) {
+GoldenRun run_golden(bool rc_async, Executors executors) {
     Rng rng(4242);
     const DynamicGraph g = barabasi_albert(80, 2, rng, WeightRange{1.0, 4.0});
     EngineConfig config;
     config.num_ranks = 8;
     config.seed = 0x601D;
-    config.backend = backend;
+    config.backend_threads = executor_count(executors);
     config.enable_metrics = true;
     config.rc_async = rc_async;
     AnytimeEngine engine(g, config);
@@ -378,26 +377,26 @@ void expect_golden(const GoldenRun& got, const GoldenRun& want) {
 }
 
 // The two modes share the matrix (bit-identical results) and differ in the
-// timeline; both backends must reproduce their mode's values exactly.
+// timeline; both executor counts must reproduce their mode's values exactly.
 constexpr GoldenRun kSyncGolden{0x1.6f2822aa59775p-5, 9, 0x69f837406b9412cb,
                                 0xcda422cdf0d777ff, 0xa98eaf17a3343863};
 constexpr GoldenRun kAsyncGolden{0x1.6f0b7adc7d3edp-5, 9, 0xee255acc733a3e87,
                                  0xcda422cdf0d777ff, 0x9a720d637afca9e2};
 
 TEST(RcStepGolden, SyncSequential) {
-    expect_golden(run_golden(false, BackendKind::Sequential), kSyncGolden);
+    expect_golden(run_golden(false, Executors::Sequential), kSyncGolden);
 }
 
 TEST(RcStepGolden, SyncThreaded) {
-    expect_golden(run_golden(false, BackendKind::Threaded), kSyncGolden);
+    expect_golden(run_golden(false, Executors::Threaded), kSyncGolden);
 }
 
 TEST(RcStepGolden, AsyncSequential) {
-    expect_golden(run_golden(true, BackendKind::Sequential), kAsyncGolden);
+    expect_golden(run_golden(true, Executors::Sequential), kAsyncGolden);
 }
 
 TEST(RcStepGolden, AsyncThreaded) {
-    expect_golden(run_golden(true, BackendKind::Threaded), kAsyncGolden);
+    expect_golden(run_golden(true, Executors::Threaded), kAsyncGolden);
 }
 
 TEST(RcIngest, AdaptiveWindowMatchesFixed) {
@@ -409,9 +408,9 @@ TEST(RcIngest, AdaptiveWindowMatchesFixed) {
         Overrides adaptive{rc_async};
         Overrides fixed{rc_async};
         fixed.ingest_window = kRcIngestWindowBytes;
-        const RunResult a = run_scenario(4, BackendKind::Sequential,
+        const RunResult a = run_scenario(4, Executors::Sequential,
                                          BoundaryWireFormat::V2Soa, adaptive);
-        const RunResult f = run_scenario(4, BackendKind::Sequential,
+        const RunResult f = run_scenario(4, Executors::Sequential,
                                          BoundaryWireFormat::V2Soa, fixed);
         expect_equivalent_modulo_timeline(a, f);
         expect_identical_trace(a, f);
@@ -421,8 +420,9 @@ TEST(RcIngest, AdaptiveWindowMatchesFixed) {
 
 TEST(RcIngest, AdaptiveResolutionRules) {
     // Explicit values win verbatim; the sentinel resolves into the documented
-    // clamp range, and concurrent backends get a share no larger than the
-    // sequential backend's whole-LLC window.
+    // clamp range as the LLC share of P ranks — for any executor count, since
+    // windowing never changes results — no larger than one rank's whole-LLC
+    // window.
     Rng rng(7);
     DynamicGraph g = barabasi_albert(40, 2, rng, WeightRange{1.0, 2.0});
     EngineConfig config;
@@ -432,28 +432,28 @@ TEST(RcIngest, AdaptiveResolutionRules) {
     EXPECT_EQ(explicit_engine.rc_ingest_window_bytes_effective(), 12345u);
 
     config.rc_ingest_window_bytes = 0;
-    config.backend = BackendKind::Sequential;
+    config.backend_threads = 1;
     AnytimeEngine seq_engine(g, config);
     const std::size_t seq_window = seq_engine.rc_ingest_window_bytes_effective();
     EXPECT_GE(seq_window, std::size_t{4} << 20);
     EXPECT_LE(seq_window, std::size_t{128} << 20);
-    EXPECT_EQ(seq_window, adaptive_rc_ingest_window_bytes(1));
+    EXPECT_EQ(seq_window, adaptive_rc_ingest_window_bytes(4));
+    EXPECT_LE(seq_window, adaptive_rc_ingest_window_bytes(1));
 
-    config.backend = BackendKind::Threaded;
+    config.backend_threads = 0;
     AnytimeEngine thr_engine(g, config);
     const std::size_t thr_window = thr_engine.rc_ingest_window_bytes_effective();
     EXPECT_GE(thr_window, std::size_t{4} << 20);
-    EXPECT_LE(thr_window, seq_window);
-    EXPECT_EQ(thr_window, adaptive_rc_ingest_window_bytes(4));
+    EXPECT_EQ(thr_window, seq_window);
 }
 
 TEST(PriceModel, PerByteIsTheHistoricalDefault) {
     const Overrides defaulted{};
     Overrides explicit_per_byte{};
     explicit_per_byte.price_model = PriceModel::PerByte;
-    const RunResult a = run_scenario(4, BackendKind::Sequential,
+    const RunResult a = run_scenario(4, Executors::Sequential,
                                      BoundaryWireFormat::V2Soa, defaulted);
-    const RunResult b = run_scenario(4, BackendKind::Sequential,
+    const RunResult b = run_scenario(4, Executors::Sequential,
                                      BoundaryWireFormat::V2Soa, explicit_per_byte);
     expect_equivalent_modulo_timeline(a, b);
     EXPECT_EQ(a.sim_seconds, b.sim_seconds);
@@ -465,9 +465,9 @@ TEST(CommSchedule, PipelinedSyncMatchesSerializedResults) {
     Overrides serialized{};
     Overrides pipelined{};
     pipelined.schedule = CommSchedule::Pipelined;
-    const RunResult a = run_scenario(8, BackendKind::Sequential,
+    const RunResult a = run_scenario(8, Executors::Sequential,
                                      BoundaryWireFormat::V2Soa, serialized);
-    const RunResult b = run_scenario(8, BackendKind::Sequential,
+    const RunResult b = run_scenario(8, Executors::Sequential,
                                      BoundaryWireFormat::V2Soa, pipelined);
     expect_equivalent_modulo_timeline(a, b);
     EXPECT_LE(b.sim_seconds, a.sim_seconds);

@@ -12,6 +12,7 @@
 #include <tuple>
 #include <vector>
 
+#include "executors.hpp"
 #include "core/baseline.hpp"
 #include "core/closeness.hpp"
 #include "core/edge_delete.hpp"
@@ -31,9 +32,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(RefinePlanner, PolicyNamesRoundTripThroughParse) {
-    for (const RefinePolicy policy :
-         {RefinePolicy::Uniform, RefinePolicy::QueryHeat,
-          RefinePolicy::TopKPruned}) {
+    for (const RefinePolicy policy : {RefinePolicy::Uniform, RefinePolicy::QueryHeat}) {
         RefinePolicy parsed{};
         ASSERT_TRUE(parse_refine_policy(refine_policy_name(policy), parsed));
         EXPECT_EQ(parsed, policy);
@@ -46,6 +45,7 @@ TEST(RefinePlanner, ParseRejectsUnknownSpellingsUntouched) {
     EXPECT_FALSE(parse_refine_policy("query-heat", policy));
     EXPECT_FALSE(parse_refine_policy("", policy));
     EXPECT_FALSE(parse_refine_policy("top-k", policy));
+    EXPECT_FALSE(parse_refine_policy("topk", policy));
     EXPECT_EQ(policy, RefinePolicy::QueryHeat);  // left untouched on failure
 }
 
@@ -380,7 +380,7 @@ TEST(Bounds, CheckpointRestoreKeepsWavefront) {
 // The hard bit-identity contract: Uniform policy, or any policy with no
 // demand signal, reproduces the historical engine bit for bit — distances,
 // closeness, the simulated clock, per-step ops/messages/bytes, and the
-// telemetry span sequence — across ranks x backend x sync/async.
+// telemetry span sequence — across ranks x executors x sync/async.
 // ---------------------------------------------------------------------------
 
 struct RunResult {
@@ -395,7 +395,7 @@ struct RunResult {
 enum class DemandMode { None, Heavy };
 
 RunResult run_refine_scenario(RefinePolicy policy, DemandMode demand,
-                              std::uint32_t ranks, BackendKind backend,
+                              std::uint32_t ranks, Executors executors,
                               BoundaryWireFormat wire, bool async) {
     Rng rng(987);
     DynamicGraph g = barabasi_albert(72, 2, rng, WeightRange{1.0, 3.0});
@@ -404,7 +404,7 @@ RunResult run_refine_scenario(RefinePolicy policy, DemandMode demand,
     config.num_ranks = ranks;
     config.ia_threads = 2;
     config.seed = 0xF1DE + ranks;
-    config.backend = backend;
+    config.backend_threads = executor_count(executors);
     config.wire_format = wire;
     config.rc_async = async;
     config.enable_metrics = true;
@@ -474,37 +474,36 @@ void expect_bit_identical(const RunResult& a, const RunResult& b) {
 }
 
 using UniformParam =
-    std::tuple<std::uint32_t, BackendKind, BoundaryWireFormat, bool>;
+    std::tuple<std::uint32_t, Executors, BoundaryWireFormat, bool>;
 
 class RefineUniform : public ::testing::TestWithParam<UniformParam> {};
 
 TEST_P(RefineUniform, UniformAndEmptyDemandAreBitIdenticalToBaseline) {
-    const auto [ranks, backend, wire, async] = GetParam();
+    const auto [ranks, executors, wire, async] = GetParam();
     const RunResult baseline = run_refine_scenario(
-        RefinePolicy::Uniform, DemandMode::None, ranks, backend, wire, async);
+        RefinePolicy::Uniform, DemandMode::None, ranks, executors, wire, async);
     // Uniform ignores demand entirely...
     expect_bit_identical(baseline,
                          run_refine_scenario(RefinePolicy::Uniform,
-                                             DemandMode::Heavy, ranks, backend,
+                                             DemandMode::Heavy, ranks, executors,
                                              wire, async));
     // ...and a demand-aware policy with no recorded demand plans nothing.
     expect_bit_identical(baseline,
                          run_refine_scenario(RefinePolicy::QueryHeat,
-                                             DemandMode::None, ranks, backend,
+                                             DemandMode::None, ranks, executors,
                                              wire, async));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Lattice, RefineUniform,
     ::testing::Combine(::testing::Values(2u, 4u, 8u),
-                       ::testing::Values(BackendKind::Sequential,
-                                         BackendKind::Threaded),
+                       ::testing::Values(Executors::Sequential, Executors::Threaded),
                        ::testing::Values(BoundaryWireFormat::V2Soa),
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<UniformParam>& p) {
         return "r" + std::to_string(std::get<0>(p.param)) +
-               (std::get<1>(p.param) == BackendKind::Threaded ? "_threaded"
-                                                              : "_seq") +
+               (std::get<1>(p.param) == Executors::Threaded ? "_threaded"
+                                                            : "_seq") +
                "_v2" +
                (std::get<3>(p.param) ? "_async" : "_sync");
     });
@@ -514,39 +513,18 @@ INSTANTIATE_TEST_SUITE_P(
 // shortest paths may be discovered in a different order).
 TEST(RefineHeat, SteeredRunConvergesToUniformValues) {
     const auto run = [](RefinePolicy policy, DemandMode demand) {
-        return run_refine_scenario(policy, demand, 4,
-                                   BackendKind::Sequential,
+        return run_refine_scenario(policy, demand, 4, Executors::Sequential,
                                    BoundaryWireFormat::V2Soa, false);
     };
     const RunResult uniform = run(RefinePolicy::Uniform, DemandMode::None);
-    for (const RefinePolicy policy :
-         {RefinePolicy::QueryHeat, RefinePolicy::TopKPruned}) {
-        const RunResult steered = run(policy, DemandMode::Heavy);
-        ASSERT_EQ(steered.matrix.size(), uniform.matrix.size());
-        for (std::size_t v = 0; v < uniform.matrix.size(); ++v) {
-            for (std::size_t t = 0; t < uniform.matrix[v].size(); ++t) {
-                EXPECT_NEAR(steered.matrix[v][t], uniform.matrix[v][t], 1e-9)
-                    << "d(" << v << ", " << t << ")";
-            }
+    const RunResult steered = run(RefinePolicy::QueryHeat, DemandMode::Heavy);
+    ASSERT_EQ(steered.matrix.size(), uniform.matrix.size());
+    for (std::size_t v = 0; v < uniform.matrix.size(); ++v) {
+        for (std::size_t t = 0; t < uniform.matrix[v].size(); ++t) {
+            EXPECT_NEAR(steered.matrix[v][t], uniform.matrix[v][t], 1e-9)
+                << "d(" << v << ", " << t << ")";
         }
     }
-}
-
-TEST(RefineHeat, TopKPrunedFocusStillConverges) {
-    Rng rng(33);
-    DynamicGraph g = barabasi_albert(80, 2, rng);
-    const DynamicGraph mirror = g;
-    EngineConfig config;
-    config.num_ranks = 4;
-    config.ia_threads = 1;
-    config.seed = 17;
-    config.refine_policy = RefinePolicy::TopKPruned;
-    AnytimeEngine engine(std::move(g), config);
-    engine.initialize();
-    engine.set_refine_focus({0, 3, 5, 11});
-    engine.run_to_quiescence();
-    ASSERT_TRUE(engine.quiescent());
-    expect_intervals_contain_converged(engine, mirror);
 }
 
 // ---------------------------------------------------------------------------

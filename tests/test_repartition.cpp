@@ -8,6 +8,7 @@
 #include <string>
 #include <tuple>
 
+#include "executors.hpp"
 #include "core/baseline.hpp"
 #include "core/engine.hpp"
 #include "core/strategies.hpp"
@@ -341,19 +342,19 @@ TEST(Repartition, CheckpointAfterMoveResumesExactly) {
 }
 
 // Repartition-S in the middle of RC, with pending marks live, lands on the
-// exact final-graph state over the whole P x backend x exchange x mode
+// exact final-graph state over the whole P x executors x exchange x mode
 // lattice.
-using MidRcParam = std::tuple<std::uint32_t /*ranks*/, BackendKind, bool /*rc_async*/,
+using MidRcParam = std::tuple<std::uint32_t /*ranks*/, Executors, bool /*rc_async*/,
                               RepartitionMode>;
 
 class RepartitionMidRc : public ::testing::TestWithParam<MidRcParam> {};
 
 TEST_P(RepartitionMidRc, ConvergesLikeFromScratch) {
-    const auto [ranks, backend, rc_async, mode] = GetParam();
+    const auto [ranks, executors, rc_async, mode] = GetParam();
     Rng rng(11);
     const auto host = barabasi_albert(72, 2, rng);
     EngineConfig config = config_with(ranks);
-    config.backend = backend;
+    config.backend_threads = executor_count(executors);
     config.rc_async = rc_async;
     config.repartition_mode = mode;
     AnytimeEngine engine(host, config);
@@ -371,13 +372,13 @@ TEST_P(RepartitionMidRc, ConvergesLikeFromScratch) {
 INSTANTIATE_TEST_SUITE_P(
     Lattice, RepartitionMidRc,
     ::testing::Combine(::testing::Values(2u, 4u, 8u),
-                       ::testing::Values(BackendKind::Sequential, BackendKind::Threaded),
+                       ::testing::Values(Executors::Sequential, Executors::Threaded),
                        ::testing::Bool(),
                        ::testing::Values(RepartitionMode::Scratch,
                                          RepartitionMode::Adaptive)),
     [](const ::testing::TestParamInfo<MidRcParam>& p) {
         return "r" + std::to_string(std::get<0>(p.param)) +
-               (std::get<1>(p.param) == BackendKind::Threaded ? "_thr" : "_seq") +
+               (std::get<1>(p.param) == Executors::Threaded ? "_thr" : "_seq") +
                (std::get<2>(p.param) ? "_async" : "_sync") +
                (std::get<3>(p.param) == RepartitionMode::Adaptive ? "_adaptive"
                                                                   : "_scratch");

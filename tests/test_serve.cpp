@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "executors.hpp"
 #include "core/closeness.hpp"
 #include "core/edge_delete.hpp"
 #include "core/engine.hpp"
@@ -463,14 +464,14 @@ TEST(Serve, ConcurrentReadersDuringConvergence) {
 }
 
 TEST(Serve, ConcurrentReadersWithThreadedBackend) {
-    // Same workload as above, but the engine itself runs thread-per-rank: the
-    // snapshot readers coexist with the ThreadedBackend's rank workers (the
+    // Same workload as above, but the engine itself runs thread-per-core: the
+    // snapshot readers coexist with the engine's rank executors (the
     // publication happens on the driver thread at phase boundaries, so the
     // two thread populations only meet through the snapshot store).
     Rng rng(8);
     auto g = barabasi_albert(140, 2, rng);
     EngineConfig config = serve_config(4);
-    config.backend = BackendKind::Threaded;
+    config.backend_threads = 0;
     AnytimeEngine engine(std::move(g), config);
     engine.initialize();
     QueryService service(engine);
@@ -689,22 +690,22 @@ TEST(Serve, DeltaVsFullLatticeBitIdentical) {
     // Every publication of the service — touched-row or every-row builds
     // into sharded read planes — against the independent references of
     // PublicationOracle, plus a merged top-k equal to a full selection of
-    // the same snapshot, across ranks × backend × sync/async RC × bounds,
+    // the same snapshot, across ranks × executors × sync/async RC × bounds,
     // with a mid-RC addition, a deletion and a shard migration in flight.
     for (const std::uint32_t ranks : {2u, 4u, 8u}) {
-        for (const BackendKind backend :
-             {BackendKind::Sequential, BackendKind::Threaded}) {
+        for (const Executors executors :
+             {Executors::Sequential, Executors::Threaded}) {
             for (const bool rc_async : {false, true}) {
                 for (const bool with_bounds : {false, true}) {
                     SCOPED_TRACE(std::string("ranks=") +
-                                 std::to_string(ranks) + " backend=" +
-                                 (backend == BackendKind::Threaded ? "thr"
-                                                                   : "seq") +
+                                 std::to_string(ranks) + " executors=" +
+                                 (executors == Executors::Threaded ? "thr"
+                                                                     : "seq") +
                                  (rc_async ? " async" : " sync") +
                                  (with_bounds ? " bounds" : ""));
                     Rng rng(21);
                     EngineConfig config = serve_config(ranks);
-                    config.backend = backend;
+                    config.backend_threads = executor_count(executors);
                     config.rc_async = rc_async;
                     AnytimeEngine engine(barabasi_albert(72, 2, rng), config);
                     engine.initialize();

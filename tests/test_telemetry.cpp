@@ -5,6 +5,7 @@
 
 #include <sstream>
 
+#include "executors.hpp"
 #include "common/metrics.hpp"
 #include "core/engine.hpp"
 #include "core/strategies.hpp"
@@ -415,13 +416,13 @@ GrowthBatch golden_batch(const AnytimeEngine& engine, std::uint64_t seed) {
     return grow_batch(engine.num_vertices(), gc, rng);
 }
 
-TelemetryGoldenRun run_telemetry_golden(bool rc_async, BackendKind backend) {
+TelemetryGoldenRun run_telemetry_golden(bool rc_async, Executors executors) {
     Rng rng(4242);
     const DynamicGraph g = barabasi_albert(60, 2, rng, WeightRange{1.0, 4.0});
     EngineConfig config;
     config.num_ranks = 4;
     config.seed = 0x601D;
-    config.backend = backend;
+    config.backend_threads = executor_count(executors);
     config.enable_metrics = true;
     config.rc_async = rc_async;
 
@@ -530,7 +531,7 @@ void expect_telemetry_golden(const TelemetryGoldenRun& got,
 }
 
 // Both exchange modes converge to the same matrix and differ in the
-// timeline; both backends must reproduce their mode's values exactly.
+// timeline; both executor counts must reproduce their mode's values exactly.
 // The restore leg's sim_seconds and spans_hash were re-captured when the
 // checkpoint became an exact restore (no resweep after the load); the
 // restored clock is pinned independently against the uninterrupted saver.
@@ -542,22 +543,22 @@ constexpr TelemetryGoldenRun kAsyncTelemetryGolden{
     0x1.a80525e52aefep-8, 0x1547cfa22326651a, 0x6c8f20b74575627f};
 
 TEST(TelemetryGolden, EveryUpdatePathSyncSequential) {
-    expect_telemetry_golden(run_telemetry_golden(false, BackendKind::Sequential),
+    expect_telemetry_golden(run_telemetry_golden(false, Executors::Sequential),
                             kSyncTelemetryGolden);
 }
 
 TEST(TelemetryGolden, EveryUpdatePathSyncThreaded) {
-    expect_telemetry_golden(run_telemetry_golden(false, BackendKind::Threaded),
+    expect_telemetry_golden(run_telemetry_golden(false, Executors::Threaded),
                             kSyncTelemetryGolden);
 }
 
 TEST(TelemetryGolden, EveryUpdatePathAsyncSequential) {
-    expect_telemetry_golden(run_telemetry_golden(true, BackendKind::Sequential),
+    expect_telemetry_golden(run_telemetry_golden(true, Executors::Sequential),
                             kAsyncTelemetryGolden);
 }
 
 TEST(TelemetryGolden, EveryUpdatePathAsyncThreaded) {
-    expect_telemetry_golden(run_telemetry_golden(true, BackendKind::Threaded),
+    expect_telemetry_golden(run_telemetry_golden(true, Executors::Threaded),
                             kAsyncTelemetryGolden);
 }
 

@@ -4,17 +4,17 @@
 // seed and config, switching EngineConfig::rc_simd must leave every
 // distance, the closeness scores, rc ops, bytes on the wire, sim_seconds and
 // the telemetry span stream bit-identical. The lattice below pins that
-// across rank counts, both execution backends, and both graph generators,
+// across rank counts, both executor counts, and both graph generators,
 // with a mid-RC vertex-addition batch in every run.
 #include <gtest/gtest.h>
 
 #include <tuple>
 #include <vector>
 
+#include "executors.hpp"
 #include "core/engine.hpp"
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
-#include "runtime/backend.hpp"
 
 namespace aa {
 namespace {
@@ -32,7 +32,7 @@ struct RunResult {
 
 struct Scenario {
     std::uint32_t ranks{4};
-    BackendKind backend{BackendKind::Sequential};
+    Executors executors{Executors::Sequential};
     bool planted{false};  // false: Barabási–Albert, true: planted partition
 };
 
@@ -45,7 +45,7 @@ RunResult run_scenario(const Scenario& s, bool simd) {
     EngineConfig config;
     config.num_ranks = s.ranks;
     config.seed = 0xF0 + s.ranks;
-    config.backend = s.backend;
+    config.backend_threads = executor_count(s.executors);
     config.enable_metrics = true;
     config.rc_simd = simd;
 
@@ -110,27 +110,26 @@ void expect_bit_identical(const RunResult& a, const RunResult& b) {
     }
 }
 
-using Param = std::tuple<std::uint32_t /*ranks*/, BackendKind, bool /*planted*/>;
+using Param = std::tuple<std::uint32_t /*ranks*/, Executors, bool /*planted*/>;
 
 class WireFormatEquivalence : public ::testing::TestWithParam<Param> {};
 
 TEST_P(WireFormatEquivalence, SimdToggleIsInvisibleUnderV2) {
-    const auto [ranks, backend, planted] = GetParam();
-    const Scenario s{ranks, backend, planted};
+    const auto [ranks, executors, planted] = GetParam();
+    const Scenario s{ranks, executors, planted};
     expect_bit_identical(run_scenario(s, /*simd=*/true), run_scenario(s, /*simd=*/false));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Lattice, WireFormatEquivalence,
     ::testing::Combine(::testing::Values(2u, 4u, 8u),
-                       ::testing::Values(BackendKind::Sequential,
-                                         BackendKind::Threaded),
+                       ::testing::Values(Executors::Sequential, Executors::Threaded),
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<Param>& p) {
         std::string name = "r";
         name += std::to_string(std::get<0>(p.param));
-        name += std::get<1>(p.param) == BackendKind::Threaded ? "_threaded"
-                                                              : "_seq";
+        name += std::get<1>(p.param) == Executors::Threaded ? "_threaded"
+                                                            : "_seq";
         name += std::get<2>(p.param) ? "_planted" : "_ba";
         return name;
     });

@@ -6,6 +6,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -26,6 +27,21 @@ inline bool parse_integer(const std::string& text, std::uint64_t lo, std::uint64
         return false;
     }
     out = value;
+    return true;
+}
+
+/// Parse a rank-executor spelling into EngineConfig::backend_threads: "seq"
+/// is one executor (ranks in ascending order on the calling thread),
+/// "threaded" the thread-per-core default (0). Any other spelling fails and
+/// leaves `out` untouched.
+inline bool parse_backend(const std::string& text, std::size_t& out) {
+    if (text == "seq") {
+        out = 1;
+    } else if (text == "threaded") {
+        out = 0;
+    } else {
+        return false;
+    }
     return true;
 }
 

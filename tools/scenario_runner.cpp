@@ -14,7 +14,7 @@
 //   graph file <path>                 SNAP edge-list host
 //   ranks <P>      threads <T>        cluster shape (before graph)
 //   seed <S>                          RNG seed (before graph)
-//   backend seq|threaded              rank execution backend, default threaded (before graph)
+//   backend seq|threaded              rank executors: one, or thread-per-core (default; before graph)
 //   steps <k>                         run k RC steps
 //   add <count> rr|cutedge|repart [communities]   vertex batch
 //   edges <count>                     random new edges between old vertices
@@ -38,7 +38,7 @@
 //                                     layer (answers from the latest
 //                                     published snapshot)
 //   topk [k] [policy]                 top-k closeness via the serve layer
-//   refine-policy uniform|heat|topk   RC worklist-ordering policy
+//   refine-policy uniform|heat        RC worklist-ordering policy
 //   heat <v> [weight]                 inject query heat at a vertex
 //   bounds <v>                        print the certified closeness interval
 //   shards                            print per-rank shard ownership + load
@@ -62,6 +62,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_parse.hpp"
 #include "core/baseline.hpp"
 #include "core/closeness.hpp"
 #include "core/engine.hpp"
@@ -79,7 +80,7 @@ const char kHelpText[] =
     "commands (one per line, '#' comments):\n"
     "  ranks <P>      threads <T>        cluster shape (before graph)\n"
     "  seed <S>                          RNG seed (before graph)\n"
-    "  backend seq|threaded              rank execution backend, default threaded (before graph)\n"
+    "  backend seq|threaded              rank executors: one, or thread-per-core (default; before graph)\n"
     "  graph ba <n> <m>                  Barabasi-Albert host\n"
     "  graph er <n> <edges>              Erdos-Renyi host\n"
     "  graph file <path>                 SNAP edge-list host\n"
@@ -102,7 +103,7 @@ const char kHelpText[] =
     "                                    issuer of later query/topk commands\n"
     "  query <v> [policy]                point query via the serve layer\n"
     "  topk [k] [policy]                 top-k query via the serve layer\n"
-    "  refine-policy uniform|heat|topk   RC worklist-ordering policy\n"
+    "  refine-policy uniform|heat        RC worklist-ordering policy\n"
     "  heat <v> [weight]                 inject query heat at a vertex\n"
     "  bounds <v>                        print the certified closeness interval\n"
     "  shards                            print per-rank shard ownership + load\n"
@@ -248,7 +249,7 @@ struct Runner {
         } else if (command == "backend") {
             std::string backend;
             in >> backend;
-            if (!parse_backend_kind(backend, config.backend)) {
+            if (!cli::parse_backend(backend, config.backend_threads)) {
                 std::fprintf(stderr,
                              "error: unknown backend '%s' (valid: seq, "
                              "threaded)\n",
@@ -693,7 +694,7 @@ struct Runner {
             if (!parse_refine_policy(name, rp)) {
                 std::fprintf(stderr,
                              "error: unknown refine policy '%s' (valid: "
-                             "uniform, heat, topk)\n",
+                             "uniform, heat)\n",
                              name.c_str());
                 return false;
             }

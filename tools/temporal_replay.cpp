@@ -28,9 +28,9 @@
 // --timeline / --timeline-csv write the aa.timeline.v1 block (JSON) or the
 // raw span stream (CSV) for the whole replay after convergence.
 //
-// --backend seq|threaded picks the rank execution backend; the default is
-// EngineConfig's (threaded, thread-per-core). Results are bit-identical
-// either way.
+// --backend seq|threaded picks the rank executors: seq runs the ranks one
+// after another on one executor, threaded (the default) thread-per-core.
+// Results are bit-identical either way.
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
     bool verify = false;
     std::string timeline_json;
     std::string timeline_csv;
-    BackendKind backend = EngineConfig{}.backend;
+    std::size_t backend_threads = EngineConfig{}.backend_threads;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
         else if (arg == "--timeline-csv") timeline_csv = value();
         else if (arg == "--backend") {
             const std::string name = value();
-            if (!parse_backend_kind(name, backend)) {
+            if (!cli::parse_backend(name, backend_threads)) {
                 std::fprintf(stderr,
                              "error: unknown backend '%s' (valid: seq, "
                              "threaded)\n",
@@ -284,7 +284,7 @@ int main(int argc, char** argv) {
     config.num_ranks = ranks;
     config.ia_threads = 4;
     config.seed = seed;
-    config.backend = backend;
+    config.backend_threads = backend_threads;
     config.enable_metrics = !timeline_json.empty() || !timeline_csv.empty();
     DynamicGraph mirror = initial;
     AnytimeEngine engine(std::move(initial), config);

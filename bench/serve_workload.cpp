@@ -5,7 +5,7 @@
 //
 // Three measurements run back to back:
 //   * publication reduction — the engine schedule served with O(changed)
-//     publication into sharded read planes, every publication compared
+//     publication into the service's read slot, every publication compared
 //     bit-for-bit against references independent of the snapshot builder
 //     (closeness_from_matrix over the full distance matrix, a bit-diff of
 //     consecutive snapshots for the changed list, the chunk-share rule, a
@@ -29,8 +29,9 @@
 // The report (--out, default BENCH_serve.json, schema v3) carries per-shape
 // latency percentiles, global and per-tenant staleness distributions, shed /
 // SLO-miss counts per tenant, publication statistics (touched-row vs
-// every-row publications, rows scanned, published bytes), the per-shard top-k counters (planes
-// carried over as `topk_patched`, planes re-selected as `topk_rebuilt`),
+// every-row publications, rows scanned, published bytes), the snapshot top-K
+// counters (publications that carried the predecessor's top-K over as
+// `topk_patched`, those that re-selected it as `topk_rebuilt`),
 // the host's hardware concurrency, the service's own serve.* metrics
 // registry (histograms, counters, and a per-name span summary instead of
 // the raw serve.publish spans), and the publication-overhead check (bare vs
@@ -48,6 +49,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -189,6 +191,9 @@ struct ReaderStats {
     std::vector<double> stale_wall;
     std::vector<double> stale_versions;
     std::uint64_t ok{0};
+    std::uint64_t ok_point{0};
+    std::uint64_t ok_batch{0};
+    std::uint64_t ok_topk{0};
     std::uint64_t shed{0};
     std::uint64_t unavailable{0};
 
@@ -202,6 +207,9 @@ struct ReaderStats {
         append(stale_wall, other.stale_wall);
         append(stale_versions, other.stale_versions);
         ok += other.ok;
+        ok_point += other.ok_point;
+        ok_batch += other.ok_batch;
+        ok_topk += other.ok_topk;
         shed += other.shed;
         unavailable += other.unavailable;
     }
@@ -277,6 +285,9 @@ WorkloadResult run_workload(const BenchOptions& opt, bool open_loop) {
             ReaderStats& stats = per_reader[t];
             const TenantId tenant = tenant_ids[t % tenant_ids.size()];
             Rng rng(opt.seed ^ (0xC0FFEEull + t));
+            // Sampling draws from its own stream so it never correlates with
+            // the query shape, which cycles on `i`.
+            Rng sampler(opt.seed ^ (0x5851F42D4C957F2Dull + t));
             auto next_fire = Clock::now();
             std::uint64_t i = 0;
             while (!stop.load(std::memory_order_relaxed)) {
@@ -300,6 +311,7 @@ WorkloadResult run_workload(const BenchOptions& opt, bool open_loop) {
                 // every 16th query waits for the next step (the shape that
                 // exercises the pending budget and per-tenant shedding).
                 std::vector<double>* bucket = nullptr;
+                std::uint64_t* shape_ok = nullptr;
                 switch (i % 16) {
                     case 3:
                     case 11: {
@@ -312,6 +324,7 @@ WorkloadResult run_workload(const BenchOptions& opt, bool open_loop) {
                                                  tenant);
                         });
                         bucket = &stats.lat_batch;
+                        shape_ok = &stats.ok_batch;
                         break;
                     }
                     case 7:
@@ -322,6 +335,7 @@ WorkloadResult run_workload(const BenchOptions& opt, bool open_loop) {
                                                 tenant);
                         });
                         bucket = &stats.lat_topk;
+                        shape_ok = &stats.ok_topk;
                         break;
                     case 5:
                         timed([&] {
@@ -329,6 +343,7 @@ WorkloadResult run_workload(const BenchOptions& opt, bool open_loop) {
                                 v, FreshnessPolicy::WaitForNextStep, tenant);
                         });
                         bucket = &stats.lat_point;
+                        shape_ok = &stats.ok_point;
                         break;
                     default:
                         timed([&] {
@@ -336,15 +351,17 @@ WorkloadResult run_workload(const BenchOptions& opt, bool open_loop) {
                                                  tenant);
                         });
                         bucket = &stats.lat_point;
+                        shape_ok = &stats.ok_point;
                         break;
                 }
                 ++i;
-                // Counters are exact; sample vectors keep every 8th query so
-                // a ten-million-query run stays within a few dozen MB.
-                const bool sampled = (i & 7) == 0;
+                // Counters are exact; sample vectors keep one query in eight
+                // so a ten-million-query run stays within a few dozen MB.
+                const bool sampled = sampler.uniform(8) == 0;
                 switch (meta.status) {
                     case QueryStatus::Ok:
                         ++stats.ok;
+                        ++*shape_ok;
                         if (sampled) {
                             bucket->push_back(latency);
                             stats.stale_wall.push_back(meta.staleness_wall);
@@ -518,11 +535,11 @@ bool matches_references(const AnytimeEngine& engine, const ResultSnapshot& got,
 }
 
 /// Publication against independent references: one engine and one service
-/// publishing into its sharded read planes. At every publication, with the
-/// engine idle inside the observer, the snapshot must pass
-/// matches_references and its merged top-k must equal a full selection of
-/// the same snapshot. The counterfactual whole-snapshot chain charged there
-/// is the baseline the work reduction is measured against.
+/// publishing into its read slot. At every publication, with the engine
+/// idle inside the observer, the snapshot must pass matches_references and
+/// the service's top-k must equal a full selection of the same snapshot.
+/// The counterfactual whole-snapshot chain charged there is the baseline the
+/// work reduction is measured against.
 struct ReductionResult {
     PublicationStats delta_stats;
     PublicationStats full_stats;
@@ -803,6 +820,23 @@ int main(int argc, char** argv) {
                 result.pub_stats.delta_publications),
             percentile(p50_copy, 0.50), result.topk_patched,
             result.topk_rebuilt);
+        // Sampling gate: a shape that served queries must have latency
+        // samples, or its report row would read as zero latency.
+        const ReaderStats& st = result.stats;
+        const std::pair<const char*, bool> unsampled[] = {
+            {"point", st.ok_point > 0 && st.lat_point.empty()},
+            {"batch", st.ok_batch > 0 && st.lat_batch.empty()},
+            {"topk", st.ok_topk > 0 && st.lat_topk.empty()},
+        };
+        for (const auto& [shape, missing] : unsampled) {
+            if (missing) {
+                std::fprintf(stderr,
+                             "FAIL: %s queries served Ok in the %s loop but "
+                             "none was latency-sampled\n",
+                             shape, mode);
+                return 1;
+            }
+        }
         json += workload_json(mode, result);
         json += open_loop ? "\n" : ",\n";
     }

@@ -155,99 +155,18 @@ TenantCounters QueryService::tenant_counters(TenantId tenant) const {
     return out;
 }
 
-void QueryService::update_shard_planes(
-    const std::shared_ptr<const ResultSnapshot>& frozen) {
-    const ShardOwnership& ownership = engine_.shard_ownership();
-    const std::size_t n = frozen->scores.size();
-    const std::size_t num_shards = ownership.num_shards();
-    const std::size_t num_planes = num_shards + 1;  // + pseudo-shard
-    // Shard membership moves only when the vertex count does (a migration
-    // re-binds shards to ranks, never vertices to shards), so this is the
-    // only event that invalidates the routing table and re-selects every
-    // plane.
-    const bool rebuild = !shard_table_built_ || shard_table_n_ != n ||
-                         shard_members_.size() != num_planes;
-    std::shared_ptr<ShardTable> fresh;
-    std::shared_ptr<const ShardTable> table;
-    std::vector<std::uint8_t> dirty(num_planes, rebuild ? 1 : 0);
-    if (rebuild) {
-        shard_members_.assign(num_planes, {});
-        for (std::size_t v = 0; v < n; ++v) {
-            const std::size_t s =
-                v < ownership.num_vertices()
-                    ? ownership.shard(static_cast<VertexId>(v))
-                    : num_shards;
-            shard_members_[s].push_back(static_cast<VertexId>(v));
-        }
-        shard_ranked_.assign(num_planes, {});
-        shard_table_n_ = n;
-        shard_table_built_ = true;
-
-        fresh = std::make_shared<ShardTable>();
-        fresh->shard_of.resize(n);
-        for (std::size_t s = 0; s < num_planes; ++s) {
-            for (const VertexId v : shard_members_[s]) {
-                fresh->shard_of[v] = static_cast<ShardId>(s);
-            }
-        }
-        fresh->planes.reserve(num_planes);
-        for (std::size_t s = 0; s < num_planes; ++s) {
-            fresh->planes.push_back(
-                std::make_shared<SharedSlot<const ShardView>>());
-        }
-        table = fresh;
-    } else {
-        table = shard_table_.load();
-        for (const VertexId v : frozen->changed) {
-            dirty[table->shard_of[v]] = 1;
-        }
-    }
-    // A plane none of whose members changed keeps its members' exact score
-    // bits, so its ranking carries over; the rest re-select their exact
-    // top-K. Every view is built before the first store: a merged top-k read
-    // needs all planes on one snapshot, so the window in which they disagree
-    // is the stores alone.
-    const std::size_t served = config_.topk_maintained;
-    std::size_t reselected = 0;
-    std::vector<std::shared_ptr<const ShardView>> views;
-    views.reserve(num_planes);
-    for (std::size_t s = 0; s < num_planes; ++s) {
-        std::vector<TopKEntry>& ranked = shard_ranked_[s];
-        if (dirty[s] != 0) {
-            ranked = topk_from_subset(*frozen, shard_members_[s], served);
-            ++reselected;
-        }
-        auto view = std::make_shared<ShardView>();
-        view->snapshot = frozen;
-        view->topk = ranked;
-        views.push_back(std::move(view));
-    }
-    for (std::size_t s = 0; s < num_planes; ++s) {
-        table->planes[s]->store(std::move(views[s]));
-    }
-    topk_rebuilt_.fetch_add(reselected, std::memory_order_relaxed);
-    topk_patched_.fetch_add(num_planes - reselected, std::memory_order_relaxed);
-    if (rebuild) {
-        // Published only after every plane holds a view, so routed readers
-        // never find an empty slot behind a live table entry.
-        shard_table_.store(std::move(fresh));
-    }
-}
-
 void QueryService::publish() {
     const double t0 = wall_now();
     SnapshotBuild build = build_snapshot(engine_, next_version_,
                                          last_published_.get(),
+                                         config_.topk_maintained,
                                          config_.enable_bounds);
     build.snapshot->published_wall = wall_now();
     std::shared_ptr<const ResultSnapshot> frozen = std::move(build.snapshot);
     account_publication(stats_, *frozen, last_published_.get(), build);
+    (build.topk_carried ? topk_patched_ : topk_rebuilt_)
+        .fetch_add(1, std::memory_order_relaxed);
 
-    // Shard planes first, then the global slot: a reader routed through a
-    // plane may briefly observe a newer version than the global slot
-    // (per-shard monotone reads), while waiters woken below — who re-check
-    // the global slot — always find the new snapshot already there.
-    update_shard_planes(frozen);
     store_.publish(frozen);
     ++next_version_;
     last_published_ = frozen;
@@ -310,16 +229,6 @@ bool QueryService::satisfied(FreshnessPolicy policy,
             return snapshot->has_bounds;
     }
     return false;
-}
-
-std::shared_ptr<const ResultSnapshot> QueryService::shard_route(
-    VertexId v) const {
-    const auto table = shard_table_.load();
-    if (table == nullptr || v >= table->shard_of.size()) {
-        return nullptr;
-    }
-    const auto view = table->planes[table->shard_of[v]]->load();
-    return view != nullptr ? view->snapshot : nullptr;
 }
 
 std::shared_ptr<const ResultSnapshot> QueryService::admit(
@@ -404,11 +313,8 @@ ResponseMeta QueryService::make_meta(const ResultSnapshot& snapshot) const {
     meta.sim_seconds = snapshot.sim_seconds;
     meta.quiescent = snapshot.quiescent;
     meta.frac_unknown = snapshot.frac_unknown;
-    // A shard plane can run ahead of the global slot mid-publication, so
-    // clamp instead of underflowing: a newer-than-global answer is fresh.
-    const std::uint64_t latest = store_.latest_version();
-    meta.staleness_versions =
-        latest > snapshot.version ? latest - snapshot.version : 0;
+    // Never underflows: the store publishes the version before the pointer.
+    meta.staleness_versions = store_.latest_version() - snapshot.version;
     meta.staleness_wall = wall_now() - snapshot.published_wall;
     return meta;
 }
@@ -482,24 +388,7 @@ PointResult QueryService::point(VertexId v, FreshnessPolicy policy,
     PointResult result;
     result.vertex = v;
     QueryStatus status = QueryStatus::Unavailable;
-    std::shared_ptr<const ResultSnapshot> snapshot;
-    if (policy == FreshnessPolicy::ServeStale ||
-        policy == FreshnessPolicy::BoundedError) {
-        // Immediate reads route through the plane owning v (per-shard
-        // monotone reads); anything the planes cannot serve falls back to
-        // the global slot below.
-        snapshot = shard_route(v);
-        if (snapshot != nullptr &&
-            !satisfied(policy, snapshot.get(), snapshot->version)) {
-            snapshot = nullptr;
-        }
-        if (snapshot != nullptr) {
-            status = QueryStatus::Ok;
-        }
-    }
-    if (snapshot == nullptr) {
-        snapshot = admit(policy, *tenant, status);
-    }
+    const auto snapshot = admit(policy, *tenant, status);
     if (snapshot == nullptr) {
         result.meta.status = status;
         finish_query(*tenant, latency_point_, wall_now() - t0, result.meta);
@@ -530,25 +419,7 @@ BatchResult QueryService::batch(std::span<const VertexId> vertices,
     }
     BatchResult result;
     QueryStatus status = QueryStatus::Unavailable;
-    std::shared_ptr<const ResultSnapshot> snapshot;
-    if (!vertices.empty() && (policy == FreshnessPolicy::ServeStale ||
-                              policy == FreshnessPolicy::BoundedError)) {
-        // One plane serves the whole batch (its snapshot is full-width), so
-        // the batch stays consistent within a single snapshot. Routed by the
-        // first vertex's shard: that is the vertex whose freshness the
-        // caller most plausibly cares about.
-        snapshot = shard_route(vertices.front());
-        if (snapshot != nullptr &&
-            !satisfied(policy, snapshot.get(), snapshot->version)) {
-            snapshot = nullptr;
-        }
-        if (snapshot != nullptr) {
-            status = QueryStatus::Ok;
-        }
-    }
-    if (snapshot == nullptr) {
-        snapshot = admit(policy, *tenant, status);
-    }
+    const auto snapshot = admit(policy, *tenant, status);
     if (snapshot == nullptr) {
         result.meta.status = status;
         finish_query(*tenant, latency_batch_, wall_now() - t0, result.meta);
@@ -583,52 +454,20 @@ TopKResult QueryService::topk(std::size_t k, FreshnessPolicy policy,
     const auto tenant = tenant_state(tenant_id);
     TopKResult result;
     QueryStatus status = QueryStatus::Unavailable;
-    std::shared_ptr<const ResultSnapshot> snapshot;
-    if (policy == FreshnessPolicy::ServeStale && k <= config_.topk_maintained) {
-        // Merge the per-shard partials at read time. Sound because each
-        // partial is the exact top-min(K, |shard|) of its members under the
-        // strict total ranking order, so the union contains the global
-        // k-prefix; bit-identical to the full selection. Requires every plane
-        // to hold the same snapshot — mid-publication disagreement falls back
-        // to a full selection on the global slot below.
-        const auto table = shard_table_.load();
-        if (table != nullptr && !table->planes.empty()) {
-            std::vector<std::shared_ptr<const ShardView>> views;
-            views.reserve(table->planes.size());
-            bool consistent = true;
-            for (const auto& plane : table->planes) {
-                auto view = plane->load();
-                if (view == nullptr ||
-                    (!views.empty() &&
-                     view->snapshot != views.front()->snapshot)) {
-                    consistent = false;
-                    break;
-                }
-                views.push_back(std::move(view));
-            }
-            if (consistent) {
-                snapshot = views.front()->snapshot;
-                std::vector<TopKEntry> pool;
-                for (const auto& view : views) {
-                    pool.insert(pool.end(), view->topk.begin(),
-                                view->topk.end());
-                }
-                const std::size_t want = std::min(k, pool.size());
-                std::partial_sort(pool.begin(), pool.begin() + want,
-                                  pool.end(), topk_outranks);
-                pool.resize(want);
-                result.entries = std::move(pool);
-                status = QueryStatus::Ok;
-            }
-        }
-    }
+    const auto snapshot = admit(policy, *tenant, status);
     if (snapshot == nullptr) {
-        snapshot = admit(policy, *tenant, status);
-        if (snapshot == nullptr) {
-            result.meta.status = status;
-            finish_query(*tenant, latency_topk_, wall_now() - t0, result.meta);
-            return result;
-        }
+        result.meta.status = status;
+        finish_query(*tenant, latency_topk_, wall_now() - t0, result.meta);
+        return result;
+    }
+    if (k <= config_.topk_maintained) {
+        // The snapshot's top-K is the K-prefix of its ranking, so its
+        // k-prefix is the exact top-k.
+        const auto& ranked = snapshot->topk;
+        result.entries.assign(ranked.begin(),
+                              ranked.begin() + static_cast<std::ptrdiff_t>(
+                                                   std::min(k, ranked.size())));
+    } else {
         result.entries = topk_from_snapshot(*snapshot, k);
     }
     result.meta = make_meta(*snapshot);

@@ -21,20 +21,13 @@
 // work (rows scanned, bytes published, chunks copied vs shared) so the
 // saving is measurable, not assumed.
 //
-// Sharded reads: the service maintains one SharedSlot plane per logical
-// shard of the engine's ShardOwnership map, each holding the latest snapshot
-// plus that shard's top-k partial. A publication re-selects a plane's
-// partial only when one of its members changed; every other plane carries
-// its ranking over. Point and batch reads route through the plane owning the
-// queried vertex; top-k reads merge the per-shard partials at read time
-// (bit-identical to the full selection — the ranking is a strict total
-// order). Planes are updated sequentially by the driver, so the freshness
-// contract is *per-shard* monotone reads: successive reads of the same
-// vertex never go backwards in version, while reads across different shards
-// may briefly observe different versions mid-publication (the classic
-// sharded-store contract). Queries that must wait, and the merged top-k
-// read when plane versions disagree, fall back to the single global
-// snapshot slot, which stays globally monotone.
+// One read slot: every query, whatever its freshness policy, takes its
+// snapshot from the global SnapshotStore slot (admit()), so a reader's
+// successive responses never go backwards in version, across all vertices
+// and query shapes (globally monotone reads). Each snapshot carries its
+// exact top-K (ServeConfig::topk_maintained, selected by the builder or
+// carried over from an unchanged predecessor), so a top-k read with k <= K
+// copies a prefix of it; larger k select over the snapshot's scores.
 //
 // Freshness policies (per query):
 //   ServeStale        — answer from the current snapshot immediately.
@@ -89,7 +82,6 @@
 #include "common/metrics.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/topk.hpp"
-#include "shard/ownership.hpp"
 
 namespace aa {
 
@@ -170,8 +162,8 @@ struct PublicationStats {
 };
 
 struct ServeConfig {
-    /// K of the per-shard top-k partials; top-k queries with k <= this merge
-    /// the partials, larger ones fall back to a full selection on the
+    /// K of the top-K every snapshot carries; top-k queries with k <= this
+    /// copy a prefix of it, larger ones fall back to a full selection on the
     /// snapshot.
     std::size_t topk_maintained{10};
     /// Bound on concurrently *waiting* queries of the default tenant before
@@ -323,10 +315,9 @@ public:
 
     std::uint64_t publications() const;
     std::uint64_t shed_count() const;
-    /// Per-shard top-k counters, summed over planes and publications:
-    /// topk_rebuilt() counts plane re-selections (a member changed, or the
-    /// vertex count did), topk_patched() counts planes whose ranking carried
-    /// over unchanged.
+    /// Snapshot top-K counters over publications: topk_patched() counts
+    /// publications that carried the predecessor's top-K over (no score
+    /// changed), topk_rebuilt() those that re-selected it.
     std::size_t topk_patched() const;
     std::size_t topk_rebuilt() const;
     /// Accumulated publication work counters. Mutated on the driver thread
@@ -345,21 +336,6 @@ public:
     const ServeConfig& config() const { return config_; }
 
 private:
-    /// One shard's published plane: the snapshot it was cut from plus the
-    /// shard's top-k partial. Immutable once stored.
-    struct ShardView {
-        std::shared_ptr<const ResultSnapshot> snapshot;
-        std::vector<TopKEntry> topk;
-    };
-
-    /// Routing table for sharded reads: vertex -> plane. Rebuilt only when
-    /// the vertex count changes (shard membership is stable under migration
-    /// — moves re-bind shards to ranks, not vertices to shards).
-    struct ShardTable {
-        std::vector<ShardId> shard_of;
-        std::vector<std::shared_ptr<SharedSlot<const ShardView>>> planes;
-    };
-
     struct TenantState {
         std::string name;
         TenantConfig config;
@@ -386,9 +362,6 @@ private:
     static bool satisfied(FreshnessPolicy policy,
                           const ResultSnapshot* snapshot,
                           std::uint64_t arrival_version);
-    /// The shard plane snapshot owning `v`, or null when sharded routing
-    /// cannot serve it (no table yet, vertex newer than the table).
-    std::shared_ptr<const ResultSnapshot> shard_route(VertexId v) const;
     ResponseMeta make_meta(const ResultSnapshot& snapshot) const;
     /// Certify `entries` as the converged top-k set from a bounds-carrying
     /// snapshot (see TopKResult::certified).
@@ -397,27 +370,16 @@ private:
     void finish_query(TenantState& tenant,
                       MetricsRegistry::Handle latency_histogram,
                       double latency_seconds, const ResponseMeta& meta);
-    void update_shard_planes(
-        const std::shared_ptr<const ResultSnapshot>& frozen);
 
     AnytimeEngine& engine_;
     ServeConfig config_;
     std::chrono::steady_clock::time_point epoch_;
     SnapshotStore store_;
-    SharedSlot<const ShardTable> shard_table_;
     SharedSlot<const std::vector<std::shared_ptr<TenantState>>> tenants_;
 
     // Driver-thread-only state (publication path).
     std::uint64_t next_version_{1};
     std::shared_ptr<const ResultSnapshot> last_published_;
-    /// Per-plane members (ascending), index num_shards = the pseudo-shard
-    /// for vertices beyond the ownership map; rebuilt when the vertex count
-    /// changes. shard_ranked_[s] is plane s's exact top-K, the partial
-    /// its view serves.
-    std::vector<std::vector<VertexId>> shard_members_;
-    std::vector<std::vector<TopKEntry>> shard_ranked_;
-    std::size_t shard_table_n_{0};
-    bool shard_table_built_{false};
     PublicationStats stats_;
     std::function<void(const ResultSnapshot&)> on_publish_;
     std::function<bool()> step_driver_;
@@ -428,7 +390,7 @@ private:
     bool closed_{false};
     std::atomic<std::uint64_t> shed_{0};
     std::atomic<std::uint64_t> publications_{0};
-    // Plane carry-over / re-selection counters, readable from any thread.
+    // Top-K carry-over / re-selection counters, readable from any thread.
     std::atomic<std::size_t> topk_patched_{0};
     std::atomic<std::size_t> topk_rebuilt_{0};
 

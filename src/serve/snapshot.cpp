@@ -7,6 +7,7 @@
 #include "common/assert.hpp"
 #include "core/engine.hpp"
 #include "refine/bounds.hpp"
+#include "serve/topk.hpp"
 
 namespace aa {
 
@@ -91,7 +92,7 @@ ClosenessScores CowScores::materialize() const {
 }
 
 SnapshotBuild build_snapshot(AnytimeEngine& engine, std::uint64_t version,
-                             const ResultSnapshot* previous,
+                             const ResultSnapshot* previous, std::size_t topk,
                              bool with_bounds) {
     // Drain before choosing the row set: an every-row scan must also reset
     // the stamps (and the engine's "all rows changed" flag), or the next
@@ -173,6 +174,13 @@ SnapshotBuild build_snapshot(AnytimeEngine& engine, std::uint64_t version,
     snapshot->scores = CowScores::patch(
         previous != nullptr ? &previous->scores : nullptr, n,
         snapshot->changed, closeness, reachable);
+    // No changed vertex at the same n: every score is bit-equal to the
+    // predecessor's, so its ranking is this snapshot's too.
+    out.topk_carried = previous != nullptr && n == prev_n &&
+                       snapshot->changed.empty() &&
+                       previous->topk.size() == std::min(topk, n);
+    snapshot->topk = out.topk_carried ? previous->topk
+                                      : topk_from_snapshot(*snapshot, topk);
     out.snapshot = std::move(snapshot);
     return out;
 }

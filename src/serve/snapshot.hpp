@@ -11,6 +11,10 @@
 // loop, and keep any snapshot they hold alive for exactly as long as they
 // need it.
 //
+// Each snapshot also carries the exact top-K of its scores, selected by the
+// builder, so top-k reads with k <= K copy a prefix instead of ranking n
+// vertices per query.
+//
 // Memory bound: the store retains one snapshot; during a publication the
 // outgoing and incoming snapshots briefly coexist, so the *store* pins at
 // most two. Older snapshots survive only while a reader still holds its
@@ -30,6 +34,22 @@
 namespace aa {
 
 class AnytimeEngine;
+
+struct TopKEntry {
+    VertexId vertex{0};
+    Weight score{0};
+
+    friend bool operator==(const TopKEntry&, const TopKEntry&) = default;
+};
+
+/// True if `a` outranks `b`: higher score, ties broken by smaller id — the
+/// library-wide ranking order (closeness_ranking), a strict total order.
+inline bool topk_outranks(const TopKEntry& a, const TopKEntry& b) {
+    if (a.score != b.score) {
+        return a.score > b.score;
+    }
+    return a.vertex < b.vertex;
+}
 
 /// Chunked copy-on-write score planes. Chunks are immutable once built, so
 /// sharing them across snapshots is as sound as sharing the snapshots
@@ -119,9 +139,14 @@ struct ResultSnapshot {
     /// previous snapshot share its backing storage (copy-on-write).
     CowScores scores;
     /// Vertices whose (closeness, reachable) differ from the previous
-    /// snapshot — newly added vertices included. The service re-selects
-    /// only the shard planes holding one of these vertices.
+    /// snapshot — newly added vertices included. Empty means every score is
+    /// bit-equal to the predecessor's, so the builder carries its `topk`
+    /// over instead of re-selecting.
     std::vector<VertexId> changed;
+    /// The exact top-min(K, n) of `scores` in topk_outranks order, K being
+    /// the builder's `topk` argument (ServeConfig::topk_maintained): the
+    /// K-prefix of closeness_ranking over the same scores.
+    std::vector<TopKEntry> topk;
     /// Certified closeness intervals, present iff has_bounds (the service's
     /// enable_bounds config). bound_lo/bound_hi bracket the converged score
     /// of every vertex via the wavefront certificate (see refine/bounds.hpp);
@@ -140,6 +165,8 @@ struct SnapshotBuild {
     std::size_t rows_scanned{0};
     /// True iff the row set was every row rather than the touched rows.
     bool every_row{false};
+    /// True iff `topk` was copied from `previous` rather than re-selected.
+    bool topk_carried{false};
 };
 
 /// Freeze the engine's current state into a snapshot. Observer-only: reads
@@ -158,12 +185,14 @@ struct SnapshotBuild {
 /// (no store mutation, same n, same column-order summation), so the result
 /// is the same whichever row set was scanned. Draining the stamps makes this
 /// the only consumer of take_changed_rows(): `previous` must be the
-/// snapshot built by the preceding call on the same engine. `with_bounds`
+/// snapshot built by the preceding call on the same engine. The snapshot's
+/// top-`topk` is `previous`'s when nothing changed at the same n (bit-equal
+/// scores rank identically) and a full selection otherwise. `with_bounds`
 /// also captures every vertex's certified closeness interval
 /// (refine/bounds.hpp; needed by the BoundedError freshness policy).
 SnapshotBuild build_snapshot(AnytimeEngine& engine, std::uint64_t version,
-                             const ResultSnapshot* previous,
-                             bool with_bounds = false);
+                             const ResultSnapshot* previous, std::size_t topk,
+                             bool with_bounds);
 
 /// Single-slot snapshot holder. One writer (the RC/driver thread) swaps
 /// snapshots in; any number of readers copy the current `shared_ptr` out.
@@ -192,7 +221,10 @@ public:
 
 private:
     SharedSlot<const ResultSnapshot> current_;
-    std::atomic<std::uint64_t> latest_version_{0};
+    /// On its own cache line: every response reads it, and a line shared
+    /// with the slot's spin flag, which each reader writes, would bounce
+    /// between reader cores on every query.
+    alignas(64) std::atomic<std::uint64_t> latest_version_{0};
 };
 
 }  // namespace aa

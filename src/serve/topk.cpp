@@ -20,19 +20,4 @@ std::vector<TopKEntry> topk_from_snapshot(const ResultSnapshot& snapshot,
     return entries;
 }
 
-std::vector<TopKEntry> topk_from_subset(const ResultSnapshot& snapshot,
-                                        std::span<const VertexId> members,
-                                        std::size_t k) {
-    std::vector<TopKEntry> entries;
-    entries.reserve(members.size());
-    for (const VertexId v : members) {
-        entries.push_back({v, snapshot.scores.closeness(v)});
-    }
-    const std::size_t want = std::min(k, entries.size());
-    std::partial_sort(entries.begin(), entries.begin() + want, entries.end(),
-                      topk_outranks);
-    entries.resize(want);
-    return entries;
-}
-
 }  // namespace aa

@@ -243,6 +243,8 @@ TEST(Serve, CowQuiescentRepublicationSharesEveryChunk) {
     Fixture f(600, 4);  // 600 vertices -> 3 chunks of 256
     f.engine.run_to_quiescence();
     const auto before = f.service.snapshot();
+    const std::size_t patched = f.service.topk_patched();
+    const std::size_t rebuilt = f.service.topk_rebuilt();
     f.service.publish();
     const auto after = f.service.snapshot();
     ASSERT_NE(before, after);
@@ -253,6 +255,10 @@ TEST(Serve, CowQuiescentRepublicationSharesEveryChunk) {
         EXPECT_EQ(before->scores.chunk(i), after->scores.chunk(i))
             << "chunk " << i;
     }
+    // Nothing changed, so the top-K is carried over, not re-selected.
+    EXPECT_EQ(after->topk, before->topk);
+    EXPECT_EQ(f.service.topk_patched(), patched + 1);
+    EXPECT_EQ(f.service.topk_rebuilt(), rebuilt);
 }
 
 TEST(Serve, TopKTracksHubShrink) {
@@ -412,27 +418,31 @@ TEST(Serve, ConcurrentReadersDuringConvergence) {
     std::vector<std::thread> readers;
     for (int t = 0; t < 4; ++t) {
         readers.emplace_back([&, t] {
-            // Reads route through per-shard planes, so version monotonicity
-            // is promised per vertex (per shard), not across vertices: the
-            // anchor pins one vertex per reader for the monotone check while
-            // the roving queries exercise the rest of the surface.
+            // Every read goes through the one global slot, so a reader's
+            // successive responses never go backwards in version, whatever
+            // vertex or query shape they answer.
             const VertexId anchor = static_cast<VertexId>(t);
             std::uint64_t last_version = 0;
             VertexId v = static_cast<VertexId>(t);
             while (!stop.load(std::memory_order_relaxed)) {
                 const auto p = service.point(anchor, FreshnessPolicy::ServeStale);
                 ASSERT_EQ(p.meta.status, QueryStatus::Ok);
-                // Successive reads of the same vertex never go backwards.
                 ASSERT_GE(p.meta.version, last_version);
                 last_version = p.meta.version;
                 const auto q = service.point(v % 140, FreshnessPolicy::ServeStale);
                 ASSERT_EQ(q.meta.status, QueryStatus::Ok);
+                ASSERT_GE(q.meta.version, last_version);
+                last_version = q.meta.version;
                 const auto top = service.topk(5, FreshnessPolicy::ServeStale);
                 ASSERT_EQ(top.meta.status, QueryStatus::Ok);
                 ASSERT_EQ(top.entries.size(), 5u);
+                ASSERT_GE(top.meta.version, last_version);
+                last_version = top.meta.version;
                 const std::vector<VertexId> vs{v % 140, (v + 7) % 140};
                 const auto b = service.batch(vs, FreshnessPolicy::ServeStale);
                 ASSERT_EQ(b.meta.status, QueryStatus::Ok);
+                ASSERT_GE(b.meta.version, last_version);
+                last_version = b.meta.version;
                 served.fetch_add(1, std::memory_order_relaxed);
                 v += 3;
             }
@@ -481,8 +491,8 @@ TEST(Serve, ConcurrentReadersWithThreadedBackend) {
     std::vector<std::thread> readers;
     for (int t = 0; t < 4; ++t) {
         readers.emplace_back([&, t] {
-            // Per-shard monotone reads: the version check anchors on one
-            // fixed vertex per reader (see ConcurrentReadersDuringConvergence).
+            // The version check anchors on one fixed vertex per reader; see
+            // ConcurrentReadersDuringConvergence for the check across shapes.
             const VertexId anchor = static_cast<VertexId>(t);
             std::uint64_t last_version = 0;
             VertexId v = static_cast<VertexId>(t);
@@ -929,10 +939,10 @@ TEST(Serve, ConcurrentCloseUnblocksWaiters) {
 }
 
 TEST(Serve, ConcurrentShardedReadersServeConsistentMerges) {
-    // Readers hammer the sharded read paths — per-shard point planes and the
-    // merged top-k — while the driver steps, grows and converges the engine.
-    // Every merged top-k must be a strictly ranked prefix from one snapshot,
-    // and per-vertex versions must never go backwards.
+    // Readers hammer the point, top-k and batch reads while the driver
+    // steps, grows and converges the engine. Every top-k must be a strictly
+    // ranked prefix from one snapshot, and a reader's versions must never go
+    // backwards across its point, top-k and batch reads.
     Rng rng(17);
     auto g = barabasi_albert(160, 2, rng);
     AnytimeEngine engine(std::move(g), serve_config(8));
@@ -954,12 +964,19 @@ TEST(Serve, ConcurrentShardedReadersServeConsistentMerges) {
                 const auto top = service.topk(6, FreshnessPolicy::ServeStale);
                 ASSERT_EQ(top.meta.status, QueryStatus::Ok);
                 ASSERT_EQ(top.entries.size(), 6u);
+                ASSERT_GE(top.meta.version, last_version);
+                last_version = top.meta.version;
                 for (std::size_t i = 1; i < top.entries.size(); ++i) {
                     // Strict ranking order implies no duplicates and no
-                    // cross-snapshot mixing in the merged result.
+                    // cross-snapshot mixing in the result.
                     ASSERT_TRUE(topk_outranks(top.entries[i - 1],
                                               top.entries[i]));
                 }
+                const std::vector<VertexId> vs{anchor, top.entries[0].vertex};
+                const auto b = service.batch(vs, FreshnessPolicy::ServeStale);
+                ASSERT_EQ(b.meta.status, QueryStatus::Ok);
+                ASSERT_GE(b.meta.version, last_version);
+                last_version = b.meta.version;
                 served.fetch_add(1, std::memory_order_relaxed);
             }
         });
